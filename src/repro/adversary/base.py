@@ -18,8 +18,9 @@ express their strategy first and fall back when out of targeted moves.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
+from ..sim.process import ProcessStatus
 from ..sim.runtime import Action, Step
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,6 +42,37 @@ def fallback_action(sim: "Simulation") -> Action | None:
     if steppable:
         return Step(min(steppable))
     return None
+
+
+_UNDECIDED = (ProcessStatus.IDLE, ProcessStatus.RUNNING)
+
+
+class FocusCursor:
+    """The first still-undecided pid of a fixed ``order``, found incrementally.
+
+    A pid is in ``sim.undecided`` exactly while its status is ``IDLE`` or
+    ``RUNNING`` (responders and decided or crashed processors are never
+    undecided), and within one run that set only shrinks.  So the first
+    undecided pid of ``order`` only moves forward: :meth:`current` resumes
+    its scan where the previous call stopped instead of rescanning
+    ``order`` against a fresh ``sim.undecided`` copy on every action.
+    Build a new cursor per run (in :meth:`Adversary.setup`); every pid of
+    ``order`` must be in ``range(sim.n)``.
+    """
+
+    __slots__ = ("_order", "_next")
+
+    def __init__(self, order: Sequence[int]) -> None:
+        self._order = order
+        self._next = 0
+
+    def current(self, sim: "Simulation") -> int | None:
+        """The first pid of ``order`` that has not decided or crashed yet."""
+        order, processes, i = self._order, sim.processes, self._next
+        while i < len(order) and processes[order[i]].status not in _UNDECIDED:
+            i += 1
+        self._next = i
+        return order[i] if i < len(order) else None
 
 
 class Adversary(abc.ABC):

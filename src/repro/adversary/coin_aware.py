@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..sim.runtime import Action, Deliver, Step
-from .base import Adversary, fallback_action
+from .base import Adversary, FocusCursor, fallback_action
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.runtime import Simulation
@@ -38,27 +38,46 @@ class CoinAwareAdversary(Adversary):
 
     def __init__(self) -> None:
         self._started_all = False
-        self._order: list[int] | None = None
+        self._cursor: FocusCursor | None = None
+        self._dirty: set[int] = set()
+        self._dirty_at: int | None = None
 
     def setup(self, sim: "Simulation") -> None:
-        """Forget the previous run's coin ordering (adversary reuse contract)."""
+        """Forget the previous run's coin ordering and 1-flipper cache
+        (adversary reuse contract)."""
         self._started_all = False
-        self._order = None
+        self._cursor = None
+        self._dirty_at = None
 
     def _ordered_focus(self, sim: "Simulation") -> int | None:
-        if self._order is None:
+        if self._cursor is None:
             # All coins that will ever matter for ordering are flipped by
             # now; 0-flippers (and processors with no flips yet) go first.
             def sort_key(pid: int) -> tuple[int, int]:
                 last = sim.process(pid).coins.last()
                 return ((last[1] if last is not None else 0), pid)
 
-            self._order = sorted(sim.undecided, key=sort_key)
-        undecided = sim.undecided
-        for pid in self._order:
-            if pid in undecided:
-                return pid
-        return None
+            self._cursor = FocusCursor(sorted(sim.undecided, key=sort_key))
+        return self._cursor.current(sim)
+
+    def _one_flippers(self, sim: "Simulation") -> set[int]:
+        """Participants whose latest coin is 1.
+
+        Coins are flipped only by coroutines, and coroutines run only in
+        ``Simulation._step``, which counts itself in ``metrics.steps``; so
+        the set is rebuilt only when a step happened since the last call.
+        """
+        steps = sim.metrics.steps
+        if steps != self._dirty_at:
+            dirty = set()
+            for process in sim.processes:
+                if not process.is_participant:
+                    continue
+                last = process.coins.last()
+                if last is not None and last[1] == 1:
+                    dirty.add(process.pid)
+            self._dirty, self._dirty_at = dirty, steps
+        return self._dirty
 
     def choose(self, sim: "Simulation") -> Action | None:
         """Start everyone once, then run 0-flippers to completion first."""
@@ -80,21 +99,16 @@ class CoinAwareAdversary(Adversary):
         # parked announcement or through a COLLECT reply, so all traffic to
         # or from 1-flippers stays frozen as long as enough clean
         # processors exist (the adversary never needs more than a bare
-        # majority to resolve a communicate call).
-        dirty = set()
-        for process in sim.processes:
-            if not process.is_participant or process.pid == focus:
-                continue
-            last = process.coins.last()
-            if last is not None and last[1] == 1:
-                dirty.add(process.pid)
+        # majority to resolve a communicate call).  The focus's own coin
+        # never blocks its channels.
+        dirty = self._one_flippers(sim)
         held_back = None
         for message in sim.in_flight.addressed_to(focus):
-            if message.sender not in dirty:
+            if message.sender == focus or message.sender not in dirty:
                 return Deliver(message)
             held_back = message
         for message in sim.in_flight.sent_by(focus):
-            if message.recipient not in dirty:
+            if message.recipient == focus or message.recipient not in dirty:
                 return Deliver(message)
             held_back = message
         if held_back is not None:

@@ -102,11 +102,12 @@ class RandomCrashAdversary(Adversary):
 
     def choose(self, sim: "Simulation") -> Action | None:
         """Maybe crash a random alive processor, else defer to the inner scheduler."""
+        crashed = sim.crashed  # a fresh frozenset per read: read it once
         budget = sim.crashes_remaining
         if self._max_crashes is not None:
-            budget = min(budget, self._max_crashes - len(sim.crashed))
+            budget = min(budget, self._max_crashes - len(crashed))
         if budget > 0 and self._rng.random() < self._rate:
-            alive = [pid for pid in range(sim.n) if pid not in sim.crashed]
+            alive = [pid for pid in range(sim.n) if pid not in crashed]
             if alive:
                 return Crash(alive[self._rng.randrange(len(alive))])
         return self._inner.choose(sim)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from ..sim.runtime import Action, Step
-from .base import Adversary
+from .base import Adversary, FocusCursor
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.runtime import Simulation
@@ -33,27 +33,20 @@ class SequentialAdversary(Adversary):
 
     def __init__(self, order: Sequence[int] | None = None) -> None:
         self._order_arg = list(order) if order is not None else None
-        self._order: list[int] | None = self._order_arg
+        self._cursor: FocusCursor | None = None
 
     def setup(self, sim: "Simulation") -> None:
         """Re-derive the default order per run (adversary reuse contract)."""
-        self._order = (
+        self._cursor = FocusCursor(
             self._order_arg
             if self._order_arg is not None
             else sorted(sim.undecided)
         )
 
-    def _focus(self, sim: "Simulation") -> int | None:
-        assert self._order is not None
-        undecided = sim.undecided
-        for pid in self._order:
-            if pid in undecided:
-                return pid
-        return None
-
     def choose(self, sim: "Simulation") -> Action | None:
         """Advance the current focus processor; feed it only the traffic it needs."""
-        focus = self._focus(sim)
+        assert self._cursor is not None
+        focus = self._cursor.current(sim)
         if focus is not None and focus in sim.steppable:
             return Step(focus)
         action = sim.in_flight.last_action()

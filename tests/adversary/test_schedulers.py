@@ -86,15 +86,10 @@ class TestEveryAdversaryTerminates:
 class TestAdversaryReuseContract:
     """setup() must reset per-run state: a reused instance == a fresh one."""
 
-    @pytest.mark.parametrize("name", ALL_ADVERSARY_NAMES)
-    def test_second_run_matches_fresh_instance(self, name):
+    @staticmethod
+    def _assert_reuse_matches_fresh(name, n, participants):
         def outcome(adversary):
-            sim = Simulation(
-                6,
-                {pid: ping_factory for pid in range(4)},
-                adversary,
-                seed=3,
-            )
+            sim = Simulation(n, participants(), adversary, seed=3)
             result = sim.run()
             return (
                 sorted(result.decisions.items()),
@@ -107,6 +102,20 @@ class TestAdversaryReuseContract:
         second = outcome(reused)
         fresh = outcome(fresh_adversary(name, seed=3))
         assert second == first == fresh
+
+    @pytest.mark.parametrize("name", ALL_ADVERSARY_NAMES)
+    def test_second_run_matches_fresh_instance(self, name):
+        self._assert_reuse_matches_fresh(
+            name, 6, lambda: {pid: ping_factory for pid in range(4)}
+        )
+
+    @pytest.mark.parametrize("name", ALL_ADVERSARY_NAMES)
+    def test_second_coin_flipping_run_matches_fresh_instance(self, name):
+        # ping_factory flips no coins; a poison-pill election does, so a
+        # coin-keyed cache left over from the first run would show here.
+        self._assert_reuse_matches_fresh(
+            name, 16, lambda: {pid: make_leader_elect() for pid in range(16)}
+        )
 
 
 class TestRandomAdversary:
