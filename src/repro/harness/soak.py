@@ -351,19 +351,21 @@ async def _service_restart(
 ) -> None:
     """Kill and restart the service mid-soak, carrying the namespace over.
 
-    The old instance's fencing floors survive via ``export_namespace``;
-    its leases deliberately do not (a restart ends every hold), so any
-    still-open grant is settled as a crash before the successor starts
-    granting the same keys at higher epochs.
+    The old instance's fencing floors survive via ``export_namespace``,
+    read once it has stopped; its leases deliberately do not (a restart
+    ends every hold), so any still-open grant is settled as a crash
+    before the successor starts granting the same keys at higher epochs.
     """
     await asyncio.sleep(at_s)
     if state.stop.is_set():
         return
     old = state.service
+    # Stop first: handler tasks still run during ``stop()``, and only a
+    # stopped service's namespace is final.
+    await old.stop()
     namespace = old.export_namespace()
     state.fenced_base.extend(old.fenced)
     state.snapshots.append(old.snapshot())
-    await old.stop()
     ended = time.monotonic_ns()
     for record in old.history:
         if record.ended_ns is None:

@@ -656,7 +656,15 @@ class ElectionService:
 
     def _grant(self, state: _KeyState, client: str, session: _Session,
                rpc: int, ttl_ms: float) -> None:
-        """Elect ``client`` the holder of ``state.key`` under a fresh epoch."""
+        """Elect ``client`` the holder of ``state.key`` under a fresh epoch.
+
+        A stopping service grants nothing: its handler tasks still run
+        while the server closes, and a grant then would reuse the first
+        epoch of a successor seeded from :meth:`export_namespace`.
+        """
+        if self._stopped:
+            state.state = LeaseState.FREE
+            return
         now = time.monotonic()
         state.epoch += 1
         state.state = LeaseState.HELD

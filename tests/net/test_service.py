@@ -33,6 +33,7 @@ from repro.net.service import (
     ServiceError,
     ServiceRun,
 )
+from repro.net.wire import Frame, FrameType
 
 #: Chaos plan used by the degraded-network tests: lossy and slow but
 #: seeded, so every failure is reproducible.
@@ -96,6 +97,47 @@ class TestLeaseLifecycle:
             await b.close()
 
         run_scenario(body)
+
+    def test_stopping_service_grants_nothing(self, monkeypatch):
+        # Handler tasks keep running while stop() waits for the server to
+        # close.  Force that race deterministically: inside wait_closed(),
+        # the holder's handler sees EOF and fails its lease over, then a
+        # contender's already-buffered ACQUIRE is dispatched.  A grant
+        # there would reuse the first epoch of a successor seeded from
+        # export_namespace().
+        async def main():
+            service = ElectionService(seed=0, default_ttl_ms=5000.0)
+            host, port = await service.start()
+            a = await ServiceClient.connect(host, port, client_id="a")
+            b = await ServiceClient.connect(host, port, client_id="b")
+            lease = await a.acquire("k", ttl_ms=5000.0)
+            assert await b.acquire("k") is None  # busy; b's session is live
+            holder = service.keys["k"].holder_session
+            contender = next(
+                session for session in service._sessions.values()
+                if session is not holder
+            )
+            wait_closed = service._server.wait_closed
+
+            async def handlers_drain_while_closing():
+                service._session_crashed(holder)
+                service._dispatch(contender, Frame(
+                    FrameType.ACQUIRE, 0, {"rpc": 99, "key": "k", "client": "b"}
+                ))
+                await wait_closed()
+
+            monkeypatch.setattr(
+                service._server, "wait_closed", handlers_drain_while_closing
+            )
+            await service.stop()
+            a.abort()
+            b.abort()
+            return service, lease
+
+        service, lease = asyncio.run(main())
+        assert lease.epoch == 1
+        assert [record.epoch for record in service.history] == [1]
+        assert service.export_namespace() == {"k": 1}
 
     def test_independent_keys_do_not_interfere(self):
         async def body(service, host, port):
