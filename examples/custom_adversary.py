@@ -22,22 +22,25 @@ from repro import Adversary, Simulation
 from repro.adversary.base import fallback_action
 from repro.analysis import check_leader_election
 from repro.core import make_leader_elect
-from repro.sim import Deliver, Step
+from repro.sim import Step
 
 
 class GrudgeAdversary(Adversary):
     """Starve one victim: its messages move only when nothing else can."""
 
     name = "grudge"
+    uses_endpoint_indexes = False  # scans pool positions only
 
     def __init__(self, victim: int) -> None:
         self._victim = victim
 
     def choose(self, sim):
-        # Prefer any delivery that does not involve the victim.
-        for message in reversed(sim.in_flight.messages):
-            if self._victim not in (message.sender, message.recipient):
-                return Deliver(message)
+        # Prefer any delivery that does not involve the victim, newest
+        # first.  Pool positions are only valid until the next action.
+        pool = sim.in_flight
+        for index in range(len(pool) - 1, -1, -1):
+            if self._victim not in pool.endpoints_at(index):
+                return pool.action_at(index)
         # Prefer stepping anyone but the victim.
         others = [pid for pid in sim.steppable if pid != self._victim]
         if others:
@@ -46,8 +49,7 @@ class GrudgeAdversary(Adversary):
         return fallback_action(sim)
 
 
-def main() -> None:
-    n = int(sys.argv[1]) if len(sys.argv) > 1 else 8
+def main(n: int = 8) -> None:
     victim = 0
 
     victim_wins = 0
@@ -70,4 +72,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(int(sys.argv[1]) if len(sys.argv) > 1 else 8)

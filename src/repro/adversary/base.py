@@ -31,9 +31,9 @@ def fallback_action(sim: "Simulation") -> Action | None:
     """A progress-guaranteeing default: deliver something, else step someone.
 
     Returns ``None`` only when no action is enabled (quiescence).  Built
-    on the pool's mode-agnostic
-    :meth:`~repro.sim.messages.InFlightPool.last_action`, so it works
-    unchanged on materialized and batch (columnar) pools.
+    on the pool's positional
+    :meth:`~repro.sim.messages.InFlightPool.last_action`, so it works on
+    indexed and unindexed pools alike.
     """
     action = sim.in_flight.last_action()
     if action is not None:
@@ -82,27 +82,14 @@ class Adversary(abc.ABC):
     name: str = "adversary"
 
     #: Whether this adversary reads the pool's per-endpoint index API
-    #: (``sent_by``/``addressed_to``/``involving``).  Declaring ``False``
-    #: lets the simulation build its :class:`~repro.sim.messages.InFlightPool`
-    #: with ``indexed=False``, dropping two dict insertions per send and
-    #: two deletions per delivery — a large fraction of per-message cost
-    #: at scale.  Calling the index API anyway then raises
-    #: ``RuntimeError``; when in doubt, leave the default ``True``.
+    #: (``sent_by``/``addressed_to``/``involving``/``action_for``/
+    #: ``actions_in_send_order``/``match``).  Declaring ``False`` lets the
+    #: simulation build its :class:`~repro.sim.messages.InFlightPool` with
+    #: ``indexed=False``, dropping a few dict operations per send and per
+    #: delivery — a large fraction of per-message cost at scale.  Calling
+    #: the index API anyway then raises ``RuntimeError``; when in doubt,
+    #: leave the default ``True``.
     uses_endpoint_indexes: bool = True
-
-    #: Whether this adversary reads :class:`~repro.sim.messages.Message`
-    #: *objects* — via ``.messages``, ``any_message``, ``snapshot``, or
-    #: the endpoint index API.  Declaring ``False`` certifies that it only
-    #: uses the positional pool API (``len``, ``action_at``,
-    #: ``endpoints_at``, ``last_action``), which lets the simulation skip
-    #: materializing per-recipient messages entirely: every ``communicate``
-    #: call becomes one columnar :class:`~repro.sim.messages.Broadcast`
-    #: record plus packed int descriptors, and deliveries arrive as
-    #: ``DeliverBatch`` actions.  Behaviour is byte-identical across the
-    #: two planes (pinned by tests/sim/test_batch.py).  Runs with an event
-    #: sink attached stay materialized regardless of this flag; when in
-    #: doubt, leave the default ``True``.
-    uses_message_objects: bool = True
 
     def setup(self, sim: "Simulation") -> None:
         """Hook called once per run, before the first action is requested.

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from ..sim.messages import Message
-from ..sim.runtime import Action, Deliver, Step
+from ..sim.runtime import Action, Step
 from .base import Adversary
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -30,10 +29,7 @@ class BubbleAdversary(Adversary):
     """Buffer all traffic of a chosen subset until ``n/4`` messages pile up."""
 
     name = "bubble"
-    # Buffers concrete Message objects across actions, so it keeps the
-    # defaults: indexed, materialized pool.
-    uses_endpoint_indexes = True
-    uses_message_objects = True
+    uses_endpoint_indexes = True  # counts buffered traffic per pid
 
     def __init__(
         self,
@@ -62,12 +58,6 @@ class BubbleAdversary(Adversary):
         """Processors currently held in the bubble."""
         return frozenset(self._unreleased)
 
-    def _suspended(self, message: Message) -> bool:
-        return (
-            message.sender in self._unreleased
-            or message.recipient in self._unreleased
-        )
-
     def _apply_releases(self, sim: "Simulation") -> None:
         pool = sim.in_flight
         for pid in list(self._unreleased):
@@ -78,10 +68,12 @@ class BubbleAdversary(Adversary):
     def choose(self, sim: "Simulation") -> Action | None:
         """Deliver/step outside the bubble; release members as traffic piles up."""
         self._apply_releases(sim)
-        pool = sim.in_flight.messages
-        for message in reversed(pool):
-            if not self._suspended(message):
-                return Deliver(message)
+        pool = sim.in_flight
+        unreleased = self._unreleased
+        for index in range(len(pool) - 1, -1, -1):
+            sender, recipient = pool.endpoints_at(index)
+            if sender not in unreleased and recipient not in unreleased:
+                return pool.action_at(index)
         steppable = [pid for pid in sim.steppable if pid not in self._unreleased]
         if steppable:
             return Step(min(steppable))
@@ -97,6 +89,4 @@ class BubbleAdversary(Adversary):
             )
             self._unreleased.discard(fullest)
             return self.choose(sim)
-        if pool:
-            return Deliver(pool[-1])
-        return None
+        return pool.last_action()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..sim.runtime import Action, Deliver, Step
+from ..sim.runtime import Action, Step
 from .base import Adversary, FocusCursor, fallback_action
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,10 +31,7 @@ class CoinAwareAdversary(Adversary):
     """Start everyone, inspect coins, then serialize 0-flippers first."""
 
     name = "coin_aware"
-    # Reads the sent_by/addressed_to index views (Message objects), so it
-    # keeps the defaults: indexed, materialized pool.
-    uses_endpoint_indexes = True
-    uses_message_objects = True
+    uses_endpoint_indexes = True  # reads sent_by / addressed_to
 
     def __init__(self) -> None:
         self._started_all = False
@@ -102,19 +99,20 @@ class CoinAwareAdversary(Adversary):
         # majority to resolve a communicate call).  The focus's own coin
         # never blocks its channels.
         dirty = self._one_flippers(sim)
+        pool = sim.in_flight
         held_back = None
-        for message in sim.in_flight.addressed_to(focus):
-            if message.sender == focus or message.sender not in dirty:
-                return Deliver(message)
-            held_back = message
-        for message in sim.in_flight.sent_by(focus):
-            if message.recipient == focus or message.recipient not in dirty:
-                return Deliver(message)
-            held_back = message
+        for desc, sender in pool.addressed_to(focus):
+            if sender == focus or sender not in dirty:
+                return pool.action_for(desc)
+            held_back = desc
+        for desc, recipient in pool.sent_by(focus):
+            if recipient == focus or recipient not in dirty:
+                return pool.action_for(desc)
+            held_back = desc
         if held_back is not None:
             # Not enough clean channels to complete the quorum; leak
             # minimally rather than deadlock.
-            return Deliver(held_back)
+            return pool.action_for(held_back)
         # Nothing involves the focus: it genuinely needs traffic from a
         # blocked source.  Fall back to keep the run live.
         return fallback_action(sim)

@@ -37,10 +37,9 @@ class CrashingAdversary(Adversary):
         self._schedule = sorted(schedule)
         self._next = 0
         self.name = f"crashing+{inner.name}"
-        # Pool-capability needs are the inner scheduler's; crash injection
+        # Pool-index needs are the inner scheduler's; crash injection
         # itself never reads the pool.
         self.uses_endpoint_indexes = inner.uses_endpoint_indexes
-        self.uses_message_objects = inner.uses_message_objects
 
     def setup(self, sim: "Simulation") -> None:
         """Rewind the crash-schedule cursor (adversary reuse contract).
@@ -85,10 +84,9 @@ class RandomCrashAdversary(Adversary):
         self._rng = make_stream(seed, "adversary/random_crash")
         self._max_crashes = max_crashes
         self.name = f"random_crash+{inner.name}"
-        # Pool-capability needs are the inner scheduler's; crash injection
+        # Pool-index needs are the inner scheduler's; crash injection
         # itself never reads the pool.
         self.uses_endpoint_indexes = inner.uses_endpoint_indexes
-        self.uses_message_objects = inner.uses_message_objects
 
     def setup(self, sim: "Simulation") -> None:
         """Re-derive the crash RNG (adversary reuse contract).

@@ -28,7 +28,6 @@ class EagerAdversary(Adversary):
 
     name = "eager"
     uses_endpoint_indexes = False  # positional pool API only
-    uses_message_objects = False  # delivers via last_action()
 
     def choose(self, sim: "Simulation") -> Action | None:
         """Deliver newest-first via the deterministic fallback."""
@@ -40,7 +39,6 @@ class RoundRobinAdversary(Adversary):
 
     name = "round_robin"
     uses_endpoint_indexes = False  # positional pool API only
-    uses_message_objects = False  # delivers via last_action()
 
     def __init__(self) -> None:
         self._next_pid = 0

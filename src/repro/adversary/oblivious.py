@@ -29,7 +29,6 @@ class ObliviousAdversary(Adversary):
 
     name = "oblivious"
     uses_endpoint_indexes = False  # positional pool API only
-    uses_message_objects = False  # chooses by pool position (action_at)
 
     def __init__(self, seed: int = 0, deliver_bias: float = 0.75) -> None:
         self._seed = seed

@@ -27,7 +27,6 @@ class QuorumSplitAdversary(Adversary):
 
     name = "quorum_split"
     uses_endpoint_indexes = False  # positional pool API only
-    uses_message_objects = False  # scans endpoints_at(), not Message objects
 
     def __init__(self, first_half: Iterable[int] | None = None) -> None:
         self._half_arg: frozenset[int] | None = (

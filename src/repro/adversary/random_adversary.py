@@ -29,7 +29,6 @@ class RandomAdversary(Adversary):
 
     name = "random"
     uses_endpoint_indexes = False  # positional pool API only
-    uses_message_objects = False  # chooses by pool position (action_at)
 
     def __init__(self, seed: int = 0, deliver_bias: float = 0.75) -> None:
         if not 0.0 < deliver_bias < 1.0:

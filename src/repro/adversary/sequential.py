@@ -29,7 +29,6 @@ class SequentialAdversary(Adversary):
 
     name = "sequential"
     uses_endpoint_indexes = False  # positional pool API only
-    uses_message_objects = False  # delivers via last_action()
 
     def __init__(self, order: Sequence[int] | None = None) -> None:
         self._order_arg = list(order) if order is not None else None

@@ -36,7 +36,7 @@ from ..adversary.base import Adversary, fallback_action
 from ..obs.events import Event, ListSink, SCHEDULE_EVENT_TYPES
 from ..obs.jsonl import event_to_obj
 from ..sim.rng import derive_seed
-from ..sim.runtime import Action, Deliver, Simulation, Step
+from ..sim.runtime import Action, Simulation, Step
 from .invariants import (
     PROTOCOLS,
     Invariant,
@@ -75,15 +75,12 @@ MODES = ("random", "crash", "systematic")
 def enumerate_enabled(sim: Simulation) -> list[Action]:
     """The enabled actions of ``sim`` in a deterministic order.
 
-    Deliveries come first, ordered by message uid (send order), then
-    computation steps ordered by pid.  Crash actions are deliberately
-    excluded — the systematic mode explores delivery orders; crash
-    coverage comes from the ``crash`` mode.
+    Deliveries come first, in send order, then computation steps ordered
+    by pid.  Crash actions are deliberately excluded — the systematic
+    mode explores delivery orders; crash coverage comes from the
+    ``crash`` mode.
     """
-    actions: list[Action] = [
-        Deliver(message)
-        for message in sorted(sim.in_flight.messages, key=lambda m: m.uid)
-    ]
+    actions: list[Action] = sim.in_flight.actions_in_send_order()
     actions.extend(Step(pid) for pid in sorted(sim.steppable))
     return actions
 

@@ -34,7 +34,7 @@ from typing import Any, Callable, Mapping, Sequence
 from ..adversary.base import Adversary, fallback_action
 from ..obs.events import Event, EventType, ListSink
 from ..obs.jsonl import JsonlSink, TRACE_FORMAT_VERSION, event_line
-from ..sim.runtime import Action, Crash, Deliver, Simulation, Step
+from ..sim.runtime import Action, Crash, Simulation, Step
 from ..sim.snapshot import SimulationCheckpoint, capture, enable_recording
 from .invariants import CheckContext, Invariant, ProtocolSpec, run_protocol
 
@@ -89,14 +89,9 @@ class SchedulePrefixAdversary(Adversary):
             return None
         if etype == EventType.MSG_DELIVER:
             fields = entry["f"]
-            for message in sim.in_flight.addressed_to(pid):
-                if (
-                    message.sender == fields["src"]
-                    and message.call_id == fields["call"]
-                    and message.kind.value == fields["kind"]
-                ):
-                    return Deliver(message)
-            return None
+            return sim.in_flight.match(
+                fields["src"], pid, fields["kind"], fields["call"]
+            )
         raise ValueError(f"unknown schedule entry type {etype!r}")
 
     def choose(self, sim: Simulation) -> Action | None:

@@ -104,7 +104,6 @@ def build_task_simulation(
     profiler=None,
     delta_propagation: bool = True,
     telemetry=None,
-    batch_messages: bool | None = None,
 ) -> Simulation:
     """Build (without running) the simulation a task runner would drive.
 
@@ -119,7 +118,7 @@ def build_task_simulation(
     return _build_simulation(
         n, factory, participants, adversary, seed, None,
         record_events, max_events, sink, profiler, delta_propagation,
-        telemetry, batch_messages,
+        telemetry,
     )
 
 
@@ -136,7 +135,6 @@ def _build_simulation(
     profiler=None,
     delta_propagation: bool = True,
     telemetry=None,
-    batch_messages: bool | None = None,
 ) -> Simulation:
     scheduler = make_adversary(adversary, seed)
     if crash_schedule:
@@ -152,7 +150,6 @@ def _build_simulation(
         profiler=profiler,
         delta_propagation=delta_propagation,
         telemetry=telemetry,
-        batch_messages=batch_messages,
     )
 
 
@@ -215,7 +212,6 @@ def run_leader_election(
     profiler=None,
     delta_propagation: bool = True,
     telemetry=None,
-    batch_messages: bool | None = None,
     simulation: Simulation | None = None,
 ) -> LeaderElectionRun:
     """Run one leader election to completion and check it.
@@ -229,10 +225,6 @@ def run_leader_election(
     consumers (:class:`~repro.obs.metrics.MetricsSink`,
     :class:`~repro.obs.live.LiveTelemetry`, or a
     :class:`~repro.check.streaming.StreamingChecker`).
-    ``batch_messages`` overrides the pool-representation negotiation:
-    ``None`` negotiates from the adversary's capability flags, ``False``
-    forces materialized ``Message`` objects (the equivalence tests'
-    control arm), ``True`` asserts the columnar batch plane.
     ``simulation`` runs a pre-built (possibly checkpoint-forked)
     simulation instead of constructing one; the construction arguments
     are then recorded verbatim but otherwise unused.
@@ -246,7 +238,7 @@ def run_leader_election(
         sim = _build_simulation(
             n, factory, participants, adversary, seed, crash_schedule,
             record_events, max_events, sink, profiler, delta_propagation,
-            telemetry, batch_messages,
+            telemetry,
         )
     result = sim.run(require_termination=check and not crash_schedule)
     report = check_leader_election(result) if check else LeaderElectionReport(
@@ -300,7 +292,6 @@ def run_sifting_phase(
     profiler=None,
     delta_propagation: bool = True,
     telemetry=None,
-    batch_messages: bool | None = None,
     simulation: Simulation | None = None,
 ) -> SiftingRun:
     """Run one sifting phase (PoisonPill / heterogeneous / naive)."""
@@ -313,7 +304,6 @@ def run_sifting_phase(
         sim = _build_simulation(
             n, factory, participants, adversary, seed, None, record_events,
             max_events, sink, profiler, delta_propagation, telemetry,
-            batch_messages,
         )
     result = sim.run()
     survivors = check_sifting_phase(result) if check else sum(
@@ -370,7 +360,6 @@ def run_renaming(
     profiler=None,
     delta_propagation: bool = True,
     telemetry=None,
-    batch_messages: bool | None = None,
     simulation: Simulation | None = None,
 ) -> RenamingRun:
     """Run one renaming execution to completion and check it."""
@@ -391,7 +380,7 @@ def run_renaming(
         sim = _build_simulation(
             n, factory, participants, adversary, seed, crash_schedule,
             record_events, max_events, sink, profiler, delta_propagation,
-            telemetry, batch_messages,
+            telemetry,
         )
     result = sim.run(require_termination=check and not crash_schedule)
     names = check_renaming(result) if check else dict(result.outcomes)

@@ -76,8 +76,8 @@ class Event:
     """One structured observation, stamped with the global logical clock.
 
     ``fields`` is the serializable payload (see :func:`json_safe`);
-    ``raw`` optionally carries a live object reference (the delivered
-    :class:`~repro.sim.messages.Message`, the yielded request, a register
+    ``raw`` optionally carries a live object reference (a read-only
+    :class:`~repro.sim.messages.Message` view, the yielded request, a register
     write tuple) for in-process consumers such as the legacy
     :class:`~repro.sim.trace.Trace` adapter.  ``raw`` never reaches disk
     and is excluded from equality-of-streams comparisons.

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..adversary.base import Adversary
-from ..sim.runtime import Action, Crash, Deliver, Step
+from ..sim.runtime import Action, Crash, Step
 from .events import EventType, ListSink, SCHEDULE_EVENT_TYPES
 from .jsonl import (
     JsonlSink,
@@ -85,13 +85,11 @@ class ScriptedAdversary(Adversary):
         if etype == EventType.MSG_DELIVER:
             fields = entry["f"]
             recipient = entry["p"]
-            for message in sim.in_flight.addressed_to(recipient):
-                if (
-                    message.sender == fields["src"]
-                    and message.call_id == fields["call"]
-                    and message.kind.value == fields["kind"]
-                ):
-                    return Deliver(message)
+            action = sim.in_flight.match(
+                fields["src"], recipient, fields["kind"], fields["call"]
+            )
+            if action is not None:
+                return action
             raise ReplayDivergenceError(
                 f"schedule entry {self._cursor - 1}: no in-flight message "
                 f"matches {fields['kind']} {fields['src']}->{recipient} "

@@ -17,7 +17,7 @@ from .errors import (
     SimulationError,
     SimulationLimitError,
 )
-from .messages import Broadcast, DeliverBatch, InFlightPool, Message, MessageKind
+from .messages import Broadcast, InFlightPool, Message, MessageKind
 from .process import AlgorithmFactory, Process, ProcessAPI, ProcessStatus
 from .registers import POLICY_MAX, POLICY_OR, POLICY_VERSION, RegisterFile, merge_entry
 from .rng import CoinLog, derive_seed, make_stream
@@ -48,7 +48,6 @@ __all__ = [
     "CrashBudgetError",
     "Decision",
     "Deliver",
-    "DeliverBatch",
     "InFlightPool",
     "Message",
     "MessageKind",

@@ -13,29 +13,23 @@ primitive of Attiya, Bar-Noy and Dolev [ABND95] as used by the paper:
 Messages are deliberately plain: the adversary reorders and delays them
 arbitrarily, so they carry no timing information of their own.
 
-Two physical representations exist for the same logical traffic:
-
-* **Materialized** — one :class:`Message` object per in-flight message
-  (the original representation; required whenever an event sink holds raw
-  message references or the adversary reads message objects).
-* **Batch (columnar)** — one :class:`Broadcast` record per ``communicate``
-  call plus one packed int *descriptor* per in-flight leg.  A descriptor
-  encodes ``(broadcast id, reply flag, endpoint pid)`` in a single int, so
-  a broadcast inserts ``n - 1`` request legs with two C-speed
-  ``list.extend(range(...))`` calls instead of ``n - 1`` object
-  constructions.  The two representations are behaviour-equivalent by
-  construction: the descriptor list undergoes exactly the appends and
-  swap-removes the message list would, so position ``i`` refers to the
-  same logical message in either mode.
+In-flight traffic has one representation: one :class:`Broadcast` record
+per ``communicate`` call plus one packed int *descriptor* per in-flight
+leg.  A descriptor encodes ``(broadcast id, reply flag, endpoint pid)``
+in a single int, so a broadcast inserts its ``n - 1`` request legs with
+two C-speed ``list.extend(range(...))`` calls.  Every leg is sent at most
+once, so its descriptor also names it uniquely over the whole run.
+:class:`Message` objects exist only as read-only views, built on demand
+for event sinks.
 """
 
 from __future__ import annotations
 
-import itertools
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, KeysView, Mapping, NamedTuple
+from itertools import chain, count
+from typing import Any, ItemsView, Iterable, Mapping, NamedTuple
 
 from . import pidset
 
@@ -49,23 +43,26 @@ class MessageKind(Enum):
 
 
 _REQUEST_KINDS = frozenset({MessageKind.PROPAGATE, MessageKind.COLLECT})
-
-#: Fallback uid source for messages constructed outside a simulation (unit
-#: tests, ad-hoc tooling).  The runtime never uses it: each ``Simulation``
-#: owns a run-local counter and stamps uids explicitly, so uid sequences —
-#: and anything derived from them, like uid-based adversary tie-breaking —
-#: are identical no matter how many simulations ran earlier in the process.
-_message_counter = itertools.count()
+#: The reply kind answering each request kind.
+_REPLY_KIND = {
+    MessageKind.PROPAGATE: MessageKind.ACK,
+    MessageKind.COLLECT: MessageKind.COLLECT_REPLY,
+}
 
 
 @dataclass(slots=True, eq=False)
 class Message:
-    """A single message in flight on a point-to-point channel.
+    """A view of one in-flight leg, built for event sinks.
 
-    ``entries`` maps register keys to ``(version, value, policy)`` triples
-    for PROPAGATE and COLLECT_REPLY messages; it is ``None`` otherwise.
-    ``slot`` is runtime bookkeeping (position inside the in-flight pool) and
-    must not be read by adversaries.
+    Read-only by contract: the runtime builds a fresh view per event and
+    never reads one back, so mutating it changes nothing.  (Not a frozen
+    dataclass: frozen construction costs measurably on watched runs.)
+
+    ``desc`` is the leg's packed descriptor.  ``entries`` is the register
+    payload of a PROPAGATE: the full broadcast payload at send time, and
+    the (possibly delta-suppressed) payload the recipient merges at
+    delivery time.  ``view`` is the responder's ``{key: value}`` view on a
+    COLLECT_REPLY.  Both are ``None`` where they do not apply.
     """
 
     sender: int
@@ -73,13 +70,8 @@ class Message:
     kind: MessageKind
     call_id: int
     var: str
+    desc: int = -1
     entries: Mapping[Any, tuple[int, Any, str]] | None = None
-    uid: int = field(default_factory=lambda: next(_message_counter))
-    slot: int = -1
-    #: COLLECT_REPLY fast path: the responder's memoized ``{key: value}``
-    #: view (see ``RegisterFile.value_view``), so the collector appends it
-    #: directly instead of rebuilding it from ``entries``.  Read-only for
-    #: holders; ``None`` on other kinds and on externally built messages.
     view: Mapping[Any, Any] | None = None
 
     @property
@@ -99,31 +91,24 @@ class Message:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Deliver:
-    """Adversary action: deliver one in-flight (materialized) message."""
-    message: Message
-
-
-class DeliverBatch(NamedTuple):
+class Deliver(NamedTuple):
     """Adversary action: deliver the descriptor at pool position ``slot``.
 
     ``desc`` is the packed descriptor expected at that position; the
-    runtime rejects the action (``KeyError``) if the pool has moved on —
-    the same staleness contract as :class:`Deliver` for materialized
-    messages.  A ``NamedTuple`` rather than a dataclass: one of these is
-    allocated per executed action on the batch hot path, and tuple
-    construction is measurably cheaper than dataclass ``__init__``.
+    runtime rejects the action (``KeyError``) if the pool has moved on.
+    A ``NamedTuple`` rather than a dataclass: one of these is allocated
+    per executed delivery, and tuple construction is measurably cheaper
+    than dataclass ``__init__``.
     """
 
     slot: int
     desc: int
 
 
-#: Width of the endpoint-pid field inside a packed batch descriptor.
+#: Width of the endpoint-pid field inside a packed descriptor.
 PID_BITS = 20
-#: Largest ``n`` the batch plane supports (pids must fit in PID_BITS).
-MAX_BATCH_PIDS = 1 << PID_BITS
+#: Largest ``n`` the simulator supports (pids must fit in PID_BITS).
+MAX_PIDS = 1 << PID_BITS
 #: Descriptor flag: set on reply legs (ACK / COLLECT_REPLY), clear on
 #: request legs (PROPAGATE / COLLECT).  On a request leg the pid field is
 #: the recipient; on a reply leg it is the replier (the reply's sender).
@@ -137,10 +122,9 @@ PID_MASK = REPLY_BIT - 1
 class Broadcast:
     """One ``communicate`` call's outgoing traffic as a columnar record.
 
-    Where the materialized path builds ``n - 1`` :class:`Message` objects
-    per call, the batch path stores the per-call columns once — sender,
-    call id, kind, var, the shared copy-on-write ``entries`` mapping (see
-    :meth:`RegisterFile.entries`) — and tracks per-recipient state in two
+    The per-call columns are stored once — sender, call id, kind, var,
+    the shared copy-on-write ``entries`` mapping (see
+    :meth:`RegisterFile.entries`) — and per-recipient state lives in two
     compact structures:
 
     * ``undelivered`` — which recipients' request legs are still in
@@ -155,13 +139,10 @@ class Broadcast:
     ``ticks``/``tracker``/``cache`` carry the delta-propagation state for
     PROPAGATE broadcasts: the send-time tick snapshot, the sender's
     :class:`~repro.sim.registers.DeltaTracker`, and the per-call payload
-    cache keyed by inclusion bitmask.  The batch path computes each
-    recipient's delta payload at *delivery* time (the materialized path
-    computes it at send time); both are sound and produce identical
-    register states because suppression only ever skips entries the
-    recipient provably absorbed, and re-merging an absorbed entry is a
-    no-op.  Only the diagnostics-only ``delta_stats`` counters may differ
-    between the two modes.
+    cache keyed by inclusion bitmask.  Each recipient's delta payload is
+    computed at *delivery* time.  That is sound: suppression only ever
+    skips entries the recipient provably absorbed, and re-merging an
+    absorbed entry is a no-op, so register states match full propagation.
     """
 
     __slots__ = (
@@ -239,212 +220,61 @@ class Broadcast:
 
 
 class InFlightPool:
-    """The multiset of undelivered messages, with O(1) removal.
+    """The multiset of undelivered legs, as packed descriptors.
 
-    Backed by a list with swap-remove; each message records its slot so the
-    runtime can remove an arbitrary message in constant time when the
-    adversary chooses to deliver it.  Per-endpoint indexes let targeted
-    adversaries (sequential, coin-aware, quorum-split, bubble) find the
-    traffic of one processor without scanning the whole pool.
+    In-flight legs live in a flat list of descriptors pointing into the
+    per-call :class:`Broadcast` records (see the module docstring).
+    Delivery swap-removes: the last descriptor moves into the freed slot,
+    so removal is O(1) and positions are not stable across actions.
 
-    The indexes are insertion-ordered dicts, not sets: ``Message`` hashes
-    by identity, so set iteration order would follow memory addresses and
-    any adversary scanning :meth:`sent_by` / :meth:`addressed_to` would
-    make different choices on every run.  Insertion order (= send order)
-    keeps runs a pure function of the seed and the adversary.
+    **Positional API** — ``len()``, :meth:`action_at`,
+    :meth:`endpoints_at`, :meth:`last_action` — works on every pool and
+    is all that scanning adversaries (random, oblivious, sequential,
+    fifo, quorum-split) need.
 
-    **Unindexed mode.**  Maintaining the two endpoint dicts costs two
-    insertions per send and two deletions per delivery — the dominant
-    per-message overhead at large ``n``.  Adversaries that never call
-    the index API (random, oblivious, sequential, fifo, quorum-split)
-    declare ``uses_endpoint_indexes = False`` and get a pool built with
-    ``indexed=False``, where :meth:`add`/:meth:`remove` touch only the
-    backing list.  Calling :meth:`sent_by`/:meth:`addressed_to` on an
-    unindexed pool raises ``RuntimeError`` — lazily rebuilding would
-    scramble insertion order (swap-remove reorders the list), silently
-    breaking determinism.
+    **Endpoint indexes.**  Targeted adversaries (coin-aware, bubble, the
+    replay and shrink resolvers) find the traffic of one processor
+    through :meth:`sent_by` / :meth:`addressed_to`.  Each index maps a
+    descriptor to its peer pid, so adversaries read endpoints without
+    decoding.  The indexes are insertion-ordered dicts: insertion order
+    is send order, which keeps runs a pure function of the seed and the
+    adversary.  An indexed pool also tracks each descriptor's slot
+    (:meth:`action_for`), in send order too (:meth:`actions_in_send_order`).
 
-    **Batch mode.**  A pool built with ``batched=True`` holds no
-    :class:`Message` objects at all: in-flight legs live in a flat list of
-    packed int descriptors pointing into per-call :class:`Broadcast`
-    records (see the module docstring).  The descriptor list follows
-    exactly the append/swap-remove discipline of the message list, so the
-    *positional* API — ``len()``, :meth:`action_at`, :meth:`endpoints_at`,
-    :meth:`last_action` — is mode-agnostic: an adversary written against
-    it behaves identically on both planes.  The object APIs
-    (:attr:`messages`, :meth:`any_message`, :meth:`snapshot`, iteration,
-    :meth:`add`/:meth:`remove` and the endpoint indexes) raise
-    ``RuntimeError`` in batch mode; adversaries that need them declare
-    ``uses_message_objects = True`` and get a materialized pool.
+    Maintaining the indexes costs a few dict operations per send and per
+    delivery — a large share of per-message cost at scale — so only
+    pools built with ``indexed=True`` pay for them.  Adversaries that
+    never read them declare ``uses_endpoint_indexes = False``.  Calling
+    the index API on an unindexed pool raises ``RuntimeError``: lazily
+    rebuilding would scramble send order (swap-remove reorders the list),
+    silently breaking determinism.
     """
 
     __slots__ = (
-        "_messages",
-        "_by_sender",
-        "_by_recipient",
-        "_indexed",
-        "_batched",
         "_descs",
         "_broadcasts",
+        "_indexed",
+        "_slots",
+        "_by_sender",
+        "_by_recipient",
     )
 
-    def __init__(self, indexed: bool = True, batched: bool = False) -> None:
-        self._messages: list[Message] = []
-        self._batched = batched
-        self._indexed = indexed and not batched
-        self._by_sender: dict[int, dict[Message, None]] = {}
-        self._by_recipient: dict[int, dict[Message, None]] = {}
+    def __init__(self, indexed: bool = True) -> None:
         self._descs: list[int] = []
         self._broadcasts: list[Broadcast] = []
+        self._indexed = indexed
+        self._slots: dict[int, int] = {}
+        self._by_sender: dict[int, dict[int, int]] = {}
+        self._by_recipient: dict[int, dict[int, int]] = {}
 
     @property
     def indexed(self) -> bool:
         """True iff the per-endpoint indexes are maintained."""
         return self._indexed
 
-    @property
-    def batched(self) -> bool:
-        """True iff this pool stores packed descriptors, not Message objects."""
-        return self._batched
-
-    def _require_materialized(self) -> None:
-        if self._batched:
-            raise RuntimeError(
-                "no Message objects exist in a batch pool: this simulation "
-                "negotiated batch mode because the adversary declared "
-                "uses_message_objects = False; use the positional API "
-                "(len / action_at / endpoints_at / last_action) instead"
-            )
-
-    def add(self, message: Message) -> None:
-        """Insert a newly sent message into the pool and its indexes."""
-        self._require_materialized()
-        message.slot = len(self._messages)
-        self._messages.append(message)
-        if not self._indexed:
-            return
-        # get-then-insert instead of setdefault: the hot path would
-        # otherwise allocate a throwaway empty dict per sent message.
-        by_sender = self._by_sender.get(message.sender)
-        if by_sender is None:
-            by_sender = self._by_sender[message.sender] = {}
-        by_sender[message] = None
-        by_recipient = self._by_recipient.get(message.recipient)
-        if by_recipient is None:
-            by_recipient = self._by_recipient[message.recipient] = {}
-        by_recipient[message] = None
-
-    def remove(self, message: Message) -> None:
-        """Remove a delivered message in O(1) via swap-remove."""
-        self._require_materialized()
-        slot = message.slot
-        if slot < 0 or slot >= len(self._messages) or self._messages[slot] is not message:
-            raise KeyError(f"message not in flight: {message!r}")
-        last = self._messages.pop()
-        if last is not message:
-            self._messages[slot] = last
-            last.slot = slot
-        message.slot = -1
-        if self._indexed:
-            self._by_sender[message.sender].pop(message, None)
-            self._by_recipient[message.recipient].pop(message, None)
-
-    def _require_indexes(self) -> None:
-        if not self._indexed:
-            raise RuntimeError(
-                "endpoint indexes unavailable: this pool was built with "
-                "indexed=False (the adversary declared uses_endpoint_indexes "
-                "= False, or the pool is batch-mode); scan the positional "
-                "API or .messages instead"
-            )
-
-    def sent_by(self, pid: int) -> KeysView[Message]:
-        """In-flight messages sent by ``pid``, in send order (read-only)."""
-        self._require_indexes()
-        return self._by_sender.get(pid, _EMPTY_INDEX).keys()
-
-    def addressed_to(self, pid: int) -> KeysView[Message]:
-        """In-flight messages addressed to ``pid``, in send order (read-only)."""
-        self._require_indexes()
-        return self._by_recipient.get(pid, _EMPTY_INDEX).keys()
-
-    def involving(self, pid: int) -> Iterable[Message]:
-        """All in-flight messages with ``pid`` as an endpoint."""
-        yield from self.sent_by(pid)
-        yield from self.addressed_to(pid)
-
-    def any_message(self) -> Message | None:
-        """An arbitrary in-flight message (most recently added), or None."""
-        self._require_materialized()
-        return self._messages[-1] if self._messages else None
-
-    def snapshot(self) -> list[Message]:
-        """A copy of the in-flight messages (safe to iterate while mutating)."""
-        self._require_materialized()
-        return list(self._messages)
-
-    @property
-    def messages(self) -> list[Message]:
-        """Direct view of the pool's backing list — the zero-copy read API.
-
-        Mutation contract: adversaries may *read* this list freely (index,
-        slice, iterate) but must never insert, remove, or reorder entries —
-        all mutation goes through :meth:`add`/:meth:`remove` so the slot
-        bookkeeping and endpoint indexes stay consistent.  Removal
-        swap-reorders the list, so positions are not stable across actions;
-        code that needs a stable copy uses :meth:`snapshot`.  The
-        repository's adversaries were audited against this contract: they
-        scan ``messages`` or the :meth:`sent_by`/:meth:`addressed_to` index
-        views in place and never take per-action :meth:`snapshot` copies.
-        """
-        self._require_materialized()
-        return self._messages
-
     # ------------------------------------------------------------------
-    # Positional (mode-agnostic) API — works on both planes
+    # Mutation (runtime-facing)
     # ------------------------------------------------------------------
-
-    def action_at(self, index: int) -> "Deliver | DeliverBatch":
-        """The Deliver action for pool position ``index``, mode-agnostic.
-
-        Positions are not stable across actions (delivery swap-reorders
-        the pool), so the returned action must be executed before the
-        adversary is asked again.
-        """
-        if self._batched:
-            return DeliverBatch(index, self._descs[index])
-        return Deliver(self._messages[index])
-
-    def endpoints_at(self, index: int) -> tuple[int, int]:
-        """The ``(sender, recipient)`` endpoints at pool position ``index``."""
-        if self._batched:
-            desc = self._descs[index]
-            broadcast = self._broadcasts[desc >> BROADCAST_SHIFT]
-            endpoint = desc & PID_MASK
-            if desc & REPLY_BIT:
-                return endpoint, broadcast.sender
-            return broadcast.sender, endpoint
-        message = self._messages[index]
-        return message.sender, message.recipient
-
-    def last_action(self) -> "Deliver | DeliverBatch | None":
-        """The Deliver action for the newest in-flight leg, or ``None``."""
-        if self._batched:
-            descs = self._descs
-            return DeliverBatch(len(descs) - 1, descs[-1]) if descs else None
-        messages = self._messages
-        return Deliver(messages[-1]) if messages else None
-
-    # ------------------------------------------------------------------
-    # Batch plane (runtime-facing)
-    # ------------------------------------------------------------------
-
-    def _require_batched(self) -> None:
-        if not self._batched:
-            raise RuntimeError(
-                "batch plane unavailable: this pool materializes Message "
-                "objects (built with batched=False)"
-            )
 
     def open_broadcast(
         self,
@@ -460,11 +290,8 @@ class InFlightPool:
         """Record one broadcast and enqueue its ``n - 1`` request legs.
 
         The two ``extend(range(...))`` calls insert the recipients in
-        ascending pid order skipping the sender — exactly the order the
-        materialized send loop appends its messages, which is what keeps
-        pool positions identical across modes.
+        ascending pid order, skipping the sender.
         """
-        self._require_batched()
         broadcast = Broadcast(
             len(self._broadcasts), sender, call_id, kind, var, n,
             entries=entries, ticks=ticks, tracker=tracker,
@@ -472,51 +299,209 @@ class InFlightPool:
         self._broadcasts.append(broadcast)
         base = broadcast.base
         descs = self._descs
+        first = len(descs)
         descs.extend(range(base, base + sender))
         descs.extend(range(base + sender + 1, base + n))
+        if self._indexed:
+            legs = descs[first:]
+            recipients = chain(range(sender), range(sender + 1, n))
+            self._slots.update(zip(legs, count(first)))
+            by_sender = self._by_sender.get(sender)
+            if by_sender is None:
+                by_sender = self._by_sender[sender] = {}
+            by_sender.update(zip(legs, recipients))
+            by_recipient = self._by_recipient
+            for desc in legs:
+                index = by_recipient.get(desc & PID_MASK)
+                if index is None:
+                    index = by_recipient[desc & PID_MASK] = {}
+                index[desc] = sender
         return broadcast
 
     def add_reply(self, request_desc: int) -> None:
         """Enqueue the reply leg answering a delivered request descriptor."""
-        self._descs.append(request_desc | REPLY_BIT)
+        reply = request_desc | REPLY_BIT
+        descs = self._descs
+        descs.append(reply)
+        if self._indexed:
+            self._slots[reply] = len(descs) - 1
+            replier = reply & PID_MASK
+            sender = self._broadcasts[reply >> BROADCAST_SHIFT].sender
+            index = self._by_sender.get(replier)
+            if index is None:
+                index = self._by_sender[replier] = {}
+            index[reply] = sender
+            index = self._by_recipient.get(sender)
+            if index is None:
+                index = self._by_recipient[sender] = {}
+            index[reply] = replier
 
-    def remove_descriptor(self, slot: int, desc: int) -> None:
+    def remove(self, slot: int, desc: int) -> None:
         """Swap-remove the descriptor at ``slot``; KeyError on staleness."""
         descs = self._descs
         if slot < 0 or slot >= len(descs) or descs[slot] != desc:
-            raise KeyError(
-                f"descriptor not in flight: slot={slot} desc={desc}"
-            )
+            raise KeyError(f"descriptor not in flight: slot={slot} desc={desc}")
         last = descs.pop()
         if slot < len(descs):
             descs[slot] = last
+        if self._indexed:
+            self._unindex(slot, desc, last)
+
+    def _unindex(self, slot: int, desc: int, last: int) -> None:
+        """Index upkeep for a swap-remove that moved ``last`` into ``slot``."""
+        slots = self._slots
+        if last != desc:
+            slots[last] = slot
+        del slots[desc]
+        sender, recipient = self.endpoints_of(desc)
+        del self._by_sender[sender][desc]
+        del self._by_recipient[recipient][desc]
+
+    # ------------------------------------------------------------------
+    # Positional API — works on every pool
+    # ------------------------------------------------------------------
+
+    def action_at(self, index: int) -> Deliver:
+        """The Deliver action for pool position ``index``.
+
+        Positions are not stable across actions (delivery swap-reorders
+        the pool), so the returned action must be executed before the
+        adversary is asked again.
+        """
+        return Deliver(index, self._descs[index])
+
+    def endpoints_at(self, index: int) -> tuple[int, int]:
+        """The ``(sender, recipient)`` endpoints at pool position ``index``."""
+        return self.endpoints_of(self._descs[index])
+
+    def last_action(self) -> Deliver | None:
+        """The Deliver action for the newest in-flight leg, or ``None``."""
+        descs = self._descs
+        return Deliver(len(descs) - 1, descs[-1]) if descs else None
+
+    # ------------------------------------------------------------------
+    # Endpoint indexes — indexed pools only
+    # ------------------------------------------------------------------
+
+    def _require_indexes(self) -> None:
+        if not self._indexed:
+            raise RuntimeError(
+                "endpoint indexes unavailable: this pool was built with "
+                "indexed=False (the adversary declared uses_endpoint_indexes "
+                "= False); scan the positional API instead"
+            )
+
+    def sent_by(self, pid: int) -> ItemsView[int, int]:
+        """``(desc, recipient)`` of the legs ``pid`` sent, in send order."""
+        self._require_indexes()
+        return self._by_sender.get(pid, _EMPTY_INDEX).items()
+
+    def addressed_to(self, pid: int) -> ItemsView[int, int]:
+        """``(desc, sender)`` of the legs addressed to ``pid``, in send order."""
+        self._require_indexes()
+        return self._by_recipient.get(pid, _EMPTY_INDEX).items()
+
+    def involving(self, pid: int) -> Iterable[tuple[int, int]]:
+        """``(desc, peer)`` of every in-flight leg with ``pid`` as an endpoint."""
+        yield from self.sent_by(pid)
+        yield from self.addressed_to(pid)
+
+    def action_for(self, desc: int) -> Deliver:
+        """The Deliver action for an in-flight descriptor."""
+        self._require_indexes()
+        return Deliver(self._slots[desc], desc)
+
+    def actions_in_send_order(self) -> list[Deliver]:
+        """A Deliver action for every in-flight leg, oldest send first."""
+        self._require_indexes()
+        return [Deliver(slot, desc) for desc, slot in self._slots.items()]
+
+    def match(
+        self, sender: int, recipient: int, kind: str, call_id: int
+    ) -> Deliver | None:
+        """The delivery of the leg ``sender -> recipient`` of ``call_id``.
+
+        ``kind`` is a :class:`MessageKind` value, as recorded in a
+        ``msg.deliver`` event.  ``None`` if no such leg is in flight.
+        """
+        for desc, peer in self.addressed_to(recipient):
+            if peer == sender:
+                broadcast = self._broadcasts[desc >> BROADCAST_SHIFT]
+                if (
+                    broadcast.call_id == call_id
+                    and self.kind_of(desc).value == kind
+                ):
+                    return Deliver(self._slots[desc], desc)
+        return None
+
+    # ------------------------------------------------------------------
+    # Descriptor decoding
+    # ------------------------------------------------------------------
 
     def broadcast_of(self, desc: int) -> Broadcast:
         """The :class:`Broadcast` record a descriptor points into."""
         return self._broadcasts[desc >> BROADCAST_SHIFT]
 
+    def endpoints_of(self, desc: int) -> tuple[int, int]:
+        """The ``(sender, recipient)`` endpoints of a descriptor."""
+        sender = self._broadcasts[desc >> BROADCAST_SHIFT].sender
+        endpoint = desc & PID_MASK
+        if desc & REPLY_BIT:
+            return endpoint, sender
+        return sender, endpoint
+
+    def kind_of(self, desc: int) -> MessageKind:
+        """The :class:`MessageKind` of a descriptor's leg."""
+        kind = self._broadcasts[desc >> BROADCAST_SHIFT].kind
+        return _REPLY_KIND[kind] if desc & REPLY_BIT else kind
+
+    def view(
+        self,
+        desc: int,
+        entries: Mapping[Any, tuple[int, Any, str]] | None = None,
+    ) -> Message:
+        """A read-only :class:`Message` view of a descriptor's leg.
+
+        A PROPAGATE view carries ``entries`` when given (the delivery-time
+        payload), else the broadcast's full payload; a COLLECT_REPLY view
+        carries the responder's value view while it is still recorded.
+        """
+        broadcast = self._broadcasts[desc >> BROADCAST_SHIFT]
+        endpoint = desc & PID_MASK
+        kind = broadcast.kind
+        if desc & REPLY_BIT:
+            if kind is MessageKind.PROPAGATE:
+                return Message(
+                    endpoint, broadcast.sender, MessageKind.ACK,
+                    broadcast.call_id, broadcast.var, desc,
+                )
+            return Message(
+                endpoint, broadcast.sender, MessageKind.COLLECT_REPLY,
+                broadcast.call_id, broadcast.var, desc,
+                view=broadcast.views.get(endpoint),
+            )
+        if kind is MessageKind.PROPAGATE and entries is None:
+            entries = broadcast.entries
+        return Message(
+            broadcast.sender, endpoint, kind, broadcast.call_id,
+            broadcast.var, desc, entries=entries,
+        )
+
     @property
     def descriptors(self) -> list[int]:
-        """Read-only view of the batch plane's backing descriptor list.
+        """Read-only view of the backing descriptor list.
 
-        Same mutation contract as :attr:`messages`: callers may read but
-        never mutate; all mutation goes through the runtime so slot
-        bookkeeping stays consistent.
+        Callers may read but never mutate; all mutation goes through
+        :meth:`open_broadcast`, :meth:`add_reply` and :meth:`remove`, so
+        slot bookkeeping and the indexes stay consistent.
         """
-        self._require_batched()
         return self._descs
 
     def __len__(self) -> int:
-        # One of the two lists is always empty, so the sum is the live
-        # count in either mode without a branch.
-        return len(self._messages) + len(self._descs)
-
-    def __iter__(self):
-        self._require_materialized()
-        return iter(self._messages)
+        return len(self._descs)
 
     def __bool__(self) -> bool:
-        return bool(self._messages) or bool(self._descs)
+        return bool(self._descs)
 
 
-_EMPTY_INDEX: dict[Message, None] = {}
+_EMPTY_INDEX: dict[int, int] = {}

@@ -308,8 +308,8 @@ class DeltaTracker:
         omission required that recipient's watermark to already be at or
         above the send-time tick.
 
-        Returns the snapshot so the batch plane can pin it on the
-        :class:`~repro.sim.messages.Broadcast` record: batch-mode
+        Returns the snapshot so the runtime can pin it on the
+        :class:`~repro.sim.messages.Broadcast` record:
         :meth:`payload_for` runs at delivery time, when the live tick
         mapping may already be ahead of the broadcast's send state.
         """

@@ -4,16 +4,14 @@ The simulation advances one *action* at a time, and the adversary picks
 every action.  The enabled actions at any moment are exactly those of the
 paper's model (Section 2):
 
-* ``Deliver(message)`` — a delivery step: the message reaches its
-  recipient, which (if non-faulty) processes it immediately — merging
-  PROPAGATE entries and sending the ACK / COLLECT_REPLY, or recording an
-  incoming acknowledgement against its outstanding ``communicate`` call.
-  Every processor services requests this way, participant or not, decided
-  or not: the model's standing assumption that non-faulty processors
-  always assist.  On batch-mode runs (columnar pools, see
-  :mod:`repro.sim.messages`) the same step is expressed as
-  ``DeliverBatch(slot, desc)``, naming the in-flight leg by pool position
-  instead of by object; the semantics are identical.
+* ``Deliver(slot, desc)`` — a delivery step: the in-flight leg at pool
+  position ``slot`` (packed descriptor ``desc``, see
+  :mod:`repro.sim.messages`) reaches its recipient, which (if non-faulty)
+  processes it immediately — merging PROPAGATE entries and sending the
+  ACK / COLLECT_REPLY, or recording an incoming acknowledgement against
+  its outstanding ``communicate`` call.  Every processor services
+  requests this way, participant or not, decided or not: the model's
+  standing assumption that non-faulty processors always assist.
 * ``Step(pid)`` — a computation step of the *algorithm*: starts the
   participant's coroutine, or resumes it when its outstanding
   ``communicate`` call has reached its quorum.
@@ -31,7 +29,6 @@ paper's strong adaptive adversary exactly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -46,15 +43,12 @@ from .errors import (
 )
 from .messages import (
     BROADCAST_SHIFT,
-    MAX_BATCH_PIDS,
+    MAX_PIDS,
     PID_BITS,
     PID_MASK,
     REPLY_BIT,
-    Broadcast,
     Deliver,
-    DeliverBatch,
     InFlightPool,
-    Message,
     MessageKind,
 )
 from .process import AlgorithmFactory, Process, ProcessStatus
@@ -81,14 +75,14 @@ class Crash:
     pid: int
 
 
-# Deliver / DeliverBatch live in messages.py (the pool builds them in its
-# mode-agnostic positional API) and are re-exported here for callers.
-Action = Deliver | DeliverBatch | Step | Crash
+# Deliver lives in messages.py (the pool builds it in its positional
+# API) and is re-exported here for callers.
+Action = Deliver | Step | Crash
 
 #: Shared empty payload for events that need none (avoids a dict per event).
 _NO_FIELDS: Mapping[str, Any] = {}
 
-# Enum member lookups hoisted out of the batch delivery hot loop.
+# Enum member lookups hoisted out of the delivery hot loop.
 _ACK = MessageKind.ACK
 _COLLECT_REPLY = MessageKind.COLLECT_REPLY
 _PROPAGATE = MessageKind.PROPAGATE
@@ -96,7 +90,6 @@ _PROPAGATE = MessageKind.PROPAGATE
 #: Profiler span names for each action type (see ``Simulation.execute``).
 _ACTION_SPANS = {
     Deliver: "execute.deliver",
-    DeliverBatch: "execute.deliver",
     Step: "execute.step",
     Crash: "execute.crash",
 }
@@ -157,10 +150,14 @@ class Simulation:
         profiler: "Profiler | None" = None,
         delta_propagation: bool = True,
         telemetry: "EventSink | None" = None,
-        batch_messages: bool | None = None,
     ) -> None:
         if n < 1:
             raise ValueError("need at least one processor")
+        if n > MAX_PIDS:
+            raise ValueError(
+                f"descriptors encode pids in {PID_BITS} bits; "
+                f"n={n} exceeds the {MAX_PIDS} ceiling"
+            )
         for pid in participants:
             if not 0 <= pid < n:
                 raise ValueError(f"participant pid {pid} out of range [0, {n})")
@@ -172,41 +169,10 @@ class Simulation:
             Process(pid, n, make_stream(seed, f"proc/{pid}"), participants.get(pid))
             for pid in range(n)
         ]
-        # Capability negotiation for the pool representation.  Batch
-        # (columnar) mode needs two certificates: the adversary never
-        # touches Message objects, and no event sink is attached (the
-        # per-message MSG_SEND/MSG_DELIVER stream requires materialized
-        # messages).  ``batch_messages`` overrides: False forces the
-        # materialized plane (equivalence tests), True asserts batch mode
-        # and raises if the certificates don't hold.
-        wants_objects = getattr(adversary, "uses_message_objects", True)
-        has_sink = record_events or sink is not None or telemetry is not None
-        if batch_messages is None:
-            batched = not wants_objects and not has_sink and n <= MAX_BATCH_PIDS
-        elif batch_messages:
-            if wants_objects:
-                raise ValueError(
-                    "batch_messages=True requires an adversary that declares "
-                    "uses_message_objects = False"
-                )
-            if has_sink:
-                raise ValueError(
-                    "batch_messages=True is incompatible with event sinks: "
-                    "per-message events require materialized messages"
-                )
-            if n > MAX_BATCH_PIDS:
-                raise ValueError(
-                    f"batch descriptors encode pids in {PID_BITS} bits; "
-                    f"n={n} exceeds the {MAX_BATCH_PIDS} ceiling"
-                )
-            batched = True
-        else:
-            batched = False
         # Skip the per-endpoint index bookkeeping when this run's
         # adversary declared it never reads the index API.
         self.in_flight = InFlightPool(
             indexed=getattr(adversary, "uses_endpoint_indexes", True),
-            batched=batched,
         )
         self.metrics = Metrics(n)
         # Delta propagation: per-sender trackers (created lazily on first
@@ -219,13 +185,6 @@ class Simulation:
         self._delta: dict[int, DeltaTracker] | None = (
             {} if delta_propagation else None
         )
-        # Recycled Message objects (only when no event sink holds raw
-        # message references); see _deliver.  The cap scales with n: one
-        # broadcast materializes up to n - 1 replies, so the hardcoded
-        # small cap that served n<=256 would starve the freelist at large
-        # n and put the allocator back on the hot path.
-        self._free_messages: list[Message] = []
-        self._free_cap = max(256, 2 * n)
         self.trace = Trace(enabled=record_events)
         self.profiler = profiler
         # The structured event stream (repro.obs).  ``record_events`` keeps
@@ -246,11 +205,6 @@ class Simulation:
         self.clock = 0
         self.max_events = max_events if max_events is not None else 100_000 + 1_000 * n * n
         self._call_counter = 0
-        # Run-local message uid source: uids restart at 0 for every
-        # simulation, so back-to-back runs in one process are byte-identical
-        # (the module-global fallback in messages.py would leak earlier
-        # runs' message counts into this run's uids).
-        self._uid_counter = itertools.count()
         self._needs_step: set[int] = set(participants)
         self._undecided: set[int] = set(participants)
         self._crashed: set[int] = set()
@@ -370,12 +324,9 @@ class Simulation:
     def _execute(self, action: Action) -> None:
         self.metrics.events_executed += 1
         self.clock += 1
-        # DeliverBatch first: on a batch run every delivery takes this
-        # branch, and deliveries dominate the action mix.
-        if isinstance(action, DeliverBatch):
-            self._deliver_batch(action)
-        elif isinstance(action, Deliver):
-            self._deliver(action.message)
+        # Deliver first: deliveries dominate the action mix.
+        if isinstance(action, Deliver):
+            self._deliver(action)
         elif isinstance(action, Step):
             self._step(action.pid)
         elif isinstance(action, Crash):
@@ -408,131 +359,15 @@ class Simulation:
     # Action semantics
     # ------------------------------------------------------------------
 
-    def _deliver(self, message: Message) -> None:
-        self.in_flight.remove(message)
-        self.metrics.deliveries += 1
-        recipient = self.processes[message.recipient]
-        if self._obs is not None:
-            # Carries (src, dst, kind, call): together with sched.step and
-            # sched.crash this is the full schedule the replayer re-drives.
-            self._obs.emit(Event(
-                self.clock,
-                EventType.MSG_DELIVER,
-                message.recipient,
-                {
-                    "kind": message.kind.value,
-                    "src": message.sender,
-                    "dst": message.recipient,
-                    "call": message.call_id,
-                    "var": message.var,
-                },
-                raw=message,
-            ))
-        if recipient.status is ProcessStatus.CRASHED:
-            # Delivered into the void; faulty processors never reply.  The
-            # swallowed Message is still recyclable — nothing retained it.
-            if self._obs is None and len(self._free_messages) < self._free_cap:
-                self._free_messages.append(message)
-            return
-        if message.kind is MessageKind.PROPAGATE:
-            assert message.entries is not None
-            if message.entries:
-                # Empty payloads (fully delta-suppressed) skip the merge
-                # call outright — merging {} is a no-op anyway.
-                recipient.registers.merge(message.var, message.entries)
-            self._send(
-                recipient,
-                self._new_message(
-                    sender=recipient.pid,
-                    recipient=message.sender,
-                    kind=MessageKind.ACK,
-                    call_id=message.call_id,
-                    var=message.var,
-                ),
-                0,
-            )
-        elif message.kind is MessageKind.COLLECT:
-            # Shared copy-on-write snapshot of the responder's view;
-            # zero-copy until the responder's next write to the var.  The
-            # memoized value view rides along so the collector appends it
-            # without rebuilding {key: value} per reply.
-            entries = recipient.registers.entries(message.var)
-            self._send(
-                recipient,
-                self._new_message(
-                    sender=recipient.pid,
-                    recipient=message.sender,
-                    kind=MessageKind.COLLECT_REPLY,
-                    call_id=message.call_id,
-                    var=message.var,
-                    entries=entries,
-                    view=recipient.registers.value_view(message.var),
-                ),
-                len(entries),
-            )
-        else:
-            self._record_reply(recipient, message)
-        if self._obs is None and len(self._free_messages) < self._free_cap:
-            # Recycle the delivered Message: nothing retains it (the pool
-            # dropped it above, views/metrics keep only payload mappings,
-            # and adversaries do not hold delivered messages).  With an
-            # event sink attached the raw object escaped into the stream,
-            # so recycling is disabled entirely.
-            self._free_messages.append(message)
-
-    def _record_reply(self, process: Process, message: Message) -> None:
-        if message.kind is MessageKind.ACK and self._delta is not None:
-            # Fold the ACK into the sender's delta watermarks *before* the
-            # staleness check: an ACK arriving after its call resolved
-            # still proves the recipient merged that call's payload.
-            tracker = self._delta.get(process.pid)
-            if tracker is not None:
-                tracker.on_ack(message.sender, message.call_id)
-        pending = process.pending
-        if pending is None or pending.call_id != message.call_id:
-            return  # stale acknowledgement for an already-resolved call
-        if message.kind is MessageKind.ACK and isinstance(pending.request, Propagate):
-            pending.acks += 1
-        elif message.kind is MessageKind.COLLECT_REPLY and isinstance(
-            pending.request, Collect
-        ):
-            assert message.entries is not None and pending.views is not None
-            pending.acks += 1
-            view = message.view
-            if view is None:  # externally built reply (unit tests)
-                view = {key: entry[1] for key, entry in message.entries.items()}
-            pending.views.append(view)
-        if pending.satisfied and process.status is ProcessStatus.RUNNING:
-            self._needs_step.add(process.pid)
-            if self._obs is not None:
-                self._obs.emit(Event(
-                    self.clock,
-                    EventType.COMM_DONE,
-                    process.pid,
-                    {"call": pending.call_id, "acks": pending.acks},
-                ))
-
-    def _deliver_batch(self, action: DeliverBatch) -> None:
-        """Deliver one batch descriptor — the columnar twin of :meth:`_deliver`.
-
-        Mirrors the materialized path operation for operation (same pool
-        mutations in the same order, same metrics updates, same crash
-        semantics) so the two modes stay byte-identical; the only
-        intentional difference is *when* delta payloads are computed
-        (delivery time here, send time there — see
-        :class:`~repro.sim.messages.Broadcast`).
-        """
+    def _deliver(self, action: Deliver) -> None:
+        """Deliver one in-flight leg, named by ``(slot, desc)``."""
         pool = self.in_flight
-        if not pool._batched:
-            raise AdversaryProtocolError(
-                "DeliverBatch action on a materialized (non-batch) pool"
-            )
         desc = action.desc
         slot = action.slot
-        # Inlined InFlightPool.remove_descriptor / broadcast_of and the
-        # Broadcast/Metrics single-field updates below: this method runs
-        # once per delivered message (millions of times at n=65536), and
-        # the call frames alone cost ~25% of the loop.
+        # Inlined InFlightPool.remove / broadcast_of and the Broadcast /
+        # Metrics single-field updates below: this method runs once per
+        # delivered message (millions of times at n=65536), and the call
+        # frames alone cost ~25% of the loop.
         descs = pool._descs
         if slot < 0 or slot >= len(descs) or descs[slot] != desc:
             raise KeyError(
@@ -541,29 +376,32 @@ class Simulation:
         last = descs.pop()
         if slot < len(descs):
             descs[slot] = last
+        if pool._indexed:
+            pool._unindex(slot, desc, last)
         metrics = self.metrics
         metrics.deliveries += 1
         broadcast = pool._broadcasts[desc >> BROADCAST_SHIFT]
         endpoint = desc & PID_MASK
+        obs = self._obs
         if desc & REPLY_BIT:
-            # Reply leg: fold the ack into the broadcaster's pending call
-            # (the body of _record_batch_reply, inlined — replies are half
-            # of all deliveries).
+            # Reply leg: fold the ack into the broadcaster's pending call.
+            if obs is not None:
+                self._emit_leg(EventType.MSG_DELIVER, desc)
             process = self.processes[broadcast.sender]
             if process.status is ProcessStatus.CRASHED:
-                # Same order as the materialized path: a reply delivered
-                # to a crashed broadcaster vanishes before any accounting
-                # — delta watermarks included (the crashed sender never
-                # sends again, so the lost fold is unobservable there too).
+                # A reply delivered to a crashed broadcaster vanishes
+                # before any accounting, delta watermarks included (the
+                # crashed sender never sends again, so the lost fold is
+                # unobservable).
                 if broadcast.views is not None:
                     broadcast.views.pop(endpoint, None)
                 return
             if broadcast.kind is _PROPAGATE:
                 tracker = broadcast.tracker
                 if tracker is not None:
-                    # Before the staleness check, exactly like
-                    # _record_reply: a stale ACK still proves the
-                    # recipient merged the payload.
+                    # Before the staleness check: an ACK arriving after
+                    # its call resolved still proves the recipient merged
+                    # that call's payload.
                     tracker.on_ack(endpoint, broadcast.call_id)
                 pending = process.pending
                 if pending is None or pending.call_id != broadcast.call_id:
@@ -578,6 +416,13 @@ class Simulation:
                 pending.views.append(view)
             if pending.satisfied and process.status is ProcessStatus.RUNNING:
                 self._needs_step.add(broadcast.sender)
+                if obs is not None:
+                    obs.emit(Event(
+                        self.clock,
+                        EventType.COMM_DONE,
+                        broadcast.sender,
+                        {"call": pending.call_id, "acks": pending.acks},
+                    ))
             return
         # Broadcast.mark_delivered, inlined.
         words = broadcast._undelivered_words
@@ -585,6 +430,8 @@ class Simulation:
         broadcast.undelivered_count -= 1
         recipient = self.processes[endpoint]
         if recipient.status is ProcessStatus.CRASHED:
+            if obs is not None:
+                self._emit_leg(EventType.MSG_DELIVER, desc)
             return  # delivered into the void; faulty processors never reply
         if broadcast.kind is _PROPAGATE:
             entries = broadcast.entries
@@ -594,28 +441,63 @@ class Simulation:
                     endpoint, broadcast.var, broadcast.entries,
                     broadcast.ticks, broadcast.cache,
                 )
+            if obs is not None:
+                self._emit_leg(EventType.MSG_DELIVER, desc, entries=entries)
             if entries:
+                # Empty payloads (fully delta-suppressed) skip the merge
+                # call outright — merging {} is a no-op anyway.
                 recipient.registers.merge(broadcast.var, entries)
-            descs.append(desc | REPLY_BIT)  # pool.add_reply, inlined
-            recipient.messages_sent += 1
-            # Metrics.record_send(endpoint, ACK, cells=0), inlined.
-            metrics.messages_total += 1
+            cells = 0
             metrics.messages_by_kind[_ACK] += 1
-            metrics.messages_sent_by[endpoint] += 1
         else:
+            if obs is not None:
+                self._emit_leg(EventType.MSG_DELIVER, desc)
             # COLLECT: capture the responder's memoized value view at
             # request-delivery time (its registers may change before the
-            # reply leg lands) — the snapshot the materialized path pins
-            # by attaching the view to the COLLECT_REPLY message.
+            # reply leg lands).
             view = recipient.registers.value_view(broadcast.var)
             broadcast.views[endpoint] = view
-            descs.append(desc | REPLY_BIT)  # pool.add_reply, inlined
-            recipient.messages_sent += 1
-            # Metrics.record_send(endpoint, COLLECT_REPLY, len(view)), inlined.
-            metrics.messages_total += 1
+            cells = len(view)
             metrics.messages_by_kind[_COLLECT_REPLY] += 1
-            metrics.messages_sent_by[endpoint] += 1
-            metrics.payload_cells += len(view)
+            metrics.payload_cells += cells
+        if pool._indexed:
+            pool.add_reply(desc)
+        else:
+            descs.append(desc | REPLY_BIT)  # pool.add_reply, inlined
+        recipient.messages_sent += 1
+        # The rest of Metrics.record_send(endpoint, kind, cells), inlined.
+        metrics.messages_total += 1
+        metrics.messages_sent_by[endpoint] += 1
+        if obs is not None:
+            self._emit_leg(EventType.MSG_SEND, desc | REPLY_BIT, cells=cells)
+
+    def _emit_leg(
+        self,
+        etype: str,
+        desc: int,
+        cells: int | None = None,
+        entries: Mapping[Any, Any] | None = None,
+    ) -> None:
+        """Emit a ``msg.send`` / ``msg.deliver`` event for one leg.
+
+        The raw payload is a read-only :class:`~repro.sim.messages.Message`
+        view built from the broadcast's columns; ``msg.send`` events also
+        carry the leg's logical payload size in ``cells``.
+        """
+        message = self.in_flight.view(desc, entries)
+        fields = {
+            "kind": message.kind.value,
+            "src": message.sender,
+            "dst": message.recipient,
+            "call": message.call_id,
+            "var": message.var,
+        }
+        if cells is None:
+            pid = message.recipient
+        else:
+            pid = message.sender
+            fields["cells"] = cells
+        self._obs.emit(Event(self.clock, etype, pid, fields, raw=message))
 
     def _step(self, pid: int) -> None:
         process = self.processes[pid]
@@ -715,12 +597,10 @@ class Simulation:
         pid = process.pid
         var = request.var
         tracker = None
-        ticks: Mapping[Any, int] = _NO_FIELDS
         send_ticks: Mapping[Any, int] | None = None
-        payload_cache: dict[int, Mapping[Any, Any]] = {}
         if isinstance(request, Propagate):
             # One payload mapping per communicate call, shared (frozen,
-            # copy-on-write — see RegisterFile.entries) by all n-1 messages.
+            # copy-on-write — see RegisterFile.entries) by all n-1 legs.
             entries = process.registers.entries(request.var, request.keys)
             kind = MessageKind.PROPAGATE
             # ``cells`` is the logical payload size; delta mode may ship
@@ -730,74 +610,29 @@ class Simulation:
                 tracker = self._delta.get(pid)
                 if tracker is None:
                     tracker = self._delta[pid] = DeltaTracker()
-                ticks = process.registers.mod_ticks(var)
-                send_ticks = tracker.begin_call(call_id, var, entries, ticks)
+                send_ticks = tracker.begin_call(
+                    call_id, var, entries, process.registers.mod_ticks(var)
+                )
         else:
             entries = None
             pending.views = [process.registers.value_view(var)]
             kind = MessageKind.COLLECT
             cells = 0
         process.pending = pending
-        in_flight = self.in_flight
-        if in_flight.batched:
-            # Columnar fast path: one Broadcast record plus n-1 packed
-            # descriptors (two C-speed range-extends) replace the n-1
-            # Message constructions and pool insertions below.  Delta
-            # payloads are computed lazily at delivery time against the
-            # send-time tick snapshot the tracker just recorded.
-            in_flight.open_broadcast(
-                pid, call_id, kind, var, self.n,
-                entries=entries, ticks=send_ticks, tracker=tracker,
-            )
-            process.messages_sent += self.n - 1
-            self.metrics.record_send_batch(pid, kind, cells, self.n - 1)
-        elif self._obs is None:
-            # Materialized fast path (no sink): per-message accounting
-            # (metrics, counter bumps) is folded into one update after the
-            # loop; only the pool insertion remains per message.
+        # One Broadcast record plus n-1 packed descriptors (two C-speed
+        # range-extends).  Delta payloads are computed lazily at delivery
+        # time against the send-time tick snapshot the tracker recorded.
+        broadcast = self.in_flight.open_broadcast(
+            pid, call_id, kind, var, self.n,
+            entries=entries, ticks=send_ticks, tracker=tracker,
+        )
+        process.messages_sent += self.n - 1
+        self.metrics.record_send_batch(pid, kind, cells, self.n - 1)
+        if self._obs is not None:
+            base = broadcast.base
             for recipient in range(self.n):
-                if recipient == pid:
-                    continue
-                payload = (
-                    entries
-                    if tracker is None
-                    else tracker.payload_for(
-                        recipient, var, entries, ticks, payload_cache
-                    )
-                )
-                in_flight.add(self._new_message(
-                    sender=pid,
-                    recipient=recipient,
-                    kind=kind,
-                    call_id=call_id,
-                    var=var,
-                    entries=payload,
-                ))
-            process.messages_sent += self.n - 1
-            self.metrics.record_send_batch(pid, kind, cells, self.n - 1)
-        else:
-            for recipient in range(self.n):
-                if recipient == pid:
-                    continue
-                payload = (
-                    entries
-                    if tracker is None
-                    else tracker.payload_for(
-                        recipient, var, entries, ticks, payload_cache
-                    )
-                )
-                self._send(
-                    process,
-                    self._new_message(
-                        sender=pid,
-                        recipient=recipient,
-                        kind=kind,
-                        call_id=call_id,
-                        var=var,
-                        entries=payload,
-                    ),
-                    cells,
-                )
+                if recipient != pid:
+                    self._emit_leg(EventType.MSG_SEND, base | recipient, cells)
         if pending.satisfied:
             # Degenerate quorums (n == 1): resolvable without remote acks.
             self._needs_step.add(process.pid)
@@ -808,67 +643,6 @@ class Simulation:
                     process.pid,
                     {"call": call_id, "acks": pending.acks},
                 ))
-
-    def _new_message(
-        self,
-        sender: int,
-        recipient: int,
-        kind: MessageKind,
-        call_id: int,
-        var: str,
-        entries: Mapping[Any, Any] | None = None,
-        view: Mapping[Any, Any] | None = None,
-    ) -> Message:
-        """Build (or recycle) a Message, stamping the run-local uid.
-
-        Recycled objects come from the freelist populated by
-        :meth:`_deliver`; every field is overwritten here, so reuse is
-        invisible.  The freelist stays empty whenever an event sink is
-        attached (raw messages then escape into the stream).
-        """
-        free = self._free_messages
-        if free:
-            message = free.pop()
-            message.sender = sender
-            message.recipient = recipient
-            message.kind = kind
-            message.call_id = call_id
-            message.var = var
-            message.entries = entries
-            message.view = view
-            message.uid = next(self._uid_counter)
-            return message
-        return Message(
-            sender=sender,
-            recipient=recipient,
-            kind=kind,
-            call_id=call_id,
-            var=var,
-            entries=entries,
-            uid=next(self._uid_counter),
-            view=view,
-        )
-
-    def _send(self, sender: Process, message: Message, cells: int) -> None:
-        """Account and enqueue one message; ``cells`` is the logical size."""
-        sender.messages_sent += 1
-        self.metrics.record_send(sender.pid, message.kind, cells)
-        if self._obs is not None:
-            self._obs.emit(Event(
-                self.clock,
-                EventType.MSG_SEND,
-                sender.pid,
-                {
-                    "kind": message.kind.value,
-                    "src": message.sender,
-                    "dst": message.recipient,
-                    "call": message.call_id,
-                    "var": message.var,
-                    "cells": cells,
-                },
-                raw=message,
-            ))
-        self.in_flight.add(message)
 
     @property
     def delta_stats(self) -> dict[str, int]:

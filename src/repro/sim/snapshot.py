@@ -100,10 +100,8 @@ class SimulationCheckpoint:
         "clock",
         "events_executed",
         "_participants",
-        "_batched",
         "_indexed",
         "_call_counter",
-        "_uid_counter",
         "_in_flight",
         "_delta",
         "_metrics",
@@ -123,18 +121,12 @@ class SimulationCheckpoint:
         """A fresh :class:`Simulation` resuming exactly at the checkpoint.
 
         ``adversary`` drives the forked run from the checkpointed state
-        onward; its capability flags must be compatible with the captured
-        pool representation.  ``sink``/``telemetry`` receive only events
+        onward; if it reads the endpoint indexes, the captured pool must
+        maintain them.  ``sink``/``telemetry`` receive only events
         emitted *after* the fork point.
         """
-        wants_objects = getattr(adversary, "uses_message_objects", True)
         wants_indexes = getattr(adversary, "uses_endpoint_indexes", True)
-        if self._batched and wants_objects:
-            raise CheckpointError(
-                "checkpoint captured a batch (columnar) pool; the forking "
-                "adversary must declare uses_message_objects = False"
-            )
-        if not self._batched and wants_indexes and not self._indexed:
+        if wants_indexes and not self._indexed:
             raise CheckpointError(
                 "checkpoint captured a pool without endpoint indexes; the "
                 "forking adversary must declare uses_endpoint_indexes = False"
@@ -152,14 +144,12 @@ class SimulationCheckpoint:
             sink=sink,
             delta_propagation=self.delta_propagation,
             telemetry=telemetry,
-            batch_messages=True if self._batched else False,
         )
         sim.in_flight = copy.deepcopy(self._in_flight, memo)
         sim.metrics = copy.deepcopy(self._metrics, memo)
         sim._delta = copy.deepcopy(self._delta, memo)
         sim.clock = self.clock
         sim._call_counter = self._call_counter
-        sim._uid_counter = copy.deepcopy(self._uid_counter, memo)
         sim._needs_step = set(self._needs_step)
         sim._undecided = set(self._undecided)
         sim._crashed = set(self._crashed)
@@ -241,11 +231,9 @@ def capture(sim: Simulation) -> SimulationCheckpoint:
         if process.factory is not None
     }
     pool = sim.in_flight
-    checkpoint._batched = pool._batched
     checkpoint._indexed = pool._indexed
     checkpoint._call_counter = sim._call_counter
     memo: dict[int, Any] = {}
-    checkpoint._uid_counter = copy.deepcopy(sim._uid_counter, memo)
     checkpoint._in_flight = copy.deepcopy(pool, memo)
     checkpoint._delta = copy.deepcopy(sim._delta, memo)
     checkpoint._metrics = copy.deepcopy(sim.metrics, memo)

@@ -84,10 +84,9 @@ class Metrics:
     ) -> None:
         """Account ``count`` same-kind sends of ``cells`` logical cells each.
 
-        The broadcast loop of one ``communicate`` call sends ``n - 1``
-        messages that differ only in recipient and uid; folding them in
-        one call keeps the Deliver/Step hot path free of per-message
-        bookkeeping when no event sink is attached.
+        One ``communicate`` call sends ``n - 1`` messages that differ
+        only in recipient; folding them in one call keeps the broadcast
+        free of per-message bookkeeping.
         """
         self.messages_total += count
         self.messages_by_kind[kind] += count

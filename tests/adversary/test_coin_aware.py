@@ -28,7 +28,6 @@ class ReferenceCoinAware(Adversary):
 
     name = "coin_aware_reference"
     uses_endpoint_indexes = True
-    uses_message_objects = True
 
     def __init__(self) -> None:
         self._started_all = False
@@ -72,16 +71,16 @@ class ReferenceCoinAware(Adversary):
             if last is not None and last[1] == 1:
                 dirty.add(process.pid)
         held_back = None
-        for message in sim.in_flight.addressed_to(focus):
-            if message.sender not in dirty:
-                return Deliver(message)
-            held_back = message
-        for message in sim.in_flight.sent_by(focus):
-            if message.recipient not in dirty:
-                return Deliver(message)
-            held_back = message
+        for desc, sender in sim.in_flight.addressed_to(focus):
+            if sender not in dirty:
+                return sim.in_flight.action_for(desc)
+            held_back = desc
+        for desc, recipient in sim.in_flight.sent_by(focus):
+            if recipient not in dirty:
+                return sim.in_flight.action_for(desc)
+            held_back = desc
         if held_back is not None:
-            return Deliver(held_back)
+            return sim.in_flight.action_for(held_back)
         return fallback_action(sim)
 
 
@@ -92,7 +91,6 @@ class Recording(Adversary):
         self._inner = inner
         self.name = inner.name
         self.uses_endpoint_indexes = inner.uses_endpoint_indexes
-        self.uses_message_objects = inner.uses_message_objects
         self.actions: list[tuple] = []
 
     def setup(self, sim):
@@ -102,8 +100,11 @@ class Recording(Adversary):
     def choose(self, sim):
         action = self._inner.choose(sim)
         if isinstance(action, Deliver):
-            m = action.message
-            self.actions.append(("deliver", m.uid, m.sender, m.recipient, m.kind))
+            pool = sim.in_flight
+            self.actions.append((
+                "deliver", action.desc, *pool.endpoints_of(action.desc),
+                pool.kind_of(action.desc),
+            ))
         elif isinstance(action, (Step, Crash)):
             self.actions.append((type(action).__name__, action.pid))
         else:

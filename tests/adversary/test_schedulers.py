@@ -21,7 +21,7 @@ from repro.adversary import (
 )
 from repro.adversary.base import fallback_action
 from repro.core import make_leader_elect
-from repro.sim import Collect, Deliver, DeliverBatch, Propagate, Simulation, Step
+from repro.sim import Collect, Deliver, Propagate, Simulation, Step
 
 from ..conftest import ALL_ADVERSARY_NAMES, fresh_adversary
 
@@ -35,18 +35,12 @@ def ping_factory(api):
 
 class TestFallbackAction:
     def test_prefers_delivery(self):
-        # EagerAdversary negotiates the batch plane, so the fallback's
-        # delivery arrives as a positional DeliverBatch action there and
-        # as a materialized Deliver when batch mode is forced off.
+        # The fallback delivers the newest in-flight leg by position.
         sim = Simulation(4, {0: ping_factory}, EagerAdversary(), seed=0)
         sim.execute(Step(0))  # issues the propagate broadcast
         action = fallback_action(sim)
-        assert isinstance(action, DeliverBatch)
-        legacy = Simulation(
-            4, {0: ping_factory}, EagerAdversary(), seed=0, batch_messages=False
-        )
-        legacy.execute(Step(0))
-        assert isinstance(fallback_action(legacy), Deliver)
+        assert action == Deliver(2, sim.in_flight.descriptors[2])
+        assert sim.in_flight.endpoints_at(action.slot) == (0, 3)
 
     def test_steps_when_pool_empty(self):
         sim = Simulation(4, {0: ping_factory}, EagerAdversary(), seed=0)
@@ -239,7 +233,7 @@ class TestBubbleAdversary:
                 if (
                     isinstance(action, Deliver)
                     and not observed_buffer_at_first_delivery
-                    and (action.message.sender == 0 or action.message.recipient == 0)
+                    and 0 in sim.in_flight.endpoints_at(action.slot)
                 ):
                     buffered = len(sim.in_flight.sent_by(0)) + len(
                         sim.in_flight.addressed_to(0)

@@ -27,7 +27,7 @@ import pytest
 
 from repro.adversary import EagerAdversary
 from repro.core import Outcome, make_heterogeneous_poison_pill
-from repro.sim import Deliver, Simulation, Step
+from repro.sim import Simulation, Step
 from repro.sim.messages import MessageKind
 
 N = 5          # quorum is 3: a communicate call needs 2 remote acks
@@ -36,11 +36,13 @@ RESPONDERS = (3, 4)
 
 
 def _deliver(sim, sender, recipient, kind=None):
-    for message in sim.in_flight.snapshot():
-        if message.sender == sender and message.recipient == recipient:
-            if kind is None or message.kind is kind:
-                sim.execute(Deliver(message))
-                return message
+    pool = sim.in_flight
+    for index in range(len(pool)):
+        if pool.endpoints_at(index) == (sender, recipient):
+            action = pool.action_at(index)
+            if kind is None or pool.kind_of(action.desc) is kind:
+                sim.execute(action)
+                return
     raise AssertionError(f"no in-flight message {sender}->{recipient} ({kind})")
 
 
@@ -60,9 +62,6 @@ def _run_witness_schedule(seed, use_lists):
         {Q: factory, J: factory, P: factory},
         EagerAdversary(),
         seed=seed,
-        # The schedule is hand-driven over concrete Message objects below,
-        # so opt out of the batch plane EagerAdversary would negotiate.
-        batch_messages=False,
     )
     # q commits; its commit reaches only j; q stalls (1 ack < quorum).
     sim.execute(Step(Q))

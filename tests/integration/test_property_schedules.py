@@ -25,7 +25,7 @@ from repro.core import (
     make_leader_elect,
     make_poison_pill,
 )
-from repro.sim import Crash, Deliver, Simulation, Step
+from repro.sim import Crash, Simulation, Step
 
 
 class DataDrivenAdversary(Adversary):
@@ -50,8 +50,8 @@ class DataDrivenAdversary(Adversary):
             kind = decision % 4
             index = decision // 4
             if kind == 0 and sim.in_flight:
-                pool = sim.in_flight.messages
-                return Deliver(pool[index % len(pool)])
+                pool = sim.in_flight
+                return pool.action_at(index % len(pool))
             if kind == 1 and sim.steppable:
                 candidates = sorted(sim.steppable)
                 return Step(candidates[index % len(candidates)])

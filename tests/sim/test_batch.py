@@ -1,20 +1,19 @@
-"""Batch (columnar) pool plane: equivalence, invariants, negotiation.
+"""The descriptor pool: structure invariants and mode independence.
 
-The batch plane is a pure representation change — a ``communicate`` call
-becomes one :class:`Broadcast` record plus packed int descriptors instead
-of ``n - 1`` :class:`Message` objects.  These tests pin the contract that
-makes the optimisation safe to ship:
+A ``communicate`` call is one :class:`Broadcast` record plus packed int
+descriptors, the only in-flight representation.  These tests pin:
 
-* **Mode equivalence** — for every registered adversary (and the crash
-  wrappers), a negotiated run and a ``batch_messages=False`` run are
-  byte-identical in everything observable: decisions, every metrics
-  counter, and the per-processor breakdowns.
+* **Mode independence** — the pool's two remaining modes never change a
+  run.  For every registered adversary (and the crash wrappers), a run
+  watched by event sinks and a run without any are identical in
+  everything observable: decisions, every metrics counter, and the
+  per-processor breakdowns.  Adversaries that skip the endpoint indexes
+  behave identically on an indexed pool.
 * **Structure invariants** — the descriptor encoding round-trips, the
   undelivered bitmask tracks deliveries exactly, and the descs list obeys
-  the same swap-remove slot discipline as the materialized list.
-* **Negotiation** — batch mode engages exactly when the adversary
-  forswears Message objects and no event sink is attached, and
-  ``batch_messages=True`` fails loudly when those certificates are absent.
+  the swap-remove slot discipline.
+* **Negotiation** — the pool is indexed exactly when the adversary reads
+  the endpoint indexes, and the pid ceiling fails loudly.
 """
 
 from __future__ import annotations
@@ -29,10 +28,11 @@ from repro.adversary import (
     RandomCrashAdversary,
 )
 from repro.core import make_heterogeneous_poison_pill, make_leader_elect
-from repro.sim import DeliverBatch, Simulation, Step
+from repro.obs.metrics import MetricsSink
+from repro.sim import Deliver, Simulation, Step
 from repro.sim.messages import (
     BROADCAST_SHIFT,
-    MAX_BATCH_PIDS,
+    MAX_PIDS,
     PID_MASK,
     REPLY_BIT,
     Broadcast,
@@ -64,7 +64,7 @@ def _sifting_sim(adversary, *, n=32, k=8, seed=5, **kwargs):
 
 
 def _observables(result):
-    """Everything a caller can see, minus the trace (batch runs have none)."""
+    """Everything a caller can see, minus the trace (unwatched runs have none)."""
     metrics = result.metrics
     return {
         "outcomes": result.outcomes,
@@ -78,72 +78,76 @@ def _observables(result):
     }
 
 
+def _indexed(adversary):
+    """``adversary`` with the endpoint indexes forced on."""
+    adversary.uses_endpoint_indexes = True
+    return adversary
+
+
+def _assert_mode_independent(build, make_adversary):
+    """Plain == watched (sink and telemetry) == indexed-pool runs."""
+    plain = build(make_adversary())
+    expected = _observables(plain.run())
+    watched = build(
+        make_adversary(), record_events=True, telemetry=MetricsSink()
+    )
+    assert _observables(watched.run()) == expected
+    indexed = build(_indexed(make_adversary()))
+    assert indexed.in_flight.indexed
+    assert _observables(indexed.run()) == expected
+    return plain
+
+
 class TestModeEquivalence:
-    """Negotiated runs == forced-materialized runs, for every adversary."""
+    """Watching a run, or indexing its pool, never changes it."""
 
     @pytest.mark.parametrize("name", sorted(ADVERSARY_FACTORIES))
     def test_election_identical(self, name):
-        batch = _election_sim(ADVERSARY_FACTORIES[name](seed=3))
-        legacy = _election_sim(
-            ADVERSARY_FACTORIES[name](seed=3), batch_messages=False
+        plain = _assert_mode_independent(
+            _election_sim, lambda: ADVERSARY_FACTORIES[name](seed=3)
         )
-        wants_objects = ADVERSARY_FACTORIES[name]().uses_message_objects
-        assert batch.in_flight.batched == (not wants_objects)
-        assert not legacy.in_flight.batched
-        assert _observables(batch.run()) == _observables(legacy.run())
+        flag = ADVERSARY_FACTORIES[name]().uses_endpoint_indexes
+        assert plain.in_flight.indexed == flag
 
     @pytest.mark.parametrize("name", sorted(ADVERSARY_FACTORIES))
     def test_sifting_identical(self, name):
-        batch = _sifting_sim(ADVERSARY_FACTORIES[name](seed=9))
-        legacy = _sifting_sim(
-            ADVERSARY_FACTORIES[name](seed=9), batch_messages=False
+        _assert_mode_independent(
+            _sifting_sim, lambda: ADVERSARY_FACTORIES[name](seed=9)
         )
-        assert _observables(batch.run()) == _observables(legacy.run())
 
     def test_matches_traced_run(self):
-        """record_events forces materialized; its metrics still match batch."""
-        batch = _election_sim(RandomAdversary(seed=2))
+        """A recorded trace holds one msg.send per counted message."""
+        plain = _election_sim(RandomAdversary(seed=2))
         traced = _election_sim(RandomAdversary(seed=2), record_events=True)
-        assert batch.in_flight.batched
-        assert not traced.in_flight.batched
-        assert _observables(batch.run()) == _observables(traced.run())
+        result = traced.run()
+        assert _observables(plain.run()) == _observables(result)
+        assert len(result.trace.of_kind("deliver")) == result.metrics.deliveries
 
     def test_crashing_wrapper_identical(self):
         schedule = [(40, 1), (90, 3), (150, 7)]
-        batch = _election_sim(
-            CrashingAdversary(RandomAdversary(seed=6), schedule)
+        plain = _assert_mode_independent(
+            _election_sim,
+            lambda: CrashingAdversary(RandomAdversary(seed=6), schedule),
         )
-        legacy = _election_sim(
-            CrashingAdversary(RandomAdversary(seed=6), schedule),
-            batch_messages=False,
-        )
-        assert batch.in_flight.batched
-        result = batch.run()
-        assert result.crashed  # the schedule actually fired
-        assert _observables(result) == _observables(legacy.run())
+        assert plain.crashed  # the schedule actually fired
 
     def test_random_crash_wrapper_identical(self):
-        batch = _election_sim(
-            RandomCrashAdversary(RandomAdversary(seed=4), rate=0.02, seed=13)
+        plain = _assert_mode_independent(
+            _election_sim,
+            lambda: RandomCrashAdversary(
+                RandomAdversary(seed=4), rate=0.02, seed=13
+            ),
         )
-        legacy = _election_sim(
-            RandomCrashAdversary(RandomAdversary(seed=4), rate=0.02, seed=13),
-            batch_messages=False,
-        )
-        assert batch.in_flight.batched
-        result = batch.run()
-        assert result.crashed
-        assert _observables(result) == _observables(legacy.run())
+        assert plain.crashed
 
     def test_delta_off_identical(self):
-        """Full (non-delta) propagation takes the same batch path."""
-        batch = _sifting_sim(RandomAdversary(seed=1), delta_propagation=False)
-        legacy = _sifting_sim(
-            RandomAdversary(seed=1),
-            delta_propagation=False,
-            batch_messages=False,
+        """Full (non-delta) propagation is mode independent too."""
+        _assert_mode_independent(
+            lambda adversary, **kwargs: _sifting_sim(
+                adversary, delta_propagation=False, **kwargs
+            ),
+            lambda: RandomAdversary(seed=1),
         )
-        assert _observables(batch.run()) == _observables(legacy.run())
 
 
 class TestBroadcastRecord:
@@ -182,111 +186,93 @@ class TestBatchPool:
         )
 
     def test_open_broadcast_orders_recipients_ascending(self):
-        pool = InFlightPool(indexed=False, batched=True)
+        pool = InFlightPool(indexed=False)
         b = self._open(pool, sender=2, n=5)
-        # Same order the materialized loop adds messages: every pid but
-        # the sender, ascending.
+        # Every pid but the sender, ascending.
         pids = [pool.descriptors[i] & PID_MASK for i in range(len(pool))]
         assert pids == [0, 1, 3, 4]
         assert all(not d & REPLY_BIT for d in pool.descriptors)
         assert pool.broadcast_of(pool.descriptors[0]) is b
 
     def test_swap_remove_and_staleness(self):
-        pool = InFlightPool(indexed=False, batched=True)
+        pool = InFlightPool(indexed=False)
         self._open(pool, sender=0, n=5)
         descs = list(pool.descriptors)
-        pool.remove_descriptor(0, descs[0])
+        pool.remove(0, descs[0])
         # Swap-remove: the last element moved into slot 0.
         assert pool.descriptors[0] == descs[-1]
         # A stale (slot, desc) claim fails loudly instead of corrupting.
         with pytest.raises(KeyError):
-            pool.remove_descriptor(0, descs[0])
+            pool.remove(0, descs[0])
 
     def test_add_reply_sets_reply_bit(self):
-        pool = InFlightPool(indexed=False, batched=True)
+        pool = InFlightPool(indexed=False)
         self._open(pool, sender=0, n=3)
         request = pool.descriptors[0]
-        pool.remove_descriptor(0, request)
+        pool.remove(0, request)
         pool.add_reply(request)
         reply = pool.descriptors[len(pool) - 1]
         assert reply == request | REPLY_BIT
 
     def test_positional_api(self):
-        pool = InFlightPool(indexed=False, batched=True)
+        pool = InFlightPool(indexed=False)
         self._open(pool, sender=1, n=4)
         action = pool.action_at(0)
-        assert isinstance(action, DeliverBatch)
+        assert isinstance(action, Deliver)
         assert action.slot == 0
         assert pool.last_action() == pool.action_at(len(pool) - 1)
         # Request legs run sender -> recipient; replies the reverse.
         assert pool.endpoints_at(0) == (1, 0)
         request = pool.descriptors[0]
-        pool.remove_descriptor(0, request)
+        pool.remove(0, request)
         pool.add_reply(request)
         assert pool.endpoints_at(len(pool) - 1) == (0, 1)
+        assert pool.kind_of(request) is MessageKind.PROPAGATE
+        assert pool.kind_of(request | REPLY_BIT) is MessageKind.ACK
 
     def test_object_api_refuses(self):
-        pool = InFlightPool(indexed=False, batched=True)
-        from repro.sim.messages import Message
-
-        stray = Message(sender=0, recipient=1, kind=MessageKind.ACK,
-                        call_id=1, var="X")
-        with pytest.raises(RuntimeError, match="batch"):
-            pool.add(stray)
-        with pytest.raises(RuntimeError):
-            pool.remove(stray)
-        with pytest.raises(RuntimeError):
-            pool.any_message()
-        with pytest.raises(RuntimeError):
-            pool.snapshot()
-        with pytest.raises(RuntimeError):
-            pool.messages
-        with pytest.raises(RuntimeError):
-            list(pool)
+        # The materialized Message plane is gone: no object API remains.
+        pool = InFlightPool()
+        for name in ("add", "any_message", "snapshot", "messages"):
+            assert not hasattr(pool, name)
+        with pytest.raises(TypeError):
+            iter(pool)
 
     def test_len_and_bool_span_both_planes(self):
-        pool = InFlightPool(indexed=False, batched=True)
+        pool = InFlightPool(indexed=False)
         assert len(pool) == 0 and not pool
         self._open(pool, sender=0, n=3)
         assert len(pool) == 2 and pool
 
 
 class TestNegotiation:
-    def test_sink_forces_materialized(self):
+    """The pool's index mode follows the adversary's declared flag."""
+
+    def test_sink_keeps_descriptor_plane(self):
         sim = _election_sim(EagerAdversary(), record_events=True)
-        assert not sim.in_flight.batched
+        assert not sim.in_flight.indexed
+        sim.execute(Step(0))
+        assert len(sim.in_flight.descriptors) == 23
 
-    def test_object_adversary_forces_materialized(self):
-        sim = _election_sim(ADVERSARY_FACTORIES["bubble"]())
-        assert not sim.in_flight.batched
-
-    def test_forcing_batch_with_object_adversary_raises(self):
-        with pytest.raises(ValueError, match="uses_message_objects"):
-            _election_sim(ADVERSARY_FACTORIES["bubble"](), batch_messages=True)
-
-    def test_forcing_batch_with_sink_raises(self):
-        with pytest.raises(ValueError, match="sink"):
-            _election_sim(
-                EagerAdversary(), record_events=True, batch_messages=True
-            )
+    def test_index_adversary_gets_indexed_pool(self):
+        assert _election_sim(ADVERSARY_FACTORIES["bubble"]()).in_flight.indexed
+        assert not _election_sim(EagerAdversary()).in_flight.indexed
 
     def test_pid_ceiling(self, monkeypatch):
         # The real ceiling is 2**20 processors; shrink it so the guard is
         # testable without allocating a million Process objects.
-        monkeypatch.setattr(runtime_module, "MAX_BATCH_PIDS", 8)
-        negotiated = _election_sim(EagerAdversary(), n=16)
-        assert not negotiated.in_flight.batched  # silently falls back
+        monkeypatch.setattr(runtime_module, "MAX_PIDS", 8)
+        _election_sim(EagerAdversary(), n=8)
         with pytest.raises(ValueError, match="ceiling"):
-            _election_sim(EagerAdversary(), n=16, batch_messages=True)
-        assert MAX_BATCH_PIDS == 1 << 20  # the real constant is untouched
+            _election_sim(EagerAdversary(), n=16)
+        assert MAX_PIDS == 1 << 20  # the real constant is untouched
 
     def test_batch_delivery_uses_descriptors_only(self):
         sim = _election_sim(EagerAdversary(), n=6)
-        assert sim.in_flight.batched
         sim.execute(Step(0))
         assert len(sim.in_flight) == 5
         action = sim.in_flight.last_action()
-        assert isinstance(action, DeliverBatch)
+        assert isinstance(action, Deliver)
         sim.execute(action)
         # The delivery cleared the recipient's bit and queued the ACK leg.
         broadcast = sim.in_flight.broadcast_of(sim.in_flight.descriptors[-1])

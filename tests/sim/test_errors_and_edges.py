@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import EagerAdversary
+from repro.adversary.base import Adversary, fallback_action
 from repro.sim import (
     AdversaryProtocolError,
     Collect,
@@ -17,7 +18,7 @@ from repro.sim import (
     SimulationLimitError,
     Step,
 )
-from repro.sim.messages import Message, MessageKind
+from repro.sim.messages import MessageKind
 
 
 class TestErrorHierarchy:
@@ -47,10 +48,13 @@ class TestStaleReplies:
             views = yield Collect("X")
             return len(views)
 
-        # Hand-driven over Message objects: force the materialized plane.
-        sim = Simulation(
-            5, {0: algorithm}, EagerAdversary(), seed=0, batch_messages=False
-        )
+        class Manual(Adversary):
+            """Never asked; its default flag keeps the pool indexed."""
+
+            def choose(self, sim):
+                return fallback_action(sim)
+
+        sim = Simulation(5, {0: algorithm}, Manual(), seed=0)
         # Drive manually: start 0, deliver its propagates (acks flow back),
         # resolve, then deliver leftover acks against the collect call.
         sim.execute(Step(0))
@@ -58,26 +62,23 @@ class TestStaleReplies:
         while sim.undecided and guard < 10_000:
             guard += 1
             # Always deliver the OLDEST message first to maximize staleness.
-            pool = sim.in_flight.messages
-            if pool:
-                oldest = min(pool, key=lambda m: m.uid)
-                from repro.sim import Deliver
-
-                sim.execute(Deliver(oldest))
+            if sim.in_flight:
+                sim.execute(sim.in_flight.actions_in_send_order()[0])
             elif sim.steppable:
                 sim.execute(Step(min(sim.steppable)))
         result = sim._result()
         assert result.outcomes[0] >= 5 // 2 + 1
 
     def test_reply_to_nonexistent_call_ignored(self):
-        sim = Simulation(3, {}, EagerAdversary(), seed=0, batch_messages=False)
-        stray = Message(
-            sender=1, recipient=0, kind=MessageKind.ACK, call_id=999, var="X"
+        sim = Simulation(3, {}, EagerAdversary(), seed=0)
+        pool = sim.in_flight
+        broadcast = pool.open_broadcast(
+            sender=0, call_id=999, kind=MessageKind.PROPAGATE, var="X", n=3
         )
-        sim.in_flight.add(stray)
-        from repro.sim import Deliver
-
-        sim.execute(Deliver(stray))  # must not raise
+        while pool:  # drop the request legs; keep only a stray ACK 1 -> 0
+            pool.remove(len(pool) - 1, pool.descriptors[-1])
+        pool.add_reply(broadcast.request_descriptor(1))
+        sim.execute(pool.last_action())  # must not raise
         assert len(sim.in_flight) == 0
 
 

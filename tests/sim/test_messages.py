@@ -1,4 +1,4 @@
-"""Unit and property tests for the in-flight message pool."""
+"""Unit and property tests for the in-flight descriptor pool."""
 
 from __future__ import annotations
 
@@ -9,8 +9,21 @@ from hypothesis import strategies as st
 from repro.sim.messages import REPLY_BIT, InFlightPool, Message, MessageKind
 
 
-def msg(sender=0, recipient=1, kind=MessageKind.ACK, call_id=1, var="v"):
-    return Message(sender=sender, recipient=recipient, kind=kind, call_id=call_id, var=var)
+def msg(sender=0, recipient=1, kind=MessageKind.ACK, call_id=1, var="v", desc=-1):
+    return Message(
+        sender=sender, recipient=recipient, kind=kind, call_id=call_id,
+        var=var, desc=desc,
+    )
+
+
+def _broadcast(pool, sender=0, n=3, call_id=1, kind=MessageKind.PROPAGATE):
+    return pool.open_broadcast(
+        sender=sender, call_id=call_id, kind=kind, var="v", n=n
+    )
+
+
+def _remove(pool, desc):
+    pool.remove(pool.descriptors.index(desc), desc)
 
 
 class TestMessage:
@@ -25,7 +38,14 @@ class TestMessage:
         assert msg(kind=MessageKind.COLLECT_REPLY).is_reply
 
     def test_uids_unique(self):
-        assert msg().uid != msg().uid
+        # A view's identity is its leg's descriptor, unique over the run.
+        pool = InFlightPool()
+        _broadcast(pool, sender=0, n=4)
+        request = pool.descriptors[0]
+        _remove(pool, request)
+        pool.add_reply(request)
+        descs = [pool.view(desc).desc for desc in pool.descriptors] + [request]
+        assert len(set(descs)) == len(descs)
 
     def test_identity_semantics(self):
         a = msg()
@@ -35,26 +55,26 @@ class TestMessage:
 
 
 class TestUidDeterminism:
-    """Message uids are run-local, so back-to-back runs are reproducible.
+    """Runs are reproducible back to back within one process.
 
-    Regression tests for the old module-global counter: uids (and anything
-    that reads them, like uid-based tie-breaking) used to depend on how
-    many simulations had already run in the process.
+    Regression tests for the old module-global message counter: message
+    identities (and anything that reads them) used to depend on how many
+    simulations had already run in the process.
     """
 
     @staticmethod
-    def _delivered_uids(seed=3):
+    def _delivered_descs(seed=3):
         from repro.adversary.fifo import EagerAdversary
         from repro.core import make_leader_elect
         from repro.sim.runtime import Deliver, Simulation
 
-        uids = []
+        descs = []
 
         class RecordingAdversary(EagerAdversary):
             def choose(self, sim):
                 action = super().choose(sim)
                 if isinstance(action, Deliver):
-                    uids.append(action.message.uid)
+                    descs.append(action.desc)
                 return action
 
         sim = Simulation(
@@ -62,23 +82,15 @@ class TestUidDeterminism:
             participants={pid: make_leader_elect() for pid in range(5)},
             adversary=RecordingAdversary(),
             seed=seed,
-            # The recorder reads Message.uid, so force the materialized
-            # plane (EagerAdversary would otherwise negotiate batch mode,
-            # where no uids exist).
-            batch_messages=False,
         )
         sim.run()
-        return uids
+        return descs
 
     def test_identical_runs_see_identical_uids(self):
-        first = self._delivered_uids()
-        # Burn some uids from the module-global fallback counter between
-        # the runs; a per-simulation counter must not notice.
-        for _ in range(100):
-            msg()
-        second = self._delivered_uids()
+        first = self._delivered_descs()
+        second = self._delivered_descs()
         assert first == second
-        assert first[0] < 100  # uids restart near zero for every run
+        assert first and len(set(first)) == len(first)
 
     def test_back_to_back_traces_byte_identical(self, tmp_path):
         from repro.obs.replay import record_trace
@@ -97,68 +109,78 @@ class TestInFlightPool:
         pool = InFlightPool()
         assert len(pool) == 0
         assert not pool
-        assert pool.any_message() is None
+        assert pool.last_action() is None
+        assert pool.actions_in_send_order() == []
 
     def test_add_and_remove(self):
         pool = InFlightPool()
-        message = msg()
-        pool.add(message)
+        _broadcast(pool, sender=0, n=2)
         assert len(pool) == 1
-        assert pool.any_message() is message
-        pool.remove(message)
+        action = pool.last_action()
+        assert pool.endpoints_at(action.slot) == (0, 1)
+        pool.remove(action.slot, action.desc)
         assert len(pool) == 0
 
     def test_remove_missing_raises(self):
         pool = InFlightPool()
-        message = msg()
         with pytest.raises(KeyError):
-            pool.remove(message)
+            pool.remove(0, 5)
 
     def test_double_remove_raises(self):
         pool = InFlightPool()
-        message = msg()
-        pool.add(message)
-        pool.remove(message)
+        _broadcast(pool, sender=0, n=2)
+        desc = pool.descriptors[0]
+        pool.remove(0, desc)
         with pytest.raises(KeyError):
-            pool.remove(message)
+            pool.remove(0, desc)
 
     def test_swap_remove_keeps_others(self):
         pool = InFlightPool()
-        messages = [msg(sender=i) for i in range(5)]
-        for message in messages:
-            pool.add(message)
-        pool.remove(messages[1])
-        remaining = set(pool.snapshot())
-        assert remaining == {messages[0], messages[2], messages[3], messages[4]}
-        # All remaining messages are still removable (slots were fixed up).
-        for message in list(remaining):
-            pool.remove(message)
+        _broadcast(pool, sender=0, n=6)
+        descs = list(pool.descriptors)
+        _remove(pool, descs[1])
+        remaining = set(pool.descriptors)
+        assert remaining == set(descs) - {descs[1]}
+        # All remaining legs are still removable by their tracked slots.
+        for desc in descs[::-1]:
+            if desc in remaining:
+                action = pool.action_for(desc)
+                pool.remove(action.slot, action.desc)
         assert len(pool) == 0
 
     def test_endpoint_indexes(self):
         pool = InFlightPool()
-        a = msg(sender=1, recipient=2)
-        b = msg(sender=2, recipient=1)
-        c = msg(sender=1, recipient=3)
-        for message in (a, b, c):
-            pool.add(message)
-        assert pool.sent_by(1) == {a, c}
-        assert pool.addressed_to(1) == {b}
-        assert set(pool.involving(1)) == {a, b, c}
-        pool.remove(a)
-        assert pool.sent_by(1) == {c}
+        b = _broadcast(pool, sender=1, n=4)       # 1->0, 1->2, 1->3
+        a = b.request_descriptor(2)
+        c = b.request_descriptor(3)
+        _remove(pool, b.request_descriptor(0))
+        pool.add_reply(b.request_descriptor(0))  # 0->1
+        reply = b.reply_descriptor(0)
+        assert dict(pool.sent_by(1)) == {a: 2, c: 3}
+        assert dict(pool.addressed_to(1)) == {reply: 0}
+        assert set(pool.involving(1)) == {(a, 2), (c, 3), (reply, 0)}
+        _remove(pool, a)
+        assert dict(pool.sent_by(1)) == {c: 3}
 
     def test_indexes_empty_for_unknown_pid(self):
         pool = InFlightPool()
-        assert pool.sent_by(99) == set()
-        assert pool.addressed_to(99) == set()
+        assert len(pool.sent_by(99)) == 0
+        assert len(pool.addressed_to(99)) == 0
 
     def test_iteration(self):
         pool = InFlightPool()
-        messages = {msg(sender=i) for i in range(3)}
-        for message in messages:
-            pool.add(message)
-        assert set(pool) == messages
+        b = _broadcast(pool, sender=0, n=4)
+        request = b.request_descriptor(1)
+        _remove(pool, request)
+        pool.add_reply(request)
+        order = [action.desc for action in pool.actions_in_send_order()]
+        assert order == [
+            b.request_descriptor(2),
+            b.request_descriptor(3),
+            b.reply_descriptor(1),
+        ]
+        for action in pool.actions_in_send_order():
+            assert pool.descriptors[action.slot] == action.desc
 
 
 class TestUnindexedPool:
@@ -167,35 +189,40 @@ class TestUnindexedPool:
     def test_add_remove_work_without_indexes(self):
         pool = InFlightPool(indexed=False)
         assert not pool.indexed
-        messages = [msg(sender=i) for i in range(5)]
-        for message in messages:
-            pool.add(message)
-        assert pool.any_message() is messages[-1]
-        pool.remove(messages[1])
-        assert set(pool.snapshot()) == set(messages) - {messages[1]}
-        for message in pool.snapshot():
-            pool.remove(message)
+        _broadcast(pool, sender=0, n=6)
+        descs = list(pool.descriptors)
+        assert pool.last_action().desc == descs[-1]
+        _remove(pool, descs[1])
+        assert set(pool.descriptors) == set(descs) - {descs[1]}
+        while pool:
+            action = pool.last_action()
+            pool.remove(action.slot, action.desc)
         assert len(pool) == 0
 
     def test_index_api_raises(self):
-        # Lazily rebuilding would scramble insertion order (swap-remove
+        # Lazily rebuilding would scramble send order (swap-remove
         # reorders the list) and silently break determinism, so the API
         # refuses instead.
         pool = InFlightPool(indexed=False)
-        pool.add(msg(sender=1, recipient=2))
+        _broadcast(pool, sender=1, n=3)
         with pytest.raises(RuntimeError, match="uses_endpoint_indexes"):
             pool.sent_by(1)
         with pytest.raises(RuntimeError, match="indexed=False"):
             pool.addressed_to(2)
         with pytest.raises(RuntimeError):
             list(pool.involving(1))
+        with pytest.raises(RuntimeError):
+            pool.action_for(pool.descriptors[0])
+        with pytest.raises(RuntimeError):
+            pool.actions_in_send_order()
 
     def test_indexed_default_unchanged(self):
         pool = InFlightPool()
         assert pool.indexed
-        message = msg(sender=1, recipient=2)
-        pool.add(message)
-        assert pool.sent_by(1) == {message}
+        b = _broadcast(pool, sender=1, n=3)
+        assert dict(pool.sent_by(1)) == {
+            b.request_descriptor(0): 0, b.request_descriptor(2): 2,
+        }
 
     def test_declaring_adversaries_match_their_usage(self):
         # Every adversary that declares uses_endpoint_indexes=False must be
@@ -232,6 +259,45 @@ class TestUnindexedPool:
         assert CrashingAdversary(BubbleAdversary(), []).uses_endpoint_indexes
 
 
+class TestViews:
+    """Read-only Message views built from the broadcast columns."""
+
+    def test_propagate_view_carries_given_payload(self):
+        pool = InFlightPool()
+        full = {"k": (1, True, "version")}
+        b = pool.open_broadcast(
+            sender=2, call_id=7, kind=MessageKind.PROPAGATE, var="X", n=4,
+            entries=full,
+        )
+        view = pool.view(b.request_descriptor(0))
+        assert (view.sender, view.recipient, view.kind, view.call_id, view.var) == (
+            2, 0, MessageKind.PROPAGATE, 7, "X",
+        )
+        assert view.entries is full and view.view is None
+        assert pool.view(b.request_descriptor(0), entries={}).entries == {}
+
+    def test_collect_reply_view_carries_responder_view(self):
+        pool = InFlightPool()
+        b = pool.open_broadcast(
+            sender=0, call_id=3, kind=MessageKind.COLLECT, var="X", n=3
+        )
+        b.views[2] = {"k": 1}
+        view = pool.view(b.reply_descriptor(2))
+        assert (view.sender, view.recipient, view.kind) == (
+            2, 0, MessageKind.COLLECT_REPLY,
+        )
+        assert view.view == {"k": 1} and view.entries is None
+        assert view.is_reply and view.desc == b.reply_descriptor(2)
+
+    def test_match_resolves_recorded_delivery(self):
+        pool = InFlightPool()
+        b = _broadcast(pool, sender=1, n=3, call_id=9)
+        action = pool.match(1, 2, "propagate", 9)
+        assert action == pool.action_for(b.request_descriptor(2))
+        assert pool.match(1, 2, "ack", 9) is None
+        assert pool.match(1, 2, "propagate", 8) is None
+
+
 @given(
     st.lists(
         st.tuples(
@@ -242,15 +308,14 @@ class TestUnindexedPool:
     )
 )
 def test_batch_pool_matches_reference_model(operations):
-    """The descs plane obeys the same swap-remove slot discipline as the
-    materialized list: after any interleaving of broadcasts, replies, and
-    removals, every slot holds exactly what a naive list model predicts.
+    """The descs list obeys the swap-remove slot discipline: after any
+    interleaving of broadcasts, replies, and removals, every slot holds
+    exactly what a naive list model predicts.
 
-    This is the invariant the mode-equivalence argument leans on — an
-    index-choosing adversary sees identical pools in both modes because
-    both lists undergo identical appends and identical swap-removes.
+    This is the invariant position-choosing adversaries lean on: the
+    pool's order is a pure function of the sends and deliveries.
     """
-    pool = InFlightPool(indexed=False, batched=True)
+    pool = InFlightPool(indexed=False)
     model: list[int] = []
     for op, arg in operations:
         if op == "open":
@@ -266,7 +331,7 @@ def test_batch_pool_matches_reference_model(operations):
             model.append(request | REPLY_BIT)
         elif op == "remove" and model:
             slot = arg % len(model)
-            pool.remove_descriptor(slot, model[slot])
+            pool.remove(slot, model[slot])
             model[slot] = model[-1]
             model.pop()
         assert len(pool) == len(model)
@@ -279,28 +344,54 @@ def test_batch_pool_matches_reference_model(operations):
 @given(
     st.lists(
         st.tuples(
-            st.sampled_from(["add", "remove"]),
-            st.integers(min_value=0, max_value=4),
+            st.sampled_from(["open", "reply", "remove"]),
             st.integers(min_value=0, max_value=4),
         ),
         max_size=60,
     )
 )
 def test_pool_matches_reference_model(operations):
-    """Random add/remove sequences: the pool and its endpoint indexes must
-    always agree with a naive set-based reference model."""
+    """Random broadcast/reply/remove sequences: the pool, its slot map and
+    its endpoint indexes must always agree with a naive send-ordered
+    reference model."""
     pool = InFlightPool()
-    model: list[Message] = []
-    for op, sender, recipient in operations:
-        if op == "add":
-            message = msg(sender=sender, recipient=recipient)
-            pool.add(message)
-            model.append(message)
+    model: list[tuple[int, int, int]] = []  # (desc, sender, recipient)
+    replied: set[int] = set()
+    for op, arg in operations:
+        if op == "open":
+            broadcast = _broadcast(pool, sender=arg, n=5)
+            model.extend(
+                (broadcast.request_descriptor(pid), arg, pid)
+                for pid in range(5) if pid != arg
+            )
+        elif op == "reply":
+            requests = [
+                (desc, sender, recipient) for desc, sender, recipient in model
+                if not desc & REPLY_BIT and desc not in replied
+            ]
+            if requests:
+                desc, sender, recipient = requests[arg % len(requests)]
+                _remove(pool, desc)
+                model.remove((desc, sender, recipient))
+                pool.add_reply(desc)
+                replied.add(desc)
+                model.append((desc | REPLY_BIT, recipient, sender))
         elif model:
             victim = model.pop(len(model) // 2)
-            pool.remove(victim)
+            _remove(pool, victim[0])
         assert len(pool) == len(model)
-        assert set(pool.snapshot()) == set(model)
+        assert [a.desc for a in pool.actions_in_send_order()] == [
+            desc for desc, _, _ in model
+        ]
+        for desc, sender, recipient in model:
+            assert pool.endpoints_of(desc) == (sender, recipient)
+            assert pool.descriptors[pool.action_for(desc).slot] == desc
         for pid in range(5):
-            assert pool.sent_by(pid) == {m for m in model if m.sender == pid}
-            assert pool.addressed_to(pid) == {m for m in model if m.recipient == pid}
+            assert list(pool.sent_by(pid)) == [
+                (desc, recipient) for desc, sender, recipient in model
+                if sender == pid
+            ]
+            assert list(pool.addressed_to(pid)) == [
+                (desc, sender) for desc, sender, recipient in model
+                if recipient == pid
+            ]
