@@ -1,9 +1,12 @@
 #!/usr/bin/env python
 """Extending the library: write your own adversary and attack a protocol.
 
-An adversary is a single ``choose(sim) -> Action | None`` method with
-full read access to the simulation — in-flight messages, register views,
-and every coin any processor flipped.  This demo builds a "grudge"
+An adversary implements either ``choose(sim) -> Action | None``, asked
+once per action, or ``actions(sim)``, a generator of actions resumed
+after each one executes (the built-in scanning schedulers do that, to
+keep bound locals across actions).  Either way it has full read access
+to the simulation — in-flight messages, register views, and every coin
+any processor flipped.  This demo builds a "grudge"
 adversary that singles out one processor and starves its traffic for as
 long as something else can make progress, then verifies that leader
 election stays correct (and that the victim usually loses — starvation

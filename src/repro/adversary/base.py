@@ -1,12 +1,14 @@
 """Adversary interface: the scheduler of the asynchronous system.
 
-An adversary is asked, one action at a time, what happens next: deliver
+An adversary decides, one action at a time, what happens next: deliver
 some in-flight message, schedule a computation step of some processor, or
-crash a processor (within the ``t <= ceil(n/2) - 1`` budget).  It may read
-the entire simulation state — register views, outstanding calls, and every
-coin a processor has flipped — which makes it the *strong adaptive*
-adversary of the paper.  Oblivious (weak) adversaries are modelled by
-simply not looking.
+crash a processor (within the ``t <= ceil(n/2) - 1`` budget).  It either
+answers one ``choose(sim)`` call per action, or hands the runtime a
+generator of actions (``actions(sim)``) that resumes after each one has
+executed.  It may read the entire simulation state — register views,
+outstanding calls, and every coin a processor has flipped — which makes
+it the *strong adaptive* adversary of the paper.  Oblivious (weak)
+adversaries are modelled by simply not looking.
 
 Every adversary used with :meth:`Simulation.run` must be *fair in the
 limit*: as long as actions remain enabled it keeps choosing them, and it
@@ -17,8 +19,7 @@ express their strategy first and fall back when out of targeted moves.
 
 from __future__ import annotations
 
-import abc
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..sim.process import ProcessStatus
 from ..sim.runtime import Action, Step
@@ -75,7 +76,7 @@ class FocusCursor:
         return order[i] if i < len(order) else None
 
 
-class Adversary(abc.ABC):
+class Adversary:
     """Base class for scheduling strategies."""
 
     #: Short machine-readable identifier used in benchmark tables.
@@ -103,9 +104,59 @@ class Adversary(abc.ABC):
         stays one across reuse.
         """
 
-    @abc.abstractmethod
+    def __init_subclass__(cls, **kwargs) -> None:
+        """Reject a ``choose`` that :meth:`actions` would never call.
+
+        ``Simulation.run`` drains :meth:`actions`; only the default one
+        calls :meth:`choose`.  A class that defines ``choose`` next to or
+        below a class implementing its own ``actions`` would be silently
+        ignored, so it is an error.
+        """
+        super().__init_subclass__(**kwargs)
+        mro = cls.__mro__
+        owner = {
+            name: next(klass for klass in mro if name in vars(klass))
+            for name in ("choose", "actions")
+        }
+        if owner["actions"] is not Adversary and (
+            mro.index(owner["choose"]) <= mro.index(owner["actions"])
+        ):
+            raise TypeError(
+                f"{cls.__name__}.choose() would never be called: "
+                f"{owner['actions'].__name__} implements actions(); "
+                "override actions() instead"
+            )
+
     def choose(self, sim: "Simulation") -> Action | None:
-        """Pick the next enabled action, or ``None`` at quiescence."""
+        """Pick the next enabled action, or ``None`` at quiescence.
+
+        Implement this or :meth:`actions`, not both.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither choose() nor actions()"
+        )
+
+    def actions(self, sim: "Simulation") -> Iterator[Action | None]:
+        """This run's actions, one per resume; ``None`` at quiescence.
+
+        ``Simulation.run`` builds the generator once per run, after
+        :meth:`setup`, and resumes it after the previous action has
+        executed, so every resume sees the current state.  The default
+        yields :meth:`choose` forever.
+
+        Overrides keep bound locals across actions, and those locals may
+        only cache the adversary's plain state and live ``sim`` objects
+        (``sim.steppable``, ``sim.in_flight.descriptors``, a bound RNG
+        method).  A cache must be re-derived when something outside the
+        generator changes what it caches: a crash wrapper's ``Crash``
+        lands between two of the inner generator's actions.  Everything
+        that must survive a new generator (hand-driven
+        ``next(adversary.actions(sim))``, a fork from a snapshot) lives
+        on ``self``.
+        """
+        choose = self.choose
+        while True:
+            yield choose(sim)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

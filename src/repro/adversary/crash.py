@@ -13,7 +13,7 @@ scheduler:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..sim.rng import make_stream
 from ..sim.runtime import Action, Crash
@@ -52,16 +52,20 @@ class CrashingAdversary(Adversary):
         self._next = 0
         self._inner.setup(sim)
 
-    def choose(self, sim: "Simulation") -> Action | None:
-        """Fire any due scheduled crash, else defer to the inner scheduler."""
-        while self._next < len(self._schedule):
-            at_event, pid = self._schedule[self._next]
-            if sim.metrics.events_executed < at_event:
-                break
-            self._next += 1
-            if pid not in sim.crashed and sim.crashes_remaining > 0:
-                return Crash(pid)
-        return self._inner.choose(sim)
+    def actions(self, sim: "Simulation") -> Iterator[Action | None]:
+        """Fire any due scheduled crash, else resume the inner scheduler."""
+        inner = self._inner.actions(sim)
+        schedule = self._schedule
+        metrics = sim.metrics
+        while True:
+            while self._next < len(schedule):
+                at_event, pid = schedule[self._next]
+                if metrics.events_executed < at_event:
+                    break
+                self._next += 1
+                if pid not in sim.crashed and sim.crashes_remaining > 0:
+                    yield Crash(pid)
+            yield next(inner, None)
 
 
 class RandomCrashAdversary(Adversary):
@@ -98,14 +102,19 @@ class RandomCrashAdversary(Adversary):
         self._rng = make_stream(self._seed, "adversary/random_crash")
         self._inner.setup(sim)
 
-    def choose(self, sim: "Simulation") -> Action | None:
-        """Maybe crash a random alive processor, else defer to the inner scheduler."""
-        crashed = sim.crashed  # a fresh frozenset per read: read it once
-        budget = sim.crashes_remaining
-        if self._max_crashes is not None:
-            budget = min(budget, self._max_crashes - len(crashed))
-        if budget > 0 and self._rng.random() < self._rate:
-            alive = [pid for pid in range(sim.n) if pid not in crashed]
-            if alive:
-                return Crash(alive[self._rng.randrange(len(alive))])
-        return self._inner.choose(sim)
+    def actions(self, sim: "Simulation") -> Iterator[Action | None]:
+        """Maybe crash a random alive processor, else resume the inner scheduler."""
+        inner = self._inner.actions(sim)
+        random, randrange = self._rng.random, self._rng.randrange
+        rate, max_crashes = self._rate, self._max_crashes
+        while True:
+            budget = sim.crashes_remaining
+            if max_crashes is not None:
+                budget = min(budget, max_crashes - len(sim.crashed))
+            if budget > 0 and random() < rate:
+                crashed = sim.crashed  # a fresh frozenset per read: read it once
+                alive = [pid for pid in range(sim.n) if pid not in crashed]
+                if alive:
+                    yield Crash(alive[randrange(len(alive))])
+                    continue
+            yield next(inner, None)

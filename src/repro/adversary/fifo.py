@@ -14,10 +14,10 @@ behaviour is easiest to eyeball.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
-from ..sim.runtime import Action, Step
-from .base import Adversary, fallback_action
+from ..sim.runtime import Action, Deliver, Step
+from .base import Adversary
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.runtime import Simulation
@@ -29,9 +29,17 @@ class EagerAdversary(Adversary):
     name = "eager"
     uses_endpoint_indexes = False  # positional pool API only
 
-    def choose(self, sim: "Simulation") -> Action | None:
-        """Deliver newest-first via the deterministic fallback."""
-        return fallback_action(sim)
+    def actions(self, sim: "Simulation") -> Iterator[Action | None]:
+        """Deliver the newest in-flight leg, else step the lowest pid."""
+        descs = sim.in_flight.descriptors
+        steppable = sim.steppable
+        while True:
+            if descs:
+                yield Deliver(len(descs) - 1, descs[-1])
+            elif steppable:
+                yield Step(min(steppable))
+            else:
+                yield None
 
 
 class RoundRobinAdversary(Adversary):
@@ -47,17 +55,19 @@ class RoundRobinAdversary(Adversary):
         """Rewind the rotation cursor (adversary reuse contract)."""
         self._next_pid = 0
 
-    def choose(self, sim: "Simulation") -> Action | None:
+    def actions(self, sim: "Simulation") -> Iterator[Action | None]:
         """Drain in-flight messages, else step the next processor in rotation."""
-        action = sim.in_flight.last_action()
-        if action is not None:
-            return action
+        descs = sim.in_flight.descriptors
         steppable = sim.steppable
-        if not steppable:
-            return None
-        for offset in range(sim.n):
-            pid = (self._next_pid + offset) % sim.n
-            if pid in steppable:
-                self._next_pid = (pid + 1) % sim.n
-                return Step(pid)
-        return None
+        n = sim.n
+        while True:
+            if descs:
+                yield Deliver(len(descs) - 1, descs[-1])
+            elif steppable:
+                pid = self._next_pid
+                while pid not in steppable:
+                    pid = (pid + 1) % n
+                self._next_pid = (pid + 1) % n
+                yield Step(pid)
+            else:
+                yield None

@@ -14,41 +14,16 @@ fails only once the scheduler can see the flips.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from ..sim.rng import make_stream
-from ..sim.runtime import Action, Step
-from .base import Adversary
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..sim.runtime import Simulation
+from .random_adversary import RandomAdversary
 
 
-class ObliviousAdversary(Adversary):
-    """State-blind randomized scheduler (the paper's weak adversary)."""
+class ObliviousAdversary(RandomAdversary):
+    """State-blind randomized scheduler (the paper's weak adversary).
+
+    The :class:`RandomAdversary` schedule on its own RNG stream, drawing
+    steps from the steppable pids in ascending order.
+    """
 
     name = "oblivious"
-    uses_endpoint_indexes = False  # positional pool API only
-
-    def __init__(self, seed: int = 0, deliver_bias: float = 0.75) -> None:
-        self._seed = seed
-        self._rng = make_stream(seed, "adversary/oblivious")
-        self._deliver_bias = deliver_bias
-
-    def setup(self, sim: "Simulation") -> None:
-        """Re-derive the scheduling RNG (adversary reuse contract)."""
-        self._rng = make_stream(self._seed, "adversary/oblivious")
-
-    def choose(self, sim: "Simulation") -> Action | None:
-        """Pick a delivery or step from private randomness only (state-blind)."""
-        pool = sim.in_flight
-        count = len(pool)
-        steppable = sim.steppable
-        if count and (not steppable or self._rng.random() < self._deliver_bias):
-            return pool.action_at(self._rng.randrange(count))
-        if steppable:
-            candidates = sorted(steppable)
-            return Step(candidates[self._rng.randrange(len(candidates))])
-        if count:
-            return pool.action_at(self._rng.randrange(count))
-        return None
+    _stream = "adversary/oblivious"
+    _candidates = staticmethod(sorted)

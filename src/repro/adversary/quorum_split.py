@@ -13,9 +13,10 @@ minimally, so collected views stay as lopsided as the model allows.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from ..sim.runtime import Action, Step
+from ..sim.messages import BROADCAST_SHIFT, PID_MASK
+from ..sim.runtime import Action, Deliver, Step
 from .base import Adversary
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,25 +43,38 @@ class QuorumSplitAdversary(Adversary):
             else frozenset(range(sim.n // 2))
         )
 
-    def _same_half(self, sender: int, recipient: int) -> bool:
-        assert self._half is not None
-        return (sender in self._half) == (recipient in self._half)
-
-    def choose(self, sim: "Simulation") -> Action | None:
+    def actions(self, sim: "Simulation") -> Iterator[Action | None]:
         """Deliver same-half traffic when possible, leaking cross-half minimally."""
+        assert self._half is not None
+        half = self._half
+        side = [pid in half for pid in range(sim.n)]
         pool = sim.in_flight
-        count = len(pool)
-        # Newest-first bounded scan: same-half messages are usually near the
-        # top because cross-half ones are exactly the ones we keep skipping.
-        for index in range(count - 1, max(count - 64, 0) - 1, -1):
-            if self._same_half(*pool.endpoints_at(index)):
-                return pool.action_at(index)
+        descs, broadcasts = pool.descriptors, pool.broadcasts
         steppable = sim.steppable
-        if steppable:
-            return Step(min(steppable))
-        if count:
-            for index in range(count - 1, -1, -1):
-                if self._same_half(*pool.endpoints_at(index)):
-                    return pool.action_at(index)
-            return pool.action_at(count - 1)  # forced cross-half leakage
-        return None
+
+        def newest_same_half(start: int, stop: int) -> Deliver | None:
+            # A leg is same-half iff its broadcaster and its endpoint pid
+            # (recipient of a request, replier of a reply) share a side.
+            for index in range(start, stop, -1):
+                desc = descs[index]
+                sender = broadcasts[desc >> BROADCAST_SHIFT].sender
+                if side[sender] == side[desc & PID_MASK]:
+                    return Deliver(index, desc)
+            return None
+
+        while True:
+            # Newest-first bounded scan: same-half messages are usually
+            # near the top because cross-half ones are exactly the ones
+            # we keep skipping.
+            count = len(descs)
+            window = max(count - 64, 0) - 1
+            action = newest_same_half(count - 1, window)
+            if action is None:
+                if steppable:
+                    action = Step(min(steppable))
+                elif count:
+                    # The bounded window held none: scan the rest.
+                    action = newest_same_half(window, -1)
+                    if action is None:
+                        action = Deliver(count - 1, descs[-1])  # forced leakage
+            yield action

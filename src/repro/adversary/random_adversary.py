@@ -9,10 +9,10 @@ it terminates with probability 1 for every protocol in this repository.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from ..sim.rng import make_stream
-from ..sim.runtime import Action, Step
+from ..sim.runtime import Action, Deliver, Step
 from .base import Adversary
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -29,28 +29,36 @@ class RandomAdversary(Adversary):
 
     name = "random"
     uses_endpoint_indexes = False  # positional pool API only
+    #: Name of the scheduling RNG stream derived from the seed.
+    _stream = "adversary/random"
+    #: Lists the steppable pids in the order a step is drawn from.
+    _candidates = staticmethod(tuple)
 
     def __init__(self, seed: int = 0, deliver_bias: float = 0.75) -> None:
         if not 0.0 < deliver_bias < 1.0:
             raise ValueError("deliver_bias must be strictly between 0 and 1")
         self._seed = seed
-        self._rng = make_stream(seed, "adversary/random")
+        self._rng = make_stream(seed, self._stream)
         self._deliver_bias = deliver_bias
 
     def setup(self, sim: "Simulation") -> None:
         """Re-derive the scheduling RNG (adversary reuse contract)."""
-        self._rng = make_stream(self._seed, "adversary/random")
+        self._rng = make_stream(self._seed, self._stream)
 
-    def choose(self, sim: "Simulation") -> Action | None:
+    def actions(self, sim: "Simulation") -> Iterator[Action | None]:
         """Deliver or step a uniformly random enabled target."""
-        pool = sim.in_flight
-        count = len(pool)
+        descs = sim.in_flight.descriptors
         steppable = sim.steppable
-        if count and (not steppable or self._rng.random() < self._deliver_bias):
-            return pool.action_at(self._rng.randrange(count))
-        if steppable:
-            candidates = tuple(steppable)
-            return Step(candidates[self._rng.randrange(len(candidates))])
-        if count:
-            return pool.action_at(self._rng.randrange(count))
-        return None
+        random, randrange = self._rng.random, self._rng.randrange
+        bias = self._deliver_bias
+        candidates = self._candidates
+        while True:
+            count = len(descs)
+            if count and (not steppable or random() < bias):
+                slot = randrange(count)
+                yield Deliver(slot, descs[slot])
+            elif steppable:
+                pids = candidates(steppable)
+                yield Step(pids[randrange(len(pids))])
+            else:
+                yield None

@@ -15,9 +15,9 @@ to motivate the heterogeneous variant.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from ..sim.runtime import Action, Step
+from ..sim.runtime import Action, Deliver, Step
 from .base import Adversary, FocusCursor
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,18 +42,30 @@ class SequentialAdversary(Adversary):
             else sorted(sim.undecided)
         )
 
-    def choose(self, sim: "Simulation") -> Action | None:
+    def actions(self, sim: "Simulation") -> Iterator[Action | None]:
         """Advance the current focus processor; feed it only the traffic it needs."""
         assert self._cursor is not None
-        focus = self._cursor.current(sim)
-        if focus is not None and focus in sim.steppable:
-            return Step(focus)
-        action = sim.in_flight.last_action()
-        if action is not None:
-            return action
+        cursor = self._cursor
         steppable = sim.steppable
-        if steppable:
-            # The focus is blocked with no traffic left (quorum unreachable,
-            # e.g. due to crashes); degrade gracefully to keep others live.
-            return Step(min(steppable))
-        return None
+        descs = sim.in_flight.descriptors
+        metrics = sim.metrics
+        crashes = metrics.crashes
+        # The focus moves only when it decides (on its own Step) or
+        # crashes; a crash may come from a wrapper, between two of ours.
+        focus = cursor.current(sim)
+        while True:
+            if metrics.crashes != crashes:
+                crashes = metrics.crashes
+                focus = cursor.current(sim)
+            if focus in steppable:
+                yield Step(focus)
+                focus = cursor.current(sim)
+            elif descs:
+                yield Deliver(len(descs) - 1, descs[-1])
+            elif steppable:
+                # The focus is blocked with no traffic left (quorum
+                # unreachable, e.g. due to crashes); degrade gracefully
+                # to keep others live.
+                yield Step(min(steppable))
+            else:
+                yield None

@@ -41,6 +41,13 @@ class MessageKind(Enum):
     ACK = "ack"
     COLLECT_REPLY = "collect_reply"
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash is consistent with equality.  Enum's own __hash__ is a Python
+    # function (it hashes the name): ~0.4 us per per-kind counter update on
+    # the delivery path, against ~0.06 us for this one.  Nothing iterates
+    # a hashed collection of kinds, and pickling goes by name.
+    __hash__ = object.__hash__
+
 
 _REQUEST_KINDS = frozenset({MessageKind.PROPAGATE, MessageKind.COLLECT})
 #: The reply kind answering each request kind.
@@ -496,6 +503,16 @@ class InFlightPool:
         slot bookkeeping and the indexes stay consistent.
         """
         return self._descs
+
+    @property
+    def broadcasts(self) -> list[Broadcast]:
+        """Read-only view of the backing :class:`Broadcast` list.
+
+        Indexed by broadcast id (``desc >> BROADCAST_SHIFT``), so a scan
+        can read a descriptor's sender without a call per descriptor.
+        Callers may read but never mutate.
+        """
+        return self._broadcasts
 
     def __len__(self) -> int:
         return len(self._descs)

@@ -30,7 +30,7 @@ paper's strong adaptive adversary exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from ..obs.events import Event, EventType, combine_sinks
 from .communicate import Collect, PendingCall, Propagate
@@ -279,38 +279,90 @@ class Simulation:
     def run(self, require_termination: bool = True) -> SimulationResult:
         """Drive the simulation until all alive participants decide.
 
+        The adversary's :meth:`~repro.adversary.base.Adversary.actions`
+        generator is built once, after ``setup``, and drained: each action
+        it yields executes before it is resumed again.
+
         Raises :class:`SimulationLimitError` if the event budget runs out
         and :class:`QuiescenceError` (when ``require_termination``) if the
         system goes quiet with undecided participants — the expected
         outcome when more than ``ceil(n/2) - 1`` processors were crashed.
         """
         self.adversary.setup(self)
-        # Without a profiler, skip the execute() span wrapper per action —
-        # one call frame per event is measurable at millions of events.
-        execute = self._execute if self.profiler is None else self.execute
-        while self._undecided:
-            if self.metrics.events_executed >= self.max_events:
-                raise SimulationLimitError(
-                    f"exceeded {self.max_events} events with "
-                    f"{len(self._undecided)} undecided participants"
-                )
+        if self._undecided:
+            actions = self.adversary.actions(self)
             if self.profiler is None:
-                action = self.adversary.choose(self)
+                self._drain(actions)
             else:
-                with self.profiler.span("adversary.choose"):
-                    action = self.adversary.choose(self)
-            if action is None:
-                if self.has_enabled_action():
-                    raise AdversaryProtocolError(
-                        "adversary passed while actions were still enabled"
-                    )
-                break
-            execute(action)
+                self._drain_profiled(actions)
         if require_termination and self._undecided:
             raise QuiescenceError(
                 f"participants {sorted(self._undecided)} never decided"
             )
         return self._result()
+
+    def _drain(self, actions: Iterator[Action | None]) -> None:
+        """Execute ``actions`` until every participant decided or the adversary passes.
+
+        The hot loop of every unprofiled run: one delivery costs a resume
+        of the adversary's generator, a type check and the ``_deliver``
+        call, with no dispatch frame in between (:meth:`execute` is the
+        same dispatch for hand-driven actions).
+        """
+        undecided = self._undecided
+        metrics = self.metrics
+        max_events = self.max_events
+        deliver, step, crash = self._deliver, self._step, self._crash
+        for action in actions:
+            if metrics.events_executed >= max_events:
+                raise self._limit_error()
+            if action is None:
+                break
+            metrics.events_executed += 1
+            self.clock += 1
+            kind = type(action)
+            # Deliver first: deliveries dominate the action mix.
+            if kind is Deliver:
+                deliver(action)
+            elif kind is Step:
+                step(action.pid)
+            elif kind is Crash:
+                crash(action.pid)
+            else:
+                raise AdversaryProtocolError(f"unknown action: {action!r}")
+            if not undecided:
+                return
+        self._check_quiescent()
+
+    def _drain_profiled(self, actions: Iterator[Action | None]) -> None:
+        """:meth:`_drain` with every resume of ``actions`` timed as an
+        ``adversary.choose`` span and every action run through :meth:`execute`."""
+        span = self.profiler.span
+        undecided = self._undecided
+        while True:
+            with span("adversary.choose"):
+                action = next(actions, None)
+            if self.metrics.events_executed >= self.max_events:
+                raise self._limit_error()
+            if action is None:
+                break
+            self.execute(action)
+            if not undecided:
+                return
+        self._check_quiescent()
+
+    def _limit_error(self) -> SimulationLimitError:
+        return SimulationLimitError(
+            f"exceeded {self.max_events} events with "
+            f"{len(self._undecided)} undecided participants"
+        )
+
+    def _check_quiescent(self) -> None:
+        """The adversary passed (or its actions ran out): only legal at quiescence."""
+        if self.has_enabled_action():
+            raise AdversaryProtocolError(
+                "adversary passed while actions were still enabled"
+            )
 
     def execute(self, action: Action) -> None:
         """Apply one adversary-chosen action."""
@@ -324,12 +376,12 @@ class Simulation:
     def _execute(self, action: Action) -> None:
         self.metrics.events_executed += 1
         self.clock += 1
-        # Deliver first: deliveries dominate the action mix.
-        if isinstance(action, Deliver):
+        kind = type(action)
+        if kind is Deliver:
             self._deliver(action)
-        elif isinstance(action, Step):
+        elif kind is Step:
             self._step(action.pid)
-        elif isinstance(action, Crash):
+        elif kind is Crash:
             self._crash(action.pid)
         else:
             raise AdversaryProtocolError(f"unknown action: {action!r}")

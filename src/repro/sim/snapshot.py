@@ -23,9 +23,9 @@ Contracts:
 * :func:`enable_recording` must run before the simulation's first action
   (replay needs the log from the very first resume).
 * :func:`capture` is only valid at an *action boundary* — between
-  ``adversary.choose`` calls, when every running coroutine is suspended
-  at a ``yield``.  This is where adversaries live, so checkpointing
-  adversaries capture for free.
+  actions, when every running coroutine is suspended at a ``yield``.
+  This is where adversaries live, so checkpointing adversaries capture
+  for free.
 * Event sinks are **not** carried across a fork: the forked stream starts
   at the fork point.  Callers who need the full stream keep the prefix
   events alongside the checkpoint (see ``repro.check.shrink``).

@@ -91,25 +91,25 @@ class Recording(Adversary):
         self._inner = inner
         self.name = inner.name
         self.uses_endpoint_indexes = inner.uses_endpoint_indexes
-        self.actions: list[tuple] = []
+        self.taken: list[tuple] = []
 
     def setup(self, sim):
-        self.actions = []
+        self.taken = []
         self._inner.setup(sim)
 
-    def choose(self, sim):
-        action = self._inner.choose(sim)
-        if isinstance(action, Deliver):
-            pool = sim.in_flight
-            self.actions.append((
-                "deliver", action.desc, *pool.endpoints_of(action.desc),
-                pool.kind_of(action.desc),
-            ))
-        elif isinstance(action, (Step, Crash)):
-            self.actions.append((type(action).__name__, action.pid))
-        else:
-            assert action is None, action
-        return action
+    def actions(self, sim):
+        for action in self._inner.actions(sim):
+            if isinstance(action, Deliver):
+                pool = sim.in_flight
+                self.taken.append((
+                    "deliver", action.desc, *pool.endpoints_of(action.desc),
+                    pool.kind_of(action.desc),
+                ))
+            elif isinstance(action, (Step, Crash)):
+                self.taken.append((type(action).__name__, action.pid))
+            else:
+                assert action is None, action
+            yield action
 
 
 PROTOCOLS = [
@@ -134,7 +134,7 @@ def _run(task, algorithm, n, seed, adversary):
     sim = build_task_simulation(task, algorithm, n, adversary=recorder, seed=seed)
     result = sim.run()
     metrics = result.metrics
-    return recorder.actions, (
+    return recorder.taken, (
         result.decisions,
         result.undecided,
         result.crashed,

@@ -19,7 +19,7 @@ from repro.adversary import (
     RoundRobinAdversary,
     SequentialAdversary,
 )
-from repro.adversary.base import fallback_action
+from repro.adversary.base import Adversary, fallback_action
 from repro.core import make_leader_elect
 from repro.sim import Collect, Deliver, Propagate, Simulation, Step
 
@@ -119,6 +119,12 @@ class TestRandomAdversary:
         with pytest.raises(ValueError):
             RandomAdversary(deliver_bias=1.0)
 
+    @pytest.mark.parametrize("bias", [0.0, 1.0, 1.5, -1.0])
+    def test_oblivious_bias_validation(self, bias):
+        """The oblivious scheduler draws the same way, so it checks the bias too."""
+        with pytest.raises(ValueError):
+            ObliviousAdversary(deliver_bias=bias)
+
     def test_reproducible(self):
         def run(seed):
             sim = Simulation(
@@ -130,6 +136,65 @@ class TestRandomAdversary:
             return sim.run().metrics.events_executed
 
         assert run(3) == run(3)
+
+
+class TestActionsContract:
+    """``Simulation.run`` drains ``actions()``; a ``choose()`` it would
+    never call is rejected when the class is defined."""
+
+    def test_choose_below_actions_is_rejected(self):
+        with pytest.raises(TypeError, match="EagerAdversary implements actions"):
+            class Stale(EagerAdversary):
+                def choose(self, sim):
+                    return None
+
+    def test_choose_beside_actions_is_rejected(self):
+        with pytest.raises(TypeError, match="would never be called"):
+            class Both(Adversary):
+                def choose(self, sim):
+                    return None
+
+                def actions(self, sim):
+                    yield None
+
+    def test_actions_below_choose_wraps_it(self):
+        steps = []
+
+        class Counting(BubbleAdversary):
+            def actions(self, sim):
+                for action in super().actions(sim):
+                    steps.append(isinstance(action, Step))
+                    yield action
+
+        sim = Simulation(
+            5, {pid: make_leader_elect() for pid in range(5)}, Counting(), seed=2
+        )
+        result = sim.run()
+        assert result.terminated
+        assert sum(steps) == result.metrics.steps
+
+    def test_resumed_once_per_executed_action(self):
+        """Each resume sees the previous action executed, and the run
+        stops resuming once every participant decided."""
+        resumed_at = []
+
+        class Counting(EagerAdversary):
+            def actions(self, sim):
+                for action in super().actions(sim):
+                    resumed_at.append(sim.metrics.events_executed)
+                    yield action
+
+        sim = Simulation(
+            5, {pid: make_leader_elect() for pid in range(5)}, Counting(), seed=2
+        )
+        result = sim.run()
+        assert result.terminated
+        assert resumed_at == list(range(result.metrics.events_executed))
+
+    def test_neither_method_fails_at_run(self):
+        sim = Simulation(3, {0: ping_factory}, Adversary(), seed=0)
+        with pytest.raises(NotImplementedError):
+            sim.run()
 
 
 class TestSequentialAdversary:

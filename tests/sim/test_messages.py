@@ -71,11 +71,11 @@ class TestUidDeterminism:
         descs = []
 
         class RecordingAdversary(EagerAdversary):
-            def choose(self, sim):
-                action = super().choose(sim)
-                if isinstance(action, Deliver):
-                    descs.append(action.desc)
-                return action
+            def actions(self, sim):
+                for action in super().actions(sim):
+                    if isinstance(action, Deliver):
+                        descs.append(action.desc)
+                    yield action
 
         sim = Simulation(
             n=5,

@@ -170,7 +170,7 @@ def test_capture_without_recording_raises():
     adversary = sim.adversary
     adversary.setup(sim)
     for _ in range(4):
-        sim.execute(adversary.choose(sim))
+        sim.execute(next(adversary.actions(sim)))
     with pytest.raises(CheckpointError):
         capture(sim)
 
@@ -179,6 +179,6 @@ def test_enable_recording_rejects_started_run():
     sim = build_task_simulation("elect", "poison_pill", 4, adversary="random", seed=0)
     adversary = sim.adversary
     adversary.setup(sim)
-    sim.execute(adversary.choose(sim))
+    sim.execute(next(adversary.actions(sim)))
     with pytest.raises(CheckpointError):
         enable_recording(sim)
