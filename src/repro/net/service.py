@@ -65,7 +65,7 @@ from ..sim.rng import make_stream
 from ..sim.runtime import SimulationResult
 from ..sim.trace import Metrics, Trace
 from .chaos import CLEAN_PLAN, ChaosPlan, LinkChaos
-from .wire import Frame, FrameType, WireError, pack_frame, read_frame
+from .wire import Frame, FrameDecoder, FrameType, WireError, pack_frame
 
 #: The service's sender id on reply/event frames (the driver uses -1).
 SERVICE_PID = -2
@@ -112,6 +112,9 @@ DLQ_LIMIT = 4096
 
 #: Default lease TTL when the client does not specify one (milliseconds).
 DEFAULT_TTL_MS = 5000.0
+
+#: What converting a malformed request field raises.
+_FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 #: Contender-count ceiling for ``election="sim"``; larger fields fall
 #: back to the seeded draw (a simulated election over hundreds of pids
@@ -186,24 +189,48 @@ class _KeyState:
     #: When the current vacancy began (crash/expiry), for failover latency.
     vacated_at: float | None = None
     vacated_by_crash: bool = False
+    #: The current holder's grant record, closed when the lease ends.
+    grant: GrantRecord | None = None
 
 
-class _Session:
-    """One client connection: identity, writer, chaos link, reply cache."""
+class _Session(asyncio.Protocol):
+    """One client connection: identity, transport, chaos link, reply cache.
+
+    The service creates one per accepted connection.  Every chunk the
+    socket delivers goes to :meth:`ElectionService._on_chunk`; the first
+    frame pins ``pid`` (and with it the chaos link).  Losing the
+    connection is a crash.
+    """
 
     __slots__ = (
-        "sid", "pid", "writer", "link", "replied", "replied_order", "closed",
+        "service", "sid", "pid", "transport", "decoder", "link", "replied",
+        "replied_order", "closed", "outbox",
     )
 
-    def __init__(self, sid: int, pid: int, writer: asyncio.StreamWriter,
-                 link: LinkChaos) -> None:
-        self.sid = sid
-        self.pid = pid
-        self.writer = writer
-        self.link = link
+    def __init__(self, service: "ElectionService") -> None:
+        self.service = service
+        self.sid = 0
+        self.pid: int | None = None
+        self.transport: asyncio.Transport | None = None
+        self.decoder = FrameDecoder()
+        self.link: LinkChaos | None = None
         self.replied: dict[int, Frame] = {}
         self.replied_order: list[int] = []
         self.closed = False
+        #: Packed frames awaiting the end of the chunk being dispatched.
+        self.outbox: list[bytes] = []
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self.service._session_counter += 1
+        self.sid = self.service._session_counter
+
+    def data_received(self, data: bytes) -> None:
+        self.service._on_chunk(self, data)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self.pid is not None:
+            self.service._session_crashed(self)
 
     def cache_reply(self, rpc: int, frame: Frame) -> None:
         """Remember a reply so a chaos-dropped one can be resent verbatim."""
@@ -276,6 +303,9 @@ class ElectionService:
         self._sessions: dict[int, _Session] = {}
         self._session_counter = 0
         self._server: asyncio.base_events.Server | None = None
+        #: Sessions written to while a chunk is dispatched; ``None`` when
+        #: no chunk is, and writes go straight to the transport.
+        self._touched: list[_Session] | None = None
         self._expiry_heap: list[tuple[float, int, str]] = []
         self._heap_counter = 0
         self._sweeper: asyncio.Task | None = None
@@ -293,8 +323,8 @@ class ElectionService:
 
     async def start(self) -> tuple[str, int]:
         """Bind the server and start the sweeper; returns ``(host, port)``."""
-        self._server = await asyncio.start_server(
-            self._handle_session, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Session(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = time.monotonic()
@@ -323,7 +353,7 @@ class ElectionService:
                 task.cancel()
         for session in list(self._sessions.values()):
             session.closed = True
-            session.writer.close()
+            session.transport.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -384,33 +414,38 @@ class ElectionService:
     # Connection handling
     # ------------------------------------------------------------------
 
-    async def _handle_session(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve one client connection until EOF; disconnect = crash."""
-        self._session_counter += 1
-        sid = self._session_counter
-        session: _Session | None = None
+    def _on_chunk(self, session: _Session, data: bytes) -> None:
+        """Dispatch every frame ``data`` completes, then flush the replies.
+
+        Frames written meanwhile, to any session, collect in that
+        session's outbox; each touched session then gets one write.  A
+        malformed frame closes the connection after the frames decoded
+        before it are answered.
+        """
         try:
-            while True:
-                frame = await read_frame(reader)
-                if frame is None:
-                    break
-                if session is None:
-                    # First frame pins the session's pid (= chaos link id).
-                    session = _Session(
-                        sid, frame.sender, writer,
-                        self.plan.link(SERVICE_PID, frame.sender),
-                    )
-                    self._sessions[sid] = session
-                    self.metrics.counter("svc.sessions_opened").inc()
+            frames = session.decoder.feed(data)
+            malformed = False
+        except WireError as error:
+            frames = error.frames
+            malformed = True
+        if frames and session.pid is None:
+            # First frame pins the session's pid (= chaos link id).
+            pid = frames[0].sender
+            session.pid = pid
+            session.link = self.plan.link(SERVICE_PID, pid)
+            self._sessions[session.sid] = session
+            self.metrics.counter("svc.sessions_opened").inc()
+        self._touched = touched = []
+        try:
+            for frame in frames:
                 self._dispatch(session, frame)
-        except (WireError, OSError, ConnectionError, asyncio.CancelledError):
-            pass
         finally:
-            if session is not None:
-                self._session_crashed(session)
-            writer.close()
+            self._touched = None
+            for peer in touched:
+                peer.transport.write(b"".join(peer.outbox))
+                peer.outbox.clear()
+        if malformed:
+            session.transport.close()
 
     def _dispatch(self, session: _Session, frame: Frame) -> None:
         """Route one request frame; replies go back through chaos."""
@@ -453,7 +488,7 @@ class ElectionService:
 
     def _send(self, session: _Session, frame: Frame) -> None:
         """Write one frame through the session's chaos link."""
-        if session.closed or session.writer.is_closing():
+        if session.closed or session.transport.is_closing():
             return
         fate = session.link.next_fate(self._clock_ms())
         if fate.drop:
@@ -479,10 +514,18 @@ class ElectionService:
         self._write(session, frame)
 
     def _write(self, session: _Session, frame: Frame) -> None:
-        if session.closed or session.writer.is_closing():
+        """Write one frame now, or at the end of the chunk being dispatched."""
+        if session.closed or session.transport.is_closing():
             return
-        session.writer.write(pack_frame(frame))
+        data = pack_frame(frame)
         self.metrics.counter("svc.frames_sent").inc()
+        touched = self._touched
+        if touched is None:
+            session.transport.write(data)
+            return
+        if not session.outbox:
+            touched.append(session)
+        session.outbox.append(data)
 
     def replay_dlq(self) -> int:
         """Re-deliver chaos-dropped frames to their still-open sessions.
@@ -529,10 +572,14 @@ class ElectionService:
     def _on_acquire(self, session: _Session, rpc: int,
                     fields: Mapping[str, Any]) -> None:
         """ACQUIRE: grant now, queue as a contender, or reply BUSY."""
+        try:
+            key, client = str(fields["key"]), str(fields["client"])
+            ttl_ms = float(fields.get("ttl_ms") or self.default_ttl_s * 1000.0)
+            wait_ms = float(fields.get("wait_ms", 0.0))
+        except _FIELD_ERRORS as error:
+            self._malformed(session, rpc, FrameType.ACQUIRE, error)
+            return
         self.metrics.counter("svc.acquires").inc()
-        key, client = str(fields["key"]), str(fields["client"])
-        ttl_ms = float(fields.get("ttl_ms") or self.default_ttl_s * 1000.0)
-        wait_ms = float(fields.get("wait_ms", 0.0))
         if ttl_ms <= 0:
             self._reply(session, Frame(FrameType.SVC_REPLY, SERVICE_PID, {
                 "rpc": rpc, "status": ReplyStatus.ERROR,
@@ -570,9 +617,14 @@ class ElectionService:
     def _on_renew(self, session: _Session, rpc: int,
                   fields: Mapping[str, Any]) -> None:
         """RENEW: extend the lease iff the fencing token is current."""
+        try:
+            key, client = str(fields["key"]), str(fields["client"])
+            epoch = int(fields["epoch"])
+            ttl_ms = float(fields["ttl_ms"]) if fields.get("ttl_ms") else None
+        except _FIELD_ERRORS as error:
+            self._malformed(session, rpc, FrameType.RENEW, error)
+            return
         self.metrics.counter("svc.renews").inc()
-        key, client = str(fields["key"]), str(fields["client"])
-        epoch = int(fields["epoch"])
         state = self.keys.get(key)
         if (
             state is None
@@ -582,7 +634,8 @@ class ElectionService:
         ):
             self._fence(session, rpc, key, epoch, client, "renew")
             return
-        ttl_ms = float(fields.get("ttl_ms") or state.ttl_s * 1000.0)
+        if ttl_ms is None:
+            ttl_ms = state.ttl_s * 1000.0
         state.ttl_s = ttl_ms / 1000.0
         state.expires_at = time.monotonic() + state.ttl_s
         state.state = LeaseState.HELD
@@ -594,9 +647,13 @@ class ElectionService:
     def _on_release(self, session: _Session, rpc: int,
                     fields: Mapping[str, Any]) -> None:
         """RELEASE: end the lease iff the fencing token is current."""
+        try:
+            key, client = str(fields["key"]), str(fields["client"])
+            epoch = int(fields["epoch"])
+        except _FIELD_ERRORS as error:
+            self._malformed(session, rpc, FrameType.RELEASE, error)
+            return
         self.metrics.counter("svc.releases").inc()
-        key, client = str(fields["key"]), str(fields["client"])
-        epoch = int(fields["epoch"])
         state = self.keys.get(key)
         if (
             state is None
@@ -615,7 +672,11 @@ class ElectionService:
     def _on_watch(self, session: _Session, rpc: int,
                   fields: Mapping[str, Any]) -> None:
         """WATCH: subscribe the session; reply with the key's current state."""
-        key = str(fields["key"])
+        try:
+            key = str(fields["key"])
+        except _FIELD_ERRORS as error:
+            self._malformed(session, rpc, FrameType.WATCH, error)
+            return
         state = self._key(key)
         state.watchers.add(session)
         self._reply(session, Frame(FrameType.SVC_REPLY, SERVICE_PID, {
@@ -628,6 +689,21 @@ class ElectionService:
         """SVC_STATS: reply with the service's metrics snapshot."""
         self._reply(session, Frame(FrameType.SVC_REPLY, SERVICE_PID, {
             "rpc": rpc, "status": ReplyStatus.OK, "snapshot": self.snapshot(),
+        }), cache=False)
+
+    def _malformed(self, session: _Session, rpc: int, verb: str,
+                   error: Exception) -> None:
+        """Answer a request whose fields do not parse; change nothing else.
+
+        Not cached: a resend of the same request is parsed (and refused)
+        again.
+        """
+        detail = (
+            f"missing field {error}" if isinstance(error, KeyError) else str(error)
+        )
+        self._reply(session, Frame(FrameType.SVC_REPLY, SERVICE_PID, {
+            "rpc": rpc, "status": ReplyStatus.ERROR,
+            "message": f"malformed {verb} request: {detail}",
         }), cache=False)
 
     def _fence(self, session: _Session, rpc: int, key: str, epoch: int,
@@ -672,7 +748,7 @@ class ElectionService:
         state.holder_session = session
         state.ttl_s = ttl_ms / 1000.0
         state.expires_at = now + state.ttl_s
-        record = GrantRecord(
+        record = state.grant = GrantRecord(
             key=state.key, epoch=state.epoch, holder=client,
             session=session.sid, granted_ns=time.monotonic_ns(),
         )
@@ -697,12 +773,11 @@ class ElectionService:
 
     def _end_grant(self, state: _KeyState, reason: str, event: str) -> None:
         """Close the key's open grant record and vacate the lease."""
-        for record in reversed(self.history):
-            if record.key == state.key and record.epoch == state.epoch:
-                if record.ended_ns is None:
-                    record.ended_ns = time.monotonic_ns()
-                    record.reason = reason
-                break
+        record = state.grant
+        if record is not None and record.ended_ns is None:
+            record.ended_ns = time.monotonic_ns()
+            record.reason = reason
+        state.grant = None
         state.holder = None
         state.holder_session = None
         state.state = LeaseState.FREE

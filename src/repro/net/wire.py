@@ -28,7 +28,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Mapping
+from typing import Any, Hashable, Mapping, Sequence
 
 from ..core.protocol import HetStatus, Outcome, PillState
 
@@ -48,7 +48,13 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 
 class WireError(ValueError):
-    """Any malformed frame: bad magic, version, length, or body."""
+    """Any malformed frame: bad magic, version, length, or body.
+
+    Raised from :meth:`FrameDecoder.feed`, :attr:`frames` holds the
+    frames the same chunk completed before the malformed bytes.
+    """
+
+    frames: Sequence["Frame"] = ()
 
 
 class FrameType:
@@ -215,19 +221,20 @@ def decode_entries(obj: Any) -> dict[Hashable, tuple[int, Any, str]]:
 # ---------------------------------------------------------------------------
 
 
+#: The canonical body encoder, built once (``json.dumps`` with keyword
+#: arguments would build a new encoder on every call).
+_BODY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def pack_frame(frame: Frame) -> bytes:
     """Serialize one frame to its canonical byte form."""
     if frame.ftype not in FRAME_TYPES:
         raise WireError(f"unknown frame type {frame.ftype!r}")
-    body = json.dumps(
-        {
-            "t": frame.ftype,
-            "s": frame.sender,
-            "f": {key: encode_value(value) for key, value in frame.fields.items()},
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
+    body = _BODY_ENCODER.encode({
+        "t": frame.ftype,
+        "s": frame.sender,
+        "f": {key: encode_value(value) for key, value in frame.fields.items()},
+    }).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame body {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
     return MAGIC + bytes([WIRE_VERSION]) + len(body).to_bytes(4, "big") + body
@@ -272,14 +279,20 @@ class FrameDecoder:
         self._buffer = bytearray()
 
     def feed(self, data: bytes) -> list[Frame]:
-        """Consume ``data``; return every frame completed by it."""
+        """Consume ``data``; return every frame completed by it.
+
+        A :class:`WireError` carries the frames cut before the malformed
+        bytes in its ``frames`` attribute.
+        """
         self._buffer.extend(data)
         frames: list[Frame] = []
-        while True:
-            frame = self._try_cut()
-            if frame is None:
-                return frames
-            frames.append(frame)
+        try:
+            while (frame := self._try_cut()) is not None:
+                frames.append(frame)
+        except WireError as error:
+            error.frames = frames
+            raise
+        return frames
 
     def _try_cut(self) -> Frame | None:
         buffer = self._buffer

@@ -33,7 +33,7 @@ from repro.net.service import (
     ServiceError,
     ServiceRun,
 )
-from repro.net.wire import Frame, FrameType
+from repro.net.wire import Frame, FrameDecoder, FrameType, pack_frame
 
 #: Chaos plan used by the degraded-network tests: lossy and slow but
 #: seeded, so every failure is reproducible.
@@ -279,6 +279,101 @@ class TestLeaseEdgeCases:
         # 20s patience — failover is driven by the crash, not the TTL.
         assert hist["max"] < 5000.0
         assert run.history[0].reason == "crash"
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("ftype, fields", [
+        (FrameType.ACQUIRE, {"client": "a"}),
+        (FrameType.ACQUIRE, {"key": "k"}),
+        (FrameType.ACQUIRE, {"key": "k", "client": "a", "ttl_ms": "soon"}),
+        (FrameType.ACQUIRE, {"key": "k", "client": "a", "wait_ms": [1]}),
+        (FrameType.RENEW, {"key": "held", "client": "a"}),
+        (FrameType.RENEW,
+         {"key": "held", "client": "a", "epoch": 1, "ttl_ms": "x"}),
+        (FrameType.RELEASE, {"key": "held", "client": "a", "epoch": "abc"}),
+        (FrameType.RELEASE, {"client": "a", "epoch": 1}),
+        (FrameType.WATCH, {}),
+    ])
+    def test_malformed_field_gets_error_and_keeps_session(self, ftype, fields):
+        """A bad field is answered with ERROR; the sender's leases survive."""
+
+        async def body(service, host, port):
+            client = await ServiceClient.connect(host, port, client_id="a")
+            lease = await client.acquire("held", ttl_ms=5000)
+            reply = await client._call(ftype, fields)
+            assert reply.fields["status"] == "error"
+            assert reply.fields["rpc"] == 2
+            # Not cached: the session holds only the acquire's reply.
+            session = next(iter(service._sessions.values()))
+            assert list(session.replied) == [1]
+            # The session is alive and still holds its lease.
+            assert service.keys["held"].state == "held"
+            assert await client.renew(lease) is not None
+            assert await client.release(lease)
+            await client.close()
+
+        _, run = run_scenario(body)
+        assert [(record.key, record.reason) for record in run.history] == [
+            ("held", "release"),
+        ]
+
+    def test_valid_frame_then_garbage_in_one_write(self):
+        """Frames before the bad bytes are answered, then the session fails over."""
+
+        async def body(service, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(pack_frame(Frame(FrameType.ACQUIRE, 4, {
+                "rpc": 1, "key": "k", "client": "a",
+            })) + b"XX-not-a-frame")
+            received = b""
+            while data := await reader.read(65536):
+                received += data
+            writer.close()
+            return FrameDecoder().feed(received)
+
+        frames, run = run_scenario(body)
+        assert [(frame.fields["rpc"], frame.fields["status"]) for frame in frames] == [
+            (1, "granted"),
+        ]
+        assert [(record.key, record.reason) for record in run.history] == [
+            ("k", "crash"),
+        ]
+
+
+class TestGrantLog:
+    def test_long_lease_closed_after_many_other_grants(self):
+        """Closing a lease finds its own record however many grants followed."""
+
+        async def body(service, host, port):
+            client = await ServiceClient.connect(host, port, client_id="a")
+            long = await client.acquire("long", ttl_ms=60_000)
+            leases = await asyncio.gather(*(
+                client.acquire(f"k/{i}", ttl_ms=60_000) for i in range(1000)
+            ))
+            assert all(lease is not None for lease in leases)
+            await asyncio.gather(*(
+                client.release(lease) for lease in leases[::2]
+            ))
+            before_ns = service.history[-1].granted_ns
+            assert await client.release(long)
+            history = [
+                (record.key, record.reason, record.ended_ns)
+                for record in service.history
+            ]
+            await client.close()
+            return before_ns, history
+
+        (before_ns, history), _ = run_scenario(body)
+        assert len(history) == 1001
+        key, reason, ended_ns = history[0]
+        assert (key, reason) == ("long", "release")
+        assert ended_ns is not None and ended_ns >= before_ns
+        for index, (key, reason, ended_ns) in enumerate(history[1:]):
+            assert key == f"k/{index}"
+            if index % 2 == 0:
+                assert reason == "release" and ended_ns is not None
+            else:
+                assert reason == "open" and ended_ns is None
 
 
 class TestWatch:
