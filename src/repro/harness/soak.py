@@ -360,8 +360,8 @@ async def _service_restart(
     if state.stop.is_set():
         return
     old = state.service
-    # Stop first: handler tasks still run during ``stop()``, and only a
-    # stopped service's namespace is final.
+    # Stop first: connection callbacks still run during ``stop()``, and
+    # only a stopped service's namespace is final.
     await old.stop()
     namespace = old.export_namespace()
     state.fenced_base.extend(old.fenced)

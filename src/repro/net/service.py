@@ -207,9 +207,9 @@ class _Session(asyncio.Protocol):
         "replied_order", "closed", "outbox",
     )
 
-    def __init__(self, service: "ElectionService") -> None:
+    def __init__(self, service: "ElectionService", sid: int) -> None:
         self.service = service
-        self.sid = 0
+        self.sid = sid
         self.pid: int | None = None
         self.transport: asyncio.Transport | None = None
         self.decoder = FrameDecoder()
@@ -222,8 +222,6 @@ class _Session(asyncio.Protocol):
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = transport  # type: ignore[assignment]
-        self.service._session_counter += 1
-        self.sid = self.service._session_counter
 
     def data_received(self, data: bytes) -> None:
         self.service._on_chunk(self, data)
@@ -324,7 +322,7 @@ class ElectionService:
     async def start(self) -> tuple[str, int]:
         """Bind the server and start the sweeper; returns ``(host, port)``."""
         self._server = await asyncio.get_running_loop().create_server(
-            lambda: _Session(self), self.host, self.port
+            self._new_session, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = time.monotonic()
@@ -413,6 +411,11 @@ class ElectionService:
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
+
+    def _new_session(self) -> _Session:
+        """The protocol for one accepted connection."""
+        self._session_counter += 1
+        return _Session(self, self._session_counter)
 
     def _on_chunk(self, session: _Session, data: bytes) -> None:
         """Dispatch every frame ``data`` completes, then flush the replies.
@@ -734,9 +737,9 @@ class ElectionService:
                rpc: int, ttl_ms: float) -> None:
         """Elect ``client`` the holder of ``state.key`` under a fresh epoch.
 
-        A stopping service grants nothing: its handler tasks still run
-        while the server closes, and a grant then would reuse the first
-        epoch of a successor seeded from :meth:`export_namespace`.
+        A stopping service grants nothing: its connections' callbacks
+        still run while the server closes, and a grant then would reuse
+        the first epoch of a successor seeded from :meth:`export_namespace`.
         """
         if self._stopped:
             state.state = LeaseState.FREE

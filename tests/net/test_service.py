@@ -99,12 +99,12 @@ class TestLeaseLifecycle:
         run_scenario(body)
 
     def test_stopping_service_grants_nothing(self, monkeypatch):
-        # Handler tasks keep running while stop() waits for the server to
-        # close.  Force that race deterministically: inside wait_closed(),
-        # the holder's handler sees EOF and fails its lease over, then a
-        # contender's already-buffered ACQUIRE is dispatched.  A grant
-        # there would reuse the first epoch of a successor seeded from
-        # export_namespace().
+        # Connection callbacks keep running while stop() waits for the
+        # server to close.  Force that race deterministically: inside
+        # wait_closed(), the holder's connection is lost and fails its
+        # lease over, then a contender's already-buffered ACQUIRE is
+        # dispatched.  A grant there would reuse the first epoch of a
+        # successor seeded from export_namespace().
         async def main():
             service = ElectionService(seed=0, default_ttl_ms=5000.0)
             host, port = await service.start()

@@ -206,6 +206,20 @@ class TestFrameRoundTrip:
     def test_pack_is_deterministic(self, frame):
         assert pack_frame(frame) == pack_frame(frame)
 
+    @given(frames)
+    @settings(max_examples=100)
+    def test_pack_body_is_canonical_json(self, frame):
+        body = json.dumps(
+            {
+                "t": frame.ftype,
+                "s": frame.sender,
+                "f": {key: encode_value(value) for key, value in frame.fields.items()},
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        ).encode("utf-8")
+        assert pack_frame(frame)[HEADER_BYTES:] == body
+
     def test_unknown_frame_type_rejected_at_pack(self):
         with pytest.raises(WireError, match="unknown frame type"):
             pack_frame(Frame("gossip", 0, {}))
@@ -236,6 +250,13 @@ class TestHostileInput:
         assert decoder.pending_bytes == len(raw) - 1
         with pytest.raises(WireError, match="truncated mid-frame"):
             decoder.finish()
+
+    def test_frames_before_bad_bytes_ride_on_the_error(self):
+        good = [Frame(FrameType.ACK, 1, {"n": 1}), Frame(FrameType.ACK, 2, {})]
+        raw = b"".join(pack_frame(frame) for frame in good) + b"XX" + bytes(20)
+        with pytest.raises(WireError, match="bad frame magic") as caught:
+            FrameDecoder().feed(raw)
+        assert list(caught.value.frames) == good
 
     def test_garbage_body_rejected(self):
         body = b"\xff\xfenot json"
