@@ -50,8 +50,8 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 class WireError(ValueError):
     """Any malformed frame: bad magic, version, length, or body.
 
-    Raised from :meth:`FrameDecoder.feed`, :attr:`frames` holds the
-    frames the same chunk completed before the malformed bytes.
+    When :meth:`FrameDecoder.feed` raises it, :attr:`frames` holds the
+    frames that chunk completed before the malformed bytes.
     """
 
     frames: Sequence["Frame"] = ()
