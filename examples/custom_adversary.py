@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import sys
 
-from repro import Adversary, Simulation
+from repro import Adversary, run_leader_election
 from repro.adversary.base import fallback_action
-from repro.analysis import check_leader_election
-from repro.core import make_leader_elect
+from repro.check.invariants import PROTOCOLS, evaluate_run
 from repro.sim import Step
 
 
@@ -57,17 +56,15 @@ def main(n: int = 8) -> None:
 
     victim_wins = 0
     for seed in range(10):
-        sim = Simulation(
-            n,
-            {pid: make_leader_elect() for pid in range(n)},
-            GrudgeAdversary(victim),
-            seed=seed,
+        run = run_leader_election(
+            n, adversary=GrudgeAdversary(victim), seed=seed, check=False
         )
-        result = sim.run()
-        report = check_leader_election(result)  # safety holds regardless
-        if report.winner == victim:
+        # Safety holds regardless: the invariant registry finds nothing.
+        violations = evaluate_run(PROTOCOLS["leader_election"], run)
+        assert not violations, violations
+        if run.winner == victim:
             victim_wins += 1
-        print(f"seed {seed}: winner = processor {report.winner}")
+        print(f"seed {seed}: winner = processor {run.winner}")
 
     print()
     print(f"victim (processor {victim}) won {victim_wins}/10 races under starvation")

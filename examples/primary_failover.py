@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import sys
 
-from repro import RandomAdversary, RandomCrashAdversary, Simulation
-from repro.analysis import check_leader_election
-from repro.core import make_leader_elect
+from repro import RandomAdversary, RandomCrashAdversary, run_leader_election
+from repro.check.invariants import PROTOCOLS, evaluate_run
 
 
 def failover_round(n: int, rate: float, seed: int):
@@ -36,12 +35,11 @@ def failover_round(n: int, rate: float, seed: int):
     adversary = RandomCrashAdversary(
         RandomAdversary(seed=seed), rate=rate, seed=seed
     )
-    sim = Simulation(
-        n, {pid: make_leader_elect() for pid in range(n)}, adversary, seed=seed
-    )
-    result = sim.run(require_termination=False)
-    report = check_leader_election(result)  # raises on any spec violation
-    return result, report
+    run = run_leader_election(n, adversary=adversary, seed=seed, check=False)
+    # At most one winner, and linearizable: the invariant registry agrees.
+    violations = evaluate_run(PROTOCOLS["leader_election"], run)
+    assert not violations, violations
+    return run
 
 
 def run_simulated(n: int, rate_ppm: int) -> None:
@@ -52,11 +50,11 @@ def run_simulated(n: int, rate_ppm: int) -> None:
     elected = 0
     headless = 0
     for seed in range(10):
-        result, report = failover_round(n, rate, seed)
-        crashed = sorted(result.crashed)
-        if report.winner is not None:
+        run = failover_round(n, rate, seed)
+        crashed = sorted(run.result.crashed)
+        if run.winner is not None:
             elected += 1
-            status = f"replica {report.winner} is the new primary"
+            status = f"replica {run.winner} is the new primary"
         else:
             headless += 1
             status = "no primary elected (winner-to-be crashed mid-race)"

@@ -16,8 +16,9 @@ The package is organized in four layers:
   PoisonPill, the full leader election, renaming, and baselines
   (tournament tree, naive sifting, linear renaming);
 * :mod:`repro.analysis` / :mod:`repro.harness` — theory oracle,
-  correctness checkers, statistics, and the experiment harness behind
-  the benchmark suite.
+  statistics, and the experiment harness behind the benchmark suite;
+* :mod:`repro.check` — the invariant registry every checked run is
+  judged by, plus schedule exploration and shrinking.
 
 Quickstart::
 
@@ -41,13 +42,7 @@ from .adversary import (
     RoundRobinAdversary,
     SequentialAdversary,
 )
-from .analysis import (
-    SpecificationViolation,
-    check_leader_election,
-    check_renaming,
-    check_sifting_phase,
-    log_star,
-)
+from .analysis import log_star
 from .core import (
     HetStatus,
     Outcome,
@@ -74,6 +69,7 @@ from .harness import (
     LeaderElectionRun,
     RenamingRun,
     SiftingRun,
+    SpecificationViolation,
     choose_participants,
     run_leader_election,
     run_renaming,
@@ -115,9 +111,6 @@ __all__ = [
     "Simulation",
     "SimulationResult",
     "SpecificationViolation",
-    "check_leader_election",
-    "check_renaming",
-    "check_sifting_phase",
     "choose_participants",
     "get_name",
     "heterogeneous_poison_pill",

@@ -1,13 +1,8 @@
-"""Analysis layer: theory oracle, statistics, checkers, model fitting."""
+"""Analysis layer: theory oracle, statistics, linearizability, model fitting.
 
-from .checkers import (
-    LeaderElectionReport,
-    SpecificationViolation,
-    check_leader_election,
-    check_renaming,
-    check_sifting_phase,
-    count_survivors,
-)
+The correctness invariants live in :mod:`repro.check.invariants`.
+"""
+
 from .linearizability import (
     READ,
     WRITE,
@@ -42,20 +37,14 @@ from .theory import (
 
 __all__ = [
     "Fit",
-    "LeaderElectionReport",
     "READ",
     "RegisterOp",
-    "SpecificationViolation",
     "Summary",
     "WRITE",
     "assert_register_linearizable",
     "check_register_linearizable",
     "best_fit",
-    "check_leader_election",
-    "check_renaming",
-    "check_sifting_phase",
     "chernoff_upper_tail",
-    "count_survivors",
     "expected_rounds",
     "fit_linear",
     "fit_log",

@@ -6,10 +6,12 @@ machine-checked properties:
 * :mod:`repro.check.invariants` — the registry of named invariants
   (unique winner, at-least-one-survivor, linearizability, name
   uniqueness, ...) mapped to the claims and lemmas they reproduce, plus
-  the protocol registry ``repro check`` can target.
-* :mod:`repro.check.streaming` — the streaming face of the registry: a
-  :class:`~repro.check.streaming.StreamingChecker` event sink that
-  evaluates incremental-capable invariants *during* a run and fails
+  the protocol registry ``repro check`` can target.  Each invariant is
+  defined once, as a fold; :func:`~repro.check.invariants.evaluate_run`
+  runs the folds over a finished run.
+* :mod:`repro.check.streaming` — the streaming driver of the same
+  folds: a :class:`~repro.check.streaming.StreamingChecker` event sink
+  that runs every fold with an ``observe`` part *during* a run and fails
   fast with the offending event id.
 * :mod:`repro.check.explore` — the explorer: randomized, crash-storm,
   and bounded-systematic schedule search over a trial budget, fanned
@@ -43,13 +45,10 @@ from .invariants import (
     invariants_for,
 )
 from .streaming import (
-    STREAMING_INVARIANTS,
     StreamError,
     StreamingChecker,
-    StreamingInvariant,
     StreamingViolation,
     audit_trace,
-    streaming_invariants_for,
 )
 from .shrink import (
     ArtifactReplay,
@@ -72,12 +71,10 @@ __all__ = [
     "MODES",
     "PROTOCOLS",
     "ProtocolSpec",
-    "STREAMING_INVARIANTS",
     "SchedulePrefixAdversary",
     "ShrinkResult",
     "StreamError",
     "StreamingChecker",
-    "StreamingInvariant",
     "StreamingViolation",
     "TrialOutcome",
     "TrialSpec",
@@ -86,7 +83,6 @@ __all__ = [
     "audit_trace",
     "explore",
     "invariants_for",
-    "streaming_invariants_for",
     "load_artifact",
     "plan_trials",
     "replay_artifact",

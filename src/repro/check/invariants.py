@@ -28,19 +28,21 @@ Invariants come in two scopes:
 * ``ensemble`` — a statistical property of many executions; a violation
   names a *witness* run (the worst offender) plus a per-run witness
   predicate that the shrinker can preserve while minimizing.
+
+Every invariant is defined once, as a :class:`Fold`: ``observe`` judges
+one event or service grant at a time, ``verdict`` what only the finished
+run shows.  Three drivers run it: :func:`evaluate_run` after the run,
+:class:`~repro.check.streaming.StreamingChecker` while events are
+emitted, and the chaos soak's grant hook on each grant.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Sequence
 
-from ..analysis.linearizability import (
-    READ,
-    WRITE,
-    RegisterOp,
-    check_register_linearizable,
-)
 from ..core.protocol import HetStatus, Outcome
 from ..obs.events import Event, EventType
 from ..sim import pidset
@@ -49,6 +51,12 @@ from ..sim.runtime import SimulationResult
 #: Response time assigned to operations that never responded (crashed or
 #: undecided); effectively "+infinity" for interval comparisons.
 PENDING_TIME = 2**62
+
+#: The event types a fold observes; drivers skip every other event.
+FOLDED_EVENTS = frozenset({
+    EventType.PROC_DECIDE, EventType.COIN_FLIP, EventType.SCHED_CRASH,
+    EventType.REG_PUT,
+})
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +175,22 @@ def run_protocol(
     raise ValueError(f"unknown task {spec.task!r} for protocol {spec.name!r}")
 
 
+
+def protocol_for(task: str, algorithm: str) -> ProtocolSpec:
+    """The registered protocol a harness ``(task, algorithm)`` pair runs."""
+    for spec in PROTOCOLS.values():
+        if (spec.task, spec.algorithm) == (task, algorithm):
+            return spec
+    raise ValueError(f"no registered protocol runs {task}/{algorithm}")
+
+
 # ---------------------------------------------------------------------------
 # Per-run evaluation context
 # ---------------------------------------------------------------------------
 
 
 class CheckContext:
-    """Everything a per-run invariant may inspect about one execution.
+    """Everything a verdict may inspect about one finished execution.
 
     Wraps the Run object the harness produced, its
     :class:`~repro.sim.runtime.SimulationResult`, and (when available)
@@ -181,7 +198,7 @@ class CheckContext:
     invariants such as ``no_false_death`` see the flips.
     """
 
-    __slots__ = ("spec", "run", "result", "events", "_last_coins")
+    __slots__ = ("spec", "run", "result", "events")
 
     def __init__(
         self,
@@ -193,7 +210,6 @@ class CheckContext:
         self.run = run
         self.result: SimulationResult = run.result
         self.events = list(events) if events is not None else None
-        self._last_coins: dict[int, int] | None = None
 
     @property
     def k(self) -> int:
@@ -214,11 +230,6 @@ class CheckContext:
         )
 
     @property
-    def survivor_fraction(self) -> float:
-        """Surviving fraction of the participant set (sifting tasks)."""
-        return self.survivors / self.k if self.k else 0.0
-
-    @property
     def winners(self) -> list[int]:
         """Pids that returned WIN (election tasks)."""
         return [
@@ -226,23 +237,24 @@ class CheckContext:
             if decision.result is Outcome.WIN
         ]
 
-    def last_coin(self, pid: int) -> int | None:
-        """The final ``*.coin`` flip of ``pid``, from the event stream.
+    def items(self) -> Iterable[Any]:
+        """What the folds observe, in order.
 
-        Returns ``None`` when the stream was not captured or the
-        processor never flipped a sifter coin.
+        A service run's grants; else the captured events of
+        :data:`FOLDED_EVENTS`; with no stream, the decide events rebuilt
+        from the decisions in decide-time order.
         """
-        if self.events is None:
-            return None
-        if self._last_coins is None:
-            coins: dict[int, int] = {}
-            for event in self.events:
-                if event.etype == EventType.COIN_FLIP and str(
-                    event.fields.get("label", "")
-                ).endswith(".coin"):
-                    coins[event.pid] = event.fields["value"]
-            self._last_coins = coins
-        return self._last_coins.get(pid)
+        if self.spec.task == "serve":
+            return self.run.history
+        if self.events is not None:
+            return (e for e in self.events if e.etype in FOLDED_EVENTS)
+        decided = sorted(
+            self.result.decisions.values(), key=attrgetter("decide_time")
+        )
+        return (
+            Event(d.decide_time, EventType.PROC_DECIDE, d.pid, {"result": d.result})
+            for d in decided
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +301,44 @@ class EnsembleVerdict:
 # ---------------------------------------------------------------------------
 
 
+class Fold:
+    """One invariant's state over one run, built fresh from ``k``.
+
+    Each method returns a violation message or ``None``.  A fold that
+    overrides ``observe`` *streams*: it can fail a run mid-flight.
+    Drivers stop asking a fold once it has reported.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, k: int | None = None) -> None:
+        pass
+
+    def observe(self, item: Any) -> str | None:
+        """Judge one item; ``None`` while the run so far is clean."""
+        return None
+
+    def verdict(self, ctx: CheckContext) -> str | None:
+        """Judge the finished run; ``None`` when it holds."""
+        return None
+
+
+def _verdict_only(check: Callable[[CheckContext], str | None]) -> type[Fold]:
+    """The fold of an invariant only the finished run can judge."""
+    return type(check.__name__, (Fold,), {
+        "__slots__": (), "verdict": lambda self, ctx: check(ctx),
+    })
+
+
 @dataclass(frozen=True)
 class Invariant:
     """One named, machine-checkable property of a protocol.
 
-    ``check`` (scope ``run``) maps a :class:`CheckContext` to a violation
-    message or ``None``.  ``check_ensemble`` (scope ``ensemble``) maps
-    the full :class:`TrialStats` list to an :class:`EnsembleVerdict` or
-    ``None``.  ``witness`` is the per-run predicate the shrinker
-    preserves while minimizing a violating schedule; for run-scope
-    invariants it defaults to "``check`` still reports a violation".
+    ``fold`` is the invariant's one definition.  For scope ``run`` it is
+    the property itself; for scope ``ensemble`` it is the per-run
+    witness, and ``check_ensemble`` maps the full :class:`TrialStats`
+    list to an :class:`EnsembleVerdict` or ``None``.  ``stream_name`` is
+    the name a stream reports the fold under (default ``name``).
     """
 
     name: str
@@ -306,51 +346,122 @@ class Invariant:
     scope: str  # "run" | "ensemble"
     tasks: tuple[str, ...]
     description: str
-    check: Callable[[CheckContext], str | None] | None = None
+    fold: type[Fold]
     check_ensemble: Callable[[Sequence[TrialStats]], EnsembleVerdict | None] | None = None
-    witness: Callable[[CheckContext], bool] = field(default=None)  # type: ignore[assignment]
+    stream_name: str = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.scope not in ("run", "ensemble"):
             raise ValueError(f"unknown invariant scope {self.scope!r}")
-        if self.scope == "run" and self.check is None:
-            raise ValueError(f"run-scope invariant {self.name!r} needs check()")
         if self.scope == "ensemble" and self.check_ensemble is None:
             raise ValueError(
                 f"ensemble invariant {self.name!r} needs check_ensemble()"
             )
-        if self.witness is None:
-            if self.scope == "run":
-                object.__setattr__(
-                    self, "witness", lambda ctx: self.check(ctx) is not None
-                )
-            else:
-                raise ValueError(
-                    f"ensemble invariant {self.name!r} needs a witness predicate"
-                )
+        if self.stream_name is None:
+            object.__setattr__(self, "stream_name", self.name)
+
+    @property
+    def streams(self) -> bool:
+        """True when the fold judges items one at a time."""
+        return self.fold.observe is not Fold.observe
+
+    def check(self, ctx: CheckContext) -> str | None:
+        """Fold one finished run: the violation message, or ``None``."""
+        return _fold_run(ctx, [self]).get(self.name)
+
+    def witness(self, ctx: CheckContext) -> bool:
+        """The per-run predicate the shrinker preserves while minimizing.
+
+        A run-scope invariant is witnessed by its own violation; an
+        ensemble one by a complete, crash-free run its fold flags.
+        """
+        if self.scope == "ensemble" and not (
+            ctx.crash_free and ctx.result.terminated
+        ):
+            return False
+        return self.check(ctx) is not None
 
 
-def _valid_outcomes(ctx: CheckContext, allowed: tuple[Outcome, ...]) -> str | None:
-    strays = [
-        (pid, decision.result)
-        for pid, decision in ctx.result.decisions.items()
-        if decision.result not in allowed
-    ]
-    if strays:
-        names = ", ".join(f"p{pid}={value!r}" for pid, value in strays)
-        return f"outcomes outside {[o.value for o in allowed]}: {names}"
-    return None
+def _fold_run(
+    ctx: CheckContext, invariants: Sequence[Invariant]
+) -> dict[str, str]:
+    """Fold ``ctx``'s items through fresh folds, then ask each verdict.
+
+    Returns ``{invariant name: first violation message}``; a fold that
+    reported while observing is not asked for a verdict.
+    """
+    folds = [(inv.name, inv.fold(ctx.k)) for inv in invariants]
+    watching = [pair for pair, inv in zip(folds, invariants) if inv.streams]
+    found: dict[str, str] = {}
+    if watching:
+        for item in ctx.items():
+            for name, fold in watching:
+                if name in found:
+                    continue
+                message = fold.observe(item)
+                if message is not None:
+                    found[name] = message
+    for name, fold in folds:
+        if name not in found:
+            message = fold.verdict(ctx)
+            if message is not None:
+                found[name] = message
+    return found
 
 
-def _check_valid_election_outcomes(ctx: CheckContext) -> str | None:
-    return _valid_outcomes(ctx, (Outcome.WIN, Outcome.LOSE))
+def _decided(item: Event) -> Any:
+    """A ``proc.decide`` event's value as a plain value.
+
+    Live streams carry :class:`~repro.core.protocol.Outcome` members,
+    replayed JSONL traces their strings; names (ints) pass through.
+    """
+    result = item.fields.get("result")
+    return result._value_ if isinstance(result, Outcome) else result
 
 
-def _check_unique_winner(ctx: CheckContext) -> str | None:
-    winners = ctx.winners
-    if len(winners) > 1:
-        return f"multiple winners: {sorted(winners)}"
-    return None
+class _ValidOutcomes(Fold):
+    """Each decision, checked in isolation, is one of ``allowed``."""
+
+    __slots__ = ()
+    allowed: tuple[str, ...] = ()
+
+    def observe(self, item: Event) -> str | None:
+        if item.etype != EventType.PROC_DECIDE:
+            return None
+        value = _decided(item)
+        if value not in self.allowed:
+            return f"p{item.pid} decided {value!r}, outside {list(self.allowed)}"
+        return None
+
+
+class _ValidElectionOutcomes(_ValidOutcomes):
+    __slots__ = ()
+    allowed = ("win", "lose")
+
+
+class _ValidSiftOutcomes(_ValidOutcomes):
+    __slots__ = ()
+    allowed = ("survive", "die")
+
+
+class _UniqueWinner(Fold):
+    """The second WIN decision is a violation the instant it happens."""
+
+    __slots__ = ("_winner",)
+
+    def __init__(self, k: int | None = None) -> None:
+        self._winner: int | None = None
+
+    def observe(self, item: Event) -> str | None:
+        if (
+            item.etype != EventType.PROC_DECIDE
+            or _decided(item) != "win"
+        ):
+            return None
+        if self._winner is not None:
+            return f"multiple winners: {sorted((self._winner, item.pid))}"
+        self._winner = item.pid
+        return None
 
 
 def _check_winner_exists(ctx: CheckContext) -> str | None:
@@ -364,67 +475,55 @@ def _check_winner_exists(ctx: CheckContext) -> str | None:
     return None
 
 
-def _election_ops(ctx: CheckContext, pending_pid: int | None) -> list[RegisterOp]:
-    """The register-history encoding of a leader election execution.
-
-    The winner's operation is a WRITE of ``"won"`` over its invocation
-    interval; every LOSE is a READ that must return ``"won"``.  The
-    history is linearizable as an atomic register initialized to ``None``
-    iff every LOSE can be ordered after the (possibly pending) winning
-    operation without violating real-time precedence — exactly the
-    test-and-set linearizability condition of Lemma A.3.
-    """
-    ops: list[RegisterOp] = []
-    for pid, decision in ctx.result.decisions.items():
-        if decision.result is Outcome.WIN:
-            ops.append(RegisterOp(
-                pid, WRITE, "won", decision.start_time, decision.decide_time
-            ))
-        elif decision.result is Outcome.LOSE:
-            ops.append(RegisterOp(
-                pid, READ, "won", decision.start_time, decision.decide_time
-            ))
-    if pending_pid is not None:
-        ops.append(RegisterOp(
-            pending_pid, WRITE, "won",
-            ctx.result.start_times[pending_pid], PENDING_TIME,
-        ))
-    return ops
-
-
 def _check_election_linearizable(ctx: CheckContext) -> str | None:
-    losers = [
-        pid for pid, decision in ctx.result.decisions.items()
-        if decision.result is Outcome.LOSE
-    ]
-    if not losers:
+    """Lemma A.3 in closed form: the test-and-set linearizability rule.
+
+    Encode the winner's operation as a WRITE over its invocation
+    interval and every LOSE as a READ that must see it.  That history is
+    linearizable iff no LOSE responds before the earliest winner's
+    invocation, or — with no winner decided — before some pending
+    (crashed or undecided) invoker's.
+    """
+    decisions = ctx.result.decisions
+    first_lose = min(
+        (
+            decision.decide_time for decision in decisions.values()
+            if decision.result is Outcome.LOSE
+        ),
+        default=None,
+    )
+    if first_lose is None:
         return None
-    if ctx.winners:
-        if check_register_linearizable(_election_ops(ctx, None)) is not None:
+    winners = ctx.winners
+    if winners:
+        winner = min(winners, key=lambda pid: decisions[pid].start_time)
+        start = decisions[winner].start_time
+        if start <= first_lose:
             return None
-        winner = ctx.winners[0]
         return (
             f"not linearizable: some LOSE responded before winner "
-            f"p{winner}'s invocation at t="
-            f"{ctx.result.decisions[winner].start_time}"
+            f"p{winner}'s invocation at t={start}"
         )
-    # No winner returned: some pending operation (crashed after invoking,
-    # or still undecided) must be linearizable as the winner.
-    pending = [
-        pid for pid in ctx.result.start_times
-        if pid in ctx.result.crashed or pid in ctx.result.undecided
-    ]
-    for pid in pending:
-        if check_register_linearizable(_election_ops(ctx, pid)) is not None:
-            return None
+    result = ctx.result
+    if any(
+        start <= first_lose
+        for pid, start in result.start_times.items()
+        if pid in result.crashed or pid in result.undecided
+    ):
+        return None
     return (
         "not linearizable: processors lost but no pending operation can "
         "be ordered as the winner before the first LOSE"
     )
 
 
-def _check_valid_sift_outcomes(ctx: CheckContext) -> str | None:
-    return _valid_outcomes(ctx, (Outcome.SURVIVE, Outcome.DIE))
+def _check_terminates(ctx: CheckContext) -> str | None:
+    if ctx.crash_free and not ctx.result.terminated:
+        return (
+            f"crash-free execution left participants "
+            f"{sorted(ctx.result.undecided)} undecided"
+        )
+    return None
 
 
 def _check_at_least_one_survivor(ctx: CheckContext) -> str | None:
@@ -441,69 +540,87 @@ def _check_at_least_one_survivor(ctx: CheckContext) -> str | None:
     return None
 
 
-def _check_no_false_death(ctx: CheckContext) -> str | None:
-    if ctx.crash_free and ctx.k == 1 and ctx.result.terminated:
-        decision = next(iter(ctx.result.decisions.values()), None)
-        if decision is not None and decision.result is Outcome.DIE:
+class _NoFalseDeath(Fold):
+    """A DIE after a high (1) sifter coin, or by a sole participant."""
+
+    __slots__ = ("_sole", "_last_coin")
+
+    def __init__(self, k: int | None = None) -> None:
+        self._sole = k == 1
+        self._last_coin: dict[int, Any] = {}
+
+    def observe(self, item: Event) -> str | None:
+        if item.etype == EventType.COIN_FLIP:
+            if str(item.fields.get("label", "")).endswith(".coin"):
+                self._last_coin[item.pid] = item.fields.get("value")
+            return None
+        if (
+            item.etype != EventType.PROC_DECIDE
+            or _decided(item) != "die"
+        ):
+            return None
+        if self._sole:
             return "the sole participant died"
-    for pid, decision in ctx.result.decisions.items():
-        if decision.result is Outcome.DIE and ctx.last_coin(pid) == 1:
-            return f"p{pid} flipped 1 (high priority) but returned DIE"
-    return None
-
-
-def _check_learned_closure(ctx: CheckContext) -> str | None:
-    """Claim 3.3 bookkeeping: each announced ``L`` set contains its
-    announcer and the announcer's own observed list.
-
-    Both sets travel as :mod:`repro.sim.pidset` bitmask ints, so
-    membership and containment are single bit-ops.  Skipped (returns
-    ``None``) when the event stream was not captured or the sifter is
-    not the heterogeneous variant (no ``*.learned`` puts).
-    """
-    if ctx.events is None:
+        if self._last_coin.get(item.pid) == 1:
+            return f"p{item.pid} flipped 1 (high priority) but returned DIE"
         return None
-    learned_by: dict[int, int] = {}
-    own_members: dict[int, int] = {}
-    for event in ctx.events:
-        if event.etype != EventType.REG_PUT:
-            continue
-        var = str(event.fields.get("var", ""))
-        value = event.fields.get("value")
+
+
+class _LearnedClosure(Fold):
+    """Claim 3.3 bookkeeping, checked at each announced ``L`` set.
+
+    A ``*.learned`` put must contain its announcer and the members of
+    the announcer's own ``*.Status`` entry, both pidset bitmask ints.
+    """
+
+    __slots__ = ("_members",)
+
+    def __init__(self, k: int | None = None) -> None:
+        self._members: dict[int, int] = {}
+
+    def observe(self, item: Event) -> str | None:
+        if item.etype != EventType.REG_PUT:
+            return None
+        var = str(item.fields.get("var", ""))
+        value = item.fields.get("value")
+        pid = item.pid
         if var.endswith(".learned") and isinstance(value, int):
-            learned_by[event.pid] = value
+            if not pidset.contains(value, pid):
+                return f"p{pid} announced an L set that omits itself"
+            members = self._members.get(pid, pidset.EMPTY)
+            if not pidset.is_subset(members, value):
+                missing = pidset.to_frozenset(members & ~value)
+                return (
+                    f"p{pid}'s L set omits {sorted(missing)} from its own "
+                    f"observed list — the closure bookkeeping of Figure 2 "
+                    f"lines 26-27 was violated"
+                )
         elif (
             var.endswith(".Status")
             and isinstance(value, HetStatus)
-            and event.fields.get("key") == event.pid
+            and item.fields.get("key") == pid
         ):
-            own_members[event.pid] = value.members
-    if not learned_by:
+            self._members[pid] = value.members
         return None
-    for pid, learned in sorted(learned_by.items()):
-        if not pidset.contains(learned, pid):
-            return f"p{pid} announced an L set that omits itself"
-        members = own_members.get(pid, pidset.EMPTY)
-        if not pidset.is_subset(members, learned):
-            missing = pidset.to_frozenset(members & ~learned)
-            return (
-                f"p{pid}'s L set omits {sorted(missing)} from its own "
-                f"observed list — the closure bookkeeping of Figure 2 "
-                f"lines 26-27 was violated"
-            )
-    return None
 
 
-def _check_names_unique(ctx: CheckContext) -> str | None:
-    names: dict[Any, list[int]] = {}
-    for pid, decision in ctx.result.decisions.items():
-        names.setdefault(decision.result, []).append(pid)
-    duplicates = {
-        name: sorted(pids) for name, pids in names.items() if len(pids) > 1
-    }
-    if duplicates:
+class _NamesUnique(Fold):
+    """The first duplicate name is flagged at its decide event."""
+
+    __slots__ = ("_owner",)
+
+    def __init__(self, k: int | None = None) -> None:
+        self._owner: dict[Any, int] = {}
+
+    def observe(self, item: Event) -> str | None:
+        if item.etype != EventType.PROC_DECIDE:
+            return None
+        name = _decided(item)
+        owner = self._owner.setdefault(name, item.pid)
+        if owner == item.pid:
+            return None
+        duplicates = {name: sorted((owner, item.pid))}
         return f"duplicate names assigned: {duplicates}"
-    return None
 
 
 def _check_names_in_range(ctx: CheckContext) -> str | None:
@@ -515,15 +632,6 @@ def _check_names_in_range(ctx: CheckContext) -> str | None:
     }
     if bad:
         return f"names outside [0, {ctx.result.n}): {bad}"
-    return None
-
-
-def _check_terminates(ctx: CheckContext) -> str | None:
-    if ctx.crash_free and not ctx.result.terminated:
-        return (
-            f"crash-free execution left participants "
-            f"{sorted(ctx.result.undecided)} undecided"
-        )
     return None
 
 
@@ -539,6 +647,46 @@ SIFTING_MIN_GROUP = 4
 SIFTING_MAX_MEAN_FRACTION = 0.8
 #: The per-run witness predicate threshold for shrinking.
 SIFTING_WITNESS_FRACTION = 0.8
+
+
+class _SiftingWitness(Fold):
+    """The per-run witness of ``sifting_effective`` (Claim 3.2).
+
+    Counts SURVIVE decisions; once ``ceil(SIFTING_WITNESS_FRACTION * k)``
+    participants (``k >= SIFTING_MIN_K``) survived, this one run already
+    meets the ensemble's witness predicate, before the rest decide.  The
+    first crash disarms it: the ensemble judges crash-free phases only.
+    """
+
+    __slots__ = ("_k", "_threshold", "_survivors")
+
+    def __init__(self, k: int | None = None) -> None:
+        self._k = k
+        self._threshold: int | None = (
+            math.ceil(SIFTING_WITNESS_FRACTION * k)
+            if k is not None and k >= SIFTING_MIN_K else None
+        )
+        self._survivors = 0
+
+    def observe(self, item: Event) -> str | None:
+        if self._threshold is None:
+            return None
+        if item.etype == EventType.SCHED_CRASH:
+            self._threshold = None
+            return None
+        if (
+            item.etype != EventType.PROC_DECIDE
+            or _decided(item) != "survive"
+        ):
+            return None
+        self._survivors += 1
+        if self._survivors < self._threshold:
+            return None
+        return (
+            f"{self._survivors}/{self._k} participants already survived "
+            f"(>= {SIFTING_WITNESS_FRACTION:.0%} witness threshold) in a "
+            f"crash-free phase: the sifter is not sifting"
+        )
 
 
 def _sifting_qualifies(stats: TrialStats) -> bool:
@@ -576,17 +724,12 @@ def _check_sifting_effective(
     return None
 
 
-def _sifting_witness(ctx: CheckContext) -> bool:
-    return (
-        ctx.crash_free
-        and ctx.result.terminated
-        and ctx.k >= SIFTING_MIN_K
-        and ctx.survivor_fraction >= SIFTING_WITNESS_FRACTION
-    )
-
-
 def _check_lease_unique_holder(ctx: CheckContext) -> str | None:
-    """At most one grant per ``(key, epoch)`` — the service's Lemma A.2."""
+    """At most one grant per ``(key, epoch)`` — the service's Lemma A.2.
+
+    Post hoc only: in grant order a second holder for a ``(key, epoch)``
+    is also an epoch regression, so the grant gate needs only the fence.
+    """
     seen: dict[tuple[str, int], str] = {}
     for record in ctx.run.history:
         slot = (record.key, record.epoch)
@@ -599,18 +742,24 @@ def _check_lease_unique_holder(ctx: CheckContext) -> str | None:
     return None
 
 
-def _check_lease_epoch_monotonic(ctx: CheckContext) -> str | None:
+class _LeaseEpochMonotonic(Fold):
     """Per key, grant epochs strictly increase in grant order."""
-    last: dict[str, int] = {}
-    for record in ctx.run.history:
-        previous = last.get(record.key)
-        if previous is not None and record.epoch <= previous:
+
+    __slots__ = ("_floor",)
+
+    def __init__(self, k: int | None = None) -> None:
+        self._floor: dict[str, int] = {}
+
+    def observe(self, item: Any) -> str | None:
+        previous = self._floor.get(item.key)
+        if previous is not None and item.epoch <= previous:
             return (
-                f"{record.key!r} granted epoch {record.epoch} after epoch "
-                f"{previous}: fencing tokens must strictly increase"
+                f"key {item.key!r} granted to {item.holder!r} at epoch "
+                f"{item.epoch} but the fencing floor is {previous} — "
+                f"stale-epoch double grant"
             )
-        last[record.key] = record.epoch
-    return None
+        self._floor[item.key] = item.epoch
+        return None
 
 
 def _check_lease_no_overlap(ctx: CheckContext) -> str | None:
@@ -635,8 +784,8 @@ def _check_lease_no_overlap(ctx: CheckContext) -> str | None:
             if current.granted_ns < previous.ended_ns:
                 return (
                     f"{key!r} epoch {current.epoch} granted at "
-                    f"t={current.granted_ns} before epoch {previous.epoch} "
-                    f"ended at t={previous.ended_ns}"
+                    f"t={current.granted_ns} before epoch "
+                    f"{previous.epoch} ended at t={previous.ended_ns}"
                 )
     return None
 
@@ -648,7 +797,7 @@ def evaluate_service_run(run: Any) -> list[tuple[str, str]]:
     ``(invariant name, violation message)`` pairs, empty when the
     namespace kept at most one fenced leader per ``(key, epoch)``.
     """
-    return evaluate_run(SERVICE_SPEC, run, None, invariants_for("serve"))
+    return evaluate_run(SERVICE_SPEC, run)
 
 
 #: Registry of every invariant, keyed by name.
@@ -659,52 +808,52 @@ INVARIANTS: dict[str, Invariant] = {
             "valid_election_outcomes", "Section 2 (problem statement)",
             "run", ("elect",),
             "Every decided participant returns WIN or LOSE.",
-            check=_check_valid_election_outcomes,
+            fold=_ValidElectionOutcomes,
         ),
         Invariant(
             "unique_winner", "Lemma A.2",
             "run", ("elect",),
             "At most one participant returns WIN.",
-            check=_check_unique_winner,
+            fold=_UniqueWinner,
         ),
         Invariant(
             "winner_exists", "Lemma A.1",
             "run", ("elect",),
             "A crash-free, fully-decided election elects somebody.",
-            check=_check_winner_exists,
+            fold=_verdict_only(_check_winner_exists),
         ),
         Invariant(
             "election_linearizable", "Lemma A.3",
             "run", ("elect",),
             "No LOSE responds before the (possibly pending) winner's "
-            "invocation — checked by linearizing the execution as an "
-            "atomic register history.",
-            check=_check_election_linearizable,
+            "invocation — the closed form of linearizing the execution as "
+            "an atomic test-and-set.",
+            fold=_verdict_only(_check_election_linearizable),
         ),
         Invariant(
             "election_terminates", "Lemma A.1 (termination)",
             "run", ("elect",),
             "Crash-free executions decide every participant.",
-            check=_check_terminates,
+            fold=_verdict_only(_check_terminates),
         ),
         Invariant(
             "valid_sift_outcomes", "Figures 1-2 (return values)",
             "run", ("sift",),
             "Every decided participant returns SURVIVE or DIE.",
-            check=_check_valid_sift_outcomes,
+            fold=_ValidSiftOutcomes,
         ),
         Invariant(
             "at_least_one_survivor", "Claim 3.1",
             "run", ("sift",),
             "If every participant returns, at least one survives.",
-            check=_check_at_least_one_survivor,
+            fold=_verdict_only(_check_at_least_one_survivor),
         ),
         Invariant(
             "no_false_death", "Figures 1-2 (survival rule)",
             "run", ("sift",),
             "A participant that flipped high priority never dies, and a "
             "sole participant always survives.",
-            check=_check_no_false_death,
+            fold=_NoFalseDeath,
         ),
         Invariant(
             "learned_closure", "Claim 3.3 (closure bookkeeping)",
@@ -712,53 +861,55 @@ INVARIANTS: dict[str, Invariant] = {
             "Every announced L set (a pidset bitmask) contains its "
             "announcer and the announcer's own observed list; skipped "
             "for non-heterogeneous sifters and uncaptured event streams.",
-            check=_check_learned_closure,
+            fold=_LearnedClosure,
         ),
         Invariant(
             "sifting_effective", "Claim 3.2 / Lemmas 3.6-3.7",
             "ensemble", ("sift",),
             "Across the exploration budget, no adversary holds the mean "
-            "survivor fraction at ~1: a sifter must actually sift.",
+            "survivor fraction at ~1: a sifter must actually sift.  Its "
+            "per-run witness streams as sifting_witness.",
+            fold=_SiftingWitness,
             check_ensemble=_check_sifting_effective,
-            witness=_sifting_witness,
+            stream_name="sifting_witness",
         ),
         Invariant(
             "names_unique", "Lemma A.6 (uniqueness)",
             "run", ("rename",),
             "No two participants decide the same name.",
-            check=_check_names_unique,
+            fold=_NamesUnique,
         ),
         Invariant(
             "names_in_range", "Lemma A.6 (namespace)",
             "run", ("rename",),
             "Every decided name is an integer in [0, n).",
-            check=_check_names_in_range,
+            fold=_verdict_only(_check_names_in_range),
         ),
         Invariant(
             "renaming_terminates", "Lemma A.6 (termination)",
             "run", ("rename",),
             "Crash-free executions decide every participant.",
-            check=_check_terminates,
+            fold=_verdict_only(_check_terminates),
         ),
         Invariant(
             "lease_unique_holder", "Theorem 4.2 per name (service)",
             "run", ("serve",),
             "At most one holder is ever granted a given (key, epoch).",
-            check=_check_lease_unique_holder,
+            fold=_verdict_only(_check_lease_unique_holder),
         ),
         Invariant(
             "lease_epoch_monotonic", "epoch fencing (service)",
             "run", ("serve",),
             "Per key, grant epochs strictly increase: a stale fencing "
             "token can never win a later election.",
-            check=_check_lease_epoch_monotonic,
+            fold=_LeaseEpochMonotonic,
         ),
         Invariant(
             "lease_no_overlap", "mutual exclusion (service)",
             "run", ("serve",),
             "Per key, grant intervals never overlap: successive leaders "
             "hand off, they do not coexist.",
-            check=_check_lease_no_overlap,
+            fold=_verdict_only(_check_lease_no_overlap),
         ),
     )
 }
@@ -785,26 +936,45 @@ def invariants_for(
     return selected
 
 
+def stream_folds(
+    task: str, k: int | None = None, names: Sequence[str] | None = None
+) -> list[tuple[str, Fold]]:
+    """Fresh ``(stream name, fold)`` pairs of every streaming fold of ``task``.
+
+    ``names`` filters by stream name; a name no fold streams under
+    raises ``ValueError``.
+    """
+    streaming = [inv for inv in INVARIANTS.values() if inv.streams]
+    if names is not None:
+        unknown = sorted(set(names) - {inv.stream_name for inv in streaming})
+        if unknown:
+            raise ValueError(
+                f"unknown streaming invariants {unknown}; known: "
+                f"{sorted(inv.stream_name for inv in streaming)}"
+            )
+    return [
+        (inv.stream_name, inv.fold(k)) for inv in streaming
+        if task in inv.tasks and (names is None or inv.stream_name in names)
+    ]
+
+
 def evaluate_run(
     spec: ProtocolSpec,
     run: Any,
-    events: Sequence[Event] | None,
-    invariants: Sequence[Invariant],
+    events: Sequence[Event] | None = None,
+    invariants: Sequence[Invariant] | None = None,
 ) -> list[tuple[str, str]]:
     """Evaluate every run-scope invariant against one execution.
 
-    Returns ``(invariant name, violation message)`` pairs; an empty list
-    means the run satisfied all of them.
+    ``invariants`` defaults to all of ``spec``'s task.  Returns
+    ``(invariant name, violation message)`` pairs in registry order; an
+    empty list means the run satisfied all of them.
     """
-    ctx = CheckContext(spec, run, events)
-    violations: list[tuple[str, str]] = []
-    for invariant in invariants:
-        if invariant.scope != "run":
-            continue
-        message = invariant.check(ctx)
-        if message is not None:
-            violations.append((invariant.name, message))
-    return violations
+    if invariants is None:
+        invariants = invariants_for(spec.task)
+    selected = [inv for inv in invariants if inv.scope == "run"]
+    found = _fold_run(CheckContext(spec, run, events), selected)
+    return [(inv.name, found[inv.name]) for inv in selected if inv.name in found]
 
 
 def stats_for(

@@ -1,54 +1,52 @@
 """Streaming invariant checking: fail during the run, not after it.
 
-:mod:`repro.check.invariants` evaluates a finished execution; the chaos
-soak and election-as-a-service directions need violations surfaced
-*while a run is in flight* — a multi-hour soak should die at the first
-double-winner, not report it next morning.  This module re-expresses the
-incremental-capable subset of the invariant registry as per-event
-monitors and packages them behind :class:`StreamingChecker`, an
-:class:`~repro.obs.events.EventSink` that raises
-:class:`StreamingViolation` the moment a property breaks, pinpointing
-the offending event id (its index in the stream) and logical timestamp.
+:mod:`repro.check.invariants` defines each invariant once, as a fold;
+the chaos soak and election-as-a-service directions need violations
+surfaced *while a run is in flight* — a multi-hour soak should die at
+the first double-winner, not report it next morning.
+:class:`StreamingChecker` is the streaming driver of those folds: an
+:class:`~repro.obs.events.EventSink` that passes every event to the
+``observe`` part of each streaming fold of its task and raises
+:class:`StreamingViolation` the moment one reports, pinpointing the
+offending event id (its index in the stream) and logical timestamp.
 
-Not every invariant can stream: linearizability and winner-existence
-are properties of the *completed* history, and ``sifting_effective`` is
-an ensemble statistic.  What does stream:
+Folds without an ``observe`` part need the finished run (termination,
+winner existence, linearizability) and are judged post hoc only.  What
+streams:
 
 * ``unique_winner`` — the second WIN decision is already a violation;
 * ``valid_election_outcomes`` / ``valid_sift_outcomes`` — each decision
   is checkable in isolation;
 * ``no_false_death`` — a DIE from a processor whose last sifter coin
-  was 1 violates the commit-before-flip rule the instant it decides;
+  was 1 (or from a sole participant) violates the survival rule the
+  instant it decides;
+* ``learned_closure`` — each announced ``L`` set is checked as it is
+  written;
 * ``names_unique`` — the first duplicate name is a violation;
-* ``sifting_witness`` — the streaming face of ``sifting_effective``:
-  once a crash-free phase has ``ceil(0.8 * k)`` survivors (``k >= 8``),
-  this run is already an ensemble witness.  The naive sifter under the
-  coin-aware adversary trips it with participants still undecided —
-  which is how CI verifies mid-run detection.
+* ``sifting_witness`` — the per-run witness of the ensemble invariant
+  ``sifting_effective``: once a crash-free phase has
+  ``ceil(0.8 * k)`` survivors (``k >= 8``), this run is already an
+  ensemble witness.  The naive sifter under the coin-aware adversary
+  trips it with participants still undecided — which is how CI
+  verifies mid-run detection.
 
-Monitors normalize decision values through ``getattr(v, "value", v)``,
-so the same checker works on live streams (fields carry
-:class:`~repro.core.protocol.Outcome` enums) and on replayed JSONL
-traces (fields carry their serialized strings).
+The folds normalize decision values, so the same checker works on live
+streams (fields carry :class:`~repro.core.protocol.Outcome` enums) and
+on replayed JSONL traces (fields carry their serialized strings).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from ..obs.events import Event, EventType
-from .invariants import SIFTING_MIN_K, SIFTING_WITNESS_FRACTION
+from ..obs.events import Event
+from .invariants import FOLDED_EVENTS, stream_folds
 
 __all__ = [
-    "STREAMING_INVARIANTS",
     "StreamError",
     "StreamingChecker",
-    "StreamingInvariant",
     "StreamingViolation",
     "audit_trace",
-    "streaming_invariants_for",
 ]
 
 
@@ -82,232 +80,30 @@ class StreamingViolation(RuntimeError):
         self.event = event
 
 
-def _decision_value(event: Event):
-    """The decision payload, enum-normalized (live Outcome or JSONL str)."""
-    result = event.fields.get("result")
-    return getattr(result, "value", result)
-
-
-class _Monitor:
-    """Base class: one stateful per-run instance of a streaming invariant."""
-
-    __slots__ = ()
-
-    def observe(self, event: Event) -> str | None:
-        """Fold one event; return a violation message or ``None``."""
-        raise NotImplementedError
-
-
-class _UniqueWinner(_Monitor):
-    __slots__ = ("_winner",)
-
-    def __init__(self, checker: "StreamingChecker") -> None:
-        self._winner: int | None = None
-
-    def observe(self, event: Event) -> str | None:
-        if event.etype != EventType.PROC_DECIDE:
-            return None
-        if _decision_value(event) != "win":
-            return None
-        if self._winner is not None:
-            return f"second winner p{event.pid} after p{self._winner}"
-        self._winner = event.pid
-        return None
-
-
-class _ValidOutcomes(_Monitor):
-    __slots__ = ("_allowed",)
-
-    def __init__(self, allowed: tuple[str, ...]) -> None:
-        self._allowed = allowed
-
-    def observe(self, event: Event) -> str | None:
-        if event.etype != EventType.PROC_DECIDE:
-            return None
-        value = _decision_value(event)
-        if value not in self._allowed:
-            return f"p{event.pid} decided {value!r}, outside {list(self._allowed)}"
-        return None
-
-
-class _NoFalseDeath(_Monitor):
-    __slots__ = ("_last_coin",)
-
-    def __init__(self, checker: "StreamingChecker") -> None:
-        self._last_coin: dict[int, int] = {}
-
-    def observe(self, event: Event) -> str | None:
-        if event.etype == EventType.COIN_FLIP:
-            if str(event.fields.get("label", "")).endswith(".coin"):
-                self._last_coin[event.pid] = event.fields.get("value")
-            return None
-        if event.etype != EventType.PROC_DECIDE:
-            return None
-        if _decision_value(event) == "die" and self._last_coin.get(event.pid) == 1:
-            return f"p{event.pid} flipped 1 (high priority) but returned DIE"
-        return None
-
-
-class _NamesUnique(_Monitor):
-    __slots__ = ("_claimed",)
-
-    def __init__(self, checker: "StreamingChecker") -> None:
-        self._claimed: dict = {}
-
-    def observe(self, event: Event) -> str | None:
-        if event.etype != EventType.PROC_DECIDE:
-            return None
-        name = _decision_value(event)
-        previous = self._claimed.get(name)
-        if previous is not None:
-            return f"p{event.pid} decided name {name!r}, already taken by p{previous}"
-        self._claimed[name] = event.pid
-        return None
-
-
-class _SiftingWitness(_Monitor):
-    """Streaming witness for ``sifting_effective`` (Claim 3.2).
-
-    Counts SURVIVE decisions in a crash-free phase; once the survivor
-    count reaches ``ceil(SIFTING_WITNESS_FRACTION * k)`` with
-    ``k >= SIFTING_MIN_K``, this single run already satisfies the
-    ensemble invariant's witness predicate — no need to wait for the
-    rest to decide, let alone for more runs.  Disarmed by the first
-    crash (the ensemble only judges crash-free phases).
-    """
-
-    __slots__ = ("_k", "_survivors", "_armed", "_threshold", "_fired")
-
-    def __init__(self, checker: "StreamingChecker") -> None:
-        self._k = checker.k
-        self._survivors = 0
-        self._armed = self._k is not None and self._k >= SIFTING_MIN_K
-        self._threshold = (
-            math.ceil(SIFTING_WITNESS_FRACTION * self._k) if self._k else 0
-        )
-        self._fired = False
-
-    def observe(self, event: Event) -> str | None:
-        if not self._armed or self._fired:
-            return None
-        if event.etype == EventType.SCHED_CRASH:
-            self._armed = False
-            return None
-        if event.etype != EventType.PROC_DECIDE:
-            return None
-        if _decision_value(event) != "survive":
-            return None
-        self._survivors += 1
-        if self._survivors >= self._threshold:
-            self._fired = True
-            return (
-                f"{self._survivors}/{self._k} participants already survived "
-                f"(>= {SIFTING_WITNESS_FRACTION:.0%} witness threshold) in a "
-                f"crash-free phase: the sifter is not sifting"
-            )
-        return None
-
-
-@dataclass(frozen=True, slots=True)
-class StreamingInvariant:
-    """One incrementally-checkable invariant: metadata plus a monitor factory.
-
-    ``factory`` builds a fresh stateful :class:`_Monitor` per checker;
-    it receives the checker so monitors can read run parameters (``k``).
-    ``batch_name`` links back to the post-hoc invariant in
-    :data:`repro.check.invariants.INVARIANTS` that this monitor streams.
-    """
-
-    name: str
-    claim: str
-    tasks: tuple[str, ...]
-    description: str
-    factory: Callable[["StreamingChecker"], _Monitor]
-    batch_name: str
-
-
-#: Registry of every streaming invariant, keyed by name.
-STREAMING_INVARIANTS: dict[str, StreamingInvariant] = {
-    inv.name: inv
-    for inv in (
-        StreamingInvariant(
-            "unique_winner", "Lemma A.2", ("elect",),
-            "The second WIN decision is flagged the instant it happens.",
-            factory=_UniqueWinner, batch_name="unique_winner",
-        ),
-        StreamingInvariant(
-            "valid_election_outcomes", "Section 2 (problem statement)",
-            ("elect",),
-            "Each decision must be WIN or LOSE, checked in isolation.",
-            factory=lambda checker: _ValidOutcomes(("win", "lose")),
-            batch_name="valid_election_outcomes",
-        ),
-        StreamingInvariant(
-            "valid_sift_outcomes", "Figures 1-2 (return values)", ("sift",),
-            "Each decision must be SURVIVE or DIE, checked in isolation.",
-            factory=lambda checker: _ValidOutcomes(("survive", "die")),
-            batch_name="valid_sift_outcomes",
-        ),
-        StreamingInvariant(
-            "no_false_death", "Figures 1-2 (survival rule)", ("sift",),
-            "A DIE from a processor whose last sifter coin was 1 is "
-            "flagged at its decide event.",
-            factory=_NoFalseDeath, batch_name="no_false_death",
-        ),
-        StreamingInvariant(
-            "sifting_witness", "Claim 3.2 / Lemmas 3.6-3.7", ("sift",),
-            "Fires once a crash-free phase accumulates the ensemble "
-            "witness fraction of survivors — before the run completes.",
-            factory=_SiftingWitness, batch_name="sifting_effective",
-        ),
-        StreamingInvariant(
-            "names_unique", "Lemma A.6 (uniqueness)", ("rename",),
-            "The first duplicate name is flagged at its decide event.",
-            factory=_NamesUnique, batch_name="names_unique",
-        ),
-    )
-}
-
-
-def streaming_invariants_for(
-    task: str, names: Sequence[str] | None = None
-) -> list[StreamingInvariant]:
-    """The streaming invariants applicable to ``task``, optionally filtered.
-
-    Unknown names raise :class:`ValueError`, mirroring
-    :func:`repro.check.invariants.invariants_for`.
-    """
-    if names is not None:
-        unknown = sorted(set(names) - set(STREAMING_INVARIANTS))
-        if unknown:
-            raise ValueError(
-                f"unknown streaming invariants {unknown}; "
-                f"known: {sorted(STREAMING_INVARIANTS)}"
-            )
-    return [
-        inv for inv in STREAMING_INVARIANTS.values()
-        if task in inv.tasks and (names is None or inv.name in names)
-    ]
-
-
 class StreamingChecker:
-    """EventSink that evaluates streaming invariants as events arrive.
+    """EventSink that runs the streaming folds of a task as events arrive.
 
     Attach alongside any other sink (the runtime fans out through
-    :class:`~repro.obs.events.MultiSink`); each event is folded into
-    every monitor for the chosen ``task``.  On a violation the default
-    is to **fail fast**: raise :class:`StreamingViolation` out of the
-    emitting call, aborting the run at the offending event.  With
+    :class:`~repro.obs.events.MultiSink`); each event is passed to every
+    streaming fold of the chosen ``task``
+    (:func:`~repro.check.invariants.stream_folds`).  On a violation the
+    default is to **fail fast**: raise :class:`StreamingViolation` out of
+    the emitting call, aborting the run at the offending event.  With
     ``fail_fast=False`` violations accumulate in :attr:`violations`
-    instead (one entry per invariant — monitors are dropped after their
+    instead (one entry per invariant — folds are dropped after their
     first finding) and the run continues, which is what trace auditing
     (``repro check``'s post-hoc mode and tests) wants.
 
-    ``k`` is the participant count, needed by the sifting witness; pass
-    it when checking ``sift`` runs, omit it otherwise.
+    ``k`` is the participant count, needed by the sifting witness and the
+    sole-participant rule; pass it when checking ``sift`` runs.
+    ``invariants`` optionally restricts the check to those stream names;
+    afterwards the attribute holds the names being checked.
     """
 
-    __slots__ = ("task", "k", "fail_fast", "violations", "_monitors", "_index")
+    __slots__ = (
+        "task", "k", "fail_fast", "violations", "invariants", "_folds",
+        "_index",
+    )
 
     def __init__(
         self,
@@ -320,10 +116,8 @@ class StreamingChecker:
         self.k = k
         self.fail_fast = fail_fast
         self.violations: list[StreamingViolation] = []
-        self._monitors: list[tuple[str, _Monitor]] = [
-            (inv.name, inv.factory(self))
-            for inv in streaming_invariants_for(task, invariants)
-        ]
+        self._folds = stream_folds(task, k, invariants)
+        self.invariants = tuple(name for name, _ in self._folds)
         self._index = -1
 
     @property
@@ -332,15 +126,17 @@ class StreamingChecker:
         return self._index + 1
 
     def emit(self, event: Event) -> None:
-        """Check one event against every active monitor.
+        """Pass one event to every active fold.
 
         Raises :class:`StreamingViolation` in fail-fast mode; otherwise
-        records the violation and deactivates that invariant's monitor.
+        records the violation and drops that invariant's fold.
         """
         self._index += 1
+        if event.etype not in FOLDED_EVENTS:
+            return
         tripped: list[int] = []
-        for position, (name, monitor) in enumerate(self._monitors):
-            message = monitor.observe(event)
+        for position, (name, fold) in enumerate(self._folds):
+            message = fold.observe(event)
             if message is None:
                 continue
             violation = StreamingViolation(name, message, self._index, event)
@@ -349,7 +145,7 @@ class StreamingChecker:
             self.violations.append(violation)
             tripped.append(position)
         for position in reversed(tripped):
-            del self._monitors[position]
+            del self._folds[position]
 
     def close(self) -> None:
         """No-op: recorded violations stay readable after the run."""

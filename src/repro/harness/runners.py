@@ -3,8 +3,9 @@
 These wrap the three moving parts — algorithm factory, adversary,
 simulation — behind task-shaped entry points that benchmarks, examples,
 and tests share.  Every runner validates the execution against the
-problem specification before returning, so a benchmark number can never
-come from a broken run.
+invariant registry (:mod:`repro.check.invariants`) before returning, so
+a benchmark number can never come from a broken run.  The registry is
+imported on that check path only, which keeps it out of a bare import.
 """
 
 from __future__ import annotations
@@ -13,12 +14,6 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from ..adversary import ADVERSARY_FACTORIES, Adversary, CrashingAdversary
-from ..analysis.checkers import (
-    LeaderElectionReport,
-    check_leader_election,
-    check_renaming,
-    check_sifting_phase,
-)
 from ..core import (
     Outcome,
     make_get_name,
@@ -38,6 +33,23 @@ from .workloads import choose_participants
 LEADER_ALGORITHMS = ("poison_pill", "poison_pill_basic", "tournament")
 SIFTER_KINDS = ("poison_pill", "heterogeneous", "naive")
 RENAMING_ALGORITHMS = ("paper", "linear")
+
+
+class SpecificationViolation(AssertionError):
+    """A checked run broke a registry invariant; ``invariant`` names it."""
+
+    def __init__(self, invariant: str, message: str) -> None:
+        super().__init__(f"[{invariant}] {message}")
+        self.invariant = invariant
+
+
+def _check(task: str, algorithm: str, run: Any) -> None:
+    """Raise :class:`SpecificationViolation` for the first invariant broken."""
+    from ..check.invariants import evaluate_run, protocol_for
+
+    violations = evaluate_run(protocol_for(task, algorithm), run)
+    if violations:
+        raise SpecificationViolation(*violations[0])
 
 
 def make_adversary(spec: str | Adversary, seed: int = 0) -> Adversary:
@@ -168,6 +180,28 @@ def _coin_rounds(result_sim: Simulation, label_fragment: str) -> int:
     return best
 
 
+@dataclass(frozen=True, slots=True)
+class LeaderElectionReport:
+    """Digest of a leader-election execution's decisions."""
+
+    winner: int | None
+    losers: tuple[int, ...]
+    crashed: tuple[int, ...]
+    undecided: tuple[int, ...]
+
+    @classmethod
+    def of(cls, result: SimulationResult) -> "LeaderElectionReport":
+        """Read the report off ``result``'s decisions (lowest WIN pid wins)."""
+        decided = sorted(result.decisions.items())
+        winners = [pid for pid, d in decided if d.result is Outcome.WIN]
+        return cls(
+            winner=winners[0] if winners else None,
+            losers=tuple(pid for pid, d in decided if d.result is Outcome.LOSE),
+            crashed=tuple(sorted(result.crashed)),
+            undecided=tuple(sorted(result.undecided)),
+        )
+
+
 @dataclass(slots=True)
 class LeaderElectionRun:
     """A checked leader-election execution plus its headline measurements."""
@@ -241,21 +275,20 @@ def run_leader_election(
             telemetry,
         )
     result = sim.run(require_termination=check and not crash_schedule)
-    report = check_leader_election(result) if check else LeaderElectionReport(
-        winner=None, losers=(), crashed=tuple(result.crashed),
-        undecided=tuple(result.undecided),
-    )
     adversary_name = adversary if isinstance(adversary, str) else adversary.name
-    return LeaderElectionRun(
+    run = LeaderElectionRun(
         n=n,
         k=len(participants),
         algorithm=algorithm,
         adversary=adversary_name,
         seed=seed,
         result=result,
-        report=report,
+        report=LeaderElectionReport.of(result),
         rounds=_coin_rounds(sim, ".hpp"),
     )
+    if check:
+        _check("elect", algorithm, run)
+    return run
 
 
 @dataclass(slots=True)
@@ -306,19 +339,21 @@ def run_sifting_phase(
             max_events, sink, profiler, delta_propagation, telemetry,
         )
     result = sim.run()
-    survivors = check_sifting_phase(result) if check else sum(
-        1 for d in result.decisions.values() if d.result is Outcome.SURVIVE
-    )
     adversary_name = adversary if isinstance(adversary, str) else adversary.name
-    return SiftingRun(
+    run = SiftingRun(
         n=n,
         k=len(participants),
         kind=kind,
         adversary=adversary_name,
         seed=seed,
         result=result,
-        survivors=survivors,
+        survivors=sum(
+            1 for d in result.decisions.values() if d.result is Outcome.SURVIVE
+        ),
     )
+    if check:
+        _check("sift", kind, run)
+    return run
 
 
 @dataclass(slots=True)
@@ -383,7 +418,6 @@ def run_renaming(
             telemetry,
         )
     result = sim.run(require_termination=check and not crash_schedule)
-    names = check_renaming(result) if check else dict(result.outcomes)
     max_trials = max(
         (
             sum(1 for label, _ in process.coins.all() if spot_label in label)
@@ -392,13 +426,16 @@ def run_renaming(
         default=0,
     )
     adversary_name = adversary if isinstance(adversary, str) else adversary.name
-    return RenamingRun(
+    run = RenamingRun(
         n=n,
         k=len(participants),
         algorithm=algorithm,
         adversary=adversary_name,
         seed=seed,
         result=result,
-        names=names,
+        names=dict(result.outcomes),
         max_trials=max_trials,
     )
+    if check:
+        _check("rename", algorithm, run)
+    return run

@@ -17,9 +17,10 @@ frames are replayed DLQ-style via
 :meth:`~repro.net.service.ElectionService.replay_dlq`.
 
 Safety is gated **mid-stream**, not post-hoc: every grant the service
-issues flows through a :class:`LeaseMonitor` attached to the service's
-``grant_hook``, and optional ``repro net`` election episodes run under
-the phase plan current at launch with their traces streamed through
+issues flows from the service's ``grant_hook`` through the streaming
+serve-task folds of :mod:`repro.check.invariants` (the epoch fence),
+and optional ``repro net`` election episodes run under the phase plan
+current at launch with their traces streamed through
 :func:`repro.check.streaming.audit_trace`.  The first violation aborts
 the soak immediately and writes a **replayable incident artifact** —
 seed, profile, full phase plan, the complete grant log with a canonical
@@ -29,7 +30,7 @@ network at all.
 
 The negative control: ``inject_violation_at_s`` fabricates a
 stale-epoch double grant and pushes it down the same hook path a real
-grant takes, proving the monitor catches exactly the class of bug the
+grant takes, proving the gate catches exactly the class of bug the
 epoch fence exists to prevent (CI runs this on every push).
 
 Paper mapping: the soak is Lemma A.2 ("at most one winner") stress-tested
@@ -57,7 +58,6 @@ from ..sim.rng import derive_seed
 
 __all__ = [
     "IncidentReplay",
-    "LeaseMonitor",
     "SOAK_FORMAT_VERSION",
     "SoakError",
     "SoakReport",
@@ -115,45 +115,22 @@ class SoakViolation:
         )
 
 
-class LeaseMonitor:
-    """The mid-stream grant gate: per-key epochs must strictly increase.
+def _gate(folds: list, record: GrantRecord, index: int) -> SoakViolation | None:
+    """Pass grant #``index`` to the streaming serve folds; its violation, if any.
 
-    Attached to the service's ``grant_hook``, it sees every
-    :class:`~repro.net.service.GrantRecord` the moment it is issued and
-    fails fast on the first stale-epoch double grant — the streaming
-    face of ``lease_epoch_monotonic`` from :mod:`repro.check.invariants`.
-    Pure function of the grant sequence, so :func:`replay_incident` can
-    re-run it over a recorded log and reach the same verdict.
+    ``folds`` come from :func:`repro.check.invariants.stream_folds`, so
+    the soak judges a grant exactly as the post-hoc check judges it in
+    the grant log — a pure function of the grant sequence, which is what
+    lets :func:`replay_incident` reach the same verdict offline.
     """
-
-    def __init__(self) -> None:
-        #: Per-key fencing floor: the highest epoch granted so far.
-        self.floors: dict[str, int] = {}
-        #: Grants observed (also the index of the *next* grant).
-        self.grants = 0
-        #: The first violation, or ``None`` while the stream is clean.
-        self.violation: SoakViolation | None = None
-
-    def observe(self, record: GrantRecord) -> SoakViolation | None:
-        """Feed one grant; returns the violation it causes, if any."""
-        index = self.grants
-        self.grants += 1
-        floor = self.floors.get(record.key)
-        if floor is not None and record.epoch <= floor:
-            violation = SoakViolation(
-                invariant="lease_epoch_monotonic",
-                message=(
-                    f"grant #{index}: key {record.key!r} granted to "
-                    f"{record.holder!r} at epoch {record.epoch} but the "
-                    f"fencing floor is {floor} — stale-epoch double grant"
-                ),
+    for name, fold in folds:
+        message = fold.observe(record)
+        if message is not None:
+            return SoakViolation(
+                invariant=name, message=f"grant #{index}: {message}",
                 grant_index=index,
             )
-            if self.violation is None:
-                self.violation = violation
-            return violation
-        self.floors[record.key] = record.epoch
-        return None
+    return None
 
 
 @dataclass(slots=True)
@@ -218,7 +195,6 @@ class _SoakState:
     """Mutable rendezvous between the soak's concurrent tasks."""
 
     stop: asyncio.Event
-    monitor: LeaseMonitor
     registry: MetricsRegistry
     service: ElectionService
     host: str = ""
@@ -388,15 +364,16 @@ async def _inject_stale_grant(state: _SoakState, at_s: float) -> None:
     violate, then appends a :class:`~repro.net.service.GrantRecord`
     reusing that floor and pushes it through the same history + hook
     path a genuine grant takes — indistinguishable from a service bug
-    except by its stale epoch, which is the monitor's whole job.
+    except by its stale epoch, which is the grant gate's whole job.
     """
     await asyncio.sleep(at_s)
-    while not state.stop.is_set() and not state.monitor.floors:
+    while not state.stop.is_set() and not state.grant_log:
         await asyncio.sleep(0.01)
     if state.stop.is_set():
         return
-    key = sorted(state.monitor.floors)[0]
-    floor = state.monitor.floors[key]
+    floors = {record.key: record.epoch for record in state.grant_log}
+    key = sorted(floors)[0]
+    floor = floors[key]
     state.injected = True
     record = GrantRecord(
         key=key, epoch=floor, holder="soak-evil-twin", session=-1,
@@ -561,19 +538,21 @@ async def _run_soak_async(
     inject_violation_at_s: float | None,
 ) -> SoakReport:
     """The soak's async body: start the stack, fan out, gate, report."""
+    from ..check.invariants import stream_folds
+
     plan = make_phased_plan(profile, seed, n)
     registry = MetricsRegistry()
-    monitor = LeaseMonitor()
+    folds = stream_folds("serve")
     stop = asyncio.Event()
     state = _SoakState(
-        stop=stop, monitor=monitor, registry=registry,
+        stop=stop, registry=registry,
         service=None,  # type: ignore[arg-type] — set right below
     )
 
     def on_grant(record: GrantRecord) -> None:
-        """Grant hook: log every grant and gate it through the monitor."""
+        """Grant hook: log every grant and gate it through the folds."""
+        violation = _gate(folds, record, len(state.grant_log))
         state.grant_log.append(record)
-        violation = monitor.observe(record)
         if violation is not None:
             state.flag(violation)
 
@@ -744,10 +723,10 @@ class IncidentReplay:
         """``True`` when the artifact replays to the recorded verdict.
 
         The grant-log digest must match, and for monitor-sourced
-        violations the replayed monitor must fire the same invariant at
-        the same grant index with the same message.  Episode- and
+        violations the replayed grant gate must fire the same invariant
+        at the same grant index with the same message.  Episode- and
         post-hoc-sourced violations carry their evidence (trace path /
-        message) rather than replaying through the monitor, so for them
+        message) rather than replaying through the gate, so for them
         digest integrity is the whole check.
         """
         if not self.digest_ok:
@@ -808,11 +787,13 @@ def load_incident(path: str) -> dict[str, Any]:
 def replay_incident(path: str) -> IncidentReplay:
     """Deterministically re-verify an incident artifact, offline.
 
-    Recomputes the grant-log digest and re-runs the
-    :class:`LeaseMonitor` over the recorded grants — a pure function of
-    the log, so the verdict is bit-for-bit reproducible on any machine
-    with no service, sockets, or timing involved.
+    Recomputes the grant-log digest and re-runs the grant gate's folds
+    over the recorded grants — a pure function of the log, so the verdict
+    is bit-for-bit reproducible on any machine with no service, sockets,
+    or timing involved.
     """
+    from ..check.invariants import stream_folds
+
     obj = load_incident(path)
     grants = obj["grants"]
     digest_ok = _grants_digest(grants) == obj["grants_sha256"]
@@ -820,14 +801,15 @@ def replay_incident(path: str) -> IncidentReplay:
         SoakViolation.from_obj(obj["violation"])
         if obj["violation"] is not None else None
     )
-    monitor = LeaseMonitor()
-    for grant in grants:
+    folds = stream_folds("serve")
+    replayed = None
+    for index, grant in enumerate(grants):
         record = GrantRecord(**{name: grant[name] for name in _GRANT_FIELDS})
-        monitor.observe(record)
+        replayed = replayed or _gate(folds, record, index)
     return IncidentReplay(
         path=path,
         recorded=recorded,
-        replayed=monitor.violation,
+        replayed=replayed,
         digest_ok=digest_ok,
         injected=bool(obj.get("injected", False)),
     )

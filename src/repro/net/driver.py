@@ -88,19 +88,6 @@ _FACTORIES = {
     ("rename", "linear"): make_linear_renaming,
 }
 
-#: ``(task, algorithm)`` to the repro.check protocol registry name, so a
-#: net run is judged by the same invariant sets as a simulated one.
-_PROTOCOL_NAMES = {
-    ("elect", "poison_pill"): "leader_election",
-    ("elect", "poison_pill_basic"): "leader_election_basic",
-    ("elect", "tournament"): "tournament",
-    ("sift", "poison_pill"): "poison_pill",
-    ("sift", "heterogeneous"): "heterogeneous",
-    ("sift", "naive"): "naive_sifter",
-    ("rename", "paper"): "renaming",
-    ("rename", "linear"): "linear_renaming",
-}
-
 
 def resolve_factory(task: str, algorithm: str | None) -> tuple[str, AlgorithmFactory]:
     """Resolve ``(task, algorithm)`` to a concrete coroutine factory.
@@ -629,8 +616,6 @@ def check_net_run(run: NetRun, events=None) -> list[tuple[str, str]]:
     Uses the same invariant registry as ``repro check``; ensemble
     invariants (statistical, many-run) are skipped by construction.
     """
-    from ..check.invariants import PROTOCOLS, evaluate_run, invariants_for
+    from ..check.invariants import evaluate_run, protocol_for
 
-    spec = PROTOCOLS[_PROTOCOL_NAMES[(run.task, run.algorithm)]]
-    invariants = invariants_for(spec.task)
-    return evaluate_run(spec, run, events, invariants)
+    return evaluate_run(protocol_for(run.task, run.algorithm), run, events)

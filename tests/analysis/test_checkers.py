@@ -1,19 +1,21 @@
-"""Tests for the specification checkers, on synthetic execution results."""
+"""The problem specifications on synthetic execution results.
+
+Each case hands a hand-built result to the invariant registry
+(:mod:`repro.check.invariants`) — the same folds the runners' ``check``
+path and ``repro check`` use — and asserts which invariants it breaks.
+"""
 
 from __future__ import annotations
 
-import pytest
+from types import SimpleNamespace
 
-from repro.analysis.checkers import (
-    SpecificationViolation,
-    check_leader_election,
-    check_renaming,
-    check_sifting_phase,
-    count_survivors,
-)
+from repro.check.invariants import PROTOCOLS, CheckContext
 from repro.core import Outcome
+from repro.harness.runners import LeaderElectionReport
 from repro.sim.runtime import Decision, SimulationResult
 from repro.sim.trace import Metrics, Trace
+
+from ..conftest import violated
 
 
 def synthetic_result(
@@ -50,38 +52,41 @@ def synthetic_result(
     )
 
 
+def survivors(result):
+    """The registry's SURVIVE count for ``result``."""
+    run = SimpleNamespace(n=result.n, k=result.n, result=result)
+    return CheckContext(PROTOCOLS["poison_pill"], run).survivors
+
+
 class TestLeaderElectionChecker:
     def test_accepts_single_winner(self):
         result = synthetic_result(
             outcomes={0: Outcome.WIN, 1: Outcome.LOSE, 2: Outcome.LOSE},
             intervals={0: (1, 50), 1: (2, 60), 2: (3, 70)},
         )
-        report = check_leader_election(result)
+        assert violated("elect", result) == []
+        report = LeaderElectionReport.of(result)
         assert report.winner == 0
         assert report.losers == (1, 2)
 
     def test_rejects_two_winners(self):
         result = synthetic_result(outcomes={0: Outcome.WIN, 1: Outcome.WIN})
-        with pytest.raises(SpecificationViolation, match="multiple winners"):
-            check_leader_election(result)
+        assert "unique_winner" in violated("elect", result)
 
     def test_rejects_all_losers_crash_free(self):
         result = synthetic_result(outcomes={0: Outcome.LOSE, 1: Outcome.LOSE})
-        with pytest.raises(SpecificationViolation, match="Lemma A.1"):
-            check_leader_election(result)
+        assert "winner_exists" in violated("elect", result)
 
     def test_rejects_stray_outcome(self):
         result = synthetic_result(outcomes={0: Outcome.SURVIVE})
-        with pytest.raises(SpecificationViolation, match="non WIN/LOSE"):
-            check_leader_election(result)
+        assert "valid_election_outcomes" in violated("elect", result)
 
     def test_rejects_lose_before_winner_invocation(self):
         result = synthetic_result(
             outcomes={0: Outcome.WIN, 1: Outcome.LOSE},
             intervals={0: (50, 90), 1: (1, 10)},  # loser finished before
         )
-        with pytest.raises(SpecificationViolation, match="not linearizable"):
-            check_leader_election(result)
+        assert "election_linearizable" in violated("elect", result)
 
     def test_accepts_crashed_pending_winner(self):
         result = synthetic_result(
@@ -90,7 +95,8 @@ class TestLeaderElectionChecker:
             start_times={0: 1},
             intervals={1: (2, 30)},
         )
-        report = check_leader_election(result)
+        assert violated("elect", result) == []
+        report = LeaderElectionReport.of(result)
         assert report.winner is None
         assert report.crashed == (0,)
 
@@ -104,8 +110,7 @@ class TestLeaderElectionChecker:
             start_times={0: 99},
             intervals={1: (2, 30)},
         )
-        with pytest.raises(SpecificationViolation, match="linearized as the winner"):
-            check_leader_election(result)
+        assert "election_linearizable" in violated("elect", result)
 
     def test_accepts_undecided_pending_winner(self):
         result = synthetic_result(
@@ -114,12 +119,16 @@ class TestLeaderElectionChecker:
             start_times={0: 1},
             intervals={1: (2, 30)},
         )
-        report = check_leader_election(result)
+        # The pending invoker linearizes as the winner; only termination,
+        # which a crash-free run owes, is left open.
+        assert violated("elect", result) == ["election_terminates"]
+        report = LeaderElectionReport.of(result)
         assert report.undecided == (0,)
 
     def test_accepts_empty_execution(self):
-        report = check_leader_election(synthetic_result())
-        assert report.winner is None
+        result = synthetic_result()
+        assert violated("elect", result) == []
+        assert LeaderElectionReport.of(result).winner is None
 
 
 class TestSiftingChecker:
@@ -127,60 +136,57 @@ class TestSiftingChecker:
         result = synthetic_result(
             outcomes={0: Outcome.SURVIVE, 1: Outcome.DIE, 2: Outcome.DIE}
         )
-        assert check_sifting_phase(result) == 1
+        assert violated("sift", result) == []
+        assert survivors(result) == 1
 
     def test_rejects_zero_survivors(self):
         result = synthetic_result(outcomes={0: Outcome.DIE, 1: Outcome.DIE})
-        with pytest.raises(SpecificationViolation, match="Claim 3.1"):
-            check_sifting_phase(result)
+        assert "at_least_one_survivor" in violated("sift", result)
 
     def test_allows_zero_survivors_with_crashes(self):
         result = synthetic_result(outcomes={0: Outcome.DIE}, crashed={1})
-        assert check_sifting_phase(result) == 0
+        assert violated("sift", result) == []
+        assert survivors(result) == 0
 
     def test_rejects_stray_outcome(self):
         result = synthetic_result(outcomes={0: Outcome.WIN})
-        with pytest.raises(SpecificationViolation):
-            check_sifting_phase(result)
+        assert "valid_sift_outcomes" in violated("sift", result)
 
     def test_count_survivors(self):
         result = synthetic_result(
             outcomes={0: Outcome.SURVIVE, 1: Outcome.SURVIVE, 2: Outcome.DIE}
         )
-        assert count_survivors(result) == 2
+        assert survivors(result) == 2
 
 
 class TestRenamingChecker:
     def test_accepts_distinct_names(self):
         result = synthetic_result(outcomes={0: 2, 1: 0, 2: 3})
-        assert check_renaming(result) == {0: 2, 1: 0, 2: 3}
+        assert violated("rename", result) == []
+        assert result.outcomes == {0: 2, 1: 0, 2: 3}
 
     def test_rejects_duplicates(self):
         result = synthetic_result(outcomes={0: 1, 1: 1})
-        with pytest.raises(SpecificationViolation, match="duplicate"):
-            check_renaming(result)
+        assert "names_unique" in violated("rename", result)
 
     def test_rejects_out_of_range(self):
         result = synthetic_result(n=4, outcomes={0: 4})
-        with pytest.raises(SpecificationViolation, match="invalid name"):
-            check_renaming(result)
+        assert "names_in_range" in violated("rename", result)
 
     def test_rejects_negative(self):
         result = synthetic_result(n=4, outcomes={0: -1})
-        with pytest.raises(SpecificationViolation, match="invalid name"):
-            check_renaming(result)
+        assert "names_in_range" in violated("rename", result)
 
     def test_rejects_non_integer(self):
         result = synthetic_result(outcomes={0: "zero"})
-        with pytest.raises(SpecificationViolation, match="invalid name"):
-            check_renaming(result)
+        assert "names_in_range" in violated("rename", result)
 
     def test_rejects_crash_free_non_termination(self):
         result = synthetic_result(outcomes={0: 1}, undecided={1})
-        with pytest.raises(SpecificationViolation, match="did not terminate"):
-            check_renaming(result)
+        assert "renaming_terminates" in violated("rename", result)
 
     def test_accepts_non_termination_with_crashes(self):
         # undecided + crashed: quorum loss can legally block termination
         result = synthetic_result(outcomes={0: 1}, undecided={1}, crashed={2, 3})
-        assert check_renaming(result) == {0: 1}
+        assert violated("rename", result) == []
+        assert result.outcomes == {0: 1}

@@ -5,11 +5,20 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.linearizability import (
+    READ,
+    WRITE,
+    RegisterOp,
+    check_register_linearizable,
+)
 from repro.check.explore import explore
 from repro.check.invariants import (
     CORE_PROTOCOLS,
     INVARIANTS,
+    PENDING_TIME,
     PROTOCOLS,
     CheckContext,
     invariants_for,
@@ -117,6 +126,43 @@ class TestRunScopeChecks:
             decide_times={0: 5, 1: 9},
         )
         assert INVARIANTS["election_linearizable"].check(ctx) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        winner=st.tuples(st.integers(0, 40), st.integers(0, 40)).map(sorted),
+        losers=st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 40)).map(sorted),
+            max_size=6,
+        ),
+        pending=st.booleans(),
+    )
+    def test_linearizability_closed_form_matches_register_checker(
+        self, winner, losers, pending
+    ):
+        # One WRITE of "won" (the winner, or a crashed pending invoker that
+        # never responded) and a READ of "won" per LOSE: the closed-form
+        # rule must accept exactly the histories the brute-force register
+        # linearizability checker accepts.
+        start, end = winner
+        outcomes = {pid: Outcome.LOSE for pid in range(1, len(losers) + 1)}
+        starts = {pid: interval[0] for pid, interval in zip(outcomes, losers)}
+        decides = {pid: interval[1] for pid, interval in zip(outcomes, losers)}
+        if not pending:
+            outcomes[0] = Outcome.WIN
+            decides[0] = end
+        starts[0] = start
+        ctx = fake_ctx(
+            "leader_election", outcomes, start_times=starts,
+            decide_times=decides,
+            crashed=frozenset({0}) if pending else frozenset(),
+        )
+        ops = [RegisterOp(0, WRITE, "won", start, PENDING_TIME if pending else end)]
+        ops += [
+            RegisterOp(pid, READ, "won", starts[pid], decides[pid])
+            for pid in range(1, len(losers) + 1)
+        ]
+        closed_form_ok = INVARIANTS["election_linearizable"].check(ctx) is None
+        assert closed_form_ok == (check_register_linearizable(ops) is not None)
 
     def test_at_least_one_survivor_flags_total_wipeout(self):
         ctx = fake_ctx("poison_pill", {0: Outcome.DIE, 1: Outcome.DIE})

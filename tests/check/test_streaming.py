@@ -1,25 +1,34 @@
 """Tests for streaming invariant checking (fail during the run).
 
-Synthetic streams pin each monitor's trigger exactly; the integration
-tests then attach a :class:`StreamingChecker` to live simulations and
-verify the acceptance criterion: the naive sifter under the coin-aware
-adversary is caught *before* the run completes, with the offending
-event pinpointed, while correct protocols pass clean.
+Synthetic streams pin each streaming fold's trigger exactly; the
+integration tests then attach a :class:`StreamingChecker` to live
+simulations and verify the acceptance criterion: the naive sifter under
+the coin-aware adversary is caught *before* the run completes, with the
+offending event pinpointed, while correct protocols pass clean.  The
+agreement tests pin that streaming and post-hoc checking are one
+definition: over the same events they report the same invariants.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.check.streaming import (
-    STREAMING_INVARIANTS,
-    StreamingChecker,
-    StreamingViolation,
-    streaming_invariants_for,
+from repro.check.invariants import (
+    INVARIANTS,
+    PROTOCOLS,
+    CheckContext,
+    evaluate_run,
+    invariants_for,
+    run_protocol,
 )
+from repro.check.streaming import StreamingChecker, StreamingViolation
 from repro.core.protocol import Outcome
-from repro.harness.runners import run_leader_election, run_sifting_phase
-from repro.obs.events import Event, EventType
+from repro.harness.runners import (
+    make_adversary,
+    run_leader_election,
+    run_sifting_phase,
+)
+from repro.obs.events import Event, EventType, ListSink
 
 
 def _decide(time, pid, result):
@@ -30,26 +39,28 @@ def _decide(time, pid, result):
 class TestRegistry:
     """Invariant metadata and task filtering."""
 
-    def test_every_invariant_names_its_batch_twin(self):
-        from repro.check.invariants import INVARIANTS
-
-        for inv in STREAMING_INVARIANTS.values():
-            assert inv.batch_name in INVARIANTS
+    def test_every_streamed_invariant_is_a_registry_fold(self):
+        for task in ("elect", "sift", "rename", "serve"):
+            folds = [
+                inv.stream_name for inv in invariants_for(task) if inv.streams
+            ]
+            assert folds
+            assert StreamingChecker(task).invariants == tuple(folds)
 
     def test_filtering_by_task_and_name(self):
-        elect = [inv.name for inv in streaming_invariants_for("elect")]
+        elect = StreamingChecker("elect").invariants
         assert "unique_winner" in elect
         assert "no_false_death" not in elect
-        only = streaming_invariants_for("sift", ["no_false_death"])
-        assert [inv.name for inv in only] == ["no_false_death"]
+        only = StreamingChecker("sift", invariants=["no_false_death"])
+        assert only.invariants == ("no_false_death",)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown streaming invariants"):
-            streaming_invariants_for("elect", ["nope"])
+            StreamingChecker("elect", invariants=["nope"])
 
 
 class TestMonitorsSynthetic:
-    """Each monitor's exact trigger on hand-built streams."""
+    """Each streaming fold's exact trigger on hand-built streams."""
 
     def test_second_winner_raises_with_event_id(self):
         checker = StreamingChecker("elect")
@@ -60,7 +71,7 @@ class TestMonitorsSynthetic:
         violation = excinfo.value
         assert violation.invariant == "unique_winner"
         assert violation.event_index == 2
-        assert "second winner p5 after p3" in violation.violation_message
+        assert violation.event.pid == 5
         assert "event #2" in str(violation) and "t=12" in str(violation)
 
     def test_live_outcome_enums_are_normalized(self):
@@ -104,7 +115,8 @@ class TestMonitorsSynthetic:
             checker.emit(_decide(pid, pid, "survive"))
         with pytest.raises(StreamingViolation) as excinfo:
             checker.emit(_decide(8, 8, "survive"))
-        assert "8/10" in excinfo.value.violation_message
+        assert excinfo.value.invariant == "sifting_witness"
+        assert excinfo.value.event_index == 7
 
     def test_sifting_witness_disarmed_by_crash_and_small_k(self):
         crashed = StreamingChecker("sift", k=10,
@@ -122,7 +134,7 @@ class TestMonitorsSynthetic:
         violations = checker.check_events([
             _decide(1, 0, "win"),
             _decide(2, 1, "win"),
-            _decide(3, 2, "win"),  # monitor already dropped: no new entry
+            _decide(3, 2, "win"),  # fold already dropped: no new entry
         ])
         assert len(violations) == 1
         assert checker.events_checked == 3
@@ -142,7 +154,7 @@ class TestLiveRuns:
 
     def test_naive_sifter_caught_before_run_completes(self):
         # The acceptance criterion: the coin-aware adversary makes the
-        # naive sifter keep everyone alive, and the witness monitor must
+        # naive sifter keep everyone alive, and the witness fold must
         # fire mid-run — with participants still undecided — rather than
         # after the fact.
         checker = StreamingChecker("sift", k=16)
@@ -175,3 +187,50 @@ class TestLiveRuns:
             sink=checker, check=False,
         )
         assert checker.violations == []
+
+
+def _decides(events):
+    return [
+        (event.time, event.pid, event.fields["result"]) for event in events
+        if event.etype == EventType.PROC_DECIDE
+    ]
+
+
+class TestAgreement:
+    """Streaming and post-hoc checking run the same folds, so they agree."""
+
+    @pytest.mark.parametrize("adversary", ["random", "coin_aware"])
+    @pytest.mark.parametrize("n", [8, 17])
+    @pytest.mark.parametrize(
+        "protocol",
+        ["leader_election", "heterogeneous", "naive_sifter", "renaming"],
+    )
+    def test_stream_reports_what_post_hoc_reports(self, protocol, n, adversary):
+        spec = PROTOCOLS[protocol]
+        streamed = {inv.name for inv in invariants_for(spec.task) if inv.streams}
+        for seed in range(3):
+            sink = ListSink()
+            run = run_protocol(
+                spec, n, None, make_adversary(adversary, seed), seed, sink=sink,
+            )
+            post_hoc = {
+                name for name, _ in evaluate_run(spec, run, sink.events)
+                if name in streamed
+            }
+            ctx = CheckContext(spec, run, sink.events)
+            if spec.task == "sift" and INVARIANTS["sifting_effective"].witness(ctx):
+                post_hoc.add("sifting_witness")
+            checker = StreamingChecker(spec.task, k=run.k, fail_fast=False)
+            stream = {v.invariant for v in checker.check_events(sink.events)}
+            assert stream == post_hoc, (protocol, n, adversary, seed)
+            # Without a captured stream, the post-hoc driver rebuilds the
+            # decide events from the decisions in the order they were emitted.
+            rebuilt = CheckContext(spec, run).items()
+            assert _decides(rebuilt) == _decides(sink.events)
+
+    def test_corpus_contains_a_violation(self):
+        # The naive sifter under coin_aware must show up on both sides,
+        # or the agreement above is only ever agreement on silence.
+        spec = PROTOCOLS["naive_sifter"]
+        run = run_protocol(spec, 17, None, make_adversary("coin_aware", 0), 0)
+        assert INVARIANTS["sifting_effective"].witness(CheckContext(spec, run))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.adversary import (
@@ -14,6 +16,7 @@ from repro.adversary import (
     RoundRobinAdversary,
     SequentialAdversary,
 )
+from repro.check.invariants import PROTOCOLS, evaluate_run
 
 #: Names of every registry adversary that is safe for any protocol.
 ALL_ADVERSARY_NAMES = (
@@ -53,3 +56,26 @@ def fresh_adversary(name: str, seed: int = 0):
 def adversary_name(request):
     """Parametrized fixture iterating over every scheduling strategy."""
     return request.param
+
+
+#: The registry protocol whose invariant set judges each task.
+TASK_PROTOCOLS = {
+    "elect": "leader_election",
+    "sift": "poison_pill",
+    "rename": "renaming",
+}
+
+
+def violated(task: str, result, k: int | None = None) -> list[str]:
+    """Names of the registry invariants a finished ``result`` violates.
+
+    ``result`` is a bare :class:`~repro.sim.runtime.SimulationResult`
+    (no captured event stream); ``k`` defaults to ``n``, i.e. every
+    processor participated.
+    """
+    run = SimpleNamespace(
+        n=result.n, k=result.n if k is None else k, result=result
+    )
+    return [
+        name for name, _ in evaluate_run(PROTOCOLS[TASK_PROTOCOLS[task]], run)
+    ]

@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import RandomAdversary, RandomCrashAdversary
-from repro.analysis.checkers import check_leader_election
 from repro.core import Outcome, make_leader_elect
 from repro.harness import run_leader_election
+from repro.harness.runners import LeaderElectionReport
 from repro.sim import Simulation
 
-from ..conftest import ALL_ADVERSARY_NAMES, fresh_adversary
+from ..conftest import ALL_ADVERSARY_NAMES, fresh_adversary, violated
 
 
 class TestUniqueWinner:
@@ -75,8 +75,8 @@ class TestLinearizability:
         run = run_leader_election(
             n=9, adversary=fresh_adversary(adversary_name, 4), seed=4
         )
-        report = check_leader_election(run.result)
-        assert report.winner == run.winner
+        assert violated("elect", run.result) == []
+        assert LeaderElectionReport.of(run.result).winner == run.winner
 
     def test_no_lose_before_winner_start(self):
         for seed in range(8):
@@ -101,7 +101,7 @@ class TestCrashTolerance:
         )
         result = sim.run(require_termination=False)
         assert not result.undecided  # all alive participants decided
-        check_leader_election(result)  # at most one winner, linearizable
+        assert violated("elect", result) == []  # at most one winner, linearizable
 
     def test_winner_may_crash_leaving_losers(self):
         """If the in-flight winner crashes, survivors may all lose; that is
@@ -118,7 +118,7 @@ class TestCrashTolerance:
                 seed=seed,
             )
             result = sim.run(require_termination=False)
-            check_leader_election(result)
+            assert violated("elect", result) == []
             if result.crashed:
                 seeds_with_crash += 1
         assert seeds_with_crash > 0  # the storm actually exercised crashes
@@ -147,4 +147,4 @@ class TestComplexitySanity:
             seed=7,
         )
         result = sim.run()
-        check_leader_election(result)
+        assert violated("elect", result) == []

@@ -5,12 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import RandomAdversary, RandomCrashAdversary
-from repro.analysis.checkers import check_renaming
 from repro.core import make_get_name
 from repro.harness import run_renaming
 from repro.sim import Simulation
 
-from ..conftest import ALL_ADVERSARY_NAMES, fresh_adversary
+from ..conftest import ALL_ADVERSARY_NAMES, fresh_adversary, violated
 
 
 class TestUniqueNames:
@@ -69,7 +68,8 @@ class TestContentionBookkeeping:
             seed=4,
         )
         result = sim.run()
-        names = check_renaming(result)
+        assert violated("rename", result) == []
+        names = result.outcomes
         for pid, name in names.items():
             assert sim.processes[pid].registers.get("rn.Contended", name) is True
 
@@ -83,7 +83,7 @@ class TestContentionBookkeeping:
             seed=5,
         )
         result = sim.run()
-        check_renaming(result)
+        assert violated("rename", result) == []
         for process in sim.processes:
             picks = [
                 value for label, value in process.coins.all() if label == "rn.spot"
@@ -114,5 +114,6 @@ class TestCrashTolerance:
         )
         result = sim.run(require_termination=False)
         assert not result.undecided  # all alive participants decided
-        names = check_renaming(result)
+        assert violated("rename", result) == []
+        names = result.outcomes
         assert len(set(names.values())) == len(names)

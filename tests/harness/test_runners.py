@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.adversary import EagerAdversary
+from repro.core import Outcome
 from repro.harness.runners import (
+    SpecificationViolation,
     make_adversary,
     run_leader_election,
     run_renaming,
     run_sifting_phase,
 )
+from repro.sim import Simulation
 
 
 class TestMakeAdversary:
@@ -63,6 +71,45 @@ class TestRunLeaderElection:
         second = run_leader_election(n=6, adversary="random", seed=9)
         assert first.winner == second.winner
         assert first.messages_total == second.messages_total
+
+
+    def test_unchecked_run_reports_the_winner(self):
+        checked = run_leader_election(n=8, adversary="random", seed=0)
+        unchecked = run_leader_election(
+            n=8, adversary="random", seed=0, check=False
+        )
+        assert checked.winner == unchecked.winner == 5
+        assert unchecked.report == checked.report
+        assert unchecked.report.losers == (0, 1, 2, 3, 4, 6, 7)
+
+    def test_check_raises_naming_the_invariant(self):
+        def always_win(api):
+            return Outcome.WIN
+            yield  # a coroutine that decides at its first step
+
+        sim = Simulation(
+            3, {pid: always_win for pid in range(3)}, EagerAdversary(), seed=0
+        )
+        with pytest.raises(SpecificationViolation) as excinfo:
+            run_leader_election(n=3, simulation=sim)
+        assert excinfo.value.invariant == "unique_winner"
+
+
+class TestRegistryImport:
+    def test_runners_import_leaves_the_registry_unloaded(self):
+        # The runners load repro.check on their check path only, so a
+        # bare import (a benchmark's set-up) does not pay for it.
+        code = (
+            "import sys, repro.harness.runners; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.check')))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestRunSiftingPhase:

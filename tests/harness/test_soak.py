@@ -1,7 +1,7 @@
 """Tests for the chaos soak harness and its incident artifacts.
 
 The soaks here are seconds, not minutes — the CI smoke job runs the
-long one.  What is pinned: the mid-stream monitor, restart-and-recover
+long one.  What is pinned: the mid-stream grant gate, restart-and-recover
 counting, the mid-soak service restart with namespace continuity, the
 injected negative control, and the deterministic incident replay.
 """
@@ -13,8 +13,8 @@ import json
 
 import pytest
 
+from repro.check.invariants import stream_folds
 from repro.harness.soak import (
-    LeaseMonitor,
     SoakError,
     SoakViolation,
     load_incident,
@@ -26,48 +26,53 @@ from repro.net.service import ElectionService, GrantRecord
 
 
 def grant(key, epoch, holder="h", granted_ns=0):
-    """A minimal GrantRecord for monitor-level tests."""
+    """A minimal GrantRecord for gate-level tests."""
     return GrantRecord(
         key=key, epoch=epoch, holder=holder, session=1, granted_ns=granted_ns
     )
 
 
+def gate(*records):
+    """``(grant index, invariant)`` for each grant the soak's folds flag.
+
+    The soak's grant gate passes every grant to the streaming serve
+    folds of the invariant registry, exactly as here.
+    """
+    folds = stream_folds("serve")
+    return [
+        (index, name)
+        for index, record in enumerate(records)
+        for name, fold in folds
+        if fold.observe(record) is not None
+    ]
+
+
 class TestLeaseMonitor:
+    """The grant gate: the registry's streaming serve folds, per grant."""
+
     def test_increasing_epochs_pass(self):
-        monitor = LeaseMonitor()
-        for epoch in (1, 2, 3):
-            assert monitor.observe(grant("k", epoch)) is None
-        assert monitor.violation is None
-        assert monitor.floors == {"k": 3}
+        epochs = [grant("k", epoch) for epoch in (1, 2, 3)]
+        assert gate(*epochs) == []
+        # The fencing floor is now 3.
+        assert gate(*epochs, grant("k", 3)) == [(3, "lease_epoch_monotonic")]
 
     def test_keys_are_independent(self):
-        monitor = LeaseMonitor()
-        assert monitor.observe(grant("a", 5)) is None
-        assert monitor.observe(grant("b", 1)) is None
-        assert monitor.violation is None
+        assert gate(grant("a", 5), grant("b", 1)) == []
 
     def test_stale_epoch_flagged_at_its_index(self):
-        monitor = LeaseMonitor()
-        monitor.observe(grant("k", 1))
-        monitor.observe(grant("k", 2))
-        violation = monitor.observe(grant("k", 2, holder="twin"))
-        assert violation is not None
-        assert violation.invariant == "lease_epoch_monotonic"
-        assert violation.grant_index == 2
-        assert "twin" in violation.message
-        assert monitor.violation is violation
+        flagged = gate(grant("k", 1), grant("k", 2), grant("k", 2, holder="twin"))
+        assert flagged == [(2, "lease_epoch_monotonic")]
 
     def test_epoch_regression_flagged(self):
-        monitor = LeaseMonitor()
-        monitor.observe(grant("k", 7))
-        assert monitor.observe(grant("k", 3)) is not None
+        assert gate(grant("k", 7), grant("k", 3)) == [(1, "lease_epoch_monotonic")]
 
     def test_only_first_violation_is_kept(self):
-        monitor = LeaseMonitor()
-        monitor.observe(grant("k", 1))
-        first = monitor.observe(grant("k", 1))
-        second = monitor.observe(grant("k", 1))
-        assert second is not None and monitor.violation is first
+        # A flagged grant does not move the floor, so every later stale
+        # grant is flagged too; the soak keeps the first.
+        flagged = gate(grant("k", 1), grant("k", 1), grant("k", 1))
+        assert flagged == [
+            (1, "lease_epoch_monotonic"), (2, "lease_epoch_monotonic"),
+        ]
 
 
 class TestRunSoakValidation:
@@ -146,6 +151,9 @@ class TestNegativeControl:
         assert obj["profile"] == "gentle"
         assert obj["plan"]["phases"]
         assert len(obj["grants"]) == incident.grants
+        # The gate fired at the forged grant itself.
+        forged = obj["grants"][incident.violation.grant_index]
+        assert forged["holder"] == "soak-evil-twin"
 
     def test_incident_replays_deterministically(self, incident):
         first = replay_incident(incident.incident_path)

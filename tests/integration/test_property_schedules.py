@@ -14,18 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adversary.base import Adversary, fallback_action
-from repro.analysis.checkers import (
-    check_leader_election,
-    check_renaming,
-    check_sifting_phase,
-)
 from repro.core import (
+    Outcome,
     make_get_name,
     make_heterogeneous_poison_pill,
     make_leader_elect,
     make_poison_pill,
 )
+from repro.harness.runners import LeaderElectionReport
 from repro.sim import Crash, Simulation, Step
+
+from ..conftest import violated
 
 
 class DataDrivenAdversary(Adversary):
@@ -81,7 +80,10 @@ def test_poison_pill_safety_under_arbitrary_schedules(decisions, seed):
         seed=seed,
     )
     result = sim.run()
-    survivors = check_sifting_phase(result)
+    assert violated("sift", result) == []
+    survivors = sum(
+        1 for d in result.decisions.values() if d.result is Outcome.SURVIVE
+    )
     assert survivors >= 1
 
 
@@ -96,7 +98,8 @@ def test_heterogeneous_safety_under_arbitrary_schedules(decisions, seed):
         seed=seed,
     )
     result = sim.run()
-    assert check_sifting_phase(result) >= 1
+    assert violated("sift", result) == []
+    assert any(d.result is Outcome.SURVIVE for d in result.decisions.values())
 
 
 @settings(max_examples=30, deadline=None)
@@ -110,8 +113,8 @@ def test_leader_election_safety_under_arbitrary_schedules(decisions, seed):
         seed=seed,
     )
     result = sim.run()
-    report = check_leader_election(result)
-    assert report.winner is not None
+    assert violated("elect", result) == []
+    assert LeaderElectionReport.of(result).winner is not None
 
 
 @settings(max_examples=30, deadline=None)
@@ -128,7 +131,7 @@ def test_leader_election_safety_with_crashes(decisions, seed):
     )
     result = sim.run(require_termination=False)
     assert not result.undecided  # crash budget < n/2 keeps quorums alive
-    check_leader_election(result)
+    assert violated("elect", result) == []
 
 
 @settings(max_examples=20, deadline=None)
@@ -142,8 +145,8 @@ def test_renaming_safety_under_arbitrary_schedules(decisions, seed):
         seed=seed,
     )
     result = sim.run()
-    names = check_renaming(result)
-    assert sorted(names.values()) == list(range(n))
+    assert violated("rename", result) == []
+    assert sorted(result.outcomes.values()) == list(range(n))
 
 
 @settings(max_examples=20, deadline=None)
@@ -158,4 +161,4 @@ def test_renaming_safety_with_crashes(decisions, seed):
     )
     result = sim.run(require_termination=False)
     assert not result.undecided
-    check_renaming(result)
+    assert violated("rename", result) == []

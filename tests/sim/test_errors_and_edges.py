@@ -115,7 +115,8 @@ class TestDegenerateSizes:
 
     def test_n_two_full_protocol(self):
         from repro.core import make_leader_elect
-        from repro.analysis.checkers import check_leader_election
+
+        from ..conftest import violated
 
         sim = Simulation(
             2,
@@ -124,7 +125,7 @@ class TestDegenerateSizes:
             seed=0,
         )
         result = sim.run()
-        check_leader_election(result)
+        assert violated("elect", result) == []
 
     def test_crash_budget_zero_for_tiny_systems(self):
         assert Simulation(1, {}, EagerAdversary()).crash_budget == 0
