@@ -48,10 +48,6 @@ from ..obs.events import Event, EventType
 from ..sim import pidset
 from ..sim.runtime import SimulationResult
 
-#: Response time assigned to operations that never responded (crashed or
-#: undecided); effectively "+infinity" for interval comparisons.
-PENDING_TIME = 2**62
-
 #: The event types a fold observes; drivers skip every other event.
 FOLDED_EVENTS = frozenset({
     EventType.PROC_DECIDE, EventType.COIN_FLIP, EventType.SCHED_CRASH,
@@ -428,9 +424,9 @@ class _ValidOutcomes(Fold):
     def observe(self, item: Event) -> str | None:
         if item.etype != EventType.PROC_DECIDE:
             return None
-        value = _decided(item)
-        if value not in self.allowed:
-            return f"p{item.pid} decided {value!r}, outside {list(self.allowed)}"
+        if _decided(item) not in self.allowed:
+            value = item.fields.get("result")
+            return f"outcomes outside {list(self.allowed)}: p{item.pid}={value!r}"
         return None
 
 

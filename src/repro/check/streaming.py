@@ -96,14 +96,10 @@ class StreamingChecker:
 
     ``k`` is the participant count, needed by the sifting witness and the
     sole-participant rule; pass it when checking ``sift`` runs.
-    ``invariants`` optionally restricts the check to those stream names;
-    afterwards the attribute holds the names being checked.
+    ``invariants`` optionally restricts the check to those stream names.
     """
 
-    __slots__ = (
-        "task", "k", "fail_fast", "violations", "invariants", "_folds",
-        "_index",
-    )
+    __slots__ = ("task", "k", "fail_fast", "violations", "_folds", "_index")
 
     def __init__(
         self,
@@ -117,7 +113,6 @@ class StreamingChecker:
         self.fail_fast = fail_fast
         self.violations: list[StreamingViolation] = []
         self._folds = stream_folds(task, k, invariants)
-        self.invariants = tuple(name for name, _ in self._folds)
         self._index = -1
 
     @property

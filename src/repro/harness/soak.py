@@ -788,7 +788,8 @@ def replay_incident(path: str) -> IncidentReplay:
     """Deterministically re-verify an incident artifact, offline.
 
     Recomputes the grant-log digest and re-runs the grant gate's folds
-    over the recorded grants — a pure function of the log, so the verdict
+    over the recorded grants up to the first one they flag, which is the
+    one the live soak kept — a pure function of the log, so the verdict
     is bit-for-bit reproducible on any machine with no service, sockets,
     or timing involved.
     """
@@ -805,7 +806,9 @@ def replay_incident(path: str) -> IncidentReplay:
     replayed = None
     for index, grant in enumerate(grants):
         record = GrantRecord(**{name: grant[name] for name in _GRANT_FIELDS})
-        replayed = replayed or _gate(folds, record, index)
+        replayed = _gate(folds, record, index)
+        if replayed is not None:
+            break
     return IncidentReplay(
         path=path,
         recorded=recorded,

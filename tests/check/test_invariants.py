@@ -18,12 +18,15 @@ from repro.check.explore import explore
 from repro.check.invariants import (
     CORE_PROTOCOLS,
     INVARIANTS,
-    PENDING_TIME,
     PROTOCOLS,
     CheckContext,
     invariants_for,
 )
 from repro.core.protocol import Outcome
+
+#: Response time of an operation that never responded (crashed or
+#: undecided); effectively "+infinity" for interval comparisons.
+PENDING_TIME = 2**62
 
 
 def fake_ctx(
@@ -191,6 +194,43 @@ class TestRunScopeChecks:
         assert INVARIANTS["names_in_range"].check(
             fake_ctx("renaming", {0: 0, 1: 3}, n=4)
         ) is None
+
+    @pytest.mark.parametrize(
+        "invariant, protocol, outcomes, message",
+        [
+            (
+                "valid_election_outcomes", "leader_election",
+                {0: Outcome.WIN, 1: Outcome.SURVIVE},
+                "outcomes outside ['win', 'lose']: "
+                "p1=<Outcome.SURVIVE: 'survive'>",
+            ),
+            (
+                "valid_sift_outcomes", "poison_pill",
+                {0: Outcome.SURVIVE, 1: Outcome.WIN},
+                "outcomes outside ['survive', 'die']: p1=<Outcome.WIN: 'win'>",
+            ),
+            (
+                "unique_winner", "leader_election",
+                {0: Outcome.WIN, 1: Outcome.WIN, 2: Outcome.LOSE},
+                "multiple winners: [0, 1]",
+            ),
+            (
+                "names_unique", "renaming", {0: 1, 1: 1, 2: 0},
+                "duplicate names assigned: {1: [0, 1]}",
+            ),
+            (
+                "no_false_death", "poison_pill", {0: Outcome.DIE},
+                "the sole participant died",
+            ),
+        ],
+    )
+    def test_one_offender_message_text_is_stable(
+        self, invariant, protocol, outcomes, message
+    ):
+        # `repro check --replay` compares an artifact's stored message
+        # with the replayed one exactly, so this text must not drift.
+        ctx = fake_ctx(protocol, outcomes)
+        assert INVARIANTS[invariant].check(ctx) == message
 
 
 class TestEndToEnd:

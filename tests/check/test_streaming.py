@@ -20,6 +20,7 @@ from repro.check.invariants import (
     evaluate_run,
     invariants_for,
     run_protocol,
+    stream_folds,
 )
 from repro.check.streaming import StreamingChecker, StreamingViolation
 from repro.core.protocol import Outcome
@@ -45,18 +46,18 @@ class TestRegistry:
                 inv.stream_name for inv in invariants_for(task) if inv.streams
             ]
             assert folds
-            assert StreamingChecker(task).invariants == tuple(folds)
+            assert [name for name, _ in stream_folds(task)] == folds
 
     def test_filtering_by_task_and_name(self):
-        elect = StreamingChecker("elect").invariants
+        elect = [name for name, _ in stream_folds("elect")]
         assert "unique_winner" in elect
         assert "no_false_death" not in elect
-        only = StreamingChecker("sift", invariants=["no_false_death"])
-        assert only.invariants == ("no_false_death",)
+        only = stream_folds("sift", names=["no_false_death"])
+        assert [name for name, _ in only] == ["no_false_death"]
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown streaming invariants"):
-            StreamingChecker("elect", invariants=["nope"])
+            stream_folds("elect", names=["nope"])
 
 
 class TestMonitorsSynthetic:

@@ -15,8 +15,12 @@ import pytest
 
 from repro.check.invariants import stream_folds
 from repro.harness.soak import (
+    SOAK_FORMAT_VERSION,
     SoakError,
     SoakViolation,
+    _gate,
+    _grants_digest,
+    _SoakState,
     load_incident,
     replay_incident,
     run_soak,
@@ -33,18 +37,25 @@ def grant(key, epoch, holder="h", granted_ns=0):
 
 
 def gate(*records):
-    """``(grant index, invariant)`` for each grant the soak's folds flag.
+    """``(grant index, invariant)`` for each grant the soak's gate flags.
 
-    The soak's grant gate passes every grant to the streaming serve
-    folds of the invariant registry, exactly as here.
+    Every grant goes through the soak's own grant gate, over one set of
+    the registry's streaming serve folds.
     """
     folds = stream_folds("serve")
-    return [
-        (index, name)
-        for index, record in enumerate(records)
-        for name, fold in folds
-        if fold.observe(record) is not None
-    ]
+    flagged = (_gate(folds, record, index) for index, record in enumerate(records))
+    return [(v.grant_index, v.invariant) for v in flagged if v is not None]
+
+
+def write_incident(path, records):
+    """A minimal replayable incident artifact holding ``records``."""
+    grants = [record.to_obj() for record in records]
+    path.write_text(json.dumps({
+        "format": SOAK_FORMAT_VERSION, "kind": "soak-incident", "plan": {},
+        "violation": None, "grants": grants,
+        "grants_sha256": _grants_digest(grants),
+    }), encoding="utf-8")
+    return str(path)
 
 
 class TestLeaseMonitor:
@@ -66,13 +77,25 @@ class TestLeaseMonitor:
     def test_epoch_regression_flagged(self):
         assert gate(grant("k", 7), grant("k", 3)) == [(1, "lease_epoch_monotonic")]
 
-    def test_only_first_violation_is_kept(self):
+    def test_only_first_violation_is_kept(self, tmp_path):
         # A flagged grant does not move the floor, so every later stale
-        # grant is flagged too; the soak keeps the first.
-        flagged = gate(grant("k", 1), grant("k", 1), grant("k", 1))
-        assert flagged == [
+        # grant is flagged too; the live soak and its replay keep the first.
+        records = [grant("k", 1), grant("k", 1), grant("k", 1, holder="twin")]
+        assert gate(*records) == [
             (1, "lease_epoch_monotonic"), (2, "lease_epoch_monotonic"),
         ]
+        folds = stream_folds("serve")
+        clean, first, second = (
+            _gate(folds, record, index) for index, record in enumerate(records)
+        )
+        assert clean is None
+        state = _SoakState(stop=asyncio.Event(), registry=None, service=None)
+        state.flag(first)
+        state.flag(second)
+        assert state.violation is first
+        replay = replay_incident(write_incident(tmp_path / "i.json", records))
+        assert replay.digest_ok
+        assert replay.replayed == first
 
 
 class TestRunSoakValidation:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.check.invariants import PENDING_TIME
 from repro.core.protocol import Outcome
 from repro.net.chaos import ChaosPlan, Partition
 from repro.net.driver import (
@@ -23,6 +22,10 @@ from repro.net.driver import (
     run_net,
 )
 from repro.obs.jsonl import read_trace
+
+#: Response time of an operation that never responded (crashed or
+#: undecided); effectively "+infinity" for interval comparisons.
+PENDING_TIME = 2**62
 
 
 class TestResolveFactory:
