@@ -54,7 +54,6 @@ from .shrink import (
     ArtifactReplay,
     SchedulePrefixAdversary,
     ShrinkResult,
-    load_artifact,
     replay_artifact,
     shrink_schedule,
     shrink_violation,
@@ -83,7 +82,6 @@ __all__ = [
     "audit_trace",
     "explore",
     "invariants_for",
-    "load_artifact",
     "plan_trials",
     "replay_artifact",
     "run_trial",

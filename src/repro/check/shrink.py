@@ -13,33 +13,37 @@ violation persists and packages the result:
   (skipping any that no longer match an in-flight message) and completes
   the run deterministically past the prefix, so every candidate is a
   complete, evaluable execution.
-* :func:`write_artifact` / :func:`replay_artifact` — a violation
-  artifact is a single JSON file carrying the protocol configuration,
-  the minimized schedule, the violation, and a SHA-256 digest of the
-  minimized run's full event stream.  Replaying re-executes the schedule
-  and verifies the digest, so "the artifact reproduces the violation"
-  is a byte-level statement, not a vibe.
+* :func:`artifact_obj` / :func:`replay_artifact` — a violation
+  artifact (``"kind": "check-violation"``) is a single JSON file
+  carrying the protocol configuration, the minimized schedule, the
+  violation, and a SHA-256 digest of the minimized run's full event
+  stream.  Replaying re-executes the schedule and verifies the digest,
+  so "the artifact reproduces the violation" is a byte-level statement,
+  not a vibe.
 * :func:`write_repro_script` — a human-readable companion describing
   what was violated and the exact commands that reproduce it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from ..adversary.base import Adversary, fallback_action
 from ..obs.events import Event, EventType, ListSink
-from ..obs.jsonl import JsonlSink, TRACE_FORMAT_VERSION, event_line
+from ..obs.jsonl import (
+    ARTIFACT_VERSIONS,
+    TRACE_FORMAT_VERSION,
+    event_line,
+    read_artifact,
+    sha256_lines,
+    write_artifact,
+    write_events,
+)
 from ..sim.runtime import Action, Crash, Simulation, Step
 from ..sim.snapshot import SimulationCheckpoint, capture, enable_recording
 from .invariants import CheckContext, Invariant, ProtocolSpec, run_protocol
-
-#: Bumped when the artifact schema changes incompatibly.
-ARTIFACT_FORMAT_VERSION = 1
 
 #: Default cap on candidate executions during one shrink.
 DEFAULT_MAX_EVALS = 400
@@ -222,15 +226,6 @@ def _run_schedule_checkpointed(
     return CheckContext(spec, run, prefix_events + sink.events), ticks
 
 
-def stream_digest(ctx: CheckContext) -> str:
-    """SHA-256 over the canonical JSONL lines of a run's event stream."""
-    digest = hashlib.sha256()
-    for event in ctx.events or ():
-        digest.update(event_line(event).encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
-
-
 @dataclass(slots=True)
 class ShrinkResult:
     """Outcome of one schedule minimization."""
@@ -380,7 +375,8 @@ def artifact_obj(
     """The JSON object form of a violation artifact."""
     trial = record.trial
     return {
-        "artifact_version": ARTIFACT_FORMAT_VERSION,
+        "kind": "check-violation",
+        "version": ARTIFACT_VERSIONS["check-violation"],
         "trace_version": TRACE_FORMAT_VERSION,
         "protocol": spec.name,
         "task": spec.task,
@@ -403,30 +399,9 @@ def artifact_obj(
         },
         "original_schedule_len": result.original_len,
         "shrunk_schedule_len": result.shrunk_len,
-        "stream_sha256": stream_digest(ctx),
+        "stream_sha256": sha256_lines(map(event_line, ctx.events)),
         "schedule": list(result.schedule),
     }
-
-
-def write_artifact(path: str, obj: Mapping[str, Any]) -> str:
-    """Serialize a violation artifact canonically (sorted keys) to ``path``."""
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(obj, fp, sort_keys=True, indent=1)
-        fp.write("\n")
-    return path
-
-
-def load_artifact(path: str) -> dict[str, Any]:
-    """Load and minimally validate a violation artifact."""
-    with open(path, "r", encoding="utf-8") as fp:
-        obj = json.load(fp)
-    if obj.get("artifact_version") != ARTIFACT_FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: unsupported artifact version "
-            f"{obj.get('artifact_version')!r} "
-            f"(expected {ARTIFACT_FORMAT_VERSION})"
-        )
-    return obj
 
 
 @dataclass(slots=True)
@@ -476,7 +451,7 @@ def replay_artifact(path: str) -> ArtifactReplay:
     """
     from .invariants import INVARIANTS, PROTOCOLS
 
-    obj = load_artifact(path)
+    _, obj = read_artifact(path, "check-violation")
     spec = PROTOCOLS[obj["protocol"]]
     invariant = INVARIANTS[obj["invariant"]]
     ctx = run_schedule(
@@ -488,8 +463,10 @@ def replay_artifact(path: str) -> ArtifactReplay:
         invariant=obj["invariant"],
         expected_violation=obj["violation"],
         replayed_violation=replayed,
-        digest_matches=stream_digest(ctx) == obj["stream_sha256"],
-        events=len(ctx.events or ()),
+        digest_matches=(
+            sha256_lines(map(event_line, ctx.events)) == obj["stream_sha256"]
+        ),
+        events=len(ctx.events),
     )
 
 
@@ -531,7 +508,7 @@ def write_repro_script(
         "byte-identical event stream:",
         "",
         "```bash",
-        f"PYTHONPATH=src python -m repro check --replay {artifact_path}",
+        f"PYTHONPATH=src python -m repro replay {artifact_path}",
         "```",
         "",
         "Inspect the original (unshrunk) failing run:",
@@ -595,10 +572,7 @@ def shrink_violation(
             "choices": list(trial.choices),
         },
     }
-    sink = JsonlSink(trace_path, meta=meta)
-    for event in events:
-        sink.emit(event)
-    sink.close()
+    write_events(trace_path, events, meta=meta)
 
     result = shrink_schedule(
         spec, schedule, invariant.witness, n, k, trial.seed,

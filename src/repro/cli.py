@@ -18,7 +18,8 @@ Examples::
     python -m repro watch  live.jsonl
     python -m repro check  --protocol leader_election --budget 200 --workers 4
     python -m repro check  --protocol naive_sifter --budget 200 --out-dir artifacts/
-    python -m repro check  --replay artifacts/violation-....shrunk.json
+    python -m repro replay artifacts/violation-....shrunk.json
+    python -m repro replay soak-incident-rolling-seed0.json
     python -m repro net    --task elect --n 6 --seed 0
     python -m repro net    --task elect --n 6 --drop 0.15 --delay 0.3 --chaos-seed 1
     python -m repro serve  --port 7007 --duration 30
@@ -42,11 +43,94 @@ from .harness.runners import (
     run_renaming,
     run_sifting_phase,
 )
-from .harness.bench import EXPERIMENTS as BENCH_EXPERIMENTS
+from .harness.bench import EXPERIMENTS as BENCH_EXPERIMENTS, REGRESSION_TOLERANCE
+from .harness.soak import SoakError
 from .harness.sweep import sweep
 from .harness.tables import Table
+from .net.driver import NetError
+from .net.service import ServiceError
+from .obs.replay import ReplayError
 
 ADVERSARIES = sorted(ADVERSARY_FACTORIES)
+
+#: What a handler may raise for bad input or a failed run: one ``error:``
+#: line and exit 2, never a traceback.
+RUNTIME_ERRORS = (
+    OSError, ValueError, KeyError, ReplayError, NetError, ServiceError,
+    SoakError,
+)
+
+
+def _run_flags(p: argparse.ArgumentParser, n: int = 16) -> None:
+    """``--n/--k/--seed/--pattern``: the system and who participates."""
+    p.add_argument("--n", type=int, default=n, help="system size")
+    p.add_argument("--k", type=int, default=None, help="participants (default n)")
+    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument(
+        "--pattern", choices=("first", "last", "spread", "random"),
+        default="first", help="which pids participate",
+    )
+
+
+def _workers_flag(p: argparse.ArgumentParser) -> None:
+    """``--workers``: how many processes share the runs."""
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes (1 = serial, 0 = all CPUs)",
+    )
+
+
+def _task_flags(p: argparse.ArgumentParser) -> None:
+    """``--task/--algorithm``: which task runs, and with what algorithm."""
+    p.add_argument("--task", choices=("elect", "sift", "rename"), default="elect")
+    p.add_argument(
+        "--algorithm", default=None,
+        help="algorithm or sifter kind for the task (task default when omitted)",
+    )
+
+
+def _socket_flags(p: argparse.ArgumentParser, timeout: float) -> None:
+    """The flags ``repro net`` and ``repro serve`` share: chaos, telemetry, check."""
+    p.add_argument(
+        "--chaos", default=None, metavar="PLAN_JSON",
+        help="fault-injection plan file (overrides --drop/--delay/--dup)",
+    )
+    p.add_argument(
+        "--drop", type=float, default=0.0, help="per-frame drop probability"
+    )
+    p.add_argument(
+        "--delay", type=float, default=0.0, help="per-frame delay probability"
+    )
+    p.add_argument(
+        "--dup", type=float, default=0.0, help="per-frame duplicate probability"
+    )
+    p.add_argument(
+        "--delay-ms", type=float, nargs=2, default=(1.0, 25.0),
+        metavar=("LO", "HI"), help="uniform delay range when a frame is delayed",
+    )
+    p.add_argument(
+        "--chaos-seed", type=int, default=0,
+        help="seed of the fault plan's RNG streams",
+    )
+    p.add_argument(
+        "--telemetry", default=None, metavar="OUT_JSONL",
+        help=(
+            "stream metrics snapshots (latency percentiles, retries, chaos "
+            "counters) to this path; tail it with `repro watch`"
+        ),
+    )
+    p.add_argument(
+        "--telemetry-interval", type=float, default=0.5,
+        help="seconds between telemetry snapshots",
+    )
+    p.add_argument(
+        "--timeout", type=float, default=timeout,
+        help="wall-clock budget for the run or load scenario (seconds)",
+    )
+    p.add_argument(
+        "--no-check", dest="check", action="store_false", default=True,
+        help="skip the repro.check invariant evaluation",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,16 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--n", type=int, default=16, help="system size")
-        p.add_argument("--k", type=int, default=None, help="participants (default n)")
-        p.add_argument("--seed", type=int, default=0)
+        _run_flags(p)
         p.add_argument("--adversary", choices=ADVERSARIES, default="random")
-        p.add_argument(
-            "--pattern",
-            choices=("first", "last", "spread", "random"),
-            default="first",
-            help="which pids participate",
-        )
 
     elect = sub.add_parser("elect", help="run one leader election")
     common(elect)
@@ -87,16 +163,12 @@ def build_parser() -> argparse.ArgumentParser:
     rename.add_argument("--algorithm", choices=RENAMING_ALGORITHMS, default="paper")
 
     sweep_p = sub.add_parser("sweep", help="sweep n and print a summary table")
-    sweep_p.add_argument("--task", choices=("elect", "sift", "rename"), default="elect")
+    _task_flags(sweep_p)
     sweep_p.add_argument("--ns", type=int, nargs="+", default=[4, 8, 16, 32])
     sweep_p.add_argument("--repeats", type=int, default=3)
     sweep_p.add_argument("--adversary", choices=ADVERSARIES, default="random")
-    sweep_p.add_argument("--algorithm", default=None)
     sweep_p.add_argument("--seed", type=int, default=0)
-    sweep_p.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the sweep (1 = serial, 0 = all CPUs)",
-    )
+    _workers_flag(sweep_p)
 
     bench_p = sub.add_parser(
         "bench",
@@ -106,10 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--exp", choices=sorted(BENCH_EXPERIMENTS), nargs="+", default=["e1"],
         help="experiment grids to run (DESIGN.md claim ids)",
     )
-    bench_p.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes per cell (1 = serial, 0 = all CPUs)",
-    )
+    _workers_flag(bench_p)
     bench_p.add_argument("--repeats", type=int, default=3)
     bench_p.add_argument(
         "--full", action="store_true", help="use the larger EXPERIMENTS.md grids"
@@ -130,10 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench_p.add_argument(
-        "--tolerance", type=float, default=None, metavar="FRAC",
+        "--tolerance", type=float, default=REGRESSION_TOLERANCE, metavar="FRAC",
         help=(
             "relative wall-clock slowdown tolerated before a cell counts "
-            "as a regression (default 0.25; raise on noisy CI runners — "
+            "as a regression (default %(default)s; raise on noisy CI runners — "
             "fingerprint drift is always fatal regardless)"
         ),
     )
@@ -160,13 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="run one task and record its event stream to JSONL"
     )
     common(trace_p)
-    trace_p.add_argument(
-        "--task", choices=("elect", "sift", "rename"), default="elect"
-    )
-    trace_p.add_argument(
-        "--algorithm", default=None,
-        help="algorithm/sifter kind for the task (task default when omitted)",
-    )
+    _task_flags(trace_p)
     trace_p.add_argument(
         "--out", default="trace.jsonl", help="output trace path (JSONL)"
     )
@@ -177,9 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay_p = sub.add_parser(
         "replay",
-        help="re-drive a recorded trace and verify a byte-identical stream",
+        help="re-verify a trace, a shrunk check violation or a soak incident",
     )
-    replay_p.add_argument("trace", help="path of a trace recorded by `repro trace`")
+    replay_p.add_argument(
+        "path", help="artifact file (exit 0 reproduced, 1 not, 2 unreadable)"
+    )
 
     report_p = sub.add_parser(
         "report",
@@ -235,18 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--protocol", choices=sorted(PROTOCOLS), default="leader_election",
         help="protocol to check (includes known-bad negative controls)",
     )
-    check_p.add_argument("--n", type=int, default=16, help="system size")
-    check_p.add_argument(
-        "--k", type=int, default=None, help="participants (default n)"
-    )
-    check_p.add_argument("--seed", type=int, default=0, help="master seed")
+    _run_flags(check_p)
     check_p.add_argument(
         "--budget", type=int, default=200, help="total executions to explore"
     )
-    check_p.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (1 = serial, 0 = all CPUs)",
-    )
+    _workers_flag(check_p)
     check_p.add_argument(
         "--invariants", nargs="+", default=None, metavar="NAME",
         choices=sorted(INVARIANTS),
@@ -262,12 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scheduler registry names to rotate through",
     )
     check_p.add_argument(
-        "--pattern",
-        choices=("first", "last", "spread", "random"),
-        default="first",
-        help="which pids participate",
-    )
-    check_p.add_argument(
         "--depth", type=int, default=4,
         help="systematic mode: max choice-prefix depth",
     )
@@ -275,14 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--branching", type=int, default=4,
         help="systematic mode: choices considered per decision point",
     )
-    no_shrink = check_p.add_mutually_exclusive_group()
-    no_shrink.add_argument(
-        "--shrink", dest="shrink", action="store_true", default=True,
-        help="minimize violating schedules and write artifacts (default)",
-    )
-    no_shrink.add_argument(
+    check_p.add_argument(
         "--no-shrink", dest="shrink", action="store_false",
-        help="report violations without shrinking",
+        help="report violations without shrinking or writing artifacts",
     )
     check_p.add_argument(
         "--out-dir", default=".",
@@ -296,13 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
             "fork mid-schedule instead of re-executing from tick 0"
         ),
     )
-    check_p.add_argument(
-        "--replay", default=None, metavar="ARTIFACT_JSON",
-        help=(
-            "re-execute a shrunk violation artifact and verify it "
-            "reproduces byte-identically (ignores exploration flags)"
-        ),
-    )
 
     net_p = sub.add_parser(
         "net",
@@ -311,72 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
             "(one OS process per node), optionally under fault injection"
         ),
     )
-    net_p.add_argument(
-        "--task", choices=("elect", "sift", "rename"), default="elect"
-    )
-    net_p.add_argument(
-        "--algorithm", default=None,
-        help="algorithm for the task (task default when omitted)",
-    )
-    net_p.add_argument("--n", type=int, default=6, help="node processes to spawn")
-    net_p.add_argument(
-        "--k", type=int, default=None, help="participants (default n)"
-    )
-    net_p.add_argument(
-        "--pattern",
-        choices=("first", "last", "spread", "random"),
-        default="first",
-        help="which pids participate",
-    )
-    net_p.add_argument("--seed", type=int, default=0, help="master seed")
-    net_p.add_argument(
-        "--chaos", default=None, metavar="PLAN_JSON",
-        help="fault-injection plan file (overrides --drop/--delay/--dup)",
-    )
-    net_p.add_argument(
-        "--drop", type=float, default=0.0, help="per-frame drop probability"
-    )
-    net_p.add_argument(
-        "--delay", type=float, default=0.0, help="per-frame delay probability"
-    )
-    net_p.add_argument(
-        "--dup", type=float, default=0.0, help="per-frame duplicate probability"
-    )
-    net_p.add_argument(
-        "--delay-ms", type=float, nargs=2, default=(1.0, 25.0),
-        metavar=("LO", "HI"), help="uniform delay range when a frame is delayed",
-    )
-    net_p.add_argument(
-        "--chaos-seed", type=int, default=0,
-        help="seed of the fault plan's RNG streams",
-    )
+    _task_flags(net_p)
+    _run_flags(net_p, n=6)
+    _socket_flags(net_p, timeout=120.0)
     net_p.add_argument(
         "--trace", default=None, metavar="OUT_JSONL",
         help="merge all nodes' obs event streams into one JSONL trace",
     )
     net_p.add_argument(
-        "--telemetry", default=None, metavar="OUT_JSONL",
-        help=(
-            "stream merged cluster metrics snapshots (RPC latency "
-            "percentiles, retries, chaos counters) to this path; tail it "
-            "with `repro watch`"
-        ),
-    )
-    net_p.add_argument(
-        "--telemetry-interval", type=float, default=0.5,
-        help="seconds between per-node telemetry reports",
-    )
-    net_p.add_argument(
-        "--timeout", type=float, default=120.0,
-        help="wall-clock budget for the whole run (seconds)",
-    )
-    net_p.add_argument(
         "--rpc-timeout", type=float, default=0.25,
         help="per-RPC timeout before a retry with backoff (seconds)",
-    )
-    net_p.add_argument(
-        "--no-check", dest="check", action="store_false", default=True,
-        help="skip the repro.check run-invariant evaluation",
     )
 
     serve_p = sub.add_parser(
@@ -440,46 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--crash-sessions", type=int, default=1,
         help="load: sessions aborted while holding leases (failover phase)",
     )
-    serve_p.add_argument(
-        "--chaos", default=None, metavar="PLAN_JSON",
-        help="fault-injection plan file (overrides --drop/--delay/--dup)",
-    )
-    serve_p.add_argument(
-        "--drop", type=float, default=0.0, help="per-frame drop probability"
-    )
-    serve_p.add_argument(
-        "--delay", type=float, default=0.0, help="per-frame delay probability"
-    )
-    serve_p.add_argument(
-        "--dup", type=float, default=0.0, help="per-frame duplicate probability"
-    )
-    serve_p.add_argument(
-        "--delay-ms", type=float, nargs=2, default=(1.0, 25.0),
-        metavar=("LO", "HI"), help="uniform delay range when a frame is delayed",
-    )
-    serve_p.add_argument(
-        "--chaos-seed", type=int, default=0,
-        help="seed of the fault plan's RNG streams",
-    )
-    serve_p.add_argument(
-        "--telemetry", default=None, metavar="OUT_JSONL",
-        help=(
-            "stream service metrics snapshots (grants, acquire/failover "
-            "latency percentiles) to this path; tail with `repro watch`"
-        ),
-    )
-    serve_p.add_argument(
-        "--telemetry-interval", type=float, default=0.5,
-        help="seconds between telemetry snapshots",
-    )
-    serve_p.add_argument(
-        "--timeout", type=float, default=300.0,
-        help="load: wall-clock budget for the whole scenario (seconds)",
-    )
-    serve_p.add_argument(
-        "--no-check", dest="check", action="store_false", default=True,
-        help="skip the repro.check lease-invariant evaluation",
-    )
+    _socket_flags(serve_p, timeout=300.0)
 
     soak_p = sub.add_parser(
         "soak",
@@ -553,13 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "negative control: after S seconds forge a stale-epoch double "
             "grant that the mid-stream monitor must catch"
-        ),
-    )
-    soak_p.add_argument(
-        "--replay", default=None, metavar="INCIDENT_JSON",
-        help=(
-            "do not soak; deterministically re-verify a recorded incident "
-            "artifact (exit 0 when it replays to the recorded verdict)"
         ),
     )
     return parser
@@ -673,6 +611,14 @@ def _cmd_bench(args) -> int:
         print(f"tables: {path}")
         return 0
 
+    # Load every baseline before the sweep, so a bad --compare fails fast.
+    baselines = {}
+    if args.compare:
+        for exp in args.exp:
+            path = args.compare
+            if os.path.isdir(path):
+                path = os.path.join(path, f"BENCH_{exp.upper()}.json")
+            baselines[exp] = load_result(path)
     exit_code = 0
     for exp in args.exp:
         if args.check_serial and args.workers != 1:
@@ -719,17 +665,9 @@ def _cmd_bench(args) -> int:
         if args.baseline:
             path = result.save(args.out)
             print(f"baseline:      {path}")
-        if args.compare:
-            baseline_path = args.compare
-            if os.path.isdir(baseline_path):
-                baseline_path = os.path.join(
-                    baseline_path, f"BENCH_{exp.upper()}.json"
-                )
-            kwargs = {}
-            if args.tolerance is not None:
-                kwargs["tolerance"] = args.tolerance
+        if exp in baselines:
             comparison = compare_results(
-                load_result(baseline_path), result, **kwargs
+                baselines[exp], result, tolerance=args.tolerance
             )
             print(comparison.describe())
             if not comparison.ok:
@@ -772,13 +710,16 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    from .obs.replay import ReplayError, replay_trace
+    from .obs.jsonl import read_artifact
 
-    try:
-        report = replay_trace(args.trace)
-    except (OSError, ValueError, ReplayError) as error:
-        print(f"error: {error}")
-        return 2
+    kind, _ = read_artifact(args.path)
+    if kind == "trace":
+        from .obs.replay import replay_trace as verify
+    elif kind == "check-violation":
+        from .check.shrink import replay_artifact as verify
+    else:
+        from .harness.soak import replay_incident as verify
+    report = verify(args.path)
     print(report.describe())
     return 0 if report.ok else 1
 
@@ -786,11 +727,7 @@ def _cmd_replay(args) -> int:
 def _cmd_report(args) -> int:
     from .obs.aggregate import TraceAggregator
 
-    try:
-        aggregator = TraceAggregator.from_file(args.trace)
-    except (OSError, ValueError, KeyError) as error:
-        print(f"error: {error}")
-        return 2
+    aggregator = TraceAggregator.from_file(args.trace)
     print(aggregator.report(title=args.trace))
     if args.critical_path or args.lineage is not None:
         from .obs.causality import (
@@ -799,11 +736,7 @@ def _cmd_report(args) -> int:
             lineage_report,
         )
 
-        try:
-            causal = analyze_trace(args.trace)
-        except (OSError, ValueError, KeyError) as error:
-            print(f"error: {error}")
-            return 2
+        causal = analyze_trace(args.trace)
         if args.critical_path:
             print()
             print(critical_path_report(causal, title=args.trace))
@@ -822,14 +755,9 @@ def _cmd_watch(args) -> int:
     )
 
     if args.prometheus or not args.follow:
-        try:
-            meta, snapshots, ended = read_snapshots(args.snapshots)
-        except (OSError, ValueError, KeyError) as error:
-            print(f"error: {error}")
-            return 2
+        meta, snapshots, ended = read_snapshots(args.snapshots)
         if not snapshots:
-            print(f"error: {args.snapshots}: no snapshots recorded yet")
-            return 2
+            raise ValueError(f"{args.snapshots}: no snapshots recorded yet")
         last = snapshots[-1]
         if args.prometheus:
             print(snapshot_to_prometheus(last["metrics"]), end="")
@@ -846,26 +774,17 @@ def _cmd_watch(args) -> int:
         return 0
 
     ended = False
-    try:
-        for obj in follow_snapshots(
-            args.snapshots, poll_interval=args.interval, timeout=args.timeout
-        ):
-            if "meta" in obj:
-                continue
-            if "end" in obj:
-                ended = True
-                print(f"stream ended at clock={obj['end'].get('clock')}")
-                break
-            print(render_snapshot(obj))
-            print()
-    except (OSError, ValueError, KeyError) as error:
-        print(f"error: {error}")
-        return 2
-    except TimeoutError as error:
-        print(f"error: {error}")
-        return 2
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        return 130
+    for obj in follow_snapshots(
+        args.snapshots, poll_interval=args.interval, timeout=args.timeout
+    ):
+        if "meta" in obj:
+            continue
+        if "end" in obj:
+            ended = True
+            print(f"stream ended at clock={obj['end'].get('clock')}")
+            break
+        print(render_snapshot(obj))
+        print()
     if not ended:
         print("warning: stream closed without an end marker (run interrupted?)")
         return 1
@@ -874,16 +793,6 @@ def _cmd_watch(args) -> int:
 
 def _cmd_check(args) -> int:
     from .check.explore import explore
-    from .check.shrink import replay_artifact
-
-    if args.replay is not None:
-        try:
-            replay = replay_artifact(args.replay)
-        except (OSError, ValueError, KeyError) as error:
-            print(f"error: {error}")
-            return 2
-        print(replay.describe())
-        return 0 if replay.ok else 1
 
     report = explore(
         args.protocol,
@@ -906,37 +815,35 @@ def _cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_net(args) -> int:
-    from .net import ChaosPlan, load_plan, run_net
-    from .net.driver import NetError
+def _chaos_plan(args):
+    """``(plan, summary)``: the chaos plan of ``repro net`` / ``repro serve``."""
+    from .net import ChaosPlan, load_plan
 
-    try:
-        if args.chaos is not None:
-            plan = load_plan(args.chaos)
-        else:
-            plan = ChaosPlan(
-                seed=args.chaos_seed, drop=args.drop, delay=args.delay,
-                delay_ms=tuple(args.delay_ms), duplicate=args.dup,
-            )
-    except (OSError, ValueError) as error:
-        print(f"error: {error}")
-        return 2
-    try:
-        run = run_net(
-            task=args.task, algorithm=args.algorithm, n=args.n, k=args.k,
-            pattern=args.pattern, seed=args.seed, plan=plan,
-            rpc_timeout_s=args.rpc_timeout, deadline_s=args.timeout,
-            trace_path=args.trace, check=args.check,
-            telemetry_path=args.telemetry,
-            telemetry_interval_s=args.telemetry_interval,
+    if args.chaos is not None:
+        plan = load_plan(args.chaos)
+    else:
+        plan = ChaosPlan(
+            seed=args.chaos_seed, drop=args.drop, delay=args.delay,
+            delay_ms=tuple(args.delay_ms), duplicate=args.dup,
         )
-    except (NetError, ValueError) as error:
-        print(f"error: {error}")
-        return 2
-
-    chaos = "clean" if not plan.active else (
+    summary = "clean" if not plan.active else (
         f"drop={plan.drop} delay={plan.delay} dup={plan.duplicate} "
         f"partitions={len(plan.partitions)} seed={plan.seed}"
+    )
+    return plan, summary
+
+
+def _cmd_net(args) -> int:
+    from .net import run_net
+
+    plan, chaos = _chaos_plan(args)
+    run = run_net(
+        task=args.task, algorithm=args.algorithm, n=args.n, k=args.k,
+        pattern=args.pattern, seed=args.seed, plan=plan,
+        rpc_timeout_s=args.rpc_timeout, deadline_s=args.timeout,
+        trace_path=args.trace, check=args.check,
+        telemetry_path=args.telemetry,
+        telemetry_interval_s=args.telemetry_interval,
     )
     print(f"backend:       sockets ({run.n} node processes, "
           f"{run.k} participants)")
@@ -967,50 +874,25 @@ def _cmd_net(args) -> int:
     return 0
 
 
-def _serve_plan(args):
-    """Build the chaos plan for ``repro serve`` from its flags."""
-    from .net import ChaosPlan, load_plan
-
-    if args.chaos is not None:
-        return load_plan(args.chaos)
-    return ChaosPlan(
-        seed=args.chaos_seed, drop=args.drop, delay=args.delay,
-        delay_ms=tuple(args.delay_ms), duplicate=args.dup,
-    )
-
-
 def _cmd_serve(args) -> int:
     import asyncio
 
     from .check.invariants import evaluate_service_run
-    from .net.service import ElectionService, ServiceError, ServiceRun
+    from .net.service import ElectionService, ServiceRun
 
-    try:
-        plan = _serve_plan(args)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}")
-        return 2
-
+    plan, chaos = _chaos_plan(args)
     if args.load:
         from .net.load import run_load
 
-        try:
-            report = run_load(
-                keys=args.keys, contenders=args.contenders,
-                rounds=args.rounds, sessions=args.sessions,
-                ttl_ms=args.ttl, hold_ms=args.hold_ms,
-                crash_sessions=args.crash_sessions, seed=args.seed,
-                election=args.election, plan=plan,
-                telemetry_path=args.telemetry,
-                telemetry_interval_s=args.telemetry_interval,
-                deadline_s=args.timeout,
-            )
-        except (ServiceError, OSError) as error:
-            print(f"error: {error}")
-            return 2
-        chaos = "clean" if not plan.active else (
-            f"drop={plan.drop} delay={plan.delay} dup={plan.duplicate} "
-            f"seed={plan.seed}"
+        report = run_load(
+            keys=args.keys, contenders=args.contenders,
+            rounds=args.rounds, sessions=args.sessions,
+            ttl_ms=args.ttl, hold_ms=args.hold_ms,
+            crash_sessions=args.crash_sessions, seed=args.seed,
+            election=args.election, plan=plan,
+            telemetry_path=args.telemetry,
+            telemetry_interval_s=args.telemetry_interval,
+            deadline_s=args.timeout,
         )
         print(f"chaos:         {chaos}")
         print(report.describe())
@@ -1040,13 +922,7 @@ def _cmd_serve(args) -> int:
             await service.stop()
         return run
 
-    try:
-        run = asyncio.run(_serve())
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        return 130
-    except (ServiceError, OSError) as error:
-        print(f"error: {error}")
-        return 2
+    run = asyncio.run(_serve())
     print(f"grants:        {len(run.history):,}")
     if args.check:
         violations = evaluate_service_run(run)
@@ -1059,43 +935,35 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_soak(args) -> int:
-    from .harness.soak import SoakError, replay_incident, run_soak
+    from .harness.soak import run_soak
     from .net.chaos import CHAOS_PROFILES
 
     if args.list_profiles:
         for name in sorted(CHAOS_PROFILES):
             print(name)
         return 0
-    if args.replay is not None:
-        try:
-            replay = replay_incident(args.replay)
-        except SoakError as error:
-            print(f"error: {error}")
-            return 2
-        print(replay.describe())
-        return 0 if replay.ok else 1
     restart_at = (
         None if args.restart_service_at is None or args.restart_service_at < 0
         else args.restart_service_at
     )
-    try:
-        report = run_soak(
-            duration_s=args.duration, seed=args.seed, profile=args.profile,
-            n=args.n, keys=args.keys, contenders=args.contenders,
-            ttl_ms=args.ttl, hold_ms=args.hold_ms,
-            kill_every=args.kill_every, restart_service_at=restart_at,
-            episode_every_s=args.episode_every, out_dir=args.out_dir,
-            inject_violation_at_s=args.inject_violation,
-        )
-    except (SoakError, OSError) as error:
-        print(f"error: {error}")
-        return 2
+    report = run_soak(
+        duration_s=args.duration, seed=args.seed, profile=args.profile,
+        n=args.n, keys=args.keys, contenders=args.contenders,
+        ttl_ms=args.ttl, hold_ms=args.hold_ms,
+        kill_every=args.kill_every, restart_service_at=restart_at,
+        episode_every_s=args.episode_every, out_dir=args.out_dir,
+        inject_violation_at_s=args.inject_violation,
+    )
     print(report.describe())
     return 0 if report.ok else 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A :data:`RUNTIME_ERRORS` error from any command prints one ``error:``
+    line and exits 2; Ctrl-C exits 130.
+    """
     args = build_parser().parse_args(argv)
     handlers = {
         "elect": _cmd_elect,
@@ -1112,7 +980,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         "serve": _cmd_serve,
         "soak": _cmd_soak,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except KeyboardInterrupt:
+        return 130
+    except RUNTIME_ERRORS as error:
+        print(f"error: {error}")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

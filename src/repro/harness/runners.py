@@ -94,9 +94,16 @@ def task_factory(
             f"unknown algorithm {algorithm!r}; expected one of {LEADER_ALGORITHMS}"
         )
     if task == "sift":
+        if bias is not None and not 0.0 <= bias <= 1.0:
+            raise ValueError(f"bias must be within [0, 1], got {bias}")
         if algorithm == "poison_pill":
             return make_poison_pill(bias=bias)
         if algorithm == "heterogeneous":
+            if bias is not None:
+                raise ValueError(
+                    "the heterogeneous sifter's coin bias depends on its "
+                    "view; bias applies to poison_pill and naive"
+                )
             return make_heterogeneous_poison_pill(use_lists=use_lists)
         if algorithm == "naive":
             return make_naive_sifter(bias=bias)

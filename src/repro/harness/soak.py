@@ -43,36 +43,34 @@ execution but here gets to re-pick every phase.
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from ..net.chaos import CHAOS_PROFILES, PhasedChaosPlan, make_phased_plan
 from ..net.client import ServiceClient
 from ..net.service import ElectionService, GrantRecord, ServiceRun
+from ..obs.jsonl import (
+    ARTIFACT_VERSIONS,
+    canonical_json,
+    read_artifact,
+    sha256_lines,
+    write_artifact,
+)
 from ..obs.metrics import MetricsRegistry, merge_snapshots
 from ..sim.rng import derive_seed
 
 __all__ = [
     "IncidentReplay",
-    "SOAK_FORMAT_VERSION",
     "SoakError",
     "SoakReport",
     "SoakViolation",
-    "load_incident",
     "replay_incident",
     "run_soak",
 ]
 
-#: Version stamp written into incident artifacts so future readers can
-#: reject shapes they do not understand.
-SOAK_FORMAT_VERSION = 1
-
-#: The grant-log fields serialized into incident artifacts, in the order
-#: :func:`_grants_digest` canonicalizes them.
+#: The grant-log fields serialized into incident artifacts.
 _GRANT_FIELDS = (
     "key", "epoch", "holder", "session", "granted_ns", "ended_ns", "reason",
 )
@@ -100,10 +98,7 @@ class SoakViolation:
 
     def to_obj(self) -> dict[str, Any]:
         """JSON-safe form for incident artifacts."""
-        return {
-            "invariant": self.invariant, "message": self.message,
-            "grant_index": self.grant_index, "source": self.source,
-        }
+        return asdict(self)
 
     @classmethod
     def from_obj(cls, obj: dict[str, Any]) -> "SoakViolation":
@@ -464,15 +459,6 @@ async def _episode_loop(
             return
 
 
-def _grants_digest(grants: list[dict[str, Any]]) -> str:
-    """SHA-256 over the canonical JSON lines of a grant log."""
-    payload = "\n".join(
-        json.dumps(obj, sort_keys=True, separators=(",", ":"))
-        for obj in grants
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def _write_incident(
     out_dir: str,
     plan: PhasedChaosPlan,
@@ -489,8 +475,8 @@ def _write_incident(
     """Write the replayable incident artifact; returns its path."""
     grants = [record.to_obj() for record in state.grant_log]
     incident = {
-        "format": SOAK_FORMAT_VERSION,
         "kind": "soak-incident",
+        "version": ARTIFACT_VERSIONS["soak-incident"],
         "profile": profile,
         "seed": seed,
         "n": n,
@@ -502,7 +488,7 @@ def _write_incident(
         "violation": state.violation.to_obj() if state.violation else None,
         "injected": state.injected,
         "grants": grants,
-        "grants_sha256": _grants_digest(grants),
+        "grants_sha256": sha256_lines(map(canonical_json, grants)),
         "metrics": snapshot,
         "recoveries": state.recoveries,
         "service_restarts": state.service_restarts,
@@ -514,10 +500,7 @@ def _write_incident(
     path = os.path.join(
         out_dir, f"soak-incident-{profile}-seed{seed}.json"
     )
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(incident, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+    return write_artifact(path, incident)
 
 
 async def _run_soak_async(
@@ -741,7 +724,7 @@ class IncidentReplay:
         )
 
     def describe(self) -> str:
-        """Human summary for ``repro soak --replay``."""
+        """Human summary for ``repro replay``."""
         lines = [f"incident:      {self.path}"]
         if self.recorded is not None:
             flag = " [injected]" if self.injected else ""
@@ -762,28 +745,6 @@ class IncidentReplay:
         return "\n".join(lines)
 
 
-def load_incident(path: str) -> dict[str, Any]:
-    """Load and structurally validate an incident artifact."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    except OSError as exc:
-        raise SoakError(f"cannot read incident {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SoakError(f"{path}: not valid JSON ({exc.msg})") from exc
-    if not isinstance(obj, dict) or obj.get("kind") != "soak-incident":
-        raise SoakError(f"{path}: not a soak incident artifact")
-    if obj.get("format") != SOAK_FORMAT_VERSION:
-        raise SoakError(
-            f"{path}: incident format {obj.get('format')!r} is not "
-            f"supported (expected {SOAK_FORMAT_VERSION})"
-        )
-    for field_name in ("grants", "grants_sha256", "violation", "plan"):
-        if field_name not in obj:
-            raise SoakError(f"{path}: incident is missing {field_name!r}")
-    return obj
-
-
 def replay_incident(path: str) -> IncidentReplay:
     """Deterministically re-verify an incident artifact, offline.
 
@@ -795,9 +756,9 @@ def replay_incident(path: str) -> IncidentReplay:
     """
     from ..check.invariants import stream_folds
 
-    obj = load_incident(path)
+    _, obj = read_artifact(path, "soak-incident")
     grants = obj["grants"]
-    digest_ok = _grants_digest(grants) == obj["grants_sha256"]
+    digest_ok = sha256_lines(map(canonical_json, grants)) == obj["grants_sha256"]
     recorded = (
         SoakViolation.from_obj(obj["violation"])
         if obj["violation"] is not None else None

@@ -43,7 +43,7 @@ from ..core.baselines import (
 )
 from ..core.protocol import Outcome
 from ..harness.workloads import choose_participants
-from ..obs.jsonl import obj_to_event, read_trace, write_events
+from ..obs.jsonl import TRACE_FORMAT_VERSION, obj_to_event, read_trace, write_events
 from ..obs.live import SnapshotWriter
 from ..obs.metrics import merge_snapshots
 from ..sim.messages import MessageKind
@@ -601,7 +601,7 @@ def _merge_traces(
     plan = meta.pop("plan")
     header = {
         "backend": "net",
-        "format": 1,
+        "version": TRACE_FORMAT_VERSION,
         **{key: json_safe(value) for key, value in meta.items()},
         "chaos": plan.to_obj(),
         "nodes": len(trace_paths),

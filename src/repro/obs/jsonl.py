@@ -6,10 +6,14 @@ reconstruct the run: task, system size, participants spec, seed, and the
 adversary's registry name.  Every following line is one event, serialized
 with sorted keys and no whitespace so that identical executions produce
 byte-identical files — the property the replay verifier asserts.
+
+:func:`read_artifact` identifies and loads every replayable file: a
+trace, a shrunk ``repro check`` violation or a soak incident.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from typing import Any, Iterable, Iterator
@@ -18,6 +22,33 @@ from .events import Event
 
 #: Bumped when the serialized schema changes incompatibly.
 TRACE_FORMAT_VERSION = 1
+
+#: The ``version`` each replayable kind must carry (in a trace, in its header).
+ARTIFACT_VERSIONS = {"trace": TRACE_FORMAT_VERSION, "check-violation": 1, "soak-incident": 1}
+
+#: Top-level fields a JSON artifact kind cannot be replayed without.
+_REQUIRED_FIELDS = {
+    "check-violation": ("protocol", "invariant", "n", "k", "pattern", "seed",
+                        "schedule", "violation", "stream_sha256"),
+    "soak-incident": ("grants", "grants_sha256", "violation", "plan"),
+}
+
+#: The canonical JSON encoding: sorted keys, no whitespace, so equal
+#: objects give equal bytes.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def sha256_lines(lines: Iterable[str]) -> str:
+    """SHA-256 hex digest of ``lines``, each terminated by a newline."""
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+class ArtifactError(ValueError):
+    """A file is unreadable or is not a replayable artifact."""
 
 
 def event_to_obj(event: Event) -> dict[str, Any]:
@@ -34,7 +65,7 @@ def event_to_obj(event: Event) -> dict[str, Any]:
 
 def event_line(event: Event) -> str:
     """Canonical single-line serialization of one event."""
-    return json.dumps(event_to_obj(event), sort_keys=True, separators=(",", ":"))
+    return canonical_json(event_to_obj(event))
 
 
 def obj_to_event(obj: dict[str, Any]) -> Event:
@@ -63,9 +94,7 @@ class JsonlSink:
             self._owns = False
         self._lines: list[str] = []
         if meta is not None:
-            self._lines.append(
-                json.dumps({"meta": meta}, sort_keys=True, separators=(",", ":"))
-            )
+            self._lines.append(canonical_json({"meta": meta}))
 
     def emit(self, event: Event) -> None:
         """Buffer the event's canonical JSONL line."""
@@ -126,3 +155,49 @@ def write_events(path: str, events: Iterable[Event], meta: dict[str, Any] | None
     count = sink.line_count
     sink.close()
     return count
+
+
+def write_artifact(path: str, obj: dict[str, Any]) -> str:
+    """Write a JSON artifact (sorted keys, one-space indent) to ``path``."""
+    with open(path, "w", encoding="utf-8") as fp:
+        json.dump(obj, fp, sort_keys=True, indent=1)
+        fp.write("\n")
+    return path
+
+
+def read_artifact(path: str, kind: str | None = None) -> tuple[str, dict[str, Any]]:
+    """Identify and load a replayable file: ``(kind, obj)``.
+
+    A trace's first line is its ``{"meta": {...}}`` header, which is
+    ``obj``; the JSON kinds are one object with top-level ``kind`` and
+    ``version``.  ``kind``, when given, is the only kind accepted.
+    Raises :class:`ArtifactError` with a one-line ``path: reason``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            first = fp.readline()
+            if first.startswith('{"meta":'):  # JsonlSink writes it canonically
+                found, obj = "trace", json.loads(first)["meta"]
+            else:
+                obj = json.loads(first + fp.read())
+                found = obj.get("kind") if isinstance(obj, dict) else None
+    except OSError as exc:
+        raise ArtifactError(f"{path}: cannot read ({exc.strerror})") from exc
+    except ValueError as exc:
+        raise ArtifactError(f"{path}: not valid JSON ({exc})") from exc
+    if found not in ARTIFACT_VERSIONS or not isinstance(obj, dict):
+        raise ArtifactError(
+            f"{path}: not a replayable artifact (kind {found!r}; known: "
+            f"{', '.join(sorted(ARTIFACT_VERSIONS))})"
+        )
+    if kind is not None and found != kind:
+        raise ArtifactError(f"{path}: a {found} artifact, not a {kind}")
+    if obj.get("version") != ARTIFACT_VERSIONS[found]:
+        raise ArtifactError(
+            f"{path}: unsupported {found} version {obj.get('version')!r} "
+            f"(expected {ARTIFACT_VERSIONS[found]})"
+        )
+    missing = [name for name in _REQUIRED_FIELDS.get(found, ()) if name not in obj]
+    if missing:
+        raise ArtifactError(f"{path}: {found} artifact is missing {missing}")
+    return found, obj

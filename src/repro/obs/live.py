@@ -31,6 +31,7 @@ import time as _time
 from typing import Any, Iterator, Mapping
 
 from .events import Event, EventType, RingBufferSink
+from .jsonl import canonical_json
 from .metrics import MetricsRegistry, MetricsSink, snapshot_to_prometheus
 
 __all__ = [
@@ -44,10 +45,6 @@ __all__ = [
 
 #: Bumped when the snapshot line schema changes incompatibly.
 SNAPSHOT_FORMAT_VERSION = 1
-
-
-def _canonical(obj: Mapping[str, Any]) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class SnapshotWriter:
@@ -80,7 +77,7 @@ class SnapshotWriter:
         self._write_line({"meta": header})
 
     def _write_line(self, obj: Mapping[str, Any]) -> None:
-        self._fp.write(_canonical(obj))
+        self._fp.write(canonical_json(obj))
         self._fp.write("\n")
         self._fp.flush()
 
@@ -194,10 +191,6 @@ class LiveTelemetry:
         self._writer.close()
 
 
-def _parse_line(line: str) -> dict[str, Any]:
-    return json.loads(line)
-
-
 def read_snapshots(
     path: str,
 ) -> tuple[dict[str, Any] | None, list[dict[str, Any]], dict[str, Any] | None]:
@@ -215,7 +208,7 @@ def read_snapshots(
             line = line.rstrip("\n")
             if not line:
                 continue
-            obj = _parse_line(line)
+            obj = json.loads(line)
             if index == 0 and "meta" in obj:
                 meta = obj["meta"]
             elif "end" in obj:
@@ -260,7 +253,7 @@ def follow_snapshots(
                     line, buffer = buffer.split("\n", 1)
                     if not line:
                         continue
-                    obj = _parse_line(line)
+                    obj = json.loads(line)
                     yield obj
                     if "end" in obj:
                         return

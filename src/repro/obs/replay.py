@@ -20,6 +20,7 @@ The flow::
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
@@ -27,11 +28,12 @@ from ..adversary.base import Adversary
 from ..sim.runtime import Action, Crash, Step
 from .events import EventType, ListSink, SCHEDULE_EVENT_TYPES
 from .jsonl import (
+    ArtifactError,
     JsonlSink,
     TRACE_FORMAT_VERSION,
     event_line,
     iter_trace_lines,
-    read_trace,
+    read_artifact,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -126,12 +128,16 @@ class ReplayReport:
     recorded_line: str | None = None
     replayed_line: str | None = None
     run: Any = None
+    #: Why the recorded schedule stopped resolving against the rerun
+    #: (names the schedule entry), or ``None`` if it resolved throughout.
+    schedule_error: str | None = None
 
     @property
     def ok(self) -> bool:
         """True iff the rerun's event stream is byte-identical."""
         return (
-            self.divergence_index is None
+            self.schedule_error is None
+            and self.divergence_index is None
             and self.recorded_events == self.replayed_events
         )
 
@@ -142,6 +148,8 @@ class ReplayReport:
                 f"replay OK: {self.replayed_events:,} events match the "
                 f"recording byte-for-byte"
             )
+        if self.schedule_error is not None:
+            return f"replay DIVERGED: {self.schedule_error}"
         if self.divergence_index is None:
             return (
                 f"replay DIVERGED: event counts differ "
@@ -233,19 +241,29 @@ def record_trace(
 
 
 def replay_trace(path: str, check: bool = True) -> ReplayReport:
-    """Re-drive a recorded trace and compare event streams byte-for-byte."""
-    meta, event_objects = read_trace(path)
-    if meta is None:
-        raise ReplayError(
-            f"{path}: no meta header; only traces written by record_trace "
-            f"(or `repro trace`) can be replayed"
+    """Re-drive a recorded trace and compare event streams byte-for-byte.
+
+    A schedule entry that no longer resolves against the rerun is a
+    divergence like any other: the report fails and names the entry.
+    Raises :class:`~repro.obs.jsonl.ArtifactError` for a file that is
+    not a simulator trace (``repro net`` traces record wall-clock
+    delivery order, which the simulator does not replay).
+    """
+    _, meta = read_artifact(path, "trace")
+    if meta.get("backend") == "net":
+        raise ArtifactError(
+            f"{path}: a repro net trace; only simulator traces replay"
         )
-    recorded_lines = [
-        line for line in iter_trace_lines(path) if not line.startswith('{"meta"')
-    ]
-    scripted = ScriptedAdversary(extract_schedule(event_objects))
+    recorded_lines = list(iter_trace_lines(path))[1:]
+    scripted = ScriptedAdversary(
+        extract_schedule(json.loads(line) for line in recorded_lines)
+    )
     capture = ListSink()
-    run = _run_task(meta, scripted, capture, check=check)
+    run = schedule_error = None
+    try:
+        run = _run_task(meta, scripted, capture, check=check)
+    except ReplayDivergenceError as exc:
+        schedule_error = str(exc)
     replayed_lines = [event_line(event) for event in capture.events]
     divergence_index = None
     recorded_line = replayed_line = None
@@ -262,4 +280,5 @@ def replay_trace(path: str, check: bool = True) -> ReplayReport:
         recorded_line=recorded_line,
         replayed_line=replayed_line,
         run=run,
+        schedule_error=schedule_error,
     )

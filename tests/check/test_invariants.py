@@ -227,7 +227,7 @@ class TestRunScopeChecks:
     def test_one_offender_message_text_is_stable(
         self, invariant, protocol, outcomes, message
     ):
-        # `repro check --replay` compares an artifact's stored message
+        # `repro replay` compares an artifact's stored message
         # with the replayed one exactly, so this text must not drift.
         ctx = fake_ctx(protocol, outcomes)
         assert INVARIANTS[invariant].check(ctx) == message

@@ -12,12 +12,11 @@ from repro.check.explore import TrialSpec, capture_run, explore, schedule_of
 from repro.check.invariants import INVARIANTS, PROTOCOLS
 from repro.check.shrink import (
     SchedulePrefixAdversary,
-    load_artifact,
     replay_artifact,
     run_schedule,
     shrink_schedule,
-    stream_digest,
 )
+from repro.obs.jsonl import ArtifactError, event_line, read_artifact, sha256_lines
 
 #: The seeded violation below (naive sifter, coin_aware batch, n=8,
 #: seed=0) must shrink to no more than this many schedule entries.  The
@@ -125,7 +124,7 @@ class TestSeededViolation:
         assert replay.replayed_violation == replay.expected_violation
 
     def test_replay_detects_tampered_schedule(self, seeded_violation, tmp_path):
-        obj = load_artifact(seeded_violation.artifact_path)
+        _, obj = read_artifact(seeded_violation.artifact_path)
         obj["schedule"] = obj["schedule"][: len(obj["schedule"]) // 2]
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(obj))
@@ -133,13 +132,13 @@ class TestSeededViolation:
         assert not replay.digest_matches
 
     def test_artifact_digest_matches_fresh_execution(self, seeded_violation):
-        obj = load_artifact(seeded_violation.artifact_path)
+        _, obj = read_artifact(seeded_violation.artifact_path)
         spec = PROTOCOLS[obj["protocol"]]
         ctx = run_schedule(
             spec, obj["schedule"], obj["n"], obj["k"], obj["seed"],
             obj["pattern"],
         )
-        assert stream_digest(ctx) == obj["stream_sha256"]
+        assert sha256_lines(map(event_line, ctx.events)) == obj["stream_sha256"]
 
     def test_trace_replays_via_obs(self, seeded_violation):
         from repro.obs.replay import replay_trace
@@ -151,12 +150,12 @@ class TestSeededViolation:
         with open(seeded_violation.script_path, "r", encoding="utf-8") as fp:
             text = fp.read()
         assert "sifting_effective" in text
-        assert "repro check --replay" in text
+        assert "repro replay" in text
 
 
 class TestArtifactValidation:
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"artifact_version": 999}))
-        with pytest.raises(ValueError, match="unsupported artifact version"):
-            load_artifact(str(path))
+        path.write_text(json.dumps({"kind": "check-violation", "version": 999}))
+        with pytest.raises(ArtifactError, match="unsupported check-violation version"):
+            read_artifact(str(path))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -250,7 +252,7 @@ class TestSoakCommand:
         assert args.profile == "rolling"
         assert args.kill_every == 6
         assert args.restart_service_at == 0.5
-        assert args.replay is None
+        assert "replay" not in vars(args)
         assert args.inject_violation is None
 
     def test_soak_list_profiles(self, capsys):
@@ -284,12 +286,134 @@ class TestSoakCommand:
         assert "VIOLATION:" in out and "[injected]" in out
         assert "incident:" in out
         incident = next(tmp_path.glob("soak-incident-*.json"))
-        assert main(["soak", "--replay", str(incident)]) == 0
+        assert main(["replay", str(incident)]) == 0
         out = capsys.readouterr().out
         assert "replay:        ok" in out
 
     def test_soak_replay_missing_file_is_clean_error(self, capsys):
-        assert main(["soak", "--replay", "/nonexistent/incident.json"]) == 2
+        assert main(["replay", "/nonexistent/incident.json"]) == 2
         out = capsys.readouterr().out
         assert out.startswith("error:")
         assert "Traceback" not in out
+
+
+#: Bad input for every verb class: each must exit 2 with one ``error:``
+#: line, never a traceback (exit 1 is reserved for invariant violations).
+BAD_INPUT = [
+    ["elect", "--n", "0"],
+    ["elect", "--n", "4", "--k", "9"],
+    ["sweep", "--ns", "0"],
+    ["bench", "--exp", "e1", "--compare", "/nonexistent/x.json"],
+    ["bench", "--render-tables", "--out", "/nonexistent"],
+    ["sift", "--kind", "poison_pill", "--bias", "2", "--n", "8"],
+    ["sift", "--bias", "0.5", "--n", "8"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
+def test_bad_input_is_one_error_line_and_exit_2(argv, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error:")
+    assert len(out.splitlines()) == 1
+    assert "Traceback" not in out
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """One file of each replayable kind, as its writer left it, plus a net trace."""
+    from repro.check.explore import explore
+    from repro.harness.soak import run_soak
+    from repro.net import run_net
+    from repro.obs.replay import record_trace
+
+    out = tmp_path_factory.mktemp("artifacts")
+    trace = str(out / "run.jsonl")
+    record_trace(trace, task="elect", n=8, adversary="sequential", seed=2)
+    check = explore(
+        "naive_sifter", n=8, budget=6, seed=0, adversaries=("coin_aware",),
+        modes=("random",), out_dir=str(out),
+    )
+    soak = run_soak(
+        duration_s=15.0, profile="gentle", keys=1, contenders=2, ttl_ms=250.0,
+        hold_ms=5.0, restart_service_at=None, inject_violation_at_s=0.3,
+        out_dir=str(out),
+    )
+    net_trace = str(out / "net.jsonl")
+    run_net(task="elect", n=3, seed=0, trace_path=net_trace)
+    return {
+        "trace": trace,
+        "check-violation": check.violations[0].artifact_path,
+        "soak-incident": soak.incident_path,
+        "net-trace": net_trace,
+    }
+
+
+def _edit_schedule_entry(text):
+    """Point the first recorded delivery at a call that was never made."""
+    lines = text.splitlines()
+    index = next(i for i, line in enumerate(lines) if '"e":"msg.deliver"' in line)
+    entry = json.loads(lines[index])
+    entry["f"]["call"] += 1000
+    lines[index] = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+    return "\n".join(lines) + "\n"
+
+
+def _halve_schedule(text):
+    obj = json.loads(text)
+    obj["schedule"] = obj["schedule"][: len(obj["schedule"]) // 2]
+    return json.dumps(obj)
+
+
+def _edit_grant_holder(text):
+    obj = json.loads(text)
+    obj["grants"][0]["holder"] = "forged"
+    return json.dumps(obj)
+
+
+TAMPER = {
+    "trace": _edit_schedule_entry,
+    "check-violation": _halve_schedule,
+    "soak-incident": _edit_grant_holder,
+}
+
+
+class TestReplay:
+    """``repro replay``: one entry point, one 0/1/2 contract, every kind."""
+
+    @pytest.mark.parametrize("kind", sorted(TAMPER))
+    def test_artifact_as_written_reproduces(self, artifacts, kind, capsys):
+        assert main(["replay", artifacts[kind]]) == 0
+        assert "Traceback" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", sorted(TAMPER))
+    def test_tampered_copy_does_not_reproduce(self, artifacts, kind, tmp_path, capsys):
+        with open(artifacts[kind], encoding="utf-8") as fp:
+            text = fp.read()
+        tampered = tmp_path / "tampered"
+        tampered.write_text(TAMPER[kind](text), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["replay", str(tampered)]) == 1
+        out = capsys.readouterr().out
+        assert not out.startswith("error:")
+        if kind == "trace":
+            assert "schedule entry" in out
+
+    @pytest.mark.parametrize(
+        "case", ["missing", "invalid-json", "other-kind", "net-trace"]
+    )
+    def test_not_an_artifact_is_one_error_line(self, artifacts, case, tmp_path, capsys):
+        path = tmp_path / "input"
+        if case == "missing":
+            path = tmp_path / "absent.json"
+        elif case == "invalid-json":
+            path.write_text("{not json", encoding="utf-8")
+        elif case == "other-kind":
+            path.write_text('{"kind": "other"}', encoding="utf-8")
+        else:
+            path = artifacts["net-trace"]
+        capsys.readouterr()
+        assert main(["replay", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error:")
+        assert len(out.splitlines()) == 1

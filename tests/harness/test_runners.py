@@ -133,6 +133,16 @@ class TestRunSiftingPhase:
         )
         assert run.survivors == 6  # all flip high
 
+    @pytest.mark.parametrize(
+        "kind, bias",
+        [("heterogeneous", 0.5), ("poison_pill", 2.0), ("naive", -0.1)],
+    )
+    def test_unusable_bias_rejected(self, kind, bias):
+        # The heterogeneous coin bias comes from the view, and a
+        # probability outside [0, 1] is not one: neither is ignored.
+        with pytest.raises(ValueError, match="bias"):
+            run_sifting_phase(n=4, kind=kind, bias=bias)
+
 
 class TestRunRenaming:
     def test_returns_structured_run(self):

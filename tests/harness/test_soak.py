@@ -15,18 +15,16 @@ import pytest
 
 from repro.check.invariants import stream_folds
 from repro.harness.soak import (
-    SOAK_FORMAT_VERSION,
     SoakError,
     SoakViolation,
     _gate,
-    _grants_digest,
     _SoakState,
-    load_incident,
     replay_incident,
     run_soak,
 )
 from repro.net.client import ServiceClient
 from repro.net.service import ElectionService, GrantRecord
+from repro.obs.jsonl import ArtifactError, canonical_json, read_artifact, sha256_lines
 
 
 def grant(key, epoch, holder="h", granted_ns=0):
@@ -51,14 +49,14 @@ def write_incident(path, records):
     """A minimal replayable incident artifact holding ``records``."""
     grants = [record.to_obj() for record in records]
     path.write_text(json.dumps({
-        "format": SOAK_FORMAT_VERSION, "kind": "soak-incident", "plan": {},
+        "kind": "soak-incident", "version": 1, "plan": {},
         "violation": None, "grants": grants,
-        "grants_sha256": _grants_digest(grants),
+        "grants_sha256": sha256_lines(map(canonical_json, grants)),
     }), encoding="utf-8")
     return str(path)
 
 
-class TestLeaseMonitor:
+class TestGrantGate:
     """The grant gate: the registry's streaming serve folds, per grant."""
 
     def test_increasing_epochs_pass(self):
@@ -168,7 +166,7 @@ class TestNegativeControl:
 
     def test_incident_artifact_written_and_loadable(self, incident):
         assert incident.incident_path is not None
-        obj = load_incident(incident.incident_path)
+        _, obj = read_artifact(incident.incident_path, "soak-incident")
         assert obj["kind"] == "soak-incident"
         assert obj["injected"] is True
         assert obj["profile"] == "gentle"
@@ -188,7 +186,7 @@ class TestNegativeControl:
         assert "replay:        ok" in first.describe()
 
     def test_tampered_grant_log_fails_replay(self, incident, tmp_path):
-        obj = load_incident(incident.incident_path)
+        _, obj = read_artifact(incident.incident_path, "soak-incident")
         obj["grants"][0]["holder"] = "forged"
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(obj), encoding="utf-8")
@@ -200,11 +198,11 @@ class TestNegativeControl:
     def test_non_incident_file_rejected(self, tmp_path):
         path = tmp_path / "nope.json"
         path.write_text('{"kind": "other"}', encoding="utf-8")
-        with pytest.raises(SoakError, match="not a soak incident"):
+        with pytest.raises(ArtifactError, match="not a replayable artifact"):
             replay_incident(str(path))
 
     def test_unreadable_file_is_soak_error(self):
-        with pytest.raises(SoakError, match="cannot read"):
+        with pytest.raises(ArtifactError, match="cannot read"):
             replay_incident("/nonexistent/incident.json")
 
 

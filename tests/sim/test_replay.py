@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import ADVERSARY_FACTORIES
-from repro.obs.jsonl import read_trace
+from repro.obs.jsonl import ArtifactError, read_trace
 from repro.obs.replay import (
     ReplayError,
     ScriptedAdversary,
@@ -73,7 +73,7 @@ def test_tampered_trace_is_detected(tmp_path):
 def test_meta_header_required(tmp_path):
     path = tmp_path / "bare.jsonl"
     path.write_text('{"t":0,"e":"sched.step","p":0,"f":{}}\n')
-    with pytest.raises(ReplayError):
+    with pytest.raises(ArtifactError):
         replay_trace(str(path))
 
 
