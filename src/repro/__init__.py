@@ -28,107 +28,61 @@ Quickstart::
     print(run.winner, run.max_comm_calls, run.messages_total)
 """
 
-from .adversary import (
-    ADVERSARY_FACTORIES,
-    Adversary,
-    BubbleAdversary,
-    CoinAwareAdversary,
-    CrashingAdversary,
-    EagerAdversary,
-    ObliviousAdversary,
-    QuorumSplitAdversary,
-    RandomAdversary,
-    RandomCrashAdversary,
-    RoundRobinAdversary,
-    SequentialAdversary,
-)
-from .analysis import log_star
-from .core import (
-    HetStatus,
-    Outcome,
-    PillState,
-    get_name,
-    heterogeneous_poison_pill,
-    leader_elect,
-    make_get_name,
-    make_heterogeneous_poison_pill,
-    make_leader_elect,
-    make_poison_pill,
-    poison_pill,
-)
-from .core.baselines import (
-    linear_renaming,
-    make_linear_renaming,
-    make_naive_sifter,
-    make_tournament,
-    naive_sifter,
-    tournament,
-)
-from .core.extensions import do_all, make_do_all, make_replicated_do_all
-from .harness import (
-    LeaderElectionRun,
-    RenamingRun,
-    SiftingRun,
-    SpecificationViolation,
-    choose_participants,
-    run_leader_election,
-    run_renaming,
-    run_sifting_phase,
-)
-from .memory import AtomicRegister, make_register_tournament, register_tournament
-from .sim import Collect, Propagate, ProcessAPI, Simulation, SimulationResult
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ADVERSARY_FACTORIES",
-    "Adversary",
-    "AtomicRegister",
-    "BubbleAdversary",
-    "CoinAwareAdversary",
-    "Collect",
-    "do_all",
-    "make_do_all",
-    "make_register_tournament",
-    "make_replicated_do_all",
-    "register_tournament",
-    "CrashingAdversary",
-    "EagerAdversary",
-    "HetStatus",
-    "LeaderElectionRun",
-    "ObliviousAdversary",
-    "Outcome",
-    "PillState",
-    "Propagate",
-    "ProcessAPI",
-    "QuorumSplitAdversary",
-    "RandomAdversary",
-    "RandomCrashAdversary",
-    "RenamingRun",
-    "RoundRobinAdversary",
-    "SequentialAdversary",
-    "SiftingRun",
-    "Simulation",
-    "SimulationResult",
-    "SpecificationViolation",
-    "choose_participants",
-    "get_name",
-    "heterogeneous_poison_pill",
-    "leader_elect",
-    "linear_renaming",
-    "log_star",
-    "make_get_name",
-    "make_heterogeneous_poison_pill",
-    "make_leader_elect",
-    "make_linear_renaming",
-    "make_naive_sifter",
-    "make_poison_pill",
-    "make_tournament",
-    "naive_sifter",
-    "poison_pill",
-    "run_leader_election",
-    "run_renaming",
-    "run_sifting_phase",
-    "tournament",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".adversary": (
+        "ADVERSARY_FACTORIES",
+        "Adversary",
+        "BubbleAdversary",
+        "CoinAwareAdversary",
+        "CrashingAdversary",
+        "EagerAdversary",
+        "ObliviousAdversary",
+        "QuorumSplitAdversary",
+        "RandomAdversary",
+        "RandomCrashAdversary",
+        "RoundRobinAdversary",
+        "SequentialAdversary",
+    ),
+    ".analysis": ("log_star",),
+    ".core": (
+        "HetStatus",
+        "Outcome",
+        "PillState",
+        "get_name",
+        "heterogeneous_poison_pill",
+        "leader_elect",
+        "make_get_name",
+        "make_heterogeneous_poison_pill",
+        "make_leader_elect",
+        "make_poison_pill",
+        "poison_pill",
+    ),
+    ".core.baselines": (
+        "linear_renaming",
+        "make_linear_renaming",
+        "make_naive_sifter",
+        "make_tournament",
+        "naive_sifter",
+        "tournament",
+    ),
+    ".core.extensions": ("do_all", "make_do_all", "make_replicated_do_all"),
+    ".errors": ("ReproError",),
+    ".harness.runners": (
+        "LeaderElectionRun",
+        "RenamingRun",
+        "SiftingRun",
+        "SpecificationViolation",
+        "run_leader_election",
+        "run_renaming",
+        "run_sifting_phase",
+    ),
+    ".harness.workloads": ("choose_participants",),
+    ".memory": ("AtomicRegister", "make_register_tournament", "register_tournament"),
+    ".sim": ("Collect", "Propagate", "ProcessAPI", "Simulation", "SimulationResult"),
+})
+
+__all__.append("__version__")

@@ -23,68 +23,37 @@ Entry point: :func:`repro.check.explore.explore`, surfaced on the CLI
 as ``repro check``.
 """
 
-from .explore import (
-    CheckReport,
-    DEFAULT_ADVERSARIES,
-    MODES,
-    TrialOutcome,
-    TrialSpec,
-    ViolationRecord,
-    explore,
-    plan_trials,
-    run_trial,
-)
-from .invariants import (
-    CORE_PROTOCOLS,
-    INVARIANTS,
-    PROTOCOLS,
-    CheckContext,
-    Invariant,
-    ProtocolSpec,
-    TrialStats,
-    invariants_for,
-)
-from .streaming import (
-    StreamError,
-    StreamingChecker,
-    StreamingViolation,
-    audit_trace,
-)
-from .shrink import (
-    ArtifactReplay,
-    SchedulePrefixAdversary,
-    ShrinkResult,
-    replay_artifact,
-    shrink_schedule,
-    shrink_violation,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArtifactReplay",
-    "CheckContext",
-    "CheckReport",
-    "CORE_PROTOCOLS",
-    "DEFAULT_ADVERSARIES",
-    "INVARIANTS",
-    "Invariant",
-    "MODES",
-    "PROTOCOLS",
-    "ProtocolSpec",
-    "SchedulePrefixAdversary",
-    "ShrinkResult",
-    "StreamError",
-    "StreamingChecker",
-    "StreamingViolation",
-    "TrialOutcome",
-    "TrialSpec",
-    "TrialStats",
-    "ViolationRecord",
-    "audit_trace",
-    "explore",
-    "invariants_for",
-    "plan_trials",
-    "replay_artifact",
-    "run_trial",
-    "shrink_schedule",
-    "shrink_violation",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".explore": (
+        "CheckReport",
+        "DEFAULT_ADVERSARIES",
+        "MODES",
+        "TrialOutcome",
+        "TrialSpec",
+        "ViolationRecord",
+        "explore",
+        "plan_trials",
+        "run_trial",
+    ),
+    ".invariants": (
+        "CORE_PROTOCOLS",
+        "INVARIANTS",
+        "PROTOCOLS",
+        "CheckContext",
+        "Invariant",
+        "ProtocolSpec",
+        "TrialStats",
+        "invariants_for",
+    ),
+    ".streaming": ("StreamError", "StreamingChecker", "StreamingViolation", "audit_trace"),
+    ".shrink": (
+        "ArtifactReplay",
+        "SchedulePrefixAdversary",
+        "ShrinkResult",
+        "replay_artifact",
+        "shrink_schedule",
+        "shrink_violation",
+    ),
+})

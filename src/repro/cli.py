@@ -43,22 +43,16 @@ from .harness.runners import (
     run_renaming,
     run_sifting_phase,
 )
-from .harness.bench import EXPERIMENTS as BENCH_EXPERIMENTS, REGRESSION_TOLERANCE
-from .harness.soak import SoakError
+from .errors import ReproError
 from .harness.sweep import sweep
 from .harness.tables import Table
-from .net.driver import NetError
-from .net.service import ServiceError
-from .obs.replay import ReplayError
 
 ADVERSARIES = sorted(ADVERSARY_FACTORIES)
 
 #: What a handler may raise for bad input or a failed run: one ``error:``
-#: line and exit 2, never a traceback.
-RUNTIME_ERRORS = (
-    OSError, ValueError, KeyError, ReplayError, NetError, ServiceError,
-    SoakError,
-)
+#: line and exit 2, never a traceback.  Each verb imports its own
+#: subsystem, whose errors derive from :class:`~repro.errors.ReproError`.
+RUNTIME_ERRORS = (OSError, ValueError, KeyError, ReproError)
 
 
 def _run_flags(p: argparse.ArgumentParser, n: int = 16) -> None:
@@ -133,6 +127,17 @@ def _socket_flags(p: argparse.ArgumentParser, timeout: float) -> None:
     )
 
 
+def _bench_experiment(name: str) -> str:
+    """``--exp`` type: a bench grid name (loads the bench only when given)."""
+    from .harness.bench import EXPERIMENTS
+
+    if name not in EXPERIMENTS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(sorted(EXPERIMENTS))})"
+        )
+    return name
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argparse command tree for the repro CLI."""
     parser = argparse.ArgumentParser(
@@ -175,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a measured benchmark sweep; record or compare baselines",
     )
     bench_p.add_argument(
-        "--exp", choices=sorted(BENCH_EXPERIMENTS), nargs="+", default=["e1"],
-        help="experiment grids to run (DESIGN.md claim ids)",
+        "--exp", type=_bench_experiment, nargs="+", default=["e1"],
+        help="experiment grids to run (DESIGN.md claim ids: e1, e2, ...)",
     )
     _workers_flag(bench_p)
     bench_p.add_argument("--repeats", type=int, default=3)
@@ -199,10 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench_p.add_argument(
-        "--tolerance", type=float, default=REGRESSION_TOLERANCE, metavar="FRAC",
+        "--tolerance", type=float, default=None, metavar="FRAC",
         help=(
             "relative wall-clock slowdown tolerated before a cell counts "
-            "as a regression (default %(default)s; raise on noisy CI runners — "
+            "as a regression (default: harness.bench.REGRESSION_TOLERANCE; "
+            "raise on noisy CI runners — "
             "fingerprint drift is always fatal regardless)"
         ),
     )
@@ -596,6 +602,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_bench(args) -> int:
     from .harness.bench import (
+        REGRESSION_TOLERANCE,
         compare_results,
         load_result,
         render_tables,
@@ -667,7 +674,8 @@ def _cmd_bench(args) -> int:
             print(f"baseline:      {path}")
         if exp in baselines:
             comparison = compare_results(
-                baselines[exp], result, tolerance=args.tolerance
+                baselines[exp], result,
+                tolerance=REGRESSION_TOLERANCE if args.tolerance is None else args.tolerance,
             )
             print(comparison.describe())
             if not comparison.ok:

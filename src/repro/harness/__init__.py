@@ -1,88 +1,52 @@
-"""Experiment harness: workloads, runners, sweeps, benchmarking, and tables."""
+"""Experiment harness: workloads, runners, sweeps, benchmarking, and tables.
 
-from .bench import (
-    EXPERIMENTS,
-    BenchCell,
-    BenchComparison,
-    BenchResult,
-    compare_results,
-    load_result,
-    run_experiment,
-    verify_parallel_matches_serial,
-)
-from .parallel import parallel_repeat, parallel_sweep
-from .runners import (
-    LEADER_ALGORITHMS,
-    RENAMING_ALGORITHMS,
-    SIFTER_KINDS,
-    LeaderElectionRun,
-    RenamingRun,
-    SiftingRun,
-    SpecificationViolation,
-    build_task_simulation,
-    make_adversary,
-    run_leader_election,
-    run_renaming,
-    run_sifting_phase,
-    task_factory,
-)
-from .soak import (
-    IncidentReplay,
-    SoakError,
-    SoakReport,
-    SoakViolation,
-    replay_incident,
-    run_soak,
-)
-from .sweep import SweepCell, cell_table, merged_metrics, repeat, sweep
-from .tables import Table, profile_table, render_series
-from .workloads import (
-    PARTICIPATION_PATTERNS,
-    choose_participants,
-    crash_schedule_eager,
-    crash_schedule_random,
-)
+The names below are re-exported lazily: ``import repro.harness.runners``
+loads the runners, not the bench, the soak harness or the parallel pool.
+"""
 
-__all__ = [
-    "EXPERIMENTS",
-    "LEADER_ALGORITHMS",
-    "PARTICIPATION_PATTERNS",
-    "RENAMING_ALGORITHMS",
-    "SIFTER_KINDS",
-    "BenchCell",
-    "BenchComparison",
-    "BenchResult",
-    "IncidentReplay",
-    "LeaderElectionRun",
-    "RenamingRun",
-    "SiftingRun",
-    "SoakError",
-    "SoakReport",
-    "SoakViolation",
-    "SpecificationViolation",
-    "SweepCell",
-    "Table",
-    "build_task_simulation",
-    "cell_table",
-    "choose_participants",
-    "compare_results",
-    "crash_schedule_eager",
-    "crash_schedule_random",
-    "load_result",
-    "make_adversary",
-    "merged_metrics",
-    "replay_incident",
-    "run_soak",
-    "parallel_repeat",
-    "parallel_sweep",
-    "profile_table",
-    "render_series",
-    "repeat",
-    "run_experiment",
-    "run_leader_election",
-    "run_renaming",
-    "run_sifting_phase",
-    "sweep",
-    "task_factory",
-    "verify_parallel_matches_serial",
-]
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".bench": (
+        "EXPERIMENTS",
+        "BenchCell",
+        "BenchComparison",
+        "BenchResult",
+        "compare_results",
+        "load_result",
+        "run_experiment",
+        "verify_parallel_matches_serial",
+    ),
+    ".parallel": ("parallel_repeat", "parallel_sweep"),
+    ".runners": (
+        "LEADER_ALGORITHMS",
+        "RENAMING_ALGORITHMS",
+        "SIFTER_KINDS",
+        "LeaderElectionRun",
+        "RenamingRun",
+        "SiftingRun",
+        "SpecificationViolation",
+        "build_task_simulation",
+        "make_adversary",
+        "run_leader_election",
+        "run_renaming",
+        "run_sifting_phase",
+        "task_factory",
+    ),
+    ".soak": (
+        "IncidentReplay",
+        "SoakError",
+        "SoakReport",
+        "SoakViolation",
+        "replay_incident",
+        "run_soak",
+    ),
+    ".sweep": ("SweepCell", "cell_table", "merged_metrics", "repeat", "sweep"),
+    ".tables": ("Table", "profile_table", "render_series"),
+    ".workloads": (
+        "PARTICIPATION_PATTERNS",
+        "choose_participants",
+        "crash_schedule_eager",
+        "crash_schedule_random",
+    ),
+})

@@ -48,6 +48,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
+from ..errors import ReproError
 from ..net.chaos import CHAOS_PROFILES, PhasedChaosPlan, make_phased_plan
 from ..net.client import ServiceClient
 from ..net.service import ElectionService, GrantRecord, ServiceRun
@@ -76,7 +77,7 @@ _GRANT_FIELDS = (
 )
 
 
-class SoakError(RuntimeError):
+class SoakError(ReproError, RuntimeError):
     """A soak failed to run: bad configuration or infrastructure fault."""
 
 

@@ -35,42 +35,21 @@ Entry points: ``python -m repro net --task elect --n 6 --seed 0`` and
 ``python -m repro serve --load --keys 1000``.
 """
 
-from .chaos import (
-    CHAOS_PROFILES,
-    ChaosPhase,
-    ChaosPlan,
-    Partition,
-    PhasedChaosPlan,
-    load_plan,
-    make_phased_plan,
-)
-from .client import KeyEvent, Lease, ServiceClient, ServiceClientError
-from .driver import NetRun, run_net
-from .load import LoadReport, run_load
-from .service import ElectionService, ServiceError, ServiceRun
-from .wire import Frame, FrameDecoder, FrameType, WireError
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CHAOS_PROFILES",
-    "ChaosPhase",
-    "ChaosPlan",
-    "PhasedChaosPlan",
-    "Partition",
-    "load_plan",
-    "make_phased_plan",
-    "NetRun",
-    "run_net",
-    "Frame",
-    "FrameDecoder",
-    "FrameType",
-    "WireError",
-    "ElectionService",
-    "ServiceError",
-    "ServiceRun",
-    "ServiceClient",
-    "ServiceClientError",
-    "Lease",
-    "KeyEvent",
-    "LoadReport",
-    "run_load",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".chaos": (
+        "CHAOS_PROFILES",
+        "ChaosPhase",
+        "ChaosPlan",
+        "PhasedChaosPlan",
+        "Partition",
+        "load_plan",
+        "make_phased_plan",
+    ),
+    ".client": ("KeyEvent", "Lease", "ServiceClient", "ServiceClientError"),
+    ".driver": ("NetRun", "run_net"),
+    ".load": ("LoadReport", "run_load"),
+    ".service": ("ElectionService", "ServiceError", "ServiceRun"),
+    ".wire": ("Frame", "FrameDecoder", "FrameType", "WireError"),
+})

@@ -42,6 +42,7 @@ from ..core.baselines import (
     make_tournament,
 )
 from ..core.protocol import Outcome
+from ..errors import ReproError
 from ..harness.workloads import choose_participants
 from ..obs.jsonl import TRACE_FORMAT_VERSION, obj_to_event, read_trace, write_events
 from ..obs.live import SnapshotWriter
@@ -69,7 +70,7 @@ _KIND_BY_FRAME = {
 }
 
 
-class NetError(RuntimeError):
+class NetError(ReproError, RuntimeError):
     """A socket run failed to complete: timeout, node crash, or protocol error."""
 
 

@@ -234,7 +234,8 @@ class NodeRuntime:
         self.plan = plan
         self.rpc_timeout_s = rpc_timeout_s
         self.stats = NodeStats()
-        self.process = Process(pid, n, make_stream(seed, f"proc/{pid}"), factory)
+        rng = None if factory is None else make_stream(seed, f"proc/{pid}")
+        self.process = Process(pid, n, rng, factory)
         self._peers: dict[int, PeerClient] = {}
         self._server: asyncio.base_events.Server | None = None
         self._call_counter = 0

@@ -59,6 +59,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
+from ..errors import ReproError
 from ..obs.live import SnapshotWriter
 from ..obs.metrics import MetricsRegistry
 from ..sim.rng import make_stream
@@ -122,7 +123,7 @@ _FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 SIM_ELECTION_MAX_CONTENDERS = 16
 
 
-class ServiceError(RuntimeError):
+class ServiceError(ReproError, RuntimeError):
     """A service run failed to complete: bad configuration or runtime fault."""
 
 

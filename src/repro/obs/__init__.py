@@ -22,129 +22,71 @@ consumers:
 * :mod:`repro.obs.profile`   — wall-clock span profiling of the runtime
   hot paths.
 
-``repro.obs.replay`` is re-exported lazily: it sits above the harness
-layer, which itself sits above :mod:`repro.sim`, and the runtime imports
-this package from below.
+Every name is re-exported lazily: the runtime imports
+:mod:`repro.obs.events` from below, and ``repro.obs.replay`` sits above
+the harness layer, so an eager import here would be circular as well as
+slow.
 """
 
 from __future__ import annotations
 
-from .aggregate import PhaseStats, RoundStats, TraceAggregator, aggregate_events
-from .causality import (
-    CausalReport,
-    MessageHop,
-    analyze_events,
-    analyze_trace,
-    critical_path_report,
-    lineage_report,
-)
-from .events import (
-    CallbackSink,
-    Event,
-    EventSink,
-    EventType,
-    ListSink,
-    MultiSink,
-    RingBufferSink,
-    SCHEDULE_EVENT_TYPES,
-    combine_sinks,
-    json_safe,
-)
-from .jsonl import (
-    JsonlSink,
-    TRACE_FORMAT_VERSION,
-    event_line,
-    read_events,
-    read_trace,
-    write_events,
-)
-from .live import (
-    LiveTelemetry,
-    SnapshotWriter,
-    follow_snapshots,
-    read_snapshots,
-    render_snapshot,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSink,
-    merge_snapshots,
-    snapshot_to_prometheus,
-)
-from .profile import Profiler, SpanStats
+from .._lazy import lazy_exports
 
-_REPLAY_EXPORTS = {
-    "RecordedTrace",
-    "ReplayDivergenceError",
-    "ReplayError",
-    "ReplayReport",
-    "ScriptedAdversary",
-    "extract_schedule",
-    "record_trace",
-    "replay_trace",
-}
-
-
-def __getattr__(name: str):
-    # Lazy: replay pulls in the harness, which pulls in the simulator,
-    # which imports this package — eager import here would be circular.
-    if name in _REPLAY_EXPORTS:
-        from . import replay
-
-        return getattr(replay, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "CallbackSink",
-    "CausalReport",
-    "Counter",
-    "Event",
-    "EventSink",
-    "EventType",
-    "Gauge",
-    "Histogram",
-    "JsonlSink",
-    "ListSink",
-    "LiveTelemetry",
-    "MessageHop",
-    "MetricsRegistry",
-    "MetricsSink",
-    "MultiSink",
-    "PhaseStats",
-    "Profiler",
-    "RecordedTrace",
-    "ReplayDivergenceError",
-    "ReplayError",
-    "ReplayReport",
-    "RingBufferSink",
-    "RoundStats",
-    "SCHEDULE_EVENT_TYPES",
-    "ScriptedAdversary",
-    "SnapshotWriter",
-    "SpanStats",
-    "TRACE_FORMAT_VERSION",
-    "TraceAggregator",
-    "aggregate_events",
-    "analyze_events",
-    "analyze_trace",
-    "combine_sinks",
-    "critical_path_report",
-    "event_line",
-    "extract_schedule",
-    "follow_snapshots",
-    "json_safe",
-    "lineage_report",
-    "merge_snapshots",
-    "read_events",
-    "read_snapshots",
-    "read_trace",
-    "record_trace",
-    "render_snapshot",
-    "replay_trace",
-    "snapshot_to_prometheus",
-    "write_events",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".aggregate": ("PhaseStats", "RoundStats", "TraceAggregator", "aggregate_events"),
+    ".causality": (
+        "CausalReport",
+        "MessageHop",
+        "analyze_events",
+        "analyze_trace",
+        "critical_path_report",
+        "lineage_report",
+    ),
+    ".events": (
+        "CallbackSink",
+        "Event",
+        "EventSink",
+        "EventType",
+        "ListSink",
+        "MultiSink",
+        "RingBufferSink",
+        "SCHEDULE_EVENT_TYPES",
+        "combine_sinks",
+        "json_safe",
+    ),
+    ".jsonl": (
+        "JsonlSink",
+        "TRACE_FORMAT_VERSION",
+        "event_line",
+        "read_events",
+        "read_trace",
+        "write_events",
+    ),
+    ".live": (
+        "LiveTelemetry",
+        "SnapshotWriter",
+        "follow_snapshots",
+        "read_snapshots",
+        "render_snapshot",
+    ),
+    ".metrics": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "MetricsSink",
+        "merge_snapshots",
+        "snapshot_to_prometheus",
+    ),
+    ".profile": ("Profiler", "SpanStats"),
+    ".replay": (
+        "RecordedTrace",
+        "ReplayDivergenceError",
+        "ReplayError",
+        "ReplayReport",
+        "ScriptedAdversary",
+        "extract_schedule",
+        "record_trace",
+        "replay_trace",
+    ),
+})

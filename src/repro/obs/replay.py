@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..adversary.base import Adversary
+from ..errors import ReproError
 from ..sim.runtime import Action, Crash, Step
 from .events import EventType, ListSink, SCHEDULE_EVENT_TYPES
 from .jsonl import (
@@ -43,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 TRACEABLE_TASKS = ("elect", "sift", "rename")
 
 
-class ReplayError(Exception):
+class ReplayError(ReproError):
     """A trace could not be replayed (bad file, missing meta, ...)."""
 
 

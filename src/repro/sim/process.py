@@ -64,11 +64,12 @@ class Process:
         self,
         pid: int,
         n: int,
-        rng: random.Random,
+        rng: random.Random | None,
         factory: AlgorithmFactory | None = None,
     ) -> None:
         self.pid = pid
         self.n = n
+        #: The coin stream; ``None`` for a responder, which never flips.
         self.rng = rng
         self.registers = RegisterFile()
         self.pending: PendingCall | None = None

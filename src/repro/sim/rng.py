@@ -1,7 +1,8 @@
 """Deterministic randomness for processes and adversaries.
 
 A single master seed fans out into independent named streams, one per
-processor plus one for the adversary, so that a run is reproducible from
+participant plus one for the adversary (responders never flip a coin, so
+they get none), so that a run is reproducible from
 ``(seed, n, adversary, workload)`` alone.  Streams are ordinary
 :class:`random.Random` instances seeded by hashing ``(master_seed, name)``
 through SHA-256, which keeps streams independent without requiring numpy.

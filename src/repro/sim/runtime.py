@@ -165,8 +165,14 @@ class Simulation:
         self.seed = seed
         self.adversary = adversary
         self.crash_budget = (n + 1) // 2 - 1 if crash_budget is None else crash_budget
+        # Only participants flip coins.  A stream is named by its pid, so
+        # building none for the responders leaves every coin unchanged.
         self.processes: list[Process] = [
-            Process(pid, n, make_stream(seed, f"proc/{pid}"), participants.get(pid))
+            Process(
+                pid, n,
+                make_stream(seed, f"proc/{pid}") if pid in participants else None,
+                participants.get(pid),
+            )
             for pid in range(n)
         ]
         # Skip the per-endpoint index bookkeeping when this run's

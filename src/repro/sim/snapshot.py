@@ -192,7 +192,8 @@ class SimulationCheckpoint:
         process.registers = copy.deepcopy(state["registers"], memo)
         process.pending = copy.deepcopy(state["pending"], memo)
         process.coins = copy.deepcopy(state["coins"], memo)
-        process.rng.setstate(state["rng_state"])
+        if process.rng is not None:
+            process.rng.setstate(state["rng_state"])
         process.comm_calls = state["comm_calls"]
         process.steps_taken = state["steps_taken"]
         process.messages_sent = state["messages_sent"]
@@ -249,7 +250,7 @@ def capture(sim: Simulation) -> SimulationCheckpoint:
             "registers": copy.deepcopy(process.registers, memo),
             "pending": copy.deepcopy(process.pending, memo),
             "coins": copy.deepcopy(process.coins, memo),
-            "rng_state": process.rng.getstate(),
+            "rng_state": None if process.rng is None else process.rng.getstate(),
             "comm_calls": process.comm_calls,
             "steps_taken": process.steps_taken,
             "messages_sent": process.messages_sent,

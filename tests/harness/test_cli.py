@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -317,6 +321,49 @@ def test_bad_input_is_one_error_line_and_exit_2(argv, capsys):
     assert out.startswith("error:")
     assert len(out.splitlines()) == 1
     assert "Traceback" not in out
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``python -X importtime -m repro ARGV`` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    return subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+
+
+class TestColdStart:
+    """A verb imports only what it runs: ``elect`` loads no service stack."""
+
+    def test_elect_loads_no_socket_stack(self):
+        child = run_cli("elect", "--n", "8")
+        assert child.returncode == 0
+        assert "winner:" in child.stdout
+        # -X importtime writes one "import time: ... | module" line per import.
+        loaded = {line.rsplit("|", 1)[1].strip() for line in child.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert "repro.harness.runners" in loaded
+        for module in ("asyncio", "multiprocessing", "repro.net", "repro.harness.soak",
+                       "repro.harness.bench", "repro.obs.replay"):
+            assert module not in loaded
+
+    def test_caught_errors_share_one_base_and_keep_theirs(self):
+        from repro.errors import ReproError
+        from repro.harness.soak import SoakError
+        from repro.net.driver import NetError
+        from repro.net.service import ServiceError
+        from repro.obs.replay import ReplayError
+
+        for error in (NetError, ServiceError, SoakError):
+            assert issubclass(error, ReproError) and issubclass(error, RuntimeError)
+        assert issubclass(ReplayError, ReproError)
+
+    def test_bad_input_is_still_one_error_line(self):
+        child = run_cli("elect", "--n", "0")
+        assert child.returncode == 2
+        assert child.stdout.startswith("error:")
+        assert len(child.stdout.splitlines()) == 1
+        assert "Traceback" not in child.stderr
 
 
 @pytest.fixture(scope="module")

@@ -201,7 +201,7 @@ class TestNegativeControl:
         with pytest.raises(ArtifactError, match="not a replayable artifact"):
             replay_incident(str(path))
 
-    def test_unreadable_file_is_soak_error(self):
+    def test_unreadable_file_is_artifact_error(self):
         with pytest.raises(ArtifactError, match="cannot read"):
             replay_incident("/nonexistent/incident.json")
 

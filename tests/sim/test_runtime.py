@@ -19,6 +19,7 @@ from repro.sim import (
     Step,
 )
 from repro.sim.registers import POLICY_OR
+from repro.sim.rng import make_stream
 
 
 def writer_factory(value="payload"):
@@ -293,6 +294,18 @@ class TestResponders:
         )
         views = sim.run().outcomes[1]
         assert any(view.get(0) == "early" for view in views)
+
+    def test_responders_hold_no_coin_stream(self):
+        participants = {pid: writer_factory() for pid in range(4)}
+        sim = Simulation(64, participants, EagerAdversary(), seed=9)
+        for process in sim.processes:
+            if process.pid in participants:
+                # Streams are named by pid, not by build order.
+                expected = make_stream(9, f"proc/{process.pid}")
+                assert process.rng.getstate() == expected.getstate()
+            else:
+                assert process.rng is None
+        assert sim.run().terminated
 
 
 class TestRegisterPolicyIntegration:

@@ -165,6 +165,34 @@ def test_forks_with_different_suffixes_diverge_independently():
     assert truncated.terminated
 
 
+def test_fork_with_responders_matches_the_original_run():
+    """Responders hold no coin stream; capture and fork must carry that."""
+    n, k, seed = 12, 4, 4
+    sink = ListSink()
+    original = build_task_simulation(
+        "elect", "poison_pill", n, k, adversary="random", seed=seed, sink=sink,
+    )
+    base = original.run()
+    schedule = schedule_of(sink.events)
+    adversary = SchedulePrefixAdversary(schedule)
+    sim = build_task_simulation("elect", "poison_pill", n, k, adversary=adversary, seed=seed)
+    enable_recording(sim)
+    adversary.setup(sim)
+    while adversary._cursor < len(schedule) // 2:
+        sim.execute(adversary.choose(sim))
+    assert sim.undecided and any(p.rng is None for p in sim.processes)
+    checkpoint = capture(sim)
+    forked = checkpoint.fork(SchedulePrefixAdversary(schedule[adversary._cursor:]))
+    result = forked.run()
+    assert [p.rng is None for p in forked.processes] == [
+        not p.is_participant for p in original.processes
+    ]
+    assert result.decisions == base.decisions
+    assert [list(p.coins.all()) for p in forked.processes] == [
+        list(p.coins.all()) for p in original.processes
+    ]
+
+
 def test_capture_without_recording_raises():
     sim = build_task_simulation("elect", "poison_pill", 4, adversary="random", seed=0)
     adversary = sim.adversary
