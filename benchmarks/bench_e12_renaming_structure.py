@@ -17,6 +17,7 @@ from repro.analysis.renaming_analysis import RenamingAnalysis
 from repro.analysis.stats import summarize
 from repro.core import make_get_name
 from repro.harness import Table, make_adversary
+from repro.obs.events import ListSink
 from repro.sim import Simulation
 
 NS = grid([8, 16, 24], [8, 16, 32, 48])
@@ -24,15 +25,16 @@ ADVERSARY = "random"
 
 
 def _structure(n, seed):
+    sink = ListSink()
     sim = Simulation(
         n,
         {pid: make_get_name() for pid in range(n)},
         make_adversary(ADVERSARY, seed),
         seed=seed,
-        record_events=True,
+        sink=sink,
     )
-    result = sim.run()
-    analysis = RenamingAnalysis.from_result(result)
+    sim.run()
+    analysis = RenamingAnalysis.from_events(n, sink.events)
     analysis.check_all()  # Lemma A.7 / A.9 / Claim A.11 on this execution
     clean = dirty = cross = 0
     for record in analysis.iterations:

@@ -16,6 +16,7 @@ from _common import grid, mean_of, once, run_sweep
 
 from repro.core.extensions import assert_mutual_exclusion, make_lock_once
 from repro.harness import Table, make_adversary
+from repro.obs.events import ListSink
 from repro.sim import Simulation
 
 N = 24
@@ -23,15 +24,16 @@ KS = grid([1, 2, 4, 8, 16], [1, 2, 4, 8, 16, 24])
 
 
 def _run(k, seed):
+    sink = ListSink()
     sim = Simulation(
         N,
         {pid: make_lock_once() for pid in range(k)},
         make_adversary("random", seed),
         seed=seed,
-        record_events=True,
+        sink=sink,
     )
     result = sim.run()
-    intervals = assert_mutual_exclusion(result)
+    intervals = assert_mutual_exclusion(sink.events)
     assert len(intervals) == k
     return result
 

@@ -12,9 +12,10 @@ definitions over an execution:
 * the classification of loop iterations as ``clean(j)`` / ``dirty(j)`` /
   ``cross(j)`` by their start phase and pick-time view.
 
-This module reconstructs all of that from a recorded execution (the
-event trace plus the iteration records the algorithm logs locally) and
-provides checkers for the structural facts the proofs rely on:
+This module reconstructs all of that from a recorded execution (its
+event stream, including the iteration records the algorithm logs as
+local register writes) and provides checkers for the structural facts
+the proofs rely on:
 
 * **Lemma A.7** — a name viewed contended in an earlier iteration
   ``≺``-precedes any name viewed free in a later iteration;
@@ -23,17 +24,24 @@ provides checkers for the structural facts the proofs rely on:
 * **Claim A.11** — each processor runs at most one ``dirty(j)`` and at
   most one ``cross(j)`` iteration for every ``j``.
 
-Requires the simulation to have been run with ``record_events=True``.
+The input is the live event stream of a run: pass a
+:class:`~repro.obs.events.ListSink` as the simulation's ``sink=`` and
+hand its ``events`` to :meth:`RenamingAnalysis.from_events`.  Views grow
+through two kinds of events: ``reg.put`` (local writes, read from the
+event fields) and PROPAGATE ``msg.deliver``, whose merged register
+entries are carried only as the event's ``raw`` payload — no event field
+holds them.  ``raw`` never reaches disk, so unlike the mutual-exclusion
+extractor this analysis cannot run from a recorded ``.jsonl`` file.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..core.protocol import contended_var
-from ..sim.messages import MessageKind
-from ..sim.runtime import SimulationResult
+from ..obs.events import Event, EventType
 
 _INFINITY = math.inf
 
@@ -85,22 +93,21 @@ class RenamingAnalysis:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_result(
-        cls, result: SimulationResult, namespace: str = "rn"
+    def from_events(
+        cls, n: int, events: Iterable[Event], namespace: str = "rn"
     ) -> "RenamingAnalysis":
-        """Reconstruct per-processor renaming iterations from a finished run."""
-        if not result.trace.events:
-            raise ValueError(
-                "renaming analysis needs record_events=True on the simulation"
-            )
-        n = result.n
+        """Reconstruct per-processor renaming iterations from a run's events.
+
+        ``events`` is the live stream of an ``n``-processor run, in
+        emission order (a :class:`~repro.obs.events.ListSink`'s
+        ``events``).  Raises ``ValueError`` on an empty stream.
+        """
         var = contended_var(namespace)
         iter_var = f"{namespace}.iter"
         views: list[set[int]] = [set() for _ in range(n)]
         counts = [0] * n
         quorum_times: dict[int, float] = {}
         ever_contended: set[int] = set()
-        crashed: set[int] = set()
         records: dict[tuple[int, int], IterationRecord] = {}
 
         def mark(pid: int, name: int, clock: int) -> None:
@@ -112,11 +119,13 @@ class RenamingAnalysis:
             if name not in quorum_times and counts[name] > n // 2:
                 quorum_times[name] = clock
 
-        for event in result.trace.events:
-            if event.kind == "crash":
-                crashed.add(event.pid)
-            elif event.kind == "put":
-                put_var, key, value = event.detail
+        empty = True
+        for event in events:
+            empty = False
+            etype = event.etype
+            if etype == EventType.REG_PUT:
+                fields = event.fields
+                put_var, key, value = fields["var"], fields["key"], fields["value"]
                 if put_var == var and value is True:
                     mark(event.pid, key, event.time)
                 elif put_var == iter_var:
@@ -132,16 +141,18 @@ class RenamingAnalysis:
                         record.pick_clock = event.time
                         record.viewed_contended = frozenset(contended_now)
                         record.spot = spot
-            elif event.kind == "deliver":
-                message = event.detail
-                if (
-                    message.kind is MessageKind.PROPAGATE
-                    and message.var == var
-                    and event.pid not in crashed
-                ):
-                    for key, entry in message.entries.items():
+            elif etype == EventType.MSG_DELIVER and event.raw is not None:
+                # Only a PROPAGATE delivered to a live recipient carries
+                # ``raw``: the (delta-suppressed) entries it merges.
+                if event.fields["var"] == var:
+                    for key, entry in event.raw.items():
                         if entry[1] is True:
                             mark(event.pid, key, event.time)
+        if empty:
+            raise ValueError(
+                "renaming analysis needs the run's event stream; attach a "
+                "ListSink as the simulation's sink="
+            )
 
         full_times = {
             name: quorum_times.get(name, _INFINITY) for name in range(n)

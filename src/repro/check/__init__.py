@@ -20,7 +20,11 @@ machine-checked properties:
   the replayable artifact / repro-script machinery.
 
 Entry point: :func:`repro.check.explore.explore`, surfaced on the CLI
-as ``repro check``.
+as ``repro check``.  The package does not re-export it: an export named
+like its own submodule is bound at package import (see
+:mod:`repro._lazy`), which would load the explorer and every adversary
+for anyone importing :mod:`repro.check.invariants`, the service process
+included.
 """
 
 from .._lazy import lazy_exports
@@ -33,7 +37,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "TrialOutcome",
         "TrialSpec",
         "ViolationRecord",
-        "explore",
         "plan_trials",
         "run_trial",
     ),

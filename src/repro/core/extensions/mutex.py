@@ -23,20 +23,23 @@ holders release; a crashed holder orphans the lock (the usual limitation
 of a test-and-set lock without failure detection, which the paper's
 model cannot provide).
 
-Clients log ``enter``/``exit`` markers through local register writes, so
-a simulation recorded with ``record_events=True`` yields global-time
-critical-section intervals that :func:`critical_section_intervals`
-extracts and tests check for pairwise disjointness.
+Clients log ``enter``/``exit`` markers through local register writes,
+so a run's ``reg.put`` events yield global-time critical-section
+intervals that :func:`critical_section_intervals` extracts and
+:func:`assert_mutual_exclusion` checks for pairwise disjointness.  The
+extractor reads only event fields, so it runs equally on the live stream
+of a :class:`~repro.obs.events.ListSink` and on a recorded ``.jsonl``
+file (:func:`repro.obs.jsonl.read_events`).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
+from ...obs.events import Event, EventType
 from ...sim.communicate import Collect, Propagate, Request
 from ...sim.process import AlgorithmFactory, ProcessAPI
 from ...sim.registers import POLICY_OR
-from ...sim.runtime import SimulationResult
 from ..leader_elect import leader_elect
 from ..protocol import Outcome
 
@@ -91,43 +94,47 @@ def make_lock_once(
 
 
 def critical_section_intervals(
-    result: SimulationResult, namespace: str = "mx"
+    events: Iterable[Event], namespace: str = "mx"
 ) -> list[tuple[int, int, int, int]]:
-    """Extract ``(pid, epoch, enter_clock, exit_clock)`` from the trace.
+    """Extract ``(pid, epoch, enter_clock, exit_clock)`` from a run's events.
 
-    Requires the simulation to have run with ``record_events=True``.
+    ``events`` is the run's event stream in emission order, live or read
+    back from a ``.jsonl`` file; an empty stream raises ``ValueError``.
     Holders that crashed inside the section appear with ``exit_clock``
     equal to ``2**63`` (still holding at the end).
     """
-    if not result.trace.events:
-        raise ValueError(
-            "critical-section extraction needs record_events=True"
-        )
     var = f"{namespace}.cs"
     open_sections: dict[int, tuple[int, int]] = {}
     intervals: list[tuple[int, int, int, int]] = []
-    for event in result.trace.events:
-        if event.kind != "put":
+    empty = True
+    for event in events:
+        empty = False
+        if event.etype != EventType.REG_PUT:
             continue
-        put_var, _key, value = event.detail
-        if put_var != var:
+        fields = event.fields
+        if fields["var"] != var:
             continue
-        marker, epoch = value
+        marker, epoch = fields["value"]
         if marker == "enter":
             open_sections[event.pid] = (epoch, event.time)
         else:
             epoch_opened, entered = open_sections.pop(event.pid)
             intervals.append((event.pid, epoch_opened, entered, event.time))
+    if empty:
+        raise ValueError(
+            "critical-section extraction needs the run's event stream; "
+            "attach a ListSink as the simulation's sink="
+        )
     for pid, (epoch, entered) in open_sections.items():
         intervals.append((pid, epoch, entered, 2**63))
     return intervals
 
 
 def assert_mutual_exclusion(
-    result: SimulationResult, namespace: str = "mx"
+    events: Iterable[Event], namespace: str = "mx"
 ) -> list[tuple[int, int, int, int]]:
     """Raise if any two critical sections overlap in global time."""
-    intervals = sorted(critical_section_intervals(result, namespace), key=lambda i: i[2])
+    intervals = sorted(critical_section_intervals(events, namespace), key=lambda i: i[2])
     for (pid_a, epoch_a, enter_a, exit_a), (pid_b, epoch_b, enter_b, exit_b) in zip(
         intervals, intervals[1:]
     ):

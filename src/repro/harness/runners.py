@@ -129,7 +129,6 @@ def build_task_simulation(
     adversary: str | Adversary = "random",
     seed: int = 0,
     pattern: str = "first",
-    record_events: bool = False,
     max_events: int | None = None,
     sink=None,
     profiler=None,
@@ -148,8 +147,7 @@ def build_task_simulation(
     participants = choose_participants(n, k, pattern, seed)
     return _build_simulation(
         n, factory, participants, adversary, seed, None,
-        record_events, max_events, sink, profiler, delta_propagation,
-        telemetry,
+        max_events, sink, profiler, delta_propagation, telemetry,
     )
 
 
@@ -160,7 +158,6 @@ def _build_simulation(
     adversary: str | Adversary,
     seed: int,
     crash_schedule: Sequence[tuple[int, int]] | None,
-    record_events: bool,
     max_events: int | None,
     sink=None,
     profiler=None,
@@ -175,7 +172,6 @@ def _build_simulation(
         participants={pid: factory for pid in participants},
         adversary=scheduler,
         seed=seed,
-        record_events=record_events,
         max_events=max_events,
         sink=sink,
         profiler=profiler,
@@ -258,7 +254,6 @@ def run_leader_election(
     seed: int = 0,
     pattern: str = "first",
     crash_schedule: Sequence[tuple[int, int]] | None = None,
-    record_events: bool = False,
     max_events: int | None = None,
     check: bool = True,
     sink=None,
@@ -290,8 +285,7 @@ def run_leader_election(
         participants = choose_participants(n, k, pattern, seed)
         sim = _build_simulation(
             n, factory, participants, adversary, seed, crash_schedule,
-            record_events, max_events, sink, profiler, delta_propagation,
-            telemetry,
+            max_events, sink, profiler, delta_propagation, telemetry,
         )
     check_run = _checker("elect", algorithm) if check else None
     result = sim.run(require_termination=check and not crash_schedule)
@@ -340,7 +334,6 @@ def run_sifting_phase(
     use_lists: bool = True,
     max_events: int | None = None,
     check: bool = True,
-    record_events: bool = False,
     sink=None,
     profiler=None,
     delta_propagation: bool = True,
@@ -355,7 +348,7 @@ def run_sifting_phase(
         factory = task_factory("sift", kind, bias=bias, use_lists=use_lists)
         participants = choose_participants(n, k, pattern, seed)
         sim = _build_simulation(
-            n, factory, participants, adversary, seed, None, record_events,
+            n, factory, participants, adversary, seed, None,
             max_events, sink, profiler, delta_propagation, telemetry,
         )
     check_run = _checker("sift", kind) if check else None
@@ -411,7 +404,6 @@ def run_renaming(
     crash_schedule: Sequence[tuple[int, int]] | None = None,
     max_events: int | None = None,
     check: bool = True,
-    record_events: bool = False,
     sink=None,
     profiler=None,
     delta_propagation: bool = True,
@@ -435,8 +427,7 @@ def run_renaming(
         participants = choose_participants(n, k, pattern, seed)
         sim = _build_simulation(
             n, factory, participants, adversary, seed, crash_schedule,
-            record_events, max_events, sink, profiler, delta_propagation,
-            telemetry,
+            max_events, sink, profiler, delta_propagation, telemetry,
         )
     check_run = _checker("rename", algorithm) if check else None
     result = sim.run(require_termination=check and not crash_schedule)

@@ -50,7 +50,7 @@ from ..obs.metrics import merge_snapshots
 from ..sim.messages import MessageKind
 from ..sim.process import AlgorithmFactory
 from ..sim.runtime import Decision, SimulationResult
-from ..sim.trace import Metrics, Trace
+from ..sim.trace import Metrics
 from .chaos import CLEAN_PLAN, ChaosPlan
 from .node import DRIVER_PID, NodeRuntime
 from .wire import Frame, FrameType, read_frame, write_frame
@@ -573,7 +573,6 @@ def _assemble_result(n: int, plane: _ControlPlane) -> SimulationResult:
         n=n,
         decisions=decisions,
         metrics=metrics,
-        trace=Trace(),
         undecided=frozenset(undecided),
         crashed=frozenset(),
         start_times=start_times,

@@ -266,13 +266,17 @@ class NodeRuntime:
     def _now_ns(self) -> int:
         return time.monotonic_ns()
 
-    def _emit(self, etype: str, fields: Mapping[str, Any], raw: Any = None) -> None:
+    def _emit(self, etype: str, fields: Mapping[str, Any]) -> None:
         """Emit one structured event (no-op when tracing is off)."""
         if self._sink is not None:
             self._sink.emit(Event(self._now_ns(), etype, self.pid, dict(fields)))
 
     def _put_hook(self, var, key, value) -> None:
-        self._emit(EventType.REG_PUT, {"var": var, "key": key, "value": repr(value)})
+        # The value itself, as the simulator records it (see the
+        # PROC_DECIDE emission below): the sink's ``json_safe`` renders
+        # it, so invariant folds over ``reg.put`` read the same types on
+        # both backends.
+        self._emit(EventType.REG_PUT, {"var": var, "key": key, "value": value})
 
     def telemetry_snapshot(self) -> dict[str, Any]:
         """The node's current metrics snapshot (telemetry must be on).

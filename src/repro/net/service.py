@@ -64,7 +64,7 @@ from ..obs.live import SnapshotWriter
 from ..obs.metrics import MetricsRegistry
 from ..sim.rng import make_stream
 from ..sim.runtime import SimulationResult
-from ..sim.trace import Metrics, Trace
+from ..sim.trace import Metrics
 from .chaos import CLEAN_PLAN, ChaosPlan, LinkChaos
 from .wire import Frame, FrameDecoder, FrameType, WireError, pack_frame
 
@@ -982,7 +982,7 @@ class ServiceRun:
     def __post_init__(self) -> None:
         if self.result is None:
             self.result = SimulationResult(
-                n=self.n, decisions={}, metrics=Metrics(self.n), trace=Trace(),
+                n=self.n, decisions={}, metrics=Metrics(self.n),
                 undecided=frozenset(), crashed=frozenset(), start_times={},
             )
 

@@ -75,12 +75,13 @@ SCHEDULE_EVENT_TYPES = frozenset(
 class Event:
     """One structured observation, stamped with the global logical clock.
 
-    ``fields`` is the serializable payload (see :func:`json_safe`);
-    ``raw`` optionally carries a live object reference (a read-only
-    :class:`~repro.sim.messages.Message` view, the yielded request, a register
-    write tuple) for in-process consumers such as the legacy
-    :class:`~repro.sim.trace.Trace` adapter.  ``raw`` never reaches disk
-    and is excluded from equality-of-streams comparisons.
+    ``fields`` is the serializable payload (see :func:`json_safe`).
+    ``raw`` has one meaning: on a PROPAGATE ``msg.deliver`` to a live
+    recipient, the register entries that recipient merges (after delta
+    suppression, so possibly empty) — read by the Section 4 renaming
+    analyzer, since no field carries them.  Every other event carries
+    ``None``.  ``raw`` never reaches disk and is excluded from
+    equality-of-streams comparisons.
     """
 
     time: int

@@ -17,7 +17,7 @@ from .errors import (
     SimulationError,
     SimulationLimitError,
 )
-from .messages import Broadcast, InFlightPool, Message, MessageKind
+from .messages import Broadcast, InFlightPool, MessageKind
 from .process import AlgorithmFactory, Process, ProcessAPI, ProcessStatus
 from .registers import POLICY_MAX, POLICY_OR, POLICY_VERSION, RegisterFile, merge_entry
 from .rng import CoinLog, derive_seed, make_stream
@@ -31,7 +31,7 @@ from .runtime import (
     Step,
 )
 from .snapshot import SimulationCheckpoint, capture, enable_recording
-from .trace import Metrics, Trace, TraceEvent
+from .trace import Metrics
 
 __all__ = [
     "Action",
@@ -49,7 +49,6 @@ __all__ = [
     "Decision",
     "Deliver",
     "InFlightPool",
-    "Message",
     "MessageKind",
     "Metrics",
     "PendingCall",
@@ -69,8 +68,6 @@ __all__ = [
     "SimulationLimitError",
     "SimulationResult",
     "Step",
-    "Trace",
-    "TraceEvent",
     "derive_seed",
     "make_stream",
     "merge_entry",

@@ -19,14 +19,14 @@ leg.  A descriptor encodes ``(broadcast id, reply flag, endpoint pid)``
 in a single int, so a broadcast inserts its ``n - 1`` request legs with
 two C-speed ``list.extend(range(...))`` calls.  Every leg is sent at most
 once, so its descriptor also names it uniquely over the whole run.
-:class:`Message` objects exist only as read-only views, built on demand
-for event sinks.
+Event sinks see a leg as the fields of its ``msg.send``/``msg.deliver``
+event, read straight from the broadcast's columns; no per-leg message
+object is ever built.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, count
 from typing import Any, ItemsView, Iterable, Mapping, NamedTuple
@@ -49,53 +49,11 @@ class MessageKind(Enum):
     __hash__ = object.__hash__
 
 
-_REQUEST_KINDS = frozenset({MessageKind.PROPAGATE, MessageKind.COLLECT})
 #: The reply kind answering each request kind.
 _REPLY_KIND = {
     MessageKind.PROPAGATE: MessageKind.ACK,
     MessageKind.COLLECT: MessageKind.COLLECT_REPLY,
 }
-
-
-@dataclass(slots=True, eq=False)
-class Message:
-    """A view of one in-flight leg, built for event sinks.
-
-    Read-only by contract: the runtime builds a fresh view per event and
-    never reads one back, so mutating it changes nothing.  (Not a frozen
-    dataclass: frozen construction costs measurably on watched runs.)
-
-    ``desc`` is the leg's packed descriptor.  ``entries`` is the register
-    payload of a PROPAGATE: the full broadcast payload at send time, and
-    the (possibly delta-suppressed) payload the recipient merges at
-    delivery time.  ``view`` is the responder's ``{key: value}`` view on a
-    COLLECT_REPLY.  Both are ``None`` where they do not apply.
-    """
-
-    sender: int
-    recipient: int
-    kind: MessageKind
-    call_id: int
-    var: str
-    desc: int = -1
-    entries: Mapping[Any, tuple[int, Any, str]] | None = None
-    view: Mapping[Any, Any] | None = None
-
-    @property
-    def is_request(self) -> bool:
-        """True for PROPAGATE and COLLECT messages."""
-        return self.kind in _REQUEST_KINDS
-
-    @property
-    def is_reply(self) -> bool:
-        """True for ACK and COLLECT_REPLY messages."""
-        return not self.is_request
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Message({self.kind.value} {self.sender}->{self.recipient} "
-            f"call={self.call_id} var={self.var!r})"
-        )
 
 
 class Deliver(NamedTuple):
@@ -461,38 +419,6 @@ class InFlightPool:
         """The :class:`MessageKind` of a descriptor's leg."""
         kind = self._broadcasts[desc >> BROADCAST_SHIFT].kind
         return _REPLY_KIND[kind] if desc & REPLY_BIT else kind
-
-    def view(
-        self,
-        desc: int,
-        entries: Mapping[Any, tuple[int, Any, str]] | None = None,
-    ) -> Message:
-        """A read-only :class:`Message` view of a descriptor's leg.
-
-        A PROPAGATE view carries ``entries`` when given (the delivery-time
-        payload), else the broadcast's full payload; a COLLECT_REPLY view
-        carries the responder's value view while it is still recorded.
-        """
-        broadcast = self._broadcasts[desc >> BROADCAST_SHIFT]
-        endpoint = desc & PID_MASK
-        kind = broadcast.kind
-        if desc & REPLY_BIT:
-            if kind is MessageKind.PROPAGATE:
-                return Message(
-                    endpoint, broadcast.sender, MessageKind.ACK,
-                    broadcast.call_id, broadcast.var, desc,
-                )
-            return Message(
-                endpoint, broadcast.sender, MessageKind.COLLECT_REPLY,
-                broadcast.call_id, broadcast.var, desc,
-                view=broadcast.views.get(endpoint),
-            )
-        if kind is MessageKind.PROPAGATE and entries is None:
-            entries = broadcast.entries
-        return Message(
-            broadcast.sender, endpoint, kind, broadcast.call_id,
-            broadcast.var, desc, entries=entries,
-        )
 
     @property
     def descriptors(self) -> list[int]:

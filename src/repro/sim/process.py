@@ -84,11 +84,12 @@ class Process:
         self.failure: BaseException | None = None
         self.decide_time: int | None = None
         #: Optional observer invoked on every local register write; set by
-        #: the simulation when event recording is enabled so analyzers can
-        #: replay view evolution (local writes are not messages and would
-        #: otherwise be invisible to the trace).
+        #: the simulation when an event sink is attached, so each write
+        #: becomes a ``reg.put`` event that analyzers read to replay view
+        #: evolution (local writes are not messages and would otherwise be
+        #: invisible to the event stream).
         self.put_hook: Callable[[str, Hashable, Any], None] | None = None
-        #: Structured-event emission channel ``(etype, fields, raw=None)``;
+        #: Structured-event emission channel ``(etype, fields)``;
         #: set by the simulation when an event sink is attached.  ``None``
         #: means observability is off and emission sites cost one check.
         self.obs: Callable[..., None] | None = None

@@ -54,7 +54,7 @@ from .messages import (
 from .process import AlgorithmFactory, Process, ProcessStatus
 from .registers import DeltaTracker
 from .rng import make_stream
-from .trace import Metrics, Trace, TraceAdapterSink
+from .trace import Metrics
 
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -107,12 +107,11 @@ class Decision:
 
 @dataclass(slots=True)
 class SimulationResult:
-    """Everything a caller needs after a run: outcomes, metrics, trace."""
+    """Everything a caller needs after a run: outcomes and metrics."""
 
     n: int
     decisions: dict[int, Decision]
     metrics: Metrics
-    trace: Trace
     undecided: frozenset[int]
     crashed: frozenset[int]
     start_times: dict[int, int]
@@ -144,7 +143,6 @@ class Simulation:
         adversary: "Adversary",
         seed: int = 0,
         crash_budget: int | None = None,
-        record_events: bool = False,
         max_events: int | None = None,
         sink: "EventSink | None" = None,
         profiler: "Profiler | None" = None,
@@ -191,23 +189,14 @@ class Simulation:
         self._delta: dict[int, DeltaTracker] | None = (
             {} if delta_propagation else None
         )
-        self.trace = Trace(enabled=record_events)
         self.profiler = profiler
-        # The structured event stream (repro.obs).  ``record_events`` keeps
-        # the legacy Trace populated through an adapter sink; an explicit
-        # ``sink`` receives the full typed stream; ``telemetry`` is a
-        # second sink slot for live consumers (a MetricsSink,
-        # LiveTelemetry, or StreamingChecker) so callers can record a
-        # trace and watch it at the same time.  When all are absent every
-        # emission site below reduces to one ``is None`` check.
-        sinks: list = []
-        if record_events:
-            sinks.append(TraceAdapterSink(self.trace))
-        if sink is not None:
-            sinks.append(sink)
-        if telemetry is not None:
-            sinks.append(telemetry)
-        self._obs = combine_sinks(sinks)
+        # The structured event stream (repro.obs).  ``sink`` receives the
+        # full typed stream; ``telemetry`` is a second sink slot for live
+        # consumers (a MetricsSink, LiveTelemetry, or StreamingChecker) so
+        # callers can record a trace and watch it at the same time.  When
+        # both are absent every emission site below reduces to one
+        # ``is None`` check.
+        self._obs = combine_sinks((sink, telemetry))
         self.clock = 0
         self.max_events = max_events if max_events is not None else 100_000 + 1_000 * n * n
         self._call_counter = 0
@@ -227,7 +216,6 @@ class Simulation:
                 EventType.REG_PUT,
                 pid,
                 {"var": var, "key": key, "value": value},
-                raw=(var, key, value),
             ))
 
         return hook
@@ -236,8 +224,8 @@ class Simulation:
         """Emission channel handed to processes for coin flips and the
         protocol-level annotations (phase/round transitions)."""
 
-        def hook(etype: str, fields: dict, raw: Any = None) -> None:
-            self._obs.emit(Event(self.clock, etype, pid, fields, raw))
+        def hook(etype: str, fields: dict) -> None:
+            self._obs.emit(Event(self.clock, etype, pid, fields))
 
         return hook
 
@@ -407,7 +395,6 @@ class Simulation:
             n=self.n,
             decisions=decisions,
             metrics=self.metrics,
-            trace=self.trace,
             undecided=frozenset(self._undecided),
             crashed=frozenset(self._crashed),
             start_times=dict(self._start_times),
@@ -538,24 +525,28 @@ class Simulation:
     ) -> None:
         """Emit a ``msg.send`` / ``msg.deliver`` event for one leg.
 
-        The raw payload is a read-only :class:`~repro.sim.messages.Message`
-        view built from the broadcast's columns; ``msg.send`` events also
-        carry the leg's logical payload size in ``cells``.
+        The fields are read straight from the broadcast's columns.
+        ``msg.send`` events also carry the leg's logical payload size in
+        ``cells``.  ``entries`` is the payload a PROPAGATE delivery merges
+        (delta-suppressed, possibly empty), carried as the event's
+        ``raw``; every other leg event carries ``None``.
         """
-        message = self.in_flight.view(desc, entries)
+        pool = self.in_flight
+        broadcast = pool.broadcast_of(desc)
+        sender, recipient = pool.endpoints_of(desc)
         fields = {
-            "kind": message.kind.value,
-            "src": message.sender,
-            "dst": message.recipient,
-            "call": message.call_id,
-            "var": message.var,
+            "kind": pool.kind_of(desc).value,
+            "src": sender,
+            "dst": recipient,
+            "call": broadcast.call_id,
+            "var": broadcast.var,
         }
         if cells is None:
-            pid = message.recipient
+            pid = recipient
         else:
-            pid = message.sender
+            pid = sender
             fields["cells"] = cells
-        self._obs.emit(Event(self.clock, etype, pid, fields, raw=message))
+        self._obs.emit(Event(self.clock, etype, pid, fields, entries))
 
     def _step(self, pid: int) -> None:
         process = self.processes[pid]
@@ -623,7 +614,6 @@ class Simulation:
                     EventType.PROC_DECIDE,
                     process.pid,
                     {"result": stop.value},
-                    raw=stop.value,
                 ))
             return
         if not isinstance(request, (Propagate, Collect)):
@@ -648,7 +638,6 @@ class Simulation:
                     "kind": "propagate" if isinstance(request, Propagate) else "collect",
                     "var": request.var,
                 },
-                raw=request,
             ))
         needed_remote = self.n // 2  # quorum = floor(n/2) + 1, counting self
         pending = PendingCall(call_id=call_id, request=request, needed=needed_remote)

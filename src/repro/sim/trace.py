@@ -1,4 +1,4 @@
-"""Execution metrics and the legacy event-trace adapter.
+"""Execution metrics.
 
 ``Metrics`` aggregates exactly the quantities the paper's complexity
 theorems are stated in:
@@ -11,32 +11,14 @@ plus per-processor breakdowns used by the benchmark tables.  Counters are
 updated directly by the runtime (the zero-overhead fast path); they can
 also be rebuilt from a recorded event stream (:meth:`Metrics.from_events`)
 and combined across sweep workers (:meth:`Metrics.merge`).
-
-``Trace`` is the legacy flat event log consumed by the linearizability
-checker and the Section 4 execution analyzer.  It is now a thin adapter
-over the structured event stream of :mod:`repro.obs`: when a simulation
-runs with ``record_events=True``, the runtime attaches a
-:class:`TraceAdapterSink` that translates structured events back into the
-``TraceEvent`` shape those analyzers were written against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Iterable
 
 from ..obs.events import Event, EventType
 from .messages import MessageKind
-
-
-@dataclass(slots=True)
-class TraceEvent:
-    """One scheduling decision, stamped with a global logical time."""
-
-    time: int
-    kind: str  # "start" | "step" | "deliver" | "crash" | "decide" | "comm" | "put"
-    pid: int
-    detail: Any = None
 
 
 class Metrics:
@@ -191,80 +173,3 @@ class Metrics:
             "events_executed": self.events_executed,
         }
 
-
-@dataclass(slots=True)
-class Trace:
-    """Optional detailed event log; enabled with ``record_events=True``."""
-
-    events: list[TraceEvent] = field(default_factory=list)
-    enabled: bool = False
-    _kind_index: dict[str, list[TraceEvent]] = field(
-        default_factory=dict, repr=False
-    )
-    _indexed_upto: int = field(default=0, repr=False)
-
-    def record(self, time: int, kind: str, pid: int, detail: Any = None) -> None:
-        """Append one event if tracing is enabled; no-op otherwise."""
-        if self.enabled:
-            self.events.append(TraceEvent(time, kind, pid, detail))
-
-    def of_kind(self, kind: str) -> list[TraceEvent]:
-        """All recorded events of one kind, in order.
-
-        Backed by a lazily maintained kind index: the first call after new
-        events arrive indexes only the unseen suffix, so analyzers that
-        query many kinds (the linearizability checker, the schedulers
-        tests) no longer rescan the full log per call.
-        """
-        events = self.events
-        upto = self._indexed_upto
-        if upto < len(events):
-            index = self._kind_index
-            for event in events[upto:]:
-                bucket = index.get(event.kind)
-                if bucket is None:
-                    index[event.kind] = [event]
-                else:
-                    bucket.append(event)
-            self._indexed_upto = len(events)
-        return list(self._kind_index.get(kind, ()))
-
-
-#: Structured event types with a legacy ``TraceEvent`` equivalent, and the
-#: flat kind the pre-obs analyzers expect.
-_LEGACY_KINDS: Mapping[str, str] = {
-    EventType.PROC_START: "start",
-    EventType.SCHED_STEP: "step",
-    EventType.MSG_DELIVER: "deliver",
-    EventType.SCHED_CRASH: "crash",
-    EventType.PROC_DECIDE: "decide",
-    EventType.COMM_CALL: "comm",
-    EventType.REG_PUT: "put",
-}
-
-
-class TraceAdapterSink:
-    """Feed a legacy :class:`Trace` from the structured event stream.
-
-    The runtime attaches one when ``record_events=True``; structured
-    events whose type has a legacy equivalent are appended as
-    ``TraceEvent`` rows, carrying the live object (``event.raw``) as the
-    ``detail`` the old analyzers expect — the delivered message, the
-    yielded request, the ``(var, key, value)`` register write.
-    """
-
-    __slots__ = ("trace",)
-
-    def __init__(self, trace: Trace) -> None:
-        self.trace = trace
-
-    def emit(self, event: Event) -> None:
-        """Append the legacy ``TraceEvent`` for ``event``, if it has one."""
-        kind = _LEGACY_KINDS.get(event.etype)
-        if kind is not None:
-            self.trace.events.append(
-                TraceEvent(event.time, kind, event.pid, event.raw)
-            )
-
-    def close(self) -> None:
-        """Nothing to flush; the backing :class:`Trace` stays live."""

@@ -21,6 +21,7 @@ from repro.adversary import (
 )
 from repro.adversary.base import Adversary, fallback_action
 from repro.core import make_leader_elect
+from repro.obs.events import EventType, ListSink
 from repro.sim import Collect, Deliver, Propagate, Simulation, Step
 
 from ..conftest import ALL_ADVERSARY_NAMES, fresh_adversary
@@ -201,35 +202,37 @@ class TestSequentialAdversary:
     def test_serializes_decisions(self):
         """Under the sequential adversary, participant i decides before
         participant i+1 performs any computation step."""
+        sink = ListSink()
         sim = Simulation(
             6,
             {pid: ping_factory for pid in range(4)},
             SequentialAdversary(),
             seed=0,
-            record_events=True,
+            sink=sink,
         )
-        result = sim.run()
+        sim.run()
         decide_times = {
-            event.pid: event.time for event in result.trace.of_kind("decide")
+            event.pid: event.time for event in sink.of_type(EventType.PROC_DECIDE)
         }
         start_times = {
-            event.pid: event.time for event in result.trace.of_kind("start")
+            event.pid: event.time for event in sink.of_type(EventType.PROC_START)
         }
         for pid in range(3):
             assert decide_times[pid] < start_times[pid + 1]
 
     def test_respects_custom_order(self):
         order = [3, 1, 2, 0]
+        sink = ListSink()
         sim = Simulation(
             6,
             {pid: ping_factory for pid in range(4)},
             SequentialAdversary(order=order),
             seed=0,
-            record_events=True,
+            sink=sink,
         )
-        result = sim.run()
+        sim.run()
         decide_times = {
-            event.pid: event.time for event in result.trace.of_kind("decide")
+            event.pid: event.time for event in sink.of_type(EventType.PROC_DECIDE)
         }
         observed = sorted(decide_times, key=decide_times.get)
         assert observed == order
@@ -237,16 +240,17 @@ class TestSequentialAdversary:
 
 class TestRoundRobinAdversary:
     def test_rotates_across_processors(self):
+        sink = ListSink()
         sim = Simulation(
             6,
             {pid: ping_factory for pid in range(6)},
             RoundRobinAdversary(),
             seed=0,
-            record_events=True,
+            sink=sink,
         )
-        result = sim.run()
+        sim.run()
         first_steps = {}
-        for event in result.trace.of_kind("step"):
+        for event in sink.of_type(EventType.SCHED_STEP):
             first_steps.setdefault(event.pid, event.time)
         ordered = sorted(first_steps, key=first_steps.get)
         assert ordered == list(range(6))

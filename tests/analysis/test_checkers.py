@@ -13,7 +13,7 @@ from repro.check.invariants import PROTOCOLS, CheckContext
 from repro.core import Outcome
 from repro.harness.runners import LeaderElectionReport
 from repro.sim.runtime import Decision, SimulationResult
-from repro.sim.trace import Metrics, Trace
+from repro.sim.trace import Metrics
 
 from ..conftest import violated
 
@@ -45,7 +45,6 @@ def synthetic_result(
         n=n,
         decisions=decisions,
         metrics=Metrics(n),
-        trace=Trace(),
         undecided=frozenset(undecided),
         crashed=frozenset(crashed),
         start_times=starts,

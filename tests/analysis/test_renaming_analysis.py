@@ -9,6 +9,7 @@ import pytest
 
 from repro.analysis.renaming_analysis import RenamingAnalysis, group_sizes
 from repro.core import make_get_name
+from repro.obs.events import ListSink
 from repro.sim import Simulation
 
 from ..conftest import ALL_ADVERSARY_NAMES, fresh_adversary
@@ -32,28 +33,22 @@ class TestGroupSizes:
 
 
 def analyzed_run(n, adversary_name, seed):
+    sink = ListSink()
     sim = Simulation(
         n,
         {pid: make_get_name() for pid in range(n)},
         fresh_adversary(adversary_name, seed),
         seed=seed,
-        record_events=True,
+        sink=sink,
     )
     result = sim.run()
-    return RenamingAnalysis.from_result(result), result
+    return RenamingAnalysis.from_events(n, sink.events), result
 
 
 class TestReconstruction:
     def test_requires_events(self):
-        sim = Simulation(
-            4,
-            {pid: make_get_name() for pid in range(4)},
-            fresh_adversary("eager"),
-            seed=0,
-        )
-        result = sim.run()
-        with pytest.raises(ValueError, match="record_events"):
-            RenamingAnalysis.from_result(result)
+        with pytest.raises(ValueError, match="event stream"):
+            RenamingAnalysis.from_events(4, [])
 
     def test_every_name_reaches_quorum_crash_free(self):
         analysis, _ = analyzed_run(8, "random", 1)

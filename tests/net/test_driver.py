@@ -9,6 +9,8 @@ assembly) covered by unit tests below them.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.core.protocol import Outcome
@@ -21,6 +23,7 @@ from repro.net.driver import (
     resolve_factory,
     run_net,
 )
+from repro.net.node import NodeRuntime
 from repro.obs.jsonl import read_trace
 
 #: Response time of an operation that never responded (crashed or
@@ -138,6 +141,19 @@ class TestTracing:
         assert run.ok, run.violations
         _, objects = read_trace(str(out))
         assert any(obj["e"] == "net.drop" for obj in objects)
+
+    def test_register_writes_record_the_value_itself(self, tmp_path):
+        # Sim/net parity: a node's reg.put carries the written value, not
+        # its repr, so invariant folds over the trace (learned_closure
+        # reads an int L set) see the types the simulator records.
+        out = tmp_path / "node.jsonl"
+        node = NodeRuntime(pid=0, n=2, seed=1, driver_port=1, trace_path=str(out))
+        node.process.put_hook("hpp.learned", 0, 5)
+        asyncio.run(node._shutdown())
+        _, objects = read_trace(str(out))
+        assert [obj["f"] for obj in objects] == [
+            {"var": "hpp.learned", "key": 0, "value": 5}
+        ]
 
 
 class TestResultAssembly:

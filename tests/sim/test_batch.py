@@ -28,6 +28,7 @@ from repro.adversary import (
     RandomCrashAdversary,
 )
 from repro.core import make_heterogeneous_poison_pill, make_leader_elect
+from repro.obs.events import EventType, ListSink
 from repro.obs.metrics import MetricsSink
 from repro.sim import Deliver, Simulation, Step
 from repro.sim.messages import (
@@ -64,7 +65,7 @@ def _sifting_sim(adversary, *, n=32, k=8, seed=5, **kwargs):
 
 
 def _observables(result):
-    """Everything a caller can see, minus the trace (unwatched runs have none)."""
+    """Everything a caller can see in a run's result."""
     metrics = result.metrics
     return {
         "outcomes": result.outcomes,
@@ -89,7 +90,7 @@ def _assert_mode_independent(build, make_adversary):
     plain = build(make_adversary())
     expected = _observables(plain.run())
     watched = build(
-        make_adversary(), record_events=True, telemetry=MetricsSink()
+        make_adversary(), sink=ListSink(), telemetry=MetricsSink()
     )
     assert _observables(watched.run()) == expected
     indexed = build(_indexed(make_adversary()))
@@ -116,12 +117,13 @@ class TestModeEquivalence:
         )
 
     def test_matches_traced_run(self):
-        """A recorded trace holds one msg.send per counted message."""
+        """A recorded stream holds one msg.deliver per counted delivery."""
         plain = _election_sim(RandomAdversary(seed=2))
-        traced = _election_sim(RandomAdversary(seed=2), record_events=True)
+        sink = ListSink()
+        traced = _election_sim(RandomAdversary(seed=2), sink=sink)
         result = traced.run()
         assert _observables(plain.run()) == _observables(result)
-        assert len(result.trace.of_kind("deliver")) == result.metrics.deliveries
+        assert len(sink.of_type(EventType.MSG_DELIVER)) == result.metrics.deliveries
 
     def test_crashing_wrapper_identical(self):
         schedule = [(40, 1), (90, 3), (150, 7)]
@@ -249,7 +251,7 @@ class TestNegotiation:
     """The pool's index mode follows the adversary's declared flag."""
 
     def test_sink_keeps_descriptor_plane(self):
-        sim = _election_sim(EagerAdversary(), record_events=True)
+        sim = _election_sim(EagerAdversary(), sink=ListSink())
         assert not sim.in_flight.indexed
         sim.execute(Step(0))
         assert len(sim.in_flight.descriptors) == 23

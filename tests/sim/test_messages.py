@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.messages import REPLY_BIT, InFlightPool, Message, MessageKind
-
-
-def msg(sender=0, recipient=1, kind=MessageKind.ACK, call_id=1, var="v", desc=-1):
-    return Message(
-        sender=sender, recipient=recipient, kind=kind, call_id=call_id,
-        var=var, desc=desc,
-    )
+from repro.sim.messages import REPLY_BIT, InFlightPool, MessageKind
 
 
 def _broadcast(pool, sender=0, n=3, call_id=1, kind=MessageKind.PROPAGATE):
@@ -27,31 +20,19 @@ def _remove(pool, desc):
 
 
 class TestMessage:
-    def test_request_classification(self):
-        assert msg(kind=MessageKind.PROPAGATE).is_request
-        assert msg(kind=MessageKind.COLLECT).is_request
-        assert not msg(kind=MessageKind.ACK).is_request
-        assert not msg(kind=MessageKind.COLLECT_REPLY).is_request
-
-    def test_reply_classification(self):
-        assert msg(kind=MessageKind.ACK).is_reply
-        assert msg(kind=MessageKind.COLLECT_REPLY).is_reply
-
     def test_uids_unique(self):
-        # A view's identity is its leg's descriptor, unique over the run.
+        # A leg's identity is its descriptor, unique over the run: the
+        # reply to a delivered request gets a descriptor of its own.
         pool = InFlightPool()
         _broadcast(pool, sender=0, n=4)
         request = pool.descriptors[0]
         _remove(pool, request)
         pool.add_reply(request)
-        descs = [pool.view(desc).desc for desc in pool.descriptors] + [request]
+        descs = list(pool.descriptors) + [request]
         assert len(set(descs)) == len(descs)
-
-    def test_identity_semantics(self):
-        a = msg()
-        b = msg()
-        assert a != b
-        assert a == a
+        assert {pool.kind_of(desc) for desc in descs} == {
+            MessageKind.PROPAGATE, MessageKind.ACK,
+        }
 
 
 class TestUidDeterminism:
@@ -260,34 +241,7 @@ class TestUnindexedPool:
 
 
 class TestViews:
-    """Read-only Message views built from the broadcast columns."""
-
-    def test_propagate_view_carries_given_payload(self):
-        pool = InFlightPool()
-        full = {"k": (1, True, "version")}
-        b = pool.open_broadcast(
-            sender=2, call_id=7, kind=MessageKind.PROPAGATE, var="X", n=4,
-            entries=full,
-        )
-        view = pool.view(b.request_descriptor(0))
-        assert (view.sender, view.recipient, view.kind, view.call_id, view.var) == (
-            2, 0, MessageKind.PROPAGATE, 7, "X",
-        )
-        assert view.entries is full and view.view is None
-        assert pool.view(b.request_descriptor(0), entries={}).entries == {}
-
-    def test_collect_reply_view_carries_responder_view(self):
-        pool = InFlightPool()
-        b = pool.open_broadcast(
-            sender=0, call_id=3, kind=MessageKind.COLLECT, var="X", n=3
-        )
-        b.views[2] = {"k": 1}
-        view = pool.view(b.reply_descriptor(2))
-        assert (view.sender, view.recipient, view.kind) == (
-            2, 0, MessageKind.COLLECT_REPLY,
-        )
-        assert view.view == {"k": 1} and view.entries is None
-        assert view.is_reply and view.desc == b.reply_descriptor(2)
+    """Resolving a recorded delivery back to its in-flight leg."""
 
     def test_match_resolves_recorded_delivery(self):
         pool = InFlightPool()
@@ -296,6 +250,47 @@ class TestViews:
         assert action == pool.action_for(b.request_descriptor(2))
         assert pool.match(1, 2, "ack", 9) is None
         assert pool.match(1, 2, "propagate", 8) is None
+
+
+def test_only_a_propagate_delivery_carries_raw(monkeypatch):
+    """``Event.raw`` has one meaning: the register payload a PROPAGATE
+    ``msg.deliver`` hands its recipient (``{}`` when delta propagation
+    suppresses every entry).  Every other event carries ``None``."""
+    from repro.adversary import EagerAdversary
+    from repro.obs.events import EventType, ListSink
+    from repro.sim import Collect, Propagate, RegisterFile, Simulation
+
+    merged = []
+    merge = RegisterFile.merge
+
+    def spy(self, var, incoming):
+        merged.append(incoming)
+        merge(self, var, incoming)
+
+    monkeypatch.setattr(RegisterFile, "merge", spy)
+
+    def algorithm(api):
+        api.put("X", api.pid, 1)
+        yield Propagate("X", (api.pid,))
+        yield Propagate("X", (api.pid,))  # re-sends cells already acked
+        yield Collect("X")
+        return True
+
+    sink = ListSink()
+    Simulation(4, {0: algorithm, 1: algorithm}, EagerAdversary(), sink=sink).run()
+    payloads = []
+    for event in sink.events:
+        if (
+            event.etype == EventType.MSG_DELIVER
+            and event.fields["kind"] == "propagate"
+        ):
+            payloads.append(event.raw)
+        else:
+            assert event.raw is None, event
+    assert {} in payloads
+    delivered = [payload for payload in payloads if payload]
+    assert len(delivered) == len(merged)
+    assert all(a is b for a, b in zip(delivered, merged))
 
 
 @given(

@@ -1,11 +1,12 @@
-"""Unit tests for metrics aggregation and event tracing."""
+"""Unit tests for metrics aggregation and the run's event stream."""
 
 from __future__ import annotations
 
 from repro.adversary import EagerAdversary
+from repro.obs.events import EventType, ListSink
 from repro.sim import Collect, Propagate, Simulation
 from repro.sim.messages import MessageKind
-from repro.sim.trace import Metrics, Trace
+from repro.sim.trace import Metrics
 
 
 class TestMetrics:
@@ -47,19 +48,6 @@ class TestMetrics:
 
 
 class TestTrace:
-    def test_disabled_by_default(self):
-        trace = Trace()
-        trace.record(1, "step", 0)
-        assert trace.events == []
-
-    def test_enabled_records(self):
-        trace = Trace(enabled=True)
-        trace.record(1, "step", 0)
-        trace.record(2, "deliver", 1, "detail")
-        assert len(trace.events) == 2
-        assert trace.of_kind("step")[0].pid == 0
-        assert trace.of_kind("deliver")[0].detail == "detail"
-
     def test_simulation_trace_contains_lifecycle(self):
         def algorithm(api):
             api.put("X", api.pid, 1)
@@ -67,12 +55,15 @@ class TestTrace:
             views = yield Collect("X")
             return len(views)
 
-        sim = Simulation(3, {0: algorithm}, EagerAdversary(), record_events=True)
-        result = sim.run()
-        kinds = {event.kind for event in result.trace.events}
-        assert {"start", "step", "comm", "deliver", "decide"} <= kinds
-        starts = result.trace.of_kind("start")
-        decides = result.trace.of_kind("decide")
+        sink = ListSink()
+        Simulation(3, {0: algorithm}, EagerAdversary(), sink=sink).run()
+        etypes = {event.etype for event in sink.events}
+        assert {
+            EventType.PROC_START, EventType.SCHED_STEP, EventType.COMM_CALL,
+            EventType.MSG_DELIVER, EventType.PROC_DECIDE,
+        } <= etypes
+        starts = sink.of_type(EventType.PROC_START)
+        decides = sink.of_type(EventType.PROC_DECIDE)
         assert len(starts) == 1 and len(decides) == 1
         assert starts[0].time <= decides[0].time
 
@@ -83,6 +74,6 @@ class TestTrace:
             yield Collect("X")
             return True
 
-        sim = Simulation(3, {0: algorithm}, EagerAdversary(), record_events=True)
-        result = sim.run()
-        assert len(result.trace.of_kind("comm")) == result.metrics.comm_calls_by[0]
+        sink = ListSink()
+        result = Simulation(3, {0: algorithm}, EagerAdversary(), sink=sink).run()
+        assert len(sink.of_type(EventType.COMM_CALL)) == result.metrics.comm_calls_by[0]
