@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.messages import REPLY_BIT, InFlightPool, MessageKind
+from repro.sim.messages import PID_MASK, REPLY_BIT, InFlightPool, MessageKind
 
 
 def _broadcast(pool, sender=0, n=3, call_id=1, kind=MessageKind.PROPAGATE):
@@ -20,6 +20,33 @@ def _remove(pool, desc):
 
 
 class TestMessage:
+    def test_request_classification(self):
+        # A request leg's descriptor has REPLY_BIT clear and decodes to
+        # its broadcast's own kind, sender -> recipient.
+        pool = InFlightPool()
+        for kind in (MessageKind.PROPAGATE, MessageKind.COLLECT):
+            b = _broadcast(pool, sender=0, n=2, kind=kind)
+            desc = b.request_descriptor(1)
+            assert not desc & REPLY_BIT
+            assert pool.kind_of(desc) is kind
+            assert pool.endpoints_of(desc) == (0, 1)
+
+    def test_reply_classification(self):
+        # A reply leg's descriptor has REPLY_BIT set and decodes to the
+        # reply kind, replier -> original sender.
+        pool = InFlightPool()
+        for kind, reply in (
+            (MessageKind.PROPAGATE, MessageKind.ACK),
+            (MessageKind.COLLECT, MessageKind.COLLECT_REPLY),
+        ):
+            b = _broadcast(pool, sender=0, n=2, kind=kind)
+            _remove(pool, b.request_descriptor(1))
+            pool.add_reply(b.request_descriptor(1))
+            desc = b.reply_descriptor(1)
+            assert desc & REPLY_BIT and desc in pool.descriptors
+            assert pool.kind_of(desc) is reply
+            assert pool.endpoints_of(desc) == (1, 0)
+
     def test_uids_unique(self):
         # A leg's identity is its descriptor, unique over the run: the
         # reply to a delivered request gets a descriptor of its own.
@@ -33,6 +60,18 @@ class TestMessage:
         assert {pool.kind_of(desc) for desc in descs} == {
             MessageKind.PROPAGATE, MessageKind.ACK,
         }
+
+    def test_identity_semantics(self):
+        # Two legs with equal fields are still two legs: identity is the
+        # descriptor, not the (sender, recipient, kind, call id, var).
+        pool = InFlightPool()
+        first = _broadcast(pool, sender=0, n=2).request_descriptor(1)
+        second = _broadcast(pool, sender=0, n=2).request_descriptor(1)
+        assert first != second
+        assert pool.endpoints_of(first) == pool.endpoints_of(second)
+        assert pool.kind_of(first) is pool.kind_of(second)
+        _remove(pool, first)
+        assert pool.descriptors == [second]
 
 
 class TestUidDeterminism:
@@ -241,7 +280,35 @@ class TestUnindexedPool:
 
 
 class TestViews:
-    """Resolving a recorded delivery back to its in-flight leg."""
+    """What a leg carries, read from its broadcast's columns, and
+    resolving a recorded delivery back to its in-flight leg."""
+
+    def test_propagate_view_carries_given_payload(self):
+        pool = InFlightPool()
+        full = {"k": (1, True, "version")}
+        b = pool.open_broadcast(
+            sender=2, call_id=7, kind=MessageKind.PROPAGATE, var="X", n=4,
+            entries=full,
+        )
+        desc = b.request_descriptor(0)
+        broadcast = pool.broadcast_of(desc)
+        assert (broadcast.sender, broadcast.call_id, broadcast.var) == (2, 7, "X")
+        assert pool.endpoints_of(desc) == (2, 0)
+        assert pool.kind_of(desc) is MessageKind.PROPAGATE
+        assert broadcast.entries is full and broadcast.views is None
+
+    def test_collect_reply_view_carries_responder_view(self):
+        pool = InFlightPool()
+        b = pool.open_broadcast(
+            sender=0, call_id=3, kind=MessageKind.COLLECT, var="X", n=3
+        )
+        b.views[2] = {"k": 1}
+        desc = b.reply_descriptor(2)
+        broadcast = pool.broadcast_of(desc)
+        assert pool.endpoints_of(desc) == (2, 0)
+        assert pool.kind_of(desc) is MessageKind.COLLECT_REPLY
+        assert broadcast.views[desc & PID_MASK] == {"k": 1}
+        assert broadcast.entries is None
 
     def test_match_resolves_recorded_delivery(self):
         pool = InFlightPool()

@@ -47,7 +47,37 @@ class TestMetrics:
         assert Metrics(0).max_comm_calls == 0
 
 
+def _put_and_collect(api):
+    api.put("X", api.pid, 1)
+    yield Propagate("X", (api.pid,))
+    yield Collect("X")
+    return True
+
+
 class TestTrace:
+    def test_disabled_by_default(self):
+        # No sink, no telemetry: no process gets an emission hook, so
+        # every emission site is one ``is None`` check.
+        sim = Simulation(3, {0: _put_and_collect}, EagerAdversary())
+        assert all(
+            process.put_hook is None and process.obs is None
+            for process in sim.processes
+        )
+        assert sim.run().outcomes == {0: True}
+
+    def test_enabled_records(self):
+        sink = ListSink()
+        sim = Simulation(3, {0: _put_and_collect}, EagerAdversary(), sink=sink)
+        assert sim.processes[0].put_hook is not None
+        sim.run()
+        assert sink.events
+        assert [event.time for event in sink.events] == sorted(
+            event.time for event in sink.events
+        )
+        assert sink.of_type(EventType.SCHED_STEP)[0].pid == 0
+        (put,) = sink.of_type(EventType.REG_PUT)
+        assert (put.pid, put.fields["var"], put.fields["value"]) == (0, "X", 1)
+
     def test_simulation_trace_contains_lifecycle(self):
         def algorithm(api):
             api.put("X", api.pid, 1)
