@@ -53,7 +53,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".streaming": ("StreamError", "StreamingChecker", "StreamingViolation", "audit_trace"),
     ".shrink": (
         "ArtifactReplay",
-        "SchedulePrefixAdversary",
         "ShrinkResult",
         "replay_artifact",
         "shrink_schedule",

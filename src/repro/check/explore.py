@@ -28,13 +28,12 @@ failing schedule without shipping event streams across processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Sequence
 
 from ..adversary import ADVERSARY_FACTORIES, RandomCrashAdversary
 from ..adversary.base import Adversary, fallback_action
-from ..obs.events import Event, ListSink, SCHEDULE_EVENT_TYPES
-from ..obs.jsonl import event_to_obj
+from ..obs.events import Event, ListSink
 from ..sim.rng import derive_seed
 from ..sim.runtime import Action, Simulation, Step
 from .invariants import (
@@ -47,9 +46,6 @@ from .invariants import (
     run_protocol,
     stats_for,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from ..sim.snapshot import SimulationCheckpoint
 
 #: Scheduling strategies the explorer rotates through by default.  The
 #: "bubble" adversary is excluded: it exists to *prove a lower bound* by
@@ -271,101 +267,6 @@ def run_trial(
     return TrialOutcome(spec=trial, stats=stats, violations=violations)
 
 
-class _CheckpointingSystematic(SystematicAdversary):
-    """A :class:`SystematicAdversary` that snapshots when its prefix ends.
-
-    ``on_exhausted(sim)`` fires from inside :meth:`choose` — an action
-    boundary — the first time the choice prefix is fully consumed.  With
-    a seed shared across the systematic tree, the simulation state at
-    that moment is a pure function of the consumed choices, so the
-    captured checkpoint is exactly the fork point for every descendant
-    prefix.
-    """
-
-    name = "systematic_checkpointing"
-
-    def __init__(
-        self,
-        choices: Sequence[int],
-        on_exhausted: "Callable[[Simulation], None]",
-    ) -> None:
-        super().__init__(choices)
-        self._on_exhausted = on_exhausted
-        self._captured = False
-
-    def setup(self, sim: Simulation) -> None:
-        """Reset cursor and the capture-once latch."""
-        super().setup(sim)
-        self._captured = False
-
-    def choose(self, sim: Simulation) -> Action | None:
-        """Snapshot once at prefix exhaustion, then choose as the parent."""
-        if not self._captured and self._cursor == len(self._choices):
-            self._captured = True
-            self._on_exhausted(sim)
-        return super().choose(sim)
-
-
-def run_trial_checkpointed(
-    protocol: ProtocolSpec,
-    trial: TrialSpec,
-    n: int,
-    k: int | None,
-    invariants: Sequence[Invariant],
-    pattern: str,
-    store: "dict[tuple[int, ...], tuple[SimulationCheckpoint, list[Event]]]",
-) -> TrialOutcome:
-    """Execute one systematic trial, forking from the deepest stored ancestor.
-
-    Requires every systematic trial in the batch to share one seed (the
-    explorer rewrites them to a common tree seed before calling this):
-    the state after consuming a choice prefix is then a pure function of
-    that prefix, so a trial with choices ``p + q`` can resume from the
-    checkpoint another trial captured when it exhausted prefix ``p``
-    instead of re-executing from tick 0.  Checkpoints are stored keyed by
-    the exhausted choice prefix, capped at
-    :data:`~repro.check.shrink.MAX_STORED_CHECKPOINTS`.
-    """
-    from ..harness.runners import build_task_simulation
-    from ..sim.snapshot import capture, enable_recording
-    from .shrink import MAX_STORED_CHECKPOINTS
-
-    choices = trial.choices
-    best: tuple[SimulationCheckpoint, list[Event]] | None = None
-    best_depth = 0
-    for depth in range(len(choices), 0, -1):
-        entry = store.get(choices[:depth])
-        if entry is not None:
-            best, best_depth = entry, depth
-            break
-    sink = ListSink()
-    prefix_events: list[Event] = [] if best is None else list(best[1])
-
-    def on_exhausted(sim: Simulation) -> None:
-        if choices not in store and len(store) < MAX_STORED_CHECKPOINTS:
-            store[choices] = (capture(sim), prefix_events + list(sink.events))
-
-    adversary = _CheckpointingSystematic(choices[best_depth:], on_exhausted)
-    if best is None:
-        sim = build_task_simulation(
-            protocol.task, protocol.algorithm, n, k=k, adversary=adversary,
-            seed=trial.seed, pattern=pattern, sink=sink,
-        )
-        enable_recording(sim)
-    else:
-        sim = best[0].fork(adversary, sink=sink)
-    run = run_protocol(
-        protocol, n, k, adversary, trial.seed,
-        pattern=pattern, simulation=sim,
-    )
-    events = prefix_events + sink.events
-    violations = evaluate_run(protocol, run, events, invariants)
-    stats = stats_for(
-        protocol, run, trial.index, trial.adversary, trial.mode, trial.seed
-    )
-    return TrialOutcome(spec=trial, stats=stats, violations=violations)
-
-
 def capture_run(
     protocol: ProtocolSpec,
     trial: TrialSpec,
@@ -387,20 +288,6 @@ def capture_run(
     return run, sink.events
 
 
-def schedule_of(events: Sequence[Event]) -> list[dict[str, Any]]:
-    """The serializable scheduling subsequence of an event stream.
-
-    Entries use the same object form as recorded traces
-    (``{"t":..., "e":..., "p":..., "f":...}``), so they are interchangeable
-    with :func:`repro.obs.replay.extract_schedule` output.
-    """
-    return [
-        event_to_obj(event)
-        for event in events
-        if event.etype in SCHEDULE_EVENT_TYPES
-    ]
-
-
 @dataclass(slots=True)
 class ViolationRecord:
     """One reported invariant violation, with its artifacts when shrunk."""
@@ -415,7 +302,6 @@ class ViolationRecord:
     script_path: str | None = None
     original_schedule_len: int | None = None
     shrunk_schedule_len: int | None = None
-    ticks_replayed: int | None = None
 
     def describe(self) -> str:
         """Multi-line human-readable rendering for the CLI report."""
@@ -428,10 +314,6 @@ class ViolationRecord:
             lines.append(
                 f"  schedule shrunk {self.original_schedule_len} -> "
                 f"{self.shrunk_schedule_len} entries"
-            )
-        if self.ticks_replayed is not None:
-            lines.append(
-                f"  shrink cost: {self.ticks_replayed} ticks re-executed"
             )
         if self.artifact_path:
             lines.append(f"  artifact: {self.artifact_path}")
@@ -506,7 +388,6 @@ def explore(
     pattern: str = "first",
     shrink: bool = True,
     out_dir: str | None = None,
-    checkpoint_every: int | None = None,
 ) -> CheckReport:
     """Explore ``budget`` schedules of ``protocol`` and check invariants.
 
@@ -515,14 +396,6 @@ def explore(
     :func:`repro.check.shrink.shrink_schedule` and written to ``out_dir``
     (default: the working directory) as a replayable artifact, a full
     event trace, and a human-readable repro script.
-
-    ``checkpoint_every`` opts into simulation checkpointing
-    (:mod:`repro.sim.snapshot`): shrinking forks candidates from
-    mid-schedule snapshots taken every that-many entries, and — when
-    ``workers == 1`` — the systematic trials share one tree seed so each
-    prefix resumes from the checkpoint its parent prefix captured,
-    instead of re-executing from tick 0.  The seed rewrite is confined
-    to this opt-in; default exploration is unchanged.
     """
     from ..harness.parallel import run_seeded_tasks
     from .shrink import shrink_violation
@@ -533,43 +406,16 @@ def explore(
         budget, seed, adversaries=adversaries, modes=modes,
         branching=branching, depth=depth,
     )
-    checkpointed_tree = checkpoint_every is not None and workers == 1
-    if checkpointed_tree:
-        # Cross-trial checkpoint sharing needs a seed shared across the
-        # systematic tree (per-trial seeds would make states diverge).
-        tree_seed = derive_seed(seed, "check/systematic/tree")
-        trials = [
-            replace(trial, seed=tree_seed)
-            if trial.mode == "systematic" else trial
-            for trial in trials
-        ]
     run_invariants = [inv for inv in selected if inv.scope == "run"]
 
     def execute(index: int, _seed: int) -> TrialOutcome:
         return run_trial(spec, trials[index], n, k, run_invariants, pattern)
 
-    if checkpointed_tree:
-        store: dict[tuple[int, ...], Any] = {}
-        fanout = [trial for trial in trials if trial.mode != "systematic"]
-        outcomes = list(run_seeded_tasks(
-            execute,
-            [(trial.index, trial.seed) for trial in fanout],
-            workers=workers,
-        ))
-        outcomes.extend(
-            run_trial_checkpointed(
-                spec, trial, n, k, run_invariants, pattern, store
-            )
-            for trial in trials
-            if trial.mode == "systematic"
-        )
-        outcomes.sort(key=lambda outcome: outcome.spec.index)
-    else:
-        outcomes = run_seeded_tasks(
-            execute,
-            [(trial.index, trial.seed) for trial in trials],
-            workers=workers,
-        )
+    outcomes = run_seeded_tasks(
+        execute,
+        [(trial.index, trial.seed) for trial in trials],
+        workers=workers,
+    )
     report = CheckReport(
         protocol=spec.name, n=n, k=k, seed=seed, budget=budget,
         invariant_names=[inv.name for inv in selected],
@@ -603,6 +449,5 @@ def explore(
             shrink_violation(
                 spec, record, by_name[record.invariant], n, k,
                 pattern=pattern, out_dir=out_dir or ".",
-                checkpoint_every=checkpoint_every,
             )
     return report

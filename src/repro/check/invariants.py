@@ -141,16 +141,16 @@ def run_protocol(
     seed: int,
     pattern: str = "first",
     sink=None,
-    simulation=None,
+    check: bool = False,
+    telemetry=None,
 ):
-    """Run one unchecked execution of ``spec`` and return its Run object.
+    """Run one execution of ``spec`` and return its Run object.
 
-    Checking is disabled (``check=False``) so specification violations
-    surface as invariant verdicts rather than raised exceptions — the
-    explorer wants to *record* a violation, not die on it.  When
-    ``simulation`` is given (a pre-built, possibly checkpoint-forked
-    :class:`~repro.sim.runtime.Simulation`), it is run instead of
-    constructing a fresh one.
+    Checking is off by default (``check=False``) so specification
+    violations surface as invariant verdicts rather than raised
+    exceptions — the explorer wants to *record* a violation, not die on
+    it.  Trace recording and replay run checked, with ``telemetry`` as a
+    second sink.
     """
     from ..harness.runners import (
         run_leader_election,
@@ -160,7 +160,7 @@ def run_protocol(
 
     common = dict(
         n=n, k=k, adversary=adversary, seed=seed, pattern=pattern,
-        check=False, sink=sink, simulation=simulation,
+        check=check, sink=sink, telemetry=telemetry,
     )
     if spec.task == "elect":
         return run_leader_election(algorithm=spec.algorithm, **common)
@@ -169,7 +169,6 @@ def run_protocol(
     if spec.task == "rename":
         return run_renaming(algorithm=spec.algorithm, **common)
     raise ValueError(f"unknown task {spec.task!r} for protocol {spec.name!r}")
-
 
 
 def protocol_for(task: str, algorithm: str) -> ProtocolSpec:
@@ -591,12 +590,13 @@ class _LearnedClosure(Fold):
                     f"observed list — the closure bookkeeping of Figure 2 "
                     f"lines 26-27 was violated"
                 )
-        elif (
-            var.endswith(".Status")
-            and isinstance(value, HetStatus)
-            and item.fields.get("key") == pid
-        ):
-            self._members[pid] = value.members
+        elif var.endswith(".Status") and item.fields.get("key") == pid:
+            # Live streams carry the HetStatus; a stream read back from
+            # JSONL carries its {"members": ..., "state": ...} mapping.
+            if isinstance(value, HetStatus):
+                self._members[pid] = value.members
+            elif isinstance(value, dict) and isinstance(value.get("members"), int):
+                self._members[pid] = value["members"]
         return None
 
 

@@ -8,11 +8,11 @@ determines the execution (the determinism contract of
 violation persists and packages the result:
 
 * :func:`shrink_schedule` — prefix truncation followed by ddmin-style
-  chunk removal.  Candidate schedules are re-executed through
-  :class:`SchedulePrefixAdversary`, which tolerates dropped entries
-  (skipping any that no longer match an in-flight message) and completes
-  the run deterministically past the prefix, so every candidate is a
-  complete, evaluable execution.
+  chunk removal.  Candidate schedules are re-executed from tick 0
+  through :class:`~repro.obs.replay.SchedulePrefixAdversary`, the
+  replayer ``repro replay`` uses, which skips entries that no longer
+  resolve and completes the run deterministically past the prefix, so
+  every candidate is a complete, evaluable execution.
 * :func:`artifact_obj` / :func:`replay_artifact` — a violation
   artifact (``"kind": "check-violation"``) is a single JSON file
   carrying the protocol configuration, the minimized schedule, the
@@ -30,8 +30,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
-from ..adversary.base import Adversary, fallback_action
-from ..obs.events import Event, EventType, ListSink
+from ..obs.events import ListSink
 from ..obs.jsonl import (
     ARTIFACT_VERSIONS,
     TRACE_FORMAT_VERSION,
@@ -41,73 +40,11 @@ from ..obs.jsonl import (
     write_artifact,
     write_events,
 )
-from ..sim.runtime import Action, Crash, Simulation, Step
-from ..sim.snapshot import SimulationCheckpoint, capture, enable_recording
+from ..obs.replay import SchedulePrefixAdversary, schedule_of
 from .invariants import CheckContext, Invariant, ProtocolSpec, run_protocol
 
 #: Default cap on candidate executions during one shrink.
 DEFAULT_MAX_EVALS = 400
-
-#: Cap on checkpoints retained per shrink/exploration store (each holds a
-#: deep copy of the simulation state at one schedule prefix).
-MAX_STORED_CHECKPOINTS = 256
-
-
-class SchedulePrefixAdversary(Adversary):
-    """Re-drive a run through a schedule, tolerantly, then fall back.
-
-    Unlike the strict :class:`~repro.obs.replay.ScriptedAdversary`, this
-    wrapper is built for *candidate* schedules produced by shrinking:
-    entries that no longer resolve (a delivery whose message was never
-    sent because an earlier entry was removed, a step of a crashed
-    processor) are skipped rather than failing the replay, and once the
-    schedule is exhausted the run is completed by the deterministic
-    :func:`~repro.adversary.base.fallback_action`.  Every candidate
-    therefore yields a complete execution that is a pure function of
-    ``(seed, schedule)``.
-    """
-
-    name = "schedule_prefix"
-
-    def __init__(self, schedule: Sequence[Mapping[str, Any]]) -> None:
-        self._schedule = list(schedule)
-        self._cursor = 0
-        #: Entries that failed to resolve against the live run.
-        self.skipped = 0
-
-    def setup(self, sim: Simulation) -> None:
-        """Reset cursor and skip count (adversary reuse contract)."""
-        self._cursor = 0
-        self.skipped = 0
-
-    def _resolve(self, entry: Mapping[str, Any], sim: Simulation) -> Action | None:
-        etype = entry["e"]
-        pid = entry["p"]
-        if etype == EventType.SCHED_STEP:
-            if pid not in sim.crashed:
-                return Step(pid)
-            return None
-        if etype == EventType.SCHED_CRASH:
-            if pid not in sim.crashed and sim.crashes_remaining > 0:
-                return Crash(pid)
-            return None
-        if etype == EventType.MSG_DELIVER:
-            fields = entry["f"]
-            return sim.in_flight.match(
-                fields["src"], pid, fields["kind"], fields["call"]
-            )
-        raise ValueError(f"unknown schedule entry type {etype!r}")
-
-    def choose(self, sim: Simulation) -> Action | None:
-        """Next resolvable schedule entry, else the deterministic fallback."""
-        while self._cursor < len(self._schedule):
-            entry = self._schedule[self._cursor]
-            self._cursor += 1
-            action = self._resolve(entry, sim)
-            if action is not None:
-                return action
-            self.skipped += 1
-        return fallback_action(sim)
 
 
 def run_schedule(
@@ -127,105 +64,6 @@ def run_schedule(
     return CheckContext(spec, run, sink.events)
 
 
-class CheckpointingPrefixAdversary(SchedulePrefixAdversary):
-    """A :class:`SchedulePrefixAdversary` that snapshots at entry boundaries.
-
-    ``on_boundary(consumed, sim)`` fires from inside :meth:`choose` — an
-    action boundary by construction — whenever the absolute number of
-    consumed schedule entries (``offset`` + local cursor) first reaches a
-    multiple of ``every``.  The simulation state at that moment is a pure
-    function of ``(seed, consumed entries)``, which is what makes the
-    captured checkpoints reusable across shrink candidates sharing an
-    index prefix.
-    """
-
-    name = "schedule_prefix_checkpointing"
-
-    def __init__(
-        self,
-        schedule: Sequence[Mapping[str, Any]],
-        every: int,
-        offset: int,
-        on_boundary: Callable[[int, Simulation], None],
-    ) -> None:
-        super().__init__(schedule)
-        if every < 1:
-            raise ValueError(f"checkpoint interval must be >= 1, got {every}")
-        self._every = every
-        self._offset = offset
-        self._on_boundary = on_boundary
-        self._total = offset + len(self._schedule)
-        # First boundary strictly past the fork point (the fork itself
-        # already is a stored checkpoint) and past the empty prefix.
-        self._next = (offset // every + 1) * every
-
-    def choose(self, sim: Simulation) -> Action | None:
-        """Capture at due boundaries, then delegate to the parent replay."""
-        consumed = self._offset + self._cursor
-        if self._next <= consumed < self._total:
-            self._on_boundary(consumed, sim)
-            while self._next <= consumed:
-                self._next += self._every
-        return super().choose(sim)
-
-
-def _run_schedule_checkpointed(
-    spec: ProtocolSpec,
-    candidate: list[Mapping[str, Any]],
-    key: tuple[int, ...],
-    n: int,
-    k: int | None,
-    seed: int,
-    pattern: str,
-    every: int,
-    store: dict[tuple[int, ...], tuple[SimulationCheckpoint, list[Event]]],
-) -> tuple[CheckContext, int]:
-    """Evaluate one candidate, forking from the longest stored prefix.
-
-    Returns the evaluation context plus the number of actions actually
-    executed (the uncheckpointed cost minus the skipped prefix).  New
-    checkpoints observed along the way are added to ``store``, keyed by
-    the tuple of original schedule indices consumed so far — the same
-    keys the shrinker's verdict cache uses.
-    """
-    from ..harness.runners import build_task_simulation
-
-    best: tuple[SimulationCheckpoint, list[Event]] | None = None
-    best_c = 0
-    for length in sorted({len(prefix) for prefix in store}, reverse=True):
-        if 0 < length <= len(key):
-            entry = store.get(key[:length])
-            if entry is not None:
-                best, best_c = entry, length
-                break
-    sink = ListSink()
-    prefix_events: list[Event] = [] if best is None else list(best[1])
-
-    def on_boundary(consumed: int, sim: Simulation) -> None:
-        prefix = key[:consumed]
-        if prefix not in store and len(store) < MAX_STORED_CHECKPOINTS:
-            store[prefix] = (capture(sim), prefix_events + list(sink.events))
-
-    adversary = CheckpointingPrefixAdversary(
-        candidate[best_c:], every, best_c, on_boundary
-    )
-    if best is None:
-        sim = build_task_simulation(
-            spec.task, spec.algorithm, n, k=k, adversary=adversary,
-            seed=seed, pattern=pattern, sink=sink,
-        )
-        enable_recording(sim)
-        replayed_base = 0
-    else:
-        sim = best[0].fork(adversary, sink=sink)
-        replayed_base = best[0].events_executed
-    run = run_protocol(
-        spec, n, k, adversary, seed, pattern=pattern, simulation=sim,
-    )
-    ticks = run.result.metrics.events_executed - replayed_base
-    return CheckContext(spec, run, prefix_events + sink.events), ticks
-
-
 @dataclass(slots=True)
 class ShrinkResult:
     """Outcome of one schedule minimization."""
@@ -234,11 +72,6 @@ class ShrinkResult:
     original_len: int
     shrunk_len: int
     evaluations: int
-    #: Actions actually executed across all candidate evaluations.  With
-    #: checkpointing, forked evaluations skip their shared prefix, so this
-    #: is strictly smaller than the uncheckpointed cost of the same
-    #: shrink — the measurable win of ``checkpoint_every``.
-    ticks_replayed: int = 0
 
     @property
     def reduction(self) -> float:
@@ -257,7 +90,6 @@ def shrink_schedule(
     seed: int,
     pattern: str = "first",
     max_evals: int = DEFAULT_MAX_EVALS,
-    checkpoint_every: int | None = None,
 ) -> ShrinkResult:
     """Minimize ``schedule`` while ``predicate`` keeps holding.
 
@@ -266,37 +98,19 @@ def shrink_schedule(
     replayer completes the suffix deterministically), then ddmin-style
     chunk removal inside the surviving prefix.  ``max_evals`` bounds the
     number of candidate executions, so shrinking cost is predictable.
-
-    ``checkpoint_every`` enables mid-schedule checkpoint reuse: every
-    that-many consumed entries the candidate's simulation state is
-    snapshotted (:mod:`repro.sim.snapshot`), and later candidates sharing
-    an index prefix fork from the snapshot instead of re-executing from
-    tick 0.  Verdicts are identical either way (forks are byte-identical);
-    only :attr:`ShrinkResult.ticks_replayed` shrinks.
     """
     schedule = list(schedule)
     evaluations = 0
-    ticks_replayed = 0
     cache: dict[tuple[int, ...], bool] = {}
-    store: dict[tuple[int, ...], tuple[SimulationCheckpoint, list[Event]]] = {}
 
     def holds(candidate: list[Mapping[str, Any]], key: tuple[int, ...]) -> bool:
-        nonlocal evaluations, ticks_replayed
+        nonlocal evaluations
         if key in cache:
             return cache[key]
         if evaluations >= max_evals:
             return False
         evaluations += 1
-        if checkpoint_every is None:
-            ctx = run_schedule(spec, candidate, n, k, seed, pattern)
-            ticks_replayed += ctx.result.metrics.events_executed
-        else:
-            ctx, ticks = _run_schedule_checkpointed(
-                spec, candidate, key, n, k, seed, pattern,
-                checkpoint_every, store,
-            )
-            ticks_replayed += ticks
-        verdict = predicate(ctx)
+        verdict = predicate(run_schedule(spec, candidate, n, k, seed, pattern))
         cache[key] = verdict
         return verdict
 
@@ -314,7 +128,6 @@ def shrink_schedule(
             original_len=len(schedule),
             shrunk_len=len(schedule),
             evaluations=evaluations,
-            ticks_replayed=ticks_replayed,
         )
 
     # Pass 1: shortest violating prefix, by binary search.
@@ -353,7 +166,6 @@ def shrink_schedule(
         original_len=len(schedule),
         shrunk_len=len(indices),
         evaluations=evaluations,
-        ticks_replayed=ticks_replayed,
     )
 
 
@@ -444,10 +256,10 @@ def replay_artifact(path: str) -> ArtifactReplay:
     """Re-execute an artifact's schedule and verify it byte-identically.
 
     The minimized schedule is re-driven through
-    :class:`SchedulePrefixAdversary`; the replay is ``ok`` iff the full
-    event stream's SHA-256 matches the recording *and* the named
-    invariant reports the same violation (run scope) or the witness
-    predicate holds again (ensemble scope).
+    :class:`~repro.obs.replay.SchedulePrefixAdversary`; the replay is
+    ``ok`` iff the full event stream's SHA-256 matches the recording
+    *and* the named invariant reports the same violation (run scope) or
+    the witness predicate holds again (ensemble scope).
     """
     from .invariants import INVARIANTS, PROTOCOLS
 
@@ -533,18 +345,14 @@ def shrink_violation(
     pattern: str = "first",
     out_dir: str = ".",
     max_evals: int = DEFAULT_MAX_EVALS,
-    checkpoint_every: int | None = None,
 ) -> None:
     """Minimize one violation and write its artifacts into ``out_dir``.
 
     Mutates ``record`` (a
     :class:`~repro.check.explore.ViolationRecord`) in place with the
     artifact, trace, and repro-script paths plus the shrink sizes.
-    ``checkpoint_every`` is forwarded to :func:`shrink_schedule`; the
-    final artifact context is always produced by an uncheckpointed
-    re-execution, so ``stream_sha256`` never depends on checkpointing.
     """
-    from .explore import capture_run, schedule_of
+    from .explore import capture_run
 
     os.makedirs(out_dir, exist_ok=True)
     trial = record.trial
@@ -576,7 +384,7 @@ def shrink_violation(
 
     result = shrink_schedule(
         spec, schedule, invariant.witness, n, k, trial.seed,
-        pattern=pattern, max_evals=max_evals, checkpoint_every=checkpoint_every,
+        pattern=pattern, max_evals=max_evals,
     )
     ctx = run_schedule(spec, result.schedule, n, k, trial.seed, pattern)
     message = _violation_message(invariant, ctx, record.message)
@@ -596,4 +404,3 @@ def shrink_violation(
     record.script_path = script_path
     record.original_schedule_len = result.original_len
     record.shrunk_schedule_len = result.shrunk_len
-    record.ticks_replayed = result.ticks_replayed

@@ -341,14 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out-dir", default=".",
         help="directory for violation artifacts (default: cwd)",
     )
-    check_p.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="TICKS",
-        help=(
-            "snapshot simulation state every that-many schedule entries "
-            "so shrinking and (with --workers 1) systematic exploration "
-            "fork mid-schedule instead of re-executing from tick 0"
-        ),
-    )
 
     net_p = sub.add_parser(
         "net",
@@ -817,7 +809,6 @@ def _cmd_check(args) -> int:
         pattern=args.pattern,
         shrink=args.shrink,
         out_dir=args.out_dir,
-        checkpoint_every=args.checkpoint_every,
     )
     print(report.describe())
     return 0 if report.ok else 1

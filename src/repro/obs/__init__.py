@@ -18,7 +18,8 @@ consumers:
 * :mod:`repro.obs.causality` — happens-before reconstruction, critical-
   path depth per decision, and message lineage;
 * :mod:`repro.obs.replay`    — deterministic re-execution of a recorded
-  schedule with byte-identical stream verification;
+  schedule with byte-identical stream verification (the one schedule
+  replayer, shared with the checker's shrinker);
 * :mod:`repro.obs.profile`   — wall-clock span profiling of the runtime
   hot paths.
 
@@ -81,12 +82,11 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".profile": ("Profiler", "SpanStats"),
     ".replay": (
         "RecordedTrace",
-        "ReplayDivergenceError",
         "ReplayError",
         "ReplayReport",
-        "ScriptedAdversary",
-        "extract_schedule",
+        "SchedulePrefixAdversary",
         "record_trace",
         "replay_trace",
+        "schedule_of",
     ),
 })

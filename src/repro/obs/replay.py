@@ -1,4 +1,4 @@
-"""Deterministic trace recording and replay.
+"""Deterministic trace recording and the one schedule replayer.
 
 A recorded trace (JSONL, see :mod:`repro.obs.jsonl`) contains a meta
 header naming the task configuration and a full event stream.  Because
@@ -6,10 +6,12 @@ the simulator is deterministic given ``(seed, schedule)`` — processor
 randomness comes from seed-derived streams, and the adversary's choices
 are exactly the ``sched.step`` / ``sched.crash`` / ``msg.deliver``
 events — the trace doubles as a reproducible artifact: the
-:class:`ScriptedAdversary` re-drives the runtime through the identical
-action sequence and :func:`replay_trace` verifies that the rerun emits a
-byte-identical event stream.  Any benchmark anomaly therefore reduces to
-a file that reproduces it exactly, on any machine.
+:class:`SchedulePrefixAdversary` re-drives the runtime through the
+identical action sequence and :func:`replay_trace` verifies that the
+rerun emits a byte-identical event stream.  Any benchmark anomaly
+therefore reduces to a file that reproduces it exactly, on any machine.
+The same adversary drives the shrinker's candidates and violation
+artifacts (:mod:`repro.check.shrink`).
 
 The flow::
 
@@ -24,16 +26,19 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
-from ..adversary.base import Adversary
+from ..adversary.base import Adversary, fallback_action
+from ..check.invariants import protocol_for, run_protocol
 from ..errors import ReproError
 from ..sim.runtime import Action, Crash, Step
-from .events import EventType, ListSink, SCHEDULE_EVENT_TYPES
+from .events import Event, EventType, ListSink, SCHEDULE_EVENT_TYPES
 from .jsonl import (
     ArtifactError,
     JsonlSink,
     TRACE_FORMAT_VERSION,
     event_line,
+    event_to_obj,
     iter_trace_lines,
+    obj_to_event,
     read_artifact,
 )
 
@@ -48,64 +53,81 @@ class ReplayError(ReproError):
     """A trace could not be replayed (bad file, missing meta, ...)."""
 
 
-class ReplayDivergenceError(ReplayError):
-    """The rerun's state stopped matching the recorded schedule."""
-
-
-class ScriptedAdversary(Adversary):
-    """Re-drive a simulation through a recorded action sequence.
+class SchedulePrefixAdversary(Adversary):
+    """Re-drive a run through a recorded schedule, then fall back.
 
     ``schedule`` is the ordered list of scheduling-event objects
-    (``sched.step`` / ``sched.crash`` / ``msg.deliver``) extracted from a
-    trace.  Deliver entries are resolved against the live in-flight pool
-    by ``(sender, recipient, kind, call id)`` — unique per message, since
-    every communicate call sends one message per recipient and each
-    delivery triggers at most one reply per call.
+    (``sched.step`` / ``sched.crash`` / ``msg.deliver``, see
+    :func:`schedule_of`).  Deliver entries are resolved against the live
+    in-flight pool by ``(sender, recipient, kind, call id)`` — unique per
+    message, since every communicate call sends one message per
+    recipient and each delivery triggers at most one reply per call.
+
+    Entries that no longer resolve (a delivery whose message was never
+    sent, a step of a crashed processor, a crash past the budget) are
+    skipped, and :attr:`first_skip` records the index of the first.
+    Once the schedule is exhausted the run is completed by the
+    deterministic :func:`~repro.adversary.base.fallback_action`, so
+    every schedule — a faithful recording, a shrink candidate, a
+    tampered file — yields a complete execution that is a pure function
+    of ``(seed, schedule)``.  On a faithful recording every entry
+    resolves and the run ends at the last one.
     """
 
-    name = "scripted"
+    name = "schedule_prefix"
 
     def __init__(self, schedule: Iterable[Mapping[str, Any]]) -> None:
         self._schedule: list[Mapping[str, Any]] = list(schedule)
         self._cursor = 0
+        #: Index of the first entry that failed to resolve, if any.
+        self.first_skip: int | None = None
 
-    @property
-    def remaining(self) -> int:
-        """Schedule entries not yet consumed."""
-        return len(self._schedule) - self._cursor
+    def setup(self, sim: "Simulation") -> None:
+        """Reset cursor and skip record (adversary reuse contract)."""
+        self._cursor = 0
+        self.first_skip = None
 
-    def choose(self, sim: "Simulation") -> Action | None:
-        """Re-issue the next recorded schedule entry as a live action."""
-        if self._cursor >= len(self._schedule):
-            return None
-        entry = self._schedule[self._cursor]
-        self._cursor += 1
+    def _resolve(self, entry: Mapping[str, Any], sim: "Simulation") -> Action | None:
         etype = entry["e"]
+        pid = entry["p"]
         if etype == EventType.SCHED_STEP:
-            return Step(entry["p"])
+            return Step(pid) if pid not in sim.crashed else None
         if etype == EventType.SCHED_CRASH:
-            return Crash(entry["p"])
+            if pid not in sim.crashed and sim.crashes_remaining > 0:
+                return Crash(pid)
+            return None
         if etype == EventType.MSG_DELIVER:
             fields = entry["f"]
-            recipient = entry["p"]
-            action = sim.in_flight.match(
-                fields["src"], recipient, fields["kind"], fields["call"]
-            )
-            if action is not None:
-                return action
-            raise ReplayDivergenceError(
-                f"schedule entry {self._cursor - 1}: no in-flight message "
-                f"matches {fields['kind']} {fields['src']}->{recipient} "
-                f"call={fields['call']} — the rerun diverged from the recording"
+            return sim.in_flight.match(
+                fields["src"], pid, fields["kind"], fields["call"]
             )
         raise ReplayError(f"unknown schedule entry type {etype!r}")
 
+    def choose(self, sim: "Simulation") -> Action | None:
+        """Next resolvable schedule entry, else the deterministic fallback."""
+        while self._cursor < len(self._schedule):
+            entry = self._schedule[self._cursor]
+            self._cursor += 1
+            action = self._resolve(entry, sim)
+            if action is not None:
+                return action
+            if self.first_skip is None:
+                self.first_skip = self._cursor - 1
+        return fallback_action(sim)
 
-def extract_schedule(
-    event_objects: Iterable[Mapping[str, Any]],
-) -> list[Mapping[str, Any]]:
-    """The scheduling subsequence of a parsed event stream."""
-    return [obj for obj in event_objects if obj["e"] in SCHEDULE_EVENT_TYPES]
+
+def schedule_of(events: Iterable[Event]) -> list[dict[str, Any]]:
+    """The scheduling subsequence of an event stream, as JSON objects.
+
+    Entries use the recorded-trace object form
+    (``{"t":..., "e":..., "p":..., "f":...}``), the form artifacts store
+    and :class:`SchedulePrefixAdversary` reads.
+    """
+    return [
+        event_to_obj(event)
+        for event in events
+        if event.etype in SCHEDULE_EVENT_TYPES
+    ]
 
 
 @dataclass(slots=True)
@@ -164,39 +186,33 @@ class ReplayReport:
         )
 
 
-def _run_task(
-    meta: Mapping[str, Any],
-    adversary: str | Adversary,
-    sink,
-    check: bool = True,
-    telemetry=None,
-):
-    """Run the task a meta header describes, with the given adversary."""
-    from ..harness.runners import (
-        run_leader_election,
-        run_renaming,
-        run_sifting_phase,
-    )
-
-    task = meta["task"]
-    common = dict(
-        n=meta["n"],
-        k=meta.get("k"),
-        adversary=adversary,
-        seed=meta["seed"],
-        pattern=meta.get("pattern", "first"),
-        sink=sink,
+def _run_meta(meta: Mapping[str, Any], adversary, sink, check: bool, telemetry=None):
+    """Run the task a trace's meta header describes, with ``adversary``."""
+    return run_protocol(
+        protocol_for(meta["task"], meta["algorithm"]), meta["n"],
+        meta.get("k"), adversary, meta["seed"],
+        pattern=meta.get("pattern", "first"), sink=sink, check=check,
         telemetry=telemetry,
     )
-    if task == "elect":
-        return run_leader_election(algorithm=meta["algorithm"], check=check, **common)
-    if task == "sift":
-        return run_sifting_phase(kind=meta["algorithm"], check=check, **common)
-    if task == "rename":
-        return run_renaming(algorithm=meta["algorithm"], check=check, **common)
-    raise ReplayError(
-        f"unknown task {task!r}; traceable tasks: {TRACEABLE_TASKS}"
-    )
+
+
+def _unresolved(index: int, entry: Mapping[str, Any]) -> str:
+    """Why schedule entry ``index`` did not resolve against the rerun."""
+    pid = entry["p"]
+    if entry["e"] == EventType.MSG_DELIVER:
+        fields = entry["f"]
+        reason = (
+            f"no in-flight message matches {fields['kind']} "
+            f"{fields['src']}->{pid} call={fields['call']}"
+        )
+    elif entry["e"] == EventType.SCHED_STEP:
+        reason = f"processor {pid} has crashed and cannot step"
+    else:
+        reason = (
+            f"cannot crash processor {pid}: crashed already or the crash "
+            f"budget is spent"
+        )
+    return f"schedule entry {index}: {reason} — the rerun diverged from the recording"
 
 
 _DEFAULT_ALGORITHMS = {"elect": "poison_pill", "sift": "heterogeneous", "rename": "paper"}
@@ -234,7 +250,7 @@ def record_trace(
     }
     sink = JsonlSink(path, meta=meta)
     try:
-        run = _run_task(meta, adversary, sink, telemetry=telemetry)
+        run = _run_meta(meta, adversary, sink, check=True, telemetry=telemetry)
     finally:
         events = sink.line_count - 1  # meta header excluded
         sink.close()
@@ -245,7 +261,8 @@ def replay_trace(path: str, check: bool = True) -> ReplayReport:
     """Re-drive a recorded trace and compare event streams byte-for-byte.
 
     A schedule entry that no longer resolves against the rerun is a
-    divergence like any other: the report fails and names the entry.
+    divergence like any other: the report fails and names the first
+    such entry (the rest of the run is still completed, tolerantly).
     Raises :class:`~repro.obs.jsonl.ArtifactError` for a file that is
     not a simulator trace (``repro net`` traces record wall-clock
     delivery order, which the simulator does not replay).
@@ -256,15 +273,15 @@ def replay_trace(path: str, check: bool = True) -> ReplayReport:
             f"{path}: a repro net trace; only simulator traces replay"
         )
     recorded_lines = list(iter_trace_lines(path))[1:]
-    scripted = ScriptedAdversary(
-        extract_schedule(json.loads(line) for line in recorded_lines)
-    )
+    schedule = schedule_of(obj_to_event(json.loads(line)) for line in recorded_lines)
+    adversary = SchedulePrefixAdversary(schedule)
     capture = ListSink()
-    run = schedule_error = None
-    try:
-        run = _run_task(meta, scripted, capture, check=check)
-    except ReplayDivergenceError as exc:
-        schedule_error = str(exc)
+    run = _run_meta(meta, adversary, capture, check=check)
+    schedule_error = None
+    if adversary.first_skip is not None:
+        schedule_error = _unresolved(
+            adversary.first_skip, schedule[adversary.first_skip]
+        )
     replayed_lines = [event_line(event) for event in capture.events]
     divergence_index = None
     recorded_line = replayed_line = None

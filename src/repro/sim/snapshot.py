@@ -13,10 +13,12 @@ then overwrites all observable state with deep copies taken at capture
 time.  The forked run is therefore byte-identical to the original
 continuing from the same point, for any new adversary.
 
-The intended use is checkpointed schedule exploration
-(:mod:`repro.check.shrink`): capture once after a schedule prefix, fork
-once per candidate sharing that prefix, and skip re-executing the prefix
-entirely.
+No part of the package forks from a checkpoint today.  The shrinker and
+the explorer once could, and at n=8-16 replaying every candidate from
+tick 0 was faster (``docs/soak.md``), so that path was removed.  The
+module stays for state-space search, which must fork many successors
+from one reached state; ``tests/sim/test_snapshot.py`` pins that a fork
+is byte-identical to the run it was captured from.
 
 Contracts:
 
@@ -24,11 +26,11 @@ Contracts:
   (replay needs the log from the very first resume).
 * :func:`capture` is only valid at an *action boundary* — between
   actions, when every running coroutine is suspended at a ``yield``.
-  This is where adversaries live, so checkpointing adversaries capture
-  for free.
+  This is where adversaries live, so an adversary's ``choose`` may
+  capture.
 * Event sinks are **not** carried across a fork: the forked stream starts
   at the fork point.  Callers who need the full stream keep the prefix
-  events alongside the checkpoint (see ``repro.check.shrink``).
+  events alongside the checkpoint.
 * Algorithms must not mutate views they received from ``collect`` or
   values read back from registers — the same copy-on-write contract the
   register plane already imposes.

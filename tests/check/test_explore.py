@@ -12,9 +12,9 @@ from repro.check.explore import (
     choice_prefixes,
     explore,
     plan_trials,
-    schedule_of,
 )
 from repro.check.invariants import PROTOCOLS
+from repro.obs.replay import schedule_of
 
 
 class TestPlanning:
@@ -135,6 +135,14 @@ class TestSystematicAdversary:
             run_protocol(spec, 8, None, adversary, 7, sink=sink)
             digests.append(schedule_of(sink.events))
         assert digests[0] == digests[1]
+
+    def test_explore_systematic_mode_end_to_end(self):
+        report = explore(
+            "poison_pill", n=8, budget=12, seed=1,
+            modes=("systematic",), shrink=False,
+        )
+        assert len(report.outcomes) == 12
+        assert report.ok, report.describe()
 
 
 class TestReportShape:

@@ -8,15 +8,11 @@ import os
 
 import pytest
 
-from repro.check.explore import TrialSpec, capture_run, explore, schedule_of
+from repro.check.explore import TrialSpec, capture_run, explore
 from repro.check.invariants import INVARIANTS, PROTOCOLS
-from repro.check.shrink import (
-    SchedulePrefixAdversary,
-    replay_artifact,
-    run_schedule,
-    shrink_schedule,
-)
+from repro.check.shrink import replay_artifact, run_schedule, shrink_schedule
 from repro.obs.jsonl import ArtifactError, event_line, read_artifact, sha256_lines
+from repro.obs.replay import SchedulePrefixAdversary, schedule_of
 
 #: The seeded violation below (naive sifter, coin_aware batch, n=8,
 #: seed=0) must shrink to no more than this many schedule entries.  The

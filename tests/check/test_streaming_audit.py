@@ -112,3 +112,50 @@ class TestMalformedStreams:
             violation.invariant == "unique_winner"
             for violation in checker.violations
         )
+
+
+class TestLearnedClosureFromFile:
+    """Claim 3.3's subset check must see a file-fed stream's Status puts.
+
+    A stream read back from JSONL carries each ``HetStatus`` as its
+    ``{"members": ..., "state": ...}`` mapping, not the NamedTuple.
+    """
+
+    def test_file_fed_fold_tracks_the_live_members(self, tmp_path):
+        from repro.check.invariants import INVARIANTS
+        from repro.harness.runners import run_sifting_phase
+        from repro.obs.events import ListSink
+        from repro.obs.jsonl import read_events, write_events
+
+        sink = ListSink()
+        run_sifting_phase(
+            n=8, kind="heterogeneous", adversary="random", seed=1, sink=sink
+        )
+        path = str(tmp_path / "het.jsonl")
+        write_events(path, sink.events)
+        folds = []
+        for events in (sink.events, read_events(path)):
+            fold = INVARIANTS["learned_closure"].fold(8)
+            for event in events:
+                assert fold.observe(event) is None
+            folds.append(fold)
+        live, file_fed = folds
+        assert len(live._members) == 8
+        assert file_fed._members == live._members
+
+    def test_forged_learned_set_is_reported_from_file(self, tmp_path):
+        # p2's Status lists p5, so an L set of p2 alone omits p5.
+        path = write_trace(tmp_path / "forged.jsonl", [
+            Event(1, EventType.REG_PUT, 2, {
+                "var": "hpp.Status", "key": 2,
+                "value": {"members": (1 << 2) | (1 << 5), "state": "low"},
+            }),
+            Event(2, EventType.REG_PUT, 2, {
+                "var": "hpp.learned", "key": 2, "value": 1 << 2,
+            }),
+        ], meta={"task": "sift"})
+        with pytest.raises(StreamingViolation) as info:
+            audit_trace(path, "sift")
+        assert info.value.invariant == "learned_closure"
+        assert "omits [5]" in str(info.value)
+        assert info.value.event_index == 1

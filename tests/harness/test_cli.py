@@ -418,6 +418,32 @@ def _edit_grant_holder(text):
     return json.dumps(obj)
 
 
+def _insert_crashes(text, pids):
+    """Crash ``pids`` before the recorded schedule's first entry."""
+    lines = text.splitlines()
+    crashes = [
+        json.dumps({"e": "sched.crash", "f": {}, "p": pid, "t": 0},
+                   sort_keys=True, separators=(",", ":"))
+        for pid in pids
+    ]
+    return "\n".join(lines[:1] + crashes + lines[1:]) + "\n"
+
+
+#: Traces whose schedule stops resolving at a crash entry, with the
+#: verdict naming the first entry that does not resolve: a crash past
+#: the n=8 budget of 3, and a step of the processor a crash took down.
+CRASH_TAMPER = {
+    "over-budget-crash": (
+        lambda text: _insert_crashes(text, range(4)),
+        "schedule entry 3: cannot crash processor 3",
+    ),
+    "step-of-crashed": (
+        lambda text: _insert_crashes(text, [0]),
+        "processor 0 has crashed and cannot step",
+    ),
+}
+
+
 TAMPER = {
     "trace": _edit_schedule_entry,
     "check-violation": _halve_schedule,
@@ -445,6 +471,19 @@ class TestReplay:
         assert not out.startswith("error:")
         if kind == "trace":
             assert "schedule entry" in out
+
+    @pytest.mark.parametrize("case", sorted(CRASH_TAMPER))
+    def test_tampered_crash_entry_diverges(self, artifacts, case, tmp_path, capsys):
+        tamper, verdict = CRASH_TAMPER[case]
+        with open(artifacts["trace"], encoding="utf-8") as fp:
+            text = fp.read()
+        tampered = tmp_path / "tampered.jsonl"
+        tampered.write_text(tamper(text), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["replay", str(tampered)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("replay DIVERGED: schedule entry ")
+        assert verdict in out
 
     @pytest.mark.parametrize(
         "case", ["missing", "invalid-json", "other-kind", "net-trace"]

@@ -3,8 +3,8 @@
 The determinism contract (ROADMAP E4, :mod:`repro.obs.replay`) is that a
 trace — seed plus the recorded action schedule — fully determines a run.
 These tests record a leader election under each registered adversary,
-re-drive it with the :class:`ScriptedAdversary`, and require the rerun's
-event stream to match the recording byte for byte.
+re-drive it with the :class:`SchedulePrefixAdversary`, and require the
+rerun's event stream to match the recording byte for byte.
 """
 
 from __future__ import annotations
@@ -12,13 +12,14 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import ADVERSARY_FACTORIES
-from repro.obs.jsonl import ArtifactError, read_trace
+from repro.check.invariants import PROTOCOLS, run_protocol
+from repro.obs.jsonl import ArtifactError, read_events
 from repro.obs.replay import (
     ReplayError,
-    ScriptedAdversary,
-    extract_schedule,
+    SchedulePrefixAdversary,
     record_trace,
     replay_trace,
+    schedule_of,
 )
 
 
@@ -43,14 +44,16 @@ def test_other_tasks_replay(tmp_path, task):
 
 def test_replay_uses_recorded_schedule_not_fresh_randomness(tmp_path):
     # Record under the random adversary, then confirm the replay consumes
-    # exactly the recorded schedule — the scripted adversary ends drained.
+    # exactly the recorded schedule: every entry resolves, and the run
+    # ends at the last one without a fallback action.
     path = str(tmp_path / "sched.jsonl")
     record_trace(path, task="elect", n=8, adversary="random", seed=9)
-    _, objects = read_trace(path)
-    schedule = extract_schedule(objects)
+    schedule = schedule_of(read_events(path))
     assert schedule, "a run must contain scheduling events"
-    scripted = ScriptedAdversary(schedule)
-    assert scripted.remaining == len(schedule)
+    adversary = SchedulePrefixAdversary(schedule)
+    run = run_protocol(PROTOCOLS["leader_election"], 8, None, adversary, 9)
+    assert adversary.first_skip is None
+    assert run.result.metrics.events_executed == len(schedule)
     report = replay_trace(path)
     assert report.ok
 

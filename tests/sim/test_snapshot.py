@@ -11,11 +11,10 @@ import hashlib
 
 import pytest
 
-from repro.check.explore import schedule_of
-from repro.check.shrink import SchedulePrefixAdversary
 from repro.harness.runners import build_task_simulation
 from repro.obs.events import ListSink
 from repro.obs.jsonl import event_line
+from repro.obs.replay import SchedulePrefixAdversary, schedule_of
 from repro.sim import CheckpointError, capture, enable_recording
 
 
