@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from _common import grid, mean_of, once, run_sweep
 
-from repro.harness import Table, run_sifting_phase
+from repro.core import make_heterogeneous_poison_pill
+from repro.harness import Table, make_adversary, run_sifting_phase
+from repro.sim.runtime import Simulation
 
 NS = grid([16, 32, 64], [16, 32, 64, 128, 256])
 REPEATS_E9 = 6
@@ -25,18 +27,21 @@ REPEATS_E9 = 6
 
 def build_e9():
     def cell(use_lists, adversary, base):
-        return run_sweep(
-            NS,
-            lambda n, seed: run_sifting_phase(
-                n=n,
-                kind="heterogeneous",
-                adversary=adversary,
+        factory = make_heterogeneous_poison_pill(use_lists=use_lists)
+
+        def run(n, seed):
+            # The catalogue row keeps the lists; the ablated factory runs
+            # in a simulation built here and handed to the runner.
+            sim = Simulation(
+                n, dict.fromkeys(range(n), factory), make_adversary(adversary, seed),
                 seed=seed,
-                use_lists=use_lists,
-            ),
-            repeats=REPEATS_E9,
-            seed_base=base,
-        )
+            )
+            return run_sifting_phase(
+                n=n, kind="heterogeneous", adversary=adversary, seed=seed,
+                simulation=sim,
+            )
+
+        return run_sweep(NS, run, repeats=REPEATS_E9, seed_base=base)
 
     # Both variants run under identical seeds: the ablation changes only
     # the death rule (the propagated messages and coin flips are the

@@ -3,8 +3,9 @@
 The paper's guarantees are adversarial: they must hold under *every*
 schedule, not just benign ones.  This module turns each guarantee into a
 named, machine-checkable :class:`Invariant` and maps every runnable
-protocol (the real algorithms *and* the deliberately broken baselines)
-to the invariant set it claims:
+protocol of the task catalogue (:mod:`repro.core.catalogue`: the real
+algorithms *and* the deliberately broken baselines) to the invariant set
+it claims:
 
 * ``unique_winner`` / ``winner_exists`` / ``election_linearizable`` —
   leader election's test-and-set specification (Lemmas A.1-A.3);
@@ -43,6 +44,10 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence
 
+# Re-exported: the checker's protocol registry is the task catalogue.
+from ..core.catalogue import CORE_PROTOCOLS as CORE_PROTOCOLS
+from ..core.catalogue import PROTOCOLS as PROTOCOLS
+from ..core.catalogue import ProtocolSpec
 from ..core.protocol import HetStatus, Outcome
 from ..obs.events import Event, EventType
 from ..sim import pidset
@@ -56,70 +61,9 @@ FOLDED_EVENTS = frozenset({
 
 
 # ---------------------------------------------------------------------------
-# Protocol registry
+# Protocol registry: the rows of :mod:`repro.core.catalogue`, plus the service
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True, slots=True)
-class ProtocolSpec:
-    """One checkable protocol: how to run it and what it claims.
-
-    ``task`` selects the harness runner (``elect`` / ``sift`` /
-    ``rename``); ``algorithm`` is that runner's algorithm/kind argument.
-    ``known_bad`` marks deliberately broken baselines kept as negative
-    controls: the checker is expected to *fail* them.
-    """
-
-    name: str
-    task: str
-    algorithm: str
-    claim: str
-    known_bad: bool = False
-
-
-#: Every protocol ``repro check`` can target, including the negative
-#: controls (``known_bad=True``) that the checker must be able to fail.
-PROTOCOLS: dict[str, ProtocolSpec] = {
-    spec.name: spec
-    for spec in (
-        ProtocolSpec(
-            "leader_election", "elect", "poison_pill",
-            "Figures 4-6: O(log* k) leader election",
-        ),
-        ProtocolSpec(
-            "leader_election_basic", "elect", "poison_pill_basic",
-            "Section 3.1: PoisonPill-round leader election",
-        ),
-        ProtocolSpec(
-            "tournament", "elect", "tournament",
-            "[AGTV92] tournament-tree baseline",
-        ),
-        ProtocolSpec(
-            "poison_pill", "sift", "poison_pill",
-            "Figure 1: PoisonPill sifting phase",
-        ),
-        ProtocolSpec(
-            "heterogeneous", "sift", "heterogeneous",
-            "Figure 2: Heterogeneous PoisonPill phase",
-        ),
-        ProtocolSpec(
-            "naive_sifter", "sift", "naive",
-            "Introduction: the broken flip-and-tell strawman",
-            known_bad=True,
-        ),
-        ProtocolSpec(
-            "renaming", "rename", "paper",
-            "Figure 3: strong renaming via test-and-set grid",
-        ),
-        ProtocolSpec(
-            "linear_renaming", "rename", "linear",
-            "[AAG+10]-style linear-scan renaming baseline",
-        ),
-    )
-}
-
-#: The protocols the CI smoke budget sweeps (the real algorithms).
-CORE_PROTOCOLS = ("leader_election", "poison_pill", "heterogeneous", "renaming")
 
 #: The election service (``repro serve``).  Deliberately *not* in
 #: :data:`PROTOCOLS`: the ``--protocol`` choices of ``repro check`` must
@@ -127,8 +71,8 @@ CORE_PROTOCOLS = ("leader_election", "poison_pill", "heterogeneous", "renaming")
 #: produced live by :class:`~repro.net.service.ElectionService` and
 #: checked through :func:`evaluate_service_run`.
 SERVICE_SPEC = ProtocolSpec(
-    "service", "serve", "lease",
-    "Figure 3 / Theorem 4.2 generalized: one independent, epoch-fenced "
+    "service", "serve", "lease", make=None,
+    claim="Figure 3 / Theorem 4.2 generalized: one independent, epoch-fenced "
     "leader election per key in the service namespace",
 )
 
@@ -169,14 +113,6 @@ def run_protocol(
     if spec.task == "rename":
         return run_renaming(algorithm=spec.algorithm, **common)
     raise ValueError(f"unknown task {spec.task!r} for protocol {spec.name!r}")
-
-
-def protocol_for(task: str, algorithm: str) -> ProtocolSpec:
-    """The registered protocol a harness ``(task, algorithm)`` pair runs."""
-    for spec in PROTOCOLS.values():
-        if (spec.task, spec.algorithm) == (task, algorithm):
-            return spec
-    raise ValueError(f"no registered protocol runs {task}/{algorithm}")
 
 
 # ---------------------------------------------------------------------------

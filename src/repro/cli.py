@@ -35,15 +35,9 @@ from typing import Sequence
 from .adversary import ADVERSARY_FACTORIES
 from .analysis.stats import summarize
 from .analysis.theory import log_star
-from .harness.runners import (
-    LEADER_ALGORITHMS,
-    RENAMING_ALGORITHMS,
-    SIFTER_KINDS,
-    run_leader_election,
-    run_renaming,
-    run_sifting_phase,
-)
+from .core.catalogue import TASKS, algorithms, protocol_for
 from .errors import ReproError
+from .harness.runners import run_leader_election, run_renaming, run_sifting_phase
 from .harness.sweep import sweep
 from .harness.tables import Table
 
@@ -76,10 +70,19 @@ def _workers_flag(p: argparse.ArgumentParser) -> None:
 
 def _task_flags(p: argparse.ArgumentParser) -> None:
     """``--task/--algorithm``: which task runs, and with what algorithm."""
-    p.add_argument("--task", choices=("elect", "sift", "rename"), default="elect")
+    p.add_argument("--task", choices=TASKS, default="elect")
     p.add_argument(
         "--algorithm", default=None,
         help="algorithm or sifter kind for the task (task default when omitted)",
+    )
+
+
+def _algorithm_flag(
+    p: argparse.ArgumentParser, task: str, flag: str = "--algorithm"
+) -> None:
+    """``flag``: one of ``task``'s catalogue algorithms, its default when omitted."""
+    p.add_argument(
+        flag, choices=algorithms(task), default=protocol_for(task).algorithm
     )
 
 
@@ -156,16 +159,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     elect = sub.add_parser("elect", help="run one leader election")
     common(elect)
-    elect.add_argument("--algorithm", choices=LEADER_ALGORITHMS, default="poison_pill")
+    _algorithm_flag(elect, "elect")
 
     sift = sub.add_parser("sift", help="run one sifting phase")
     common(sift)
-    sift.add_argument("--kind", choices=SIFTER_KINDS, default="heterogeneous")
+    _algorithm_flag(sift, "sift", "--kind")
     sift.add_argument("--bias", type=float, default=None)
 
     rename = sub.add_parser("rename", help="run one renaming execution")
     common(rename)
-    rename.add_argument("--algorithm", choices=RENAMING_ALGORITHMS, default="paper")
+    _algorithm_flag(rename, "rename")
 
     sweep_p = sub.add_parser("sweep", help="sweep n and print a summary table")
     _task_flags(sweep_p)
@@ -537,8 +540,8 @@ def _cmd_rename(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    algorithm = protocol_for(args.task, args.algorithm).algorithm
     if args.task == "elect":
-        algorithm = args.algorithm or "poison_pill"
 
         def runner(n, seed):
             return run_leader_election(
@@ -551,11 +554,10 @@ def _cmd_sweep(args) -> int:
             "rounds": lambda run: run.rounds,
         }
     elif args.task == "sift":
-        kind = args.algorithm or "heterogeneous"
 
         def runner(n, seed):
             return run_sifting_phase(
-                n=n, kind=kind, adversary=args.adversary, seed=seed, check=False
+                n=n, kind=algorithm, adversary=args.adversary, seed=seed, check=False
             )
 
         metrics = {
@@ -563,7 +565,6 @@ def _cmd_sweep(args) -> int:
             "messages": lambda run: run.result.metrics.messages_total,
         }
     else:
-        algorithm = args.algorithm or "paper"
 
         def runner(n, seed):
             return run_renaming(
@@ -676,27 +677,26 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from .obs.replay import record_trace
+    from .obs.replay import record_trace, trace_meta
 
+    config = dict(
+        task=args.task, n=args.n, k=args.k, algorithm=args.algorithm,
+        adversary=args.adversary, seed=args.seed, pattern=args.pattern,
+    )
     telemetry = None
     if args.snapshots is not None:
         from .obs.live import LiveTelemetry, SnapshotWriter
 
-        writer = SnapshotWriter(
-            args.snapshots,
-            meta={
-                "backend": "sim", "task": args.task, "n": args.n,
-                "k": args.k, "algorithm": args.algorithm,
-                "adversary": args.adversary, "seed": args.seed,
-            },
-        )
+        # Resolved before the writer opens the file: a run that cannot
+        # start leaves no snapshot stream behind.
+        meta = trace_meta(**config)
+        writer = SnapshotWriter(args.snapshots, meta={
+            "backend": "sim",
+            **{key: meta[key] for key in ("task", "n", "k", "algorithm", "adversary", "seed")},
+        })
         telemetry = LiveTelemetry(writer)
     try:
-        recorded = record_trace(
-            args.out, task=args.task, n=args.n, k=args.k,
-            algorithm=args.algorithm, adversary=args.adversary,
-            seed=args.seed, pattern=args.pattern, telemetry=telemetry,
-        )
+        recorded = record_trace(args.out, telemetry=telemetry, **config)
     finally:
         if telemetry is not None:
             telemetry.close()

@@ -19,9 +19,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     ".parallel": ("parallel_repeat", "parallel_sweep"),
     ".runners": (
-        "LEADER_ALGORITHMS",
-        "RENAMING_ALGORITHMS",
-        "SIFTER_KINDS",
         "LeaderElectionRun",
         "RenamingRun",
         "SiftingRun",
@@ -31,7 +28,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "run_leader_election",
         "run_renaming",
         "run_sifting_phase",
-        "task_factory",
     ),
     ".soak": (
         "IncidentReplay",

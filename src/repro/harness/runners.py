@@ -2,7 +2,9 @@
 
 These wrap the three moving parts — algorithm factory, adversary,
 simulation — behind task-shaped entry points that benchmarks, examples,
-and tests share.  Every runner validates the execution against the
+and tests share.  The factory comes from the task catalogue
+(:mod:`repro.core.catalogue`), the one place an algorithm name is
+resolved.  Every runner validates the execution against the
 invariant registry (:mod:`repro.check.invariants`) before returning, so
 a benchmark number can never come from a broken run.  The registry is
 imported on that check path only, which keeps it out of a bare import.
@@ -14,25 +16,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from ..adversary import ADVERSARY_FACTORIES, Adversary, CrashingAdversary
-from ..core import (
-    Outcome,
-    make_get_name,
-    make_heterogeneous_poison_pill,
-    make_leader_elect,
-    make_poison_pill,
-)
-from ..core.baselines import (
-    make_linear_renaming,
-    make_naive_sifter,
-    make_tournament,
-)
+from ..core import Outcome
+from ..core.catalogue import ProtocolSpec, protocol_for
 from ..sim.process import AlgorithmFactory
 from ..sim.runtime import Simulation, SimulationResult
 from .workloads import choose_participants
-
-LEADER_ALGORITHMS = ("poison_pill", "poison_pill_basic", "tournament")
-SIFTER_KINDS = ("poison_pill", "heterogeneous", "naive")
-RENAMING_ALGORITHMS = ("paper", "linear")
 
 
 class SpecificationViolation(AssertionError):
@@ -43,8 +31,8 @@ class SpecificationViolation(AssertionError):
         self.invariant = invariant
 
 
-def _checker(task: str, algorithm: str) -> Callable[[Any], None]:
-    """The registry check of a ``task``/``algorithm`` run.
+def _checker(spec: ProtocolSpec) -> Callable[[Any], None]:
+    """The registry check of a run of ``spec``.
 
     It raises :class:`SpecificationViolation` for the first invariant
     broken.  Get it before the simulation runs: imported while a large
@@ -52,9 +40,7 @@ def _checker(task: str, algorithm: str) -> Callable[[Any], None]:
     being reused, which raises every later run's peak RSS (by 2-4 MB for
     the coin-aware election at n=256).
     """
-    from ..check.invariants import evaluate_run, protocol_for
-
-    spec = protocol_for(task, algorithm)
+    from ..check.invariants import evaluate_run
 
     def check(run: Any) -> None:
         violations = evaluate_run(spec, run)
@@ -76,54 +62,9 @@ def make_adversary(spec: str | Adversary, seed: int = 0) -> Adversary:
         ) from None
 
 
-def task_factory(
-    task: str,
-    algorithm: str,
-    bias: float | None = None,
-    use_lists: bool = True,
-) -> AlgorithmFactory:
-    """Resolve a (task, algorithm) pair to its coroutine factory."""
-    if task == "elect":
-        if algorithm == "poison_pill":
-            return make_leader_elect()
-        if algorithm == "poison_pill_basic":
-            return make_leader_elect(sifter="poison_pill")
-        if algorithm == "tournament":
-            return make_tournament()
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; expected one of {LEADER_ALGORITHMS}"
-        )
-    if task == "sift":
-        if bias is not None and not 0.0 <= bias <= 1.0:
-            raise ValueError(f"bias must be within [0, 1], got {bias}")
-        if algorithm == "poison_pill":
-            return make_poison_pill(bias=bias)
-        if algorithm == "heterogeneous":
-            if bias is not None:
-                raise ValueError(
-                    "the heterogeneous sifter's coin bias depends on its "
-                    "view; bias applies to poison_pill and naive"
-                )
-            return make_heterogeneous_poison_pill(use_lists=use_lists)
-        if algorithm == "naive":
-            return make_naive_sifter(bias=bias)
-        raise ValueError(
-            f"unknown sifter {algorithm!r}; expected one of {SIFTER_KINDS}"
-        )
-    if task == "rename":
-        if algorithm == "paper":
-            return make_get_name()
-        if algorithm == "linear":
-            return make_linear_renaming()
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; expected one of {RENAMING_ALGORITHMS}"
-        )
-    raise ValueError(f"unknown task {task!r}; expected elect, sift, or rename")
-
-
 def build_task_simulation(
     task: str,
-    algorithm: str,
+    algorithm: str | None,
     n: int,
     k: int | None = None,
     adversary: str | Adversary = "random",
@@ -137,24 +78,21 @@ def build_task_simulation(
 ) -> Simulation:
     """Build (without running) the simulation a task runner would drive.
 
-    Callers that need the :class:`~repro.sim.runtime.Simulation` before
-    execution — to enable checkpoint recording
-    (:func:`repro.sim.snapshot.enable_recording`) or to drive the action
-    loop manually — build it here, then hand it back to the matching
-    runner via its ``simulation=`` parameter.
+    Hand it back to the matching runner via its ``simulation=``
+    parameter; the end-to-end benchmark builds first so that it can time
+    :meth:`~repro.sim.runtime.Simulation.run` on its own.
     """
-    factory = task_factory(task, algorithm)
-    participants = choose_participants(n, k, pattern, seed)
     return _build_simulation(
-        n, factory, participants, adversary, seed, None,
-        max_events, sink, profiler, delta_propagation, telemetry,
+        protocol_for(task, algorithm).make(), n, k, pattern, adversary, seed,
+        None, max_events, sink, profiler, delta_propagation, telemetry,
     )
 
 
 def _build_simulation(
-    n: int,
     factory: AlgorithmFactory,
-    participants: Sequence[int],
+    n: int,
+    k: int | None,
+    pattern: str,
     adversary: str | Adversary,
     seed: int,
     crash_schedule: Sequence[tuple[int, int]] | None,
@@ -164,6 +102,7 @@ def _build_simulation(
     delta_propagation: bool = True,
     telemetry=None,
 ) -> Simulation:
+    participants = choose_participants(n, k, pattern, seed)
     scheduler = make_adversary(adversary, seed)
     if crash_schedule:
         scheduler = CrashingAdversary(scheduler, crash_schedule)
@@ -180,11 +119,45 @@ def _build_simulation(
     )
 
 
+def _run_checked(
+    spec: ProtocolSpec,
+    summarize: Callable[..., Any],
+    simulation: Simulation | None,
+    check: bool,
+    require_termination: bool,
+    factory: AlgorithmFactory | None = None,
+    **build: Any,
+) -> Any:
+    """The runners' one path: build, fetch the check, run, then check.
+
+    ``build`` holds :func:`_build_simulation`'s arguments after the
+    factory, used only when ``simulation`` is ``None``; ``factory``
+    defaults to the row's.  ``summarize(spec, sim, result, **common)``
+    makes the task's Run object from the finished simulation.
+    """
+    if simulation is None:
+        simulation = _build_simulation(factory or spec.make(), **build)
+    check_run = _checker(spec) if check else None
+    result = simulation.run(require_termination=require_termination)
+    adversary = build["adversary"]
+    run = summarize(
+        spec, simulation, result,
+        n=build["n"],
+        k=sum(1 for process in simulation.processes if process.is_participant),
+        adversary=adversary if isinstance(adversary, str) else adversary.name,
+        seed=build["seed"],
+    )
+    if check_run is not None:
+        check_run(run)
+    return run
+
+
 def _coin_rounds(result_sim: Simulation, label_fragment: str) -> int:
     """Max per-processor count of coins whose label contains the fragment.
 
     Each Heterogeneous PoisonPill round flips exactly one coin labelled
-    ``...hpp<r>.coin``, so this counts sifting rounds without tracing.
+    ``...hpp<r>.coin``, and each renaming trial one ``<namespace>.spot``
+    choice, so this counts rounds or trials without tracing.
     """
     best = 0
     for process in result_sim.processes:
@@ -246,10 +219,20 @@ class LeaderElectionRun:
         return self.result.metrics.messages_total
 
 
+def _election_run(spec, sim, result, **common) -> LeaderElectionRun:
+    return LeaderElectionRun(
+        algorithm=spec.algorithm,
+        result=result,
+        report=LeaderElectionReport.of(result),
+        rounds=_coin_rounds(sim, ".hpp"),
+        **common,
+    )
+
+
 def run_leader_election(
     n: int,
     k: int | None = None,
-    algorithm: str = "poison_pill",
+    algorithm: str | None = None,
     adversary: str | Adversary = "random",
     seed: int = 0,
     pattern: str = "first",
@@ -265,44 +248,26 @@ def run_leader_election(
     """Run one leader election to completion and check it.
 
     ``algorithm`` selects the paper's PoisonPill-based algorithm or the
-    [AGTV92] tournament baseline.  ``sink`` receives the structured event
-    stream (:mod:`repro.obs`) and ``profiler`` accumulates wall-clock
-    spans; both default to off.  ``delta_propagation=False`` forces full
-    PROPAGATE payloads — semantically identical, used by the equivalence
-    regression tests.  ``telemetry`` is a second sink slot for live
-    consumers (:class:`~repro.obs.metrics.MetricsSink`,
+    [AGTV92] tournament baseline (the catalogue default when ``None``).
+    ``sink`` receives the structured event stream (:mod:`repro.obs`) and
+    ``profiler`` accumulates wall-clock spans; both default to off.
+    ``delta_propagation=False`` forces full PROPAGATE payloads —
+    semantically identical, used by the equivalence regression tests.
+    ``telemetry`` is a second sink slot for live consumers
+    (:class:`~repro.obs.metrics.MetricsSink`,
     :class:`~repro.obs.live.LiveTelemetry`, or a
-    :class:`~repro.check.streaming.StreamingChecker`).
-    ``simulation`` runs a pre-built (possibly checkpoint-forked)
-    simulation instead of constructing one; the construction arguments
-    are then recorded verbatim but otherwise unused.
+    :class:`~repro.check.streaming.StreamingChecker`).  ``simulation``
+    runs one built by :func:`build_task_simulation` instead of
+    constructing one; the construction arguments are then recorded
+    verbatim but otherwise unused.
     """
-    if simulation is not None:
-        sim = simulation
-        participants = [p.pid for p in sim.processes if p.is_participant]
-    else:
-        factory = task_factory("elect", algorithm)
-        participants = choose_participants(n, k, pattern, seed)
-        sim = _build_simulation(
-            n, factory, participants, adversary, seed, crash_schedule,
-            max_events, sink, profiler, delta_propagation, telemetry,
-        )
-    check_run = _checker("elect", algorithm) if check else None
-    result = sim.run(require_termination=check and not crash_schedule)
-    adversary_name = adversary if isinstance(adversary, str) else adversary.name
-    run = LeaderElectionRun(
-        n=n,
-        k=len(participants),
-        algorithm=algorithm,
-        adversary=adversary_name,
-        seed=seed,
-        result=result,
-        report=LeaderElectionReport.of(result),
-        rounds=_coin_rounds(sim, ".hpp"),
+    return _run_checked(
+        protocol_for("elect", algorithm), _election_run, simulation,
+        check=check, require_termination=check and not crash_schedule,
+        n=n, k=k, pattern=pattern, adversary=adversary, seed=seed,
+        crash_schedule=crash_schedule, max_events=max_events, sink=sink,
+        profiler=profiler, delta_propagation=delta_propagation, telemetry=telemetry,
     )
-    if check_run is not None:
-        check_run(run)
-    return run
 
 
 @dataclass(slots=True)
@@ -323,15 +288,25 @@ class SiftingRun:
         return self.survivors / self.k if self.k else 0.0
 
 
+def _sifting_run(spec, sim, result, **common) -> SiftingRun:
+    return SiftingRun(
+        kind=spec.algorithm,
+        result=result,
+        survivors=sum(
+            1 for d in result.decisions.values() if d.result is Outcome.SURVIVE
+        ),
+        **common,
+    )
+
+
 def run_sifting_phase(
     n: int,
     k: int | None = None,
-    kind: str = "heterogeneous",
+    kind: str | None = None,
     adversary: str | Adversary = "random",
     seed: int = 0,
     pattern: str = "first",
     bias: float | None = None,
-    use_lists: bool = True,
     max_events: int | None = None,
     check: bool = True,
     sink=None,
@@ -340,34 +315,28 @@ def run_sifting_phase(
     telemetry=None,
     simulation: Simulation | None = None,
 ) -> SiftingRun:
-    """Run one sifting phase (PoisonPill / heterogeneous / naive)."""
-    if simulation is not None:
-        sim = simulation
-        participants = [p.pid for p in sim.processes if p.is_participant]
-    else:
-        factory = task_factory("sift", kind, bias=bias, use_lists=use_lists)
-        participants = choose_participants(n, k, pattern, seed)
-        sim = _build_simulation(
-            n, factory, participants, adversary, seed, None,
-            max_events, sink, profiler, delta_propagation, telemetry,
-        )
-    check_run = _checker("sift", kind) if check else None
-    result = sim.run()
-    adversary_name = adversary if isinstance(adversary, str) else adversary.name
-    run = SiftingRun(
-        n=n,
-        k=len(participants),
-        kind=kind,
-        adversary=adversary_name,
-        seed=seed,
-        result=result,
-        survivors=sum(
-            1 for d in result.decisions.values() if d.result is Outcome.SURVIVE
-        ),
+    """Run one sifting phase (PoisonPill / heterogeneous / naive).
+
+    ``bias`` overrides the coin bias of ``poison_pill`` and ``naive``.
+    """
+    spec = protocol_for("sift", kind)
+    factory = None
+    if bias is not None:
+        if not 0.0 <= bias <= 1.0:
+            raise ValueError(f"bias must be within [0, 1], got {bias}")
+        if spec.algorithm == "heterogeneous":
+            raise ValueError(
+                "the heterogeneous sifter's coin bias depends on its "
+                "view; bias applies to poison_pill and naive"
+            )
+        factory = spec.make(bias=bias)
+    return _run_checked(
+        spec, _sifting_run, simulation,
+        check=check, require_termination=True, factory=factory,
+        n=n, k=k, pattern=pattern, adversary=adversary, seed=seed,
+        crash_schedule=None, max_events=max_events, sink=sink,
+        profiler=profiler, delta_propagation=delta_propagation, telemetry=telemetry,
     )
-    if check_run is not None:
-        check_run(run)
-    return run
 
 
 @dataclass(slots=True)
@@ -394,10 +363,20 @@ class RenamingRun:
         return self.result.metrics.messages_total
 
 
+def _renaming_run(spec, sim, result, **common) -> RenamingRun:
+    return RenamingRun(
+        algorithm=spec.algorithm,
+        result=result,
+        names=dict(result.outcomes),
+        max_trials=_coin_rounds(sim, ".spot"),
+        **common,
+    )
+
+
 def run_renaming(
     n: int,
     k: int | None = None,
-    algorithm: str = "paper",
+    algorithm: str | None = None,
     adversary: str | Adversary = "random",
     seed: int = 0,
     pattern: str = "first",
@@ -411,44 +390,10 @@ def run_renaming(
     simulation: Simulation | None = None,
 ) -> RenamingRun:
     """Run one renaming execution to completion and check it."""
-    if algorithm == "paper":
-        spot_label = "rn.spot"
-    elif algorithm == "linear":
-        spot_label = "lr.spot"
-    else:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; expected one of {RENAMING_ALGORITHMS}"
-        )
-    if simulation is not None:
-        sim = simulation
-        participants = [p.pid for p in sim.processes if p.is_participant]
-    else:
-        factory = task_factory("rename", algorithm)
-        participants = choose_participants(n, k, pattern, seed)
-        sim = _build_simulation(
-            n, factory, participants, adversary, seed, crash_schedule,
-            max_events, sink, profiler, delta_propagation, telemetry,
-        )
-    check_run = _checker("rename", algorithm) if check else None
-    result = sim.run(require_termination=check and not crash_schedule)
-    max_trials = max(
-        (
-            sum(1 for label, _ in process.coins.all() if spot_label in label)
-            for process in sim.processes
-        ),
-        default=0,
+    return _run_checked(
+        protocol_for("rename", algorithm), _renaming_run, simulation,
+        check=check, require_termination=check and not crash_schedule,
+        n=n, k=k, pattern=pattern, adversary=adversary, seed=seed,
+        crash_schedule=crash_schedule, max_events=max_events, sink=sink,
+        profiler=profiler, delta_propagation=delta_propagation, telemetry=telemetry,
     )
-    adversary_name = adversary if isinstance(adversary, str) else adversary.name
-    run = RenamingRun(
-        n=n,
-        k=len(participants),
-        algorithm=algorithm,
-        adversary=adversary_name,
-        seed=seed,
-        result=result,
-        names=dict(result.outcomes),
-        max_trials=max_trials,
-    )
-    if check_run is not None:
-        check_run(run)
-    return run

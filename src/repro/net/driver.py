@@ -30,17 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from ..core import (
-    make_get_name,
-    make_heterogeneous_poison_pill,
-    make_leader_elect,
-    make_poison_pill,
-)
-from ..core.baselines import (
-    make_linear_renaming,
-    make_naive_sifter,
-    make_tournament,
-)
+from ..core.catalogue import protocol_for
 from ..core.protocol import Outcome
 from ..errors import ReproError
 from ..harness.workloads import choose_participants
@@ -48,7 +38,6 @@ from ..obs.jsonl import TRACE_FORMAT_VERSION, obj_to_event, read_trace, write_ev
 from ..obs.live import SnapshotWriter
 from ..obs.metrics import merge_snapshots
 from ..sim.messages import MessageKind
-from ..sim.process import AlgorithmFactory
 from ..sim.runtime import Decision, SimulationResult
 from ..sim.trace import Metrics
 from .chaos import CLEAN_PLAN, ChaosPlan
@@ -74,41 +63,6 @@ class NetError(ReproError, RuntimeError):
     """A socket run failed to complete: timeout, node crash, or protocol error."""
 
 
-#: ``(task, algorithm)`` to factory constructors; algorithm ``None`` maps
-#: to the task's default, mirroring the harness runners.
-TASK_DEFAULTS = {"elect": "poison_pill", "sift": "heterogeneous", "rename": "paper"}
-
-_FACTORIES = {
-    ("elect", "poison_pill"): make_leader_elect,
-    ("elect", "poison_pill_basic"): lambda: make_leader_elect(sifter="poison_pill"),
-    ("elect", "tournament"): make_tournament,
-    ("sift", "poison_pill"): make_poison_pill,
-    ("sift", "heterogeneous"): make_heterogeneous_poison_pill,
-    ("sift", "naive"): make_naive_sifter,
-    ("rename", "paper"): make_get_name,
-    ("rename", "linear"): make_linear_renaming,
-}
-
-
-def resolve_factory(task: str, algorithm: str | None) -> tuple[str, AlgorithmFactory]:
-    """Resolve ``(task, algorithm)`` to a concrete coroutine factory.
-
-    Returns the normalized algorithm name plus the factory; raises
-    ``ValueError`` for unknown combinations (listing the valid ones).
-    """
-    if task not in TASK_DEFAULTS:
-        raise ValueError(f"unknown task {task!r}; expected one of {sorted(TASK_DEFAULTS)}")
-    name = algorithm or TASK_DEFAULTS[task]
-    try:
-        constructor = _FACTORIES[(task, name)]
-    except KeyError:
-        known = sorted(alg for (t, alg) in _FACTORIES if t == task)
-        raise ValueError(
-            f"unknown algorithm {name!r} for task {task!r}; expected one of {known}"
-        ) from None
-    return name, constructor()
-
-
 # ---------------------------------------------------------------------------
 # Node child process entry
 # ---------------------------------------------------------------------------
@@ -125,7 +79,7 @@ def _node_entry(config_json: str) -> None:
     config = json.loads(config_json)
     factory = None
     if config["participant"]:
-        _, factory = resolve_factory(config["task"], config["algorithm"])
+        factory = protocol_for(config["task"], config["algorithm"]).make()
     node = NodeRuntime(
         pid=config["pid"],
         n=config["n"],
@@ -462,7 +416,7 @@ def run_net(
     """
     import asyncio
 
-    algorithm, _ = resolve_factory(task, algorithm)
+    algorithm = protocol_for(task, algorithm).algorithm
     participants = choose_participants(n, k, pattern, seed)
     plan = plan if plan is not None else CLEAN_PLAN
 
@@ -616,6 +570,6 @@ def check_net_run(run: NetRun, events=None) -> list[tuple[str, str]]:
     Uses the same invariant registry as ``repro check``; ensemble
     invariants (statistical, many-run) are skipped by construction.
     """
-    from ..check.invariants import evaluate_run, protocol_for
+    from ..check.invariants import evaluate_run
 
     return evaluate_run(protocol_for(run.task, run.algorithm), run, events)

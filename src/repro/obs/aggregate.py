@@ -21,7 +21,7 @@ event list would not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from .events import Event, EventType, json_safe
 
@@ -316,10 +316,3 @@ class TraceAggregator:
 def aggregate_events(events: Iterable[Event]) -> TraceAggregator:
     """One-shot aggregation of an in-memory event sequence."""
     return TraceAggregator().feed(events)
-
-
-def aggregate_mapping_events(objects: Iterable[Mapping[str, Any]]) -> TraceAggregator:
-    """Aggregate parsed JSONL objects (``{"t":..,"e":..,"p":..,"f":..}``)."""
-    from .jsonl import obj_to_event
-
-    return TraceAggregator().feed(obj_to_event(dict(obj)) for obj in objects)

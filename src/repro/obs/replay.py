@@ -27,8 +27,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..adversary.base import Adversary, fallback_action
-from ..check.invariants import protocol_for, run_protocol
+from ..check.invariants import run_protocol
+from ..core.catalogue import protocol_for
 from ..errors import ReproError
+from ..harness.runners import make_adversary
+from ..harness.workloads import choose_participants
 from ..sim.runtime import Action, Crash, Step
 from .events import Event, EventType, ListSink, SCHEDULE_EVENT_TYPES
 from .jsonl import (
@@ -44,10 +47,6 @@ from .jsonl import (
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..sim.runtime import Simulation
-
-#: Tasks a trace can record; mirrors the CLI's run verbs.
-TRACEABLE_TASKS = ("elect", "sift", "rename")
-
 
 class ReplayError(ReproError):
     """A trace could not be replayed (bad file, missing meta, ...)."""
@@ -215,7 +214,38 @@ def _unresolved(index: int, entry: Mapping[str, Any]) -> str:
     return f"schedule entry {index}: {reason} — the rerun diverged from the recording"
 
 
-_DEFAULT_ALGORITHMS = {"elect": "poison_pill", "sift": "heterogeneous", "rename": "paper"}
+def trace_meta(
+    task: str = "elect",
+    n: int = 16,
+    k: int | None = None,
+    algorithm: str | None = None,
+    adversary: str = "random",
+    seed: int = 0,
+    pattern: str = "first",
+) -> dict[str, Any]:
+    """The meta header of a trace of this run, with the algorithm resolved.
+
+    Resolves the catalogue row (the task's default algorithm when
+    ``algorithm`` is ``None``), the participant set and the adversary, so
+    a run that cannot start raises :class:`ReplayError` before any file
+    is opened.
+    """
+    try:
+        algorithm = protocol_for(task, algorithm).algorithm
+        choose_participants(n, k, pattern, seed)
+        make_adversary(adversary, seed)
+    except ValueError as error:
+        raise ReplayError(str(error)) from None
+    return {
+        "version": TRACE_FORMAT_VERSION,
+        "task": task,
+        "n": n,
+        "k": k,
+        "algorithm": algorithm,
+        "adversary": adversary,
+        "seed": seed,
+        "pattern": pattern,
+    }
 
 
 def record_trace(
@@ -234,20 +264,10 @@ def record_trace(
     ``adversary`` must be a registry name (not an instance) so the meta
     header alone suffices to describe the run.  ``telemetry`` is an
     optional second sink (e.g. :class:`~repro.obs.live.LiveTelemetry`)
-    that sees the same stream; the caller owns closing it.
+    that sees the same stream; the caller owns closing it.  A run that
+    cannot start (:func:`trace_meta`) leaves ``path`` untouched.
     """
-    if task not in TRACEABLE_TASKS:
-        raise ReplayError(f"unknown task {task!r}; traceable tasks: {TRACEABLE_TASKS}")
-    meta = {
-        "version": TRACE_FORMAT_VERSION,
-        "task": task,
-        "n": n,
-        "k": k,
-        "algorithm": algorithm or _DEFAULT_ALGORITHMS[task],
-        "adversary": adversary,
-        "seed": seed,
-        "pattern": pattern,
-    }
+    meta = trace_meta(task, n, k, algorithm, adversary, seed, pattern)
     sink = JsonlSink(path, meta=meta)
     try:
         run = _run_meta(meta, adversary, sink, check=True, telemetry=telemetry)

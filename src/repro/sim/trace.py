@@ -8,16 +8,13 @@ theorems are stated in:
   calls performed by any single processor;
 
 plus per-processor breakdowns used by the benchmark tables.  Counters are
-updated directly by the runtime (the zero-overhead fast path); they can
-also be rebuilt from a recorded event stream (:meth:`Metrics.from_events`)
-and combined across sweep workers (:meth:`Metrics.merge`).
+updated directly by the runtime (the zero-overhead fast path) and
+combined across sweep workers (:meth:`Metrics.merge`).  A recorded trace
+is rolled up by :class:`~repro.obs.aggregate.TraceAggregator` instead.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from ..obs.events import Event, EventType
 from .messages import MessageKind
 
 
@@ -126,39 +123,6 @@ class Metrics:
         self.crashes += other.crashes
         self.events_executed += other.events_executed
         return self
-
-    @classmethod
-    def from_events(cls, events: Iterable[Event], n: int) -> "Metrics":
-        """Rebuild counters from a structured event stream.
-
-        The adapter behind ``repro report``: a recorded JSONL trace holds
-        every ``msg.send`` / ``msg.deliver`` / ``sched.*`` / ``comm.call``
-        event, which is exactly the information the live counters
-        accumulate.
-        """
-        metrics = cls(n)
-        kind_by_value = {kind.value: kind for kind in MessageKind}
-        for event in events:
-            etype = event.etype
-            if etype == EventType.MSG_SEND:
-                fields = event.fields
-                metrics.record_send(
-                    fields["src"],
-                    kind_by_value[fields["kind"]],
-                    fields.get("cells", 0),
-                )
-            elif etype == EventType.MSG_DELIVER:
-                metrics.deliveries += 1
-                metrics.events_executed += 1
-            elif etype == EventType.SCHED_STEP:
-                metrics.steps += 1
-                metrics.events_executed += 1
-            elif etype == EventType.SCHED_CRASH:
-                metrics.crashes += 1
-                metrics.events_executed += 1
-            elif etype == EventType.COMM_CALL:
-                metrics.record_comm_call(event.pid)
-        return metrics
 
     def summary(self) -> dict[str, int]:
         """The headline counters as a plain dict (stable keys for tests)."""

@@ -48,12 +48,13 @@ class TestAtLeastOneSurvivor:
 
     @pytest.mark.parametrize("name", ALL_ADVERSARY_NAMES)
     def test_ablation_without_lists_still_safe(self, name):
+        # The ablated factory is no catalogue row: the runner checks a
+        # simulation built around it.
+        adversary = fresh_adversary(name, 7)
+        factory = make_heterogeneous_poison_pill(use_lists=False)
+        sim = Simulation(12, dict.fromkeys(range(12), factory), adversary, seed=7)
         run = run_sifting_phase(
-            n=12,
-            kind="heterogeneous",
-            adversary=fresh_adversary(name, 7),
-            seed=7,
-            use_lists=False,
+            n=12, kind="heterogeneous", adversary=adversary, seed=7, simulation=sim
         )
         assert run.survivors >= 1
 

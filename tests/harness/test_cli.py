@@ -158,6 +158,37 @@ class TestObservabilityVerbs:
         _, snapshots, end = read_snapshots(stream)
         assert snapshots and end is not None
 
+    def test_trace_and_snapshot_headers_name_the_default_algorithm(
+        self, capsys, tmp_path
+    ):
+        from repro.obs.jsonl import read_trace
+        from repro.obs.live import read_snapshots
+
+        trace, stream = self._record(tmp_path, snapshots=True)
+        assert read_trace(trace)[0]["algorithm"] == "poison_pill"
+        assert read_snapshots(stream)[0]["algorithm"] == "poison_pill"
+
+    def test_rejected_algorithm_leaves_existing_files_untouched(
+        self, capsys, tmp_path
+    ):
+        trace, stream = self._record(tmp_path, snapshots=True)
+        before = {path: open(path, "rb").read() for path in (trace, stream)}
+        capsys.readouterr()
+        argv = ["trace", "--algorithm", "bogus", "--out", trace, "--snapshots", stream]
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error:") and len(out.splitlines()) == 1
+        assert {path: open(path, "rb").read() for path in before} == before
+
+    @pytest.mark.parametrize("snapshots", [False, True], ids=["trace", "snapshots"])
+    def test_run_that_cannot_start_creates_no_file(self, capsys, tmp_path, snapshots):
+        argv = ["trace", "--n", "0", "--out", str(tmp_path / "run.jsonl")]
+        if snapshots:
+            argv += ["--snapshots", str(tmp_path / "live.jsonl")]
+        assert main(argv) == 2
+        assert capsys.readouterr().out.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_critical_path_and_lineage(self, capsys, tmp_path):
         trace, _ = self._record(tmp_path)
         capsys.readouterr()
@@ -321,6 +352,18 @@ def test_bad_input_is_one_error_line_and_exit_2(argv, capsys):
     assert out.startswith("error:")
     assert len(out.splitlines()) == 1
     assert "Traceback" not in out
+
+
+@pytest.mark.parametrize("verb", ["net", "trace", "sweep"])
+def test_unknown_algorithm_lists_the_task_algorithms(verb, capsys, tmp_path, monkeypatch):
+    # Rejected before anything starts: no node is spawned, no file written.
+    monkeypatch.chdir(tmp_path)
+    assert main([verb, "--task", "sift", "--algorithm", "bogus"]) == 2
+    assert capsys.readouterr().out == (
+        "error: unknown algorithm 'bogus' for task 'sift'; "
+        "expected one of ('poison_pill', 'heterogeneous', 'naive')\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def run_cli(*argv: str) -> subprocess.CompletedProcess:

@@ -120,7 +120,7 @@ class TestRunSiftingPhase:
             assert 1 <= run.survivors <= 6
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown sifter"):
+        with pytest.raises(ValueError, match="unknown algorithm 'bogus' for task 'sift'"):
             run_sifting_phase(n=4, kind="bogus")
 
     def test_survivor_fraction(self):

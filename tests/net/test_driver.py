@@ -13,6 +13,7 @@ import asyncio
 
 import pytest
 
+from repro.core.catalogue import protocol_for
 from repro.core.protocol import Outcome
 from repro.net.chaos import ChaosPlan, Partition
 from repro.net.driver import (
@@ -20,7 +21,6 @@ from repro.net.driver import (
     NetRun,
     _assemble_result,
     check_net_run,
-    resolve_factory,
     run_net,
 )
 from repro.net.node import NodeRuntime
@@ -32,18 +32,22 @@ PENDING_TIME = 2**62
 
 
 class TestResolveFactory:
+    """The driver and every node build their coroutine from the catalogue row."""
+
     def test_task_defaults(self):
-        assert resolve_factory("elect", None)[0] == "poison_pill"
-        assert resolve_factory("sift", None)[0] == "heterogeneous"
-        assert resolve_factory("rename", None)[0] == "paper"
+        assert protocol_for("elect").algorithm == "poison_pill"
+        assert protocol_for("sift").algorithm == "heterogeneous"
+        assert protocol_for("rename").algorithm == "paper"
 
     def test_unknown_task(self):
         with pytest.raises(ValueError, match="unknown task"):
-            resolve_factory("gossip", None)
+            protocol_for("gossip")
 
     def test_unknown_algorithm_lists_valid_ones(self):
         with pytest.raises(ValueError, match="tournament"):
-            resolve_factory("elect", "bully")
+            protocol_for("elect", "bully")
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            run_net(task="elect", algorithm="bully")
 
     def test_factories_build_generators(self):
         for task, algorithm in (
@@ -51,7 +55,7 @@ class TestResolveFactory:
             ("sift", "poison_pill"),
             ("rename", "linear"),
         ):
-            _, factory = resolve_factory(task, algorithm)
+            factory = protocol_for(task, algorithm).make()
             assert callable(factory)
 
 

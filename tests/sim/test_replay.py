@@ -34,10 +34,14 @@ def test_elect_replays_byte_identically(tmp_path, adversary):
     assert report.run.winner == recorded.run.winner
 
 
-@pytest.mark.parametrize("task", ["sift", "rename"])
-def test_other_tasks_replay(tmp_path, task):
-    path = str(tmp_path / f"{task}.jsonl")
-    record_trace(path, task=task, n=8, adversary="random", seed=1)
+@pytest.mark.parametrize("spec", PROTOCOLS.values(), ids=lambda spec: spec.name)
+def test_catalogue_row_replays(tmp_path, spec):
+    path = str(tmp_path / f"{spec.name}.jsonl")
+    recorded = record_trace(
+        path, task=spec.task, n=8, algorithm=spec.algorithm,
+        adversary="random", seed=1,
+    )
+    assert recorded.meta["algorithm"] == spec.algorithm
     report = replay_trace(path)
     assert report.ok, report.describe()
 
@@ -83,3 +87,17 @@ def test_meta_header_required(tmp_path):
 def test_unknown_task_rejected(tmp_path):
     with pytest.raises(ReplayError):
         record_trace(str(tmp_path / "x.jsonl"), task="nope", n=4)
+
+
+@pytest.mark.parametrize("bad", [
+    {"task": "nope"},
+    {"algorithm": "bogus"},
+    {"n": 0},
+    {"adversary": "nope"},
+], ids=lambda bad: next(iter(bad)))
+def test_run_that_cannot_start_leaves_the_file_untouched(tmp_path, bad):
+    path = tmp_path / "kept.jsonl"
+    path.write_text("kept\n")
+    with pytest.raises(ReplayError):
+        record_trace(str(path), **{"n": 4, **bad})
+    assert path.read_text() == "kept\n"
