@@ -222,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument(
         "--profile", action="store_true",
         help=(
-            "re-run the largest grid cell once under cProfile and embed "
-            "the top-20 cumulative-time functions in the baseline meta"
+            "re-run the largest grid cell once under the span profiler and "
+            "embed its call-tree rows in the baseline meta"
         ),
     )
     bench_p.add_argument(
@@ -600,6 +600,7 @@ def _cmd_bench(args) -> int:
         load_result,
         render_tables,
         run_experiment,
+        self_time,
         verify_parallel_matches_serial,
     )
 
@@ -623,7 +624,8 @@ def _cmd_bench(args) -> int:
     for exp in args.exp:
         if args.check_serial and args.workers != 1:
             match, serial, result = verify_parallel_matches_serial(
-                exp, workers=args.workers, repeats=args.repeats, full=args.full
+                exp, workers=args.workers, repeats=args.repeats, full=args.full,
+                profile=args.profile,
             )
             verdict = "identical" if match else "MISMATCH"
             print(f"[{exp}] parallel (workers={args.workers}) vs serial: {verdict}")
@@ -655,13 +657,10 @@ def _cmd_bench(args) -> int:
         if profile_meta:
             print(
                 f"profile (n={profile_meta['param']}, "
-                f"{profile_meta['wall_s']:.3f}s): top cumulative functions"
+                f"{profile_meta['wall_s']:.3f}s): self time by span"
             )
-            for entry in profile_meta["top"][:5]:
-                print(
-                    f"  {entry['cumtime_s']:8.3f}s  {entry['ncalls']:>10}  "
-                    f"{entry['function']}"
-                )
+            for span, count, share in self_time(profile_meta["rows"]):
+                print(f"  {share:6.1%}  {count:>10}  {span}")
         if args.baseline:
             path = result.save(args.out)
             print(f"baseline:      {path}")

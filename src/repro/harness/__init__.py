@@ -17,7 +17,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "run_experiment",
         "verify_parallel_matches_serial",
     ),
-    ".parallel": ("parallel_repeat", "parallel_sweep"),
     ".runners": (
         "LeaderElectionRun",
         "RenamingRun",
@@ -38,7 +37,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "run_soak",
     ),
     ".sweep": ("SweepCell", "cell_table", "merged_metrics", "repeat", "sweep"),
-    ".tables": ("Table", "profile_table", "render_series"),
+    ".tables": ("Table", "render_series"),
     ".workloads": (
         "PARTICIPATION_PATTERNS",
         "choose_participants",

@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
+from ..obs.profile import Profiler
 from ..sim.rng import derive_seed
 from ..sim.trace import Metrics
 from .runners import run_leader_election, run_sifting_phase
@@ -54,18 +55,19 @@ REGRESSION_MIN_DELTA_S = 0.1
 # Experiment specs
 # ----------------------------------------------------------------------
 
-def _elect_time_runner(n: int, seed: int):
+def _elect_time_runner(n: int, seed: int, profiler=None):
     return run_leader_election(n=n, algorithm="poison_pill",
-                               adversary="random", seed=seed)
+                               adversary="random", seed=seed, profiler=profiler)
 
 
-def _elect_messages_runner(n: int, seed: int):
-    return run_leader_election(n=n, adversary="random", seed=seed)
+def _elect_messages_runner(n: int, seed: int, profiler=None):
+    return run_leader_election(n=n, adversary="random", seed=seed,
+                               profiler=profiler)
 
 
-def _sift_survivors_runner(n: int, seed: int):
+def _sift_survivors_runner(n: int, seed: int, profiler=None):
     return run_sifting_phase(n=n, kind="heterogeneous",
-                             adversary="sequential", seed=seed)
+                             adversary="sequential", seed=seed, profiler=profiler)
 
 
 @dataclass(slots=True)
@@ -97,8 +99,8 @@ class LargeNSiftPair:
         return _MergedResult(metrics)
 
 
-def _sift_large_n_runner(n: int, seed: int) -> LargeNSiftPair:
-    common = dict(n=n, k=16, kind="heterogeneous", seed=seed)
+def _sift_large_n_runner(n: int, seed: int, profiler=None) -> LargeNSiftPair:
+    common = dict(n=n, k=16, kind="heterogeneous", seed=seed, profiler=profiler)
     return LargeNSiftPair(
         sequential=run_sifting_phase(adversary="sequential", **common),
         oblivious=run_sifting_phase(adversary="oblivious", **common),
@@ -120,7 +122,11 @@ def _sift_pair_fingerprint(pair: LargeNSiftPair) -> list:
 
 @dataclass(frozen=True, slots=True)
 class BenchExperiment:
-    """One benchmarkable experiment: a grid, a runner, a result digest."""
+    """One benchmarkable experiment: a grid, a runner, a result digest.
+
+    ``runner(n, seed, profiler=None)`` runs one repetition; a
+    :class:`~repro.obs.profile.Profiler` passed to it times every run.
+    """
 
     name: str
     title: str
@@ -179,6 +185,15 @@ EXPERIMENTS: dict[str, BenchExperiment] = {
         ),
     )
 }
+
+
+def _experiment(exp: str) -> BenchExperiment:
+    try:
+        return EXPERIMENTS[exp]
+    except KeyError:
+        raise ValueError(
+            f"unknown experiment {exp!r}; known: {sorted(EXPERIMENTS)}"
+        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -334,64 +349,58 @@ def render_tables(directory: str = "bench") -> str:
         table.add_note(f"total wall-clock {result.wall_s_total:.3f}s")
         profile = result.meta.get("profile")
         if profile:
-            hottest = ", ".join(
-                entry["function"].rsplit("/", 1)[-1]
-                for entry in profile["top"][:3]
-            )
             table.add_note(
                 f"profiled n={profile['param']} ({profile['wall_s']:.3f}s); "
-                f"hottest: {hottest}"
+                "self time by span: " + ", ".join(
+                    f"{span} {share:.0%}" for span, _, share in self_time(profile["rows"])
+                )
             )
         chunks.append(table.render())
     return "\n\n".join(chunks) + "\n"
 
 
-def profile_cell(
-    exp: str, value: int | None = None, top: int = 20
-) -> dict[str, Any]:
-    """Profile one repetition of one grid cell under :mod:`cProfile`.
+def self_time(rows: Sequence[dict[str, Any]]) -> list[tuple[str, int, float]]:
+    """Per span name, summed over parents: calls and share of all self time.
+
+    Folds :meth:`~repro.obs.profile.Profiler.rows` into
+    ``(span, count, share)`` tuples, largest share first.
+    """
+    folded: dict[str, list[float]] = {}
+    for row in rows:
+        total = folded.setdefault(row["span"], [0, 0.0])
+        total[0] += row["count"]
+        total[1] += row["self_ms"]
+    overall = sum(self_ms for _, self_ms in folded.values()) or 1.0
+    return sorted(
+        ((span, count, self_ms / overall) for span, (count, self_ms) in folded.items()),
+        key=lambda entry: -entry[2],
+    )
+
+
+def profile_cell(exp: str, value: int | None = None) -> dict[str, Any]:
+    """Run one repetition of one grid cell under a span :class:`Profiler`.
 
     Runs the experiment's runner once for ``value`` (default: the largest
     fast-grid value) with the same derived seed repetition 0 of a sweep
-    would use, and returns a JSON-ready summary: the ``top`` functions by
-    cumulative time.  Embedded in baseline ``meta`` by ``--profile`` so a
-    recorded number always carries the evidence of *where* the time went.
+    would use, and returns a JSON-ready summary: the cell, its seed, the
+    profiled wall-clock and the profiler's call-tree ``rows`` (count,
+    inclusive and self milliseconds per ``(span, parent)``).  Embedded in
+    baseline ``meta`` by ``--profile`` so a recorded number always carries
+    the evidence of *where* the time went.
     """
-    import cProfile
-    import pstats
-
-    try:
-        experiment = EXPERIMENTS[exp]
-    except KeyError:
-        raise ValueError(
-            f"unknown experiment {exp!r}; known: {sorted(EXPERIMENTS)}"
-        ) from None
+    experiment = _experiment(exp)
     if value is None:
         value = experiment.values[-1]
     seed = derive_seed(experiment.seed_base, f"sweep/{value!r}/0")
-    profiler = cProfile.Profile()
+    profiler = Profiler()
     start = time.perf_counter()
-    profiler.enable()
-    experiment.runner(value, seed)
-    profiler.disable()
+    experiment.runner(value, seed, profiler=profiler)
     wall = time.perf_counter() - start
-    stats = pstats.Stats(profiler)
-    stats.sort_stats("cumulative")
-    entries: list[dict[str, Any]] = []
-    for func in stats.fcn_list[:top]:  # type: ignore[attr-defined]
-        _cc, ncalls, tottime, cumtime, _callers = stats.stats[func]  # type: ignore[attr-defined]
-        filename, lineno, name = func
-        entries.append({
-            "function": f"{filename}:{lineno}({name})",
-            "ncalls": ncalls,
-            "tottime_s": round(tottime, 6),
-            "cumtime_s": round(cumtime, 6),
-        })
     return {
         "param": value,
         "seed": seed,
         "wall_s": round(wall, 6),
-        "top": entries,
+        "rows": profiler.rows(),
     }
 
 
@@ -408,14 +417,9 @@ def run_experiment(
     the derived seeds (and therefore the fingerprints) are independent of
     ``workers``.  With ``profile=True`` the largest cell is additionally
     re-run once under :func:`profile_cell` (outside the timed loop) and
-    the hot-function table is stored in ``meta["profile"]``.
+    its span rows are stored in ``meta["profile"]``.
     """
-    try:
-        experiment = EXPERIMENTS[exp]
-    except KeyError:
-        raise ValueError(
-            f"unknown experiment {exp!r}; known: {sorted(EXPERIMENTS)}"
-        ) from None
+    experiment = _experiment(exp)
     grid = experiment.grid(full)
     cells: list[BenchCell] = []
     total_start = time.perf_counter()
@@ -585,13 +589,17 @@ def compare_results(
 
 
 def verify_parallel_matches_serial(
-    exp: str, workers: int, repeats: int = 3, full: bool = False
+    exp: str, workers: int, repeats: int = 3, full: bool = False,
+    profile: bool = False,
 ) -> tuple[bool, BenchResult, BenchResult]:
     """Run ``exp`` serially and with ``workers``; compare fingerprints.
 
     Returns ``(match, serial_result, parallel_result)`` — the automated
     guarantee behind ``repro bench --check-serial`` and the CI smoke job.
+    ``profile`` profiles the parallel run's largest cell, as in
+    :func:`run_experiment`.
     """
     serial = run_experiment(exp, workers=1, repeats=repeats, full=full)
-    parallel = run_experiment(exp, workers=workers, repeats=repeats, full=full)
+    parallel = run_experiment(exp, workers=workers, repeats=repeats, full=full,
+                              profile=profile)
     return serial.fingerprints == parallel.fingerprints, serial, parallel

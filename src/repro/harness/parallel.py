@@ -1,8 +1,9 @@
 """Process-parallel execution of sweeps and repeats.
 
-The serial harness (:mod:`repro.harness.sweep`) runs every repetition of
-every grid cell in one process.  This module fans the repetitions out
-over a :class:`~concurrent.futures.ProcessPoolExecutor` while keeping the
+The sweep harness (:mod:`repro.harness.sweep`) hands every repetition of
+every grid cell to :func:`run_seeded_tasks`, which runs them in one
+process or fans them out over a
+:class:`~concurrent.futures.ProcessPoolExecutor` while keeping the
 results **bit-identical** to the serial path:
 
 * Each repetition's seed is derived exactly as the serial path derives it
@@ -31,11 +32,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from ..sim.rng import derive_seed
 
-P = TypeVar("P")
 R = TypeVar("R")
 
 #: The measurement function inherited by forked workers.  Set by
@@ -94,10 +94,10 @@ def run_seeded_tasks(
 ) -> list[R]:
     """Execute ``fn(index, seed)`` for every task; results in task order.
 
-    The parallel backbone shared by :func:`parallel_repeat` and
-    :func:`parallel_sweep`.  Results land at the list position of their
-    task regardless of which worker finished first, so callers observe
-    exactly the serial ordering.
+    The engine of :func:`repro.harness.sweep.repeat` and
+    :func:`repro.harness.sweep.sweep`.  Results land at the list position
+    of their task regardless of which worker finished first, so callers
+    observe exactly the serial ordering.
     """
     workers = resolve_workers(workers)
     if workers <= 1 or len(tasks) <= 1 or not fork_available():
@@ -120,67 +120,7 @@ def run_seeded_tasks(
 
 
 def repeat_seeds(repeats: int, seed_base: int, label: str) -> list[int]:
-    """The derived seed sequence the serial ``repeat`` uses, in order."""
+    """The derived seeds of ``repeats`` repetitions labelled ``label``, in order."""
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     return [derive_seed(seed_base, f"{label}/{i}") for i in range(repeats)]
-
-
-def parallel_repeat(
-    fn: Callable[[int], R],
-    repeats: int,
-    seed_base: int = 0,
-    label: str = "repeat",
-    workers: int | None = None,
-    chunk_size: int | None = None,
-) -> list[R]:
-    """Parallel drop-in for :func:`repro.harness.sweep.repeat`.
-
-    Same derived seeds, same result order; repetitions execute across
-    ``workers`` forked processes.
-    """
-    seeds = repeat_seeds(repeats, seed_base, label)
-    tasks = list(enumerate(seeds))
-    return run_seeded_tasks(
-        lambda _index, seed: fn(seed), tasks, workers=workers, chunk_size=chunk_size
-    )
-
-
-def parallel_sweep(
-    values: Iterable[P],
-    fn: Callable[[P, int], R],
-    repeats: int = 5,
-    seed_base: int = 0,
-    workers: int | None = None,
-    chunk_size: int | None = None,
-):
-    """Parallel drop-in for :func:`repro.harness.sweep.sweep`.
-
-    The whole grid — every ``(value, repetition)`` pair — is flattened
-    into one task list so workers stay busy across cell boundaries, then
-    folded back into :class:`~repro.harness.sweep.SweepCell` rows in grid
-    order.  Per-cell counters still come from the runs' own ``Metrics``
-    (fold them with ``cell.merged_metrics()`` /
-    :func:`~repro.harness.sweep.merged_metrics`), so aggregation is
-    identical to the serial path.
-    """
-    from .sweep import SweepCell  # late import; sweep.py imports us too
-
-    grid = list(values)
-    tasks: list[tuple[int, int]] = []
-    for value_index, value in enumerate(grid):
-        for i, seed in enumerate(repeat_seeds(repeats, seed_base, f"sweep/{value!r}")):
-            tasks.append((value_index * repeats + i, seed))
-    results = run_seeded_tasks(
-        lambda index, seed: fn(grid[index // repeats], seed),
-        tasks,
-        workers=workers,
-        chunk_size=chunk_size,
-    )
-    return [
-        SweepCell(
-            param=value,
-            runs=tuple(results[index * repeats:(index + 1) * repeats]),
-        )
-        for index, value in enumerate(grid)
-    ]

@@ -12,6 +12,7 @@ imported on that check path only, which keeps it out of a bare import.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
@@ -62,6 +63,12 @@ def make_adversary(spec: str | Adversary, seed: int = 0) -> Adversary:
         ) from None
 
 
+#: The catalogue row each :func:`build_task_simulation` result was built for.
+_BUILT_FOR: "weakref.WeakKeyDictionary[Simulation, ProtocolSpec]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def build_task_simulation(
     task: str,
     algorithm: str | None,
@@ -80,12 +87,16 @@ def build_task_simulation(
 
     Hand it back to the matching runner via its ``simulation=``
     parameter; the end-to-end benchmark builds first so that it can time
-    :meth:`~repro.sim.runtime.Simulation.run` on its own.
+    :meth:`~repro.sim.runtime.Simulation.run` on its own.  A runner named
+    for a different catalogue row rejects it.
     """
-    return _build_simulation(
-        protocol_for(task, algorithm).make(), n, k, pattern, adversary, seed,
+    spec = protocol_for(task, algorithm)
+    simulation = _build_simulation(
+        spec.make(), n, k, pattern, adversary, seed,
         None, max_events, sink, profiler, delta_propagation, telemetry,
     )
+    _BUILT_FOR[simulation] = spec
+    return simulation
 
 
 def _build_simulation(
@@ -132,11 +143,20 @@ def _run_checked(
 
     ``build`` holds :func:`_build_simulation`'s arguments after the
     factory, used only when ``simulation`` is ``None``; ``factory``
-    defaults to the row's.  ``summarize(spec, sim, result, **common)``
-    makes the task's Run object from the finished simulation.
+    defaults to the row's.  A ``simulation`` from
+    :func:`build_task_simulation` must have been built for ``spec``.
+    ``summarize(spec, sim, result, **common)`` makes the task's Run
+    object from the finished simulation.
     """
     if simulation is None:
         simulation = _build_simulation(factory or spec.make(), **build)
+    else:
+        built_for = _BUILT_FOR.get(simulation, spec)
+        if built_for is not spec:
+            raise ValueError(
+                f"simulation was built for {built_for.task} algorithm "
+                f"{built_for.algorithm!r}, not {spec.algorithm!r}"
+            )
     check_run = _checker(spec) if check else None
     result = simulation.run(require_termination=require_termination)
     adversary = build["adversary"]
@@ -250,16 +270,21 @@ def run_leader_election(
     ``algorithm`` selects the paper's PoisonPill-based algorithm or the
     [AGTV92] tournament baseline (the catalogue default when ``None``).
     ``sink`` receives the structured event stream (:mod:`repro.obs`) and
-    ``profiler`` accumulates wall-clock spans; both default to off.
+    ``profiler`` (a :class:`~repro.obs.profile.Profiler`) records the
+    run's ``adversary.choose`` / ``execute.*`` wall-clock spans as a call
+    tree; both default to off and neither changes the execution.
     ``delta_propagation=False`` forces full PROPAGATE payloads —
     semantically identical, used by the equivalence regression tests.
     ``telemetry`` is a second sink slot for live consumers
     (:class:`~repro.obs.metrics.MetricsSink`,
     :class:`~repro.obs.live.LiveTelemetry`, or a
     :class:`~repro.check.streaming.StreamingChecker`).  ``simulation``
-    runs one built by :func:`build_task_simulation` instead of
-    constructing one; the construction arguments are then recorded
-    verbatim but otherwise unused.
+    runs one built by :func:`build_task_simulation` for the same
+    catalogue row (another row raises ``ValueError``), or a hand-built
+    :class:`~repro.sim.runtime.Simulation` judged as the named row,
+    instead of constructing one; the construction arguments are then
+    recorded verbatim but otherwise unused.  These arguments mean the
+    same in the other two runners.
     """
     return _run_checked(
         protocol_for("elect", algorithm), _election_run, simulation,
@@ -317,11 +342,19 @@ def run_sifting_phase(
 ) -> SiftingRun:
     """Run one sifting phase (PoisonPill / heterogeneous / naive).
 
-    ``bias`` overrides the coin bias of ``poison_pill`` and ``naive``.
+    ``bias`` overrides the coin bias of ``poison_pill`` and ``naive``; it
+    cannot apply to a ``simulation`` built beforehand, so passing both
+    raises ``ValueError``.  The other arguments are as in
+    :func:`run_leader_election`.
     """
     spec = protocol_for("sift", kind)
     factory = None
     if bias is not None:
+        if simulation is not None:
+            raise ValueError(
+                "bias applies to a simulation the runner builds, not to "
+                "simulation=; build that one around the biased factory"
+            )
         if not 0.0 <= bias <= 1.0:
             raise ValueError(f"bias must be within [0, 1], got {bias}")
         if spec.algorithm == "heterogeneous":
@@ -389,7 +422,10 @@ def run_renaming(
     telemetry=None,
     simulation: Simulation | None = None,
 ) -> RenamingRun:
-    """Run one renaming execution to completion and check it."""
+    """Run one renaming execution to completion and check it.
+
+    The arguments are as in :func:`run_leader_election`.
+    """
     return _run_checked(
         protocol_for("rename", algorithm), _renaming_run, simulation,
         check=check, require_termination=check and not crash_schedule,

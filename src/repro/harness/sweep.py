@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Generic, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from ..analysis.stats import Summary, summarize
-from ..sim.rng import derive_seed
 from ..sim.trace import Metrics
 
 P = TypeVar("P", bound=Hashable)
@@ -63,18 +62,13 @@ def repeat(
     """Run ``fn(seed)`` with ``repeats`` independent derived seeds.
 
     ``workers > 1`` fans the repetitions out over forked worker processes
-    (:mod:`repro.harness.parallel`); seeds and result order are identical
-    to the serial path, so the two are interchangeable.
+    (:func:`repro.harness.parallel.run_seeded_tasks`); ``workers=0``
+    means all CPUs.  Seeds and result order do not depend on ``workers``.
     """
-    if workers != 1:
-        from .parallel import parallel_repeat
+    from .parallel import repeat_seeds, run_seeded_tasks
 
-        return parallel_repeat(
-            fn, repeats, seed_base=seed_base, label=label, workers=workers
-        )
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    return [fn(derive_seed(seed_base, f"{label}/{i}")) for i in range(repeats)]
+    tasks = list(enumerate(repeat_seeds(repeats, seed_base, label)))
+    return run_seeded_tasks(lambda _index, seed: fn(seed), tasks, workers=workers)
 
 
 def sweep(
@@ -86,26 +80,28 @@ def sweep(
 ) -> list[SweepCell[P, R]]:
     """Run ``fn(value, seed)`` over the grid; returns one cell per value.
 
-    ``workers > 1`` executes the whole grid over forked worker processes
-    with bit-identical per-cell results (see :mod:`repro.harness.parallel`
-    for the determinism argument); ``workers=0`` means all CPUs.
+    Repetition ``i`` of ``value`` runs with seed
+    ``derive_seed(seed_base, f"sweep/{value!r}/{i}")``.  ``workers > 1``
+    flattens the whole grid into one task list over forked worker
+    processes, so workers stay busy across cell boundaries, with
+    bit-identical per-cell results (see :mod:`repro.harness.parallel` for
+    the determinism argument); ``workers=0`` means all CPUs.
     """
-    if workers != 1:
-        from .parallel import parallel_sweep
+    from .parallel import repeat_seeds, run_seeded_tasks
 
-        return parallel_sweep(
-            values, fn, repeats=repeats, seed_base=seed_base, workers=workers
-        )
-    cells = []
-    for value in values:
-        runs = repeat(
-            lambda seed, v=value: fn(v, seed),
-            repeats=repeats,
-            seed_base=seed_base,
-            label=f"sweep/{value!r}",
-        )
-        cells.append(SweepCell(param=value, runs=tuple(runs)))
-    return cells
+    grid = list(values)
+    tasks = [
+        (value_index * repeats + i, seed)
+        for value_index, value in enumerate(grid)
+        for i, seed in enumerate(repeat_seeds(repeats, seed_base, f"sweep/{value!r}"))
+    ]
+    results = run_seeded_tasks(
+        lambda index, seed: fn(grid[index // repeats], seed), tasks, workers=workers
+    )
+    return [
+        SweepCell(param=value, runs=tuple(results[index * repeats:(index + 1) * repeats]))
+        for index, value in enumerate(grid)
+    ]
 
 
 def cell_table(

@@ -75,22 +75,3 @@ def render_series(label: str, pairs: Iterable[tuple[Any, Any]]) -> str:
     body = "  ".join(f"{x}->{_format_cell(y)}" for x, y in pairs)
     return f"{label}: {body}"
 
-
-def profile_table(profiler, title: str = "wall-clock profile") -> Table:
-    """Render a :class:`repro.obs.profile.Profiler` as a benchmark table.
-
-    One row per named span, most expensive first: call count, total
-    seconds, mean and max milliseconds.  Spans may nest (the runtime's
-    ``execute.*`` spans run inside the run loop), so totals of different
-    rows can overlap.
-    """
-    table = Table(title, ["span", "calls", "total s", "mean ms", "max ms"])
-    for stats in profiler.stats():
-        table.add_row(
-            stats.name,
-            stats.count,
-            stats.total,
-            stats.mean * 1e3,
-            stats.maximum * 1e3,
-        )
-    return table

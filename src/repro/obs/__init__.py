@@ -20,8 +20,8 @@ consumers:
 * :mod:`repro.obs.replay`    — deterministic re-execution of a recorded
   schedule with byte-identical stream verification (the one schedule
   replayer, shared with the checker's shrinker);
-* :mod:`repro.obs.profile`   — wall-clock span profiling of the runtime
-  hot paths.
+* :mod:`repro.obs.profile`   — wall-clock call-tree span profiling of
+  the runtime hot paths.
 
 Every name is re-exported lazily: the runtime imports
 :mod:`repro.obs.events` from below, and ``repro.obs.replay`` sits above
@@ -79,7 +79,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "merge_snapshots",
         "snapshot_to_prometheus",
     ),
-    ".profile": ("Profiler", "SpanStats"),
+    ".profile": ("Profiler",),
     ".replay": (
         "RecordedTrace",
         "ReplayError",

@@ -87,7 +87,7 @@ _ACK = MessageKind.ACK
 _COLLECT_REPLY = MessageKind.COLLECT_REPLY
 _PROPAGATE = MessageKind.PROPAGATE
 
-#: Profiler span names for each action type (see ``Simulation.execute``).
+#: Profiler span names for each action type (see ``Simulation._drain_profiled``).
 _ACTION_SPANS = {
     Deliver: "execute.deliver",
     Step: "execute.step",
@@ -134,6 +134,14 @@ class Simulation:
     all other processors are pure responders, which still reply to
     PROPAGATE/COLLECT traffic (the model requires all non-faulty
     processors to assist, even non-participants).
+
+    ``profiler`` (a :class:`~repro.obs.profile.Profiler`) times each
+    resume of the adversary as an ``adversary.choose`` span and each
+    action as an ``execute.deliver`` / ``execute.step`` /
+    ``execute.crash`` span.  A profiled run executes the same actions,
+    emits the same events and counts the same metrics as an unprofiled
+    one; only :meth:`run` consults it, so hand-driven :meth:`execute`
+    calls are never timed.
     """
 
     def __init__(
@@ -330,7 +338,8 @@ class Simulation:
 
     def _drain_profiled(self, actions: Iterator[Action | None]) -> None:
         """:meth:`_drain` with every resume of ``actions`` timed as an
-        ``adversary.choose`` span and every action run through :meth:`execute`."""
+        ``adversary.choose`` span and every action run through
+        :meth:`execute` inside its ``execute.*`` span."""
         span = self.profiler.span
         undecided = self._undecided
         while True:
@@ -340,7 +349,8 @@ class Simulation:
                 raise self._limit_error()
             if action is None:
                 break
-            self.execute(action)
+            with span(_ACTION_SPANS.get(type(action), "execute.unknown")):
+                self.execute(action)
             if not undecided:
                 return
         self._check_quiescent()
@@ -360,14 +370,6 @@ class Simulation:
 
     def execute(self, action: Action) -> None:
         """Apply one adversary-chosen action."""
-        if self.profiler is None:
-            self._execute(action)
-        else:
-            label = _ACTION_SPANS.get(type(action), "execute.unknown")
-            with self.profiler.span(label):
-                self._execute(action)
-
-    def _execute(self, action: Action) -> None:
         self.metrics.events_executed += 1
         self.clock += 1
         kind = type(action)

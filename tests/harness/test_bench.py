@@ -13,7 +13,9 @@ from repro.harness.bench import (
     compare_results,
     load_result,
     profile_cell,
+    render_tables,
     run_experiment,
+    self_time,
     verify_parallel_matches_serial,
 )
 
@@ -60,25 +62,37 @@ class TestProfileCell:
             profile_cell("e99")
 
     def test_profile_shape(self):
-        meta = profile_cell("e1", value=8, top=20)
+        meta = profile_cell("e1", value=8)
         assert meta["param"] == 8
         assert meta["wall_s"] > 0
-        assert 0 < len(meta["top"]) <= 20
-        for entry in meta["top"]:
-            assert set(entry) == {"function", "ncalls", "tottime_s", "cumtime_s"}
-        # Sorted by cumulative time, and the simulator actually shows up.
-        cumtimes = [entry["cumtime_s"] for entry in meta["top"]]
-        assert cumtimes == sorted(cumtimes, reverse=True)
-        assert any("runtime.py" in entry["function"] for entry in meta["top"])
+        assert set(meta) == {"param", "seed", "wall_s", "rows"}
+        for row in meta["rows"]:
+            assert set(row) == {"span", "parent", "count", "incl_ms", "self_ms"}
+            assert row["count"] > 0
+            assert 0 <= row["self_ms"] <= row["incl_ms"]
+        # The simulator's own spans show up.
+        spans = {row["span"] for row in meta["rows"]}
+        assert {"adversary.choose", "execute.deliver", "execute.step"} <= spans
         json.dumps(meta)  # must be JSON-embeddable as baseline meta
 
     def test_run_experiment_embeds_profile(self):
         result = run_experiment("e1", repeats=1, profile=True)
         meta = result.meta["profile"]
         assert meta["param"] == EXPERIMENTS["e1"].grid(full=False)[-1]
-        assert meta["top"]
+        assert meta["rows"]
         # The profiled re-run must not pollute the measured cells.
         assert tuple(cell.param for cell in result.cells) == result.grid
+
+    def test_render_tables_summarize_self_time(self, tmp_path):
+        result = run_experiment("e1", repeats=1, profile=True)
+        result.save(str(tmp_path))
+        text = render_tables(str(tmp_path))
+        assert f"profiled n={result.meta['profile']['param']}" in text
+        assert "self time by span:" in text and "execute.deliver" in text
+        shares = self_time(result.meta["profile"]["rows"])
+        assert [share for _, _, share in shares] == sorted(
+            (share for _, _, share in shares), reverse=True)
+        assert sum(share for _, _, share in shares) == pytest.approx(1.0)
 
 
 class TestBaselineFiles:

@@ -133,6 +133,14 @@ class TestCommands:
                      "--workers", "2", "--check-serial"]) == 0
         assert "identical" in capsys.readouterr().out
 
+    def test_bench_check_serial_profile_renders_spans(self, capsys, tmp_path):
+        assert main(["bench", "--exp", "e1", "--repeats", "1", "--workers", "2",
+                     "--check-serial", "--profile", "--baseline",
+                     "--out", str(tmp_path)]) == 0
+        assert "self time by span" in capsys.readouterr().out
+        assert main(["bench", "--render-tables", "--out", str(tmp_path)]) == 0
+        assert "execute.deliver" in (tmp_path / "bench_tables.txt").read_text()
+
 
 class TestObservabilityVerbs:
     """trace/report/watch plumbing, including the clean-error satellite."""

@@ -1,4 +1,4 @@
-"""Tests for the process-parallel sweep engine.
+"""Tests for the process-parallel sweep engine behind ``sweep``/``repeat``.
 
 The load-bearing property is *bit-identical determinism*: a sweep run
 with ``workers=N`` must produce exactly the per-cell results of the
@@ -14,14 +14,12 @@ import pytest
 from repro.harness import parallel
 from repro.harness.parallel import (
     chunk_tasks,
-    parallel_repeat,
-    parallel_sweep,
     repeat_seeds,
     resolve_workers,
     run_seeded_tasks,
 )
 from repro.harness.runners import run_leader_election, run_sifting_phase
-from repro.harness.sweep import repeat, sweep
+from repro.harness.sweep import SweepCell, repeat, sweep
 from repro.sim.rng import derive_seed
 
 
@@ -84,14 +82,13 @@ class TestTaskPlumbing:
 
     def test_zero_repeats_rejected(self):
         with pytest.raises(ValueError):
-            parallel_repeat(lambda seed: seed, repeats=0)
+            repeat(lambda seed: seed, repeats=0, workers=2)
 
 
 class TestParallelRepeat:
     def test_same_seeds_and_order_as_serial(self):
         serial = repeat(lambda seed: seed, repeats=6, seed_base=3)
-        fanned = parallel_repeat(lambda seed: seed, repeats=6, seed_base=3,
-                                 workers=3)
+        fanned = repeat(lambda seed: seed, repeats=6, seed_base=3, workers=3)
         assert fanned == serial
 
     def test_workers_via_repeat_api(self):
@@ -121,16 +118,19 @@ class TestParallelSweepDeterminism:
                     == [run.survivors for run in actual.runs])
 
     def test_seed_derivation_is_the_documented_formula(self):
-        cells = parallel_sweep([8], _elect, repeats=3, seed_base=10, workers=2)
+        cells = sweep([8], _elect, repeats=3, seed_base=10, workers=2)
         for i, run in enumerate(cells[0].runs):
             assert run.seed == derive_seed(10, f"sweep/{8!r}/{i}")
 
     def test_chunking_does_not_change_results(self):
-        one_per_chunk = parallel_sweep([4, 8], _elect, repeats=2, seed_base=5,
-                                       workers=2, chunk_size=1)
-        one_big_chunk = parallel_sweep([4, 8], _elect, repeats=2, seed_base=5,
-                                       workers=2, chunk_size=16)
-        _assert_cells_identical(one_per_chunk, one_big_chunk)
+        tasks = list(enumerate(repeat_seeds(4, seed_base=5, label="sweep/8")))
+        one_per_chunk = run_seeded_tasks(lambda _i, seed: _elect(8, seed), tasks,
+                                         workers=2, chunk_size=1)
+        one_big_chunk = run_seeded_tasks(lambda _i, seed: _elect(8, seed), tasks,
+                                         workers=2, chunk_size=16)
+        serial = sweep([8], _elect, repeats=4, seed_base=5)
+        _assert_cells_identical(serial, [SweepCell(8, tuple(one_per_chunk))])
+        _assert_cells_identical(serial, [SweepCell(8, tuple(one_big_chunk))])
 
     def test_merged_metrics_identical_across_paths(self):
         serial = sweep([8], _elect, repeats=3, seed_base=10)
@@ -145,8 +145,7 @@ class TestFallbacks:
     def test_serial_fallback_without_fork(self, monkeypatch):
         monkeypatch.setattr(parallel, "fork_available", lambda: False)
         serial = sweep([4, 8], _elect, repeats=2, seed_base=1)
-        degraded = parallel_sweep([4, 8], _elect, repeats=2, seed_base=1,
-                                  workers=4)
+        degraded = sweep([4, 8], _elect, repeats=2, seed_base=1, workers=4)
         _assert_cells_identical(serial, degraded)
 
     def test_workers_one_never_forks(self, monkeypatch):
@@ -154,7 +153,7 @@ class TestFallbacks:
             raise AssertionError("workers=1 must not create a process pool")
 
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", boom)
-        cells = parallel_sweep([4], _elect, repeats=2, seed_base=2, workers=1)
+        cells = sweep([4], _elect, repeats=2, seed_base=2, workers=1)
         assert len(cells[0].runs) == 2
 
     def test_single_task_stays_inline(self, monkeypatch):
@@ -162,5 +161,5 @@ class TestFallbacks:
             raise AssertionError("a single task must not create a process pool")
 
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", boom)
-        results = parallel_repeat(lambda seed: seed, repeats=1, workers=8)
+        results = repeat(lambda seed: seed, repeats=1, workers=8)
         assert len(results) == 1

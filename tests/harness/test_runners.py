@@ -13,6 +13,7 @@ from repro.adversary import EagerAdversary
 from repro.core import Outcome
 from repro.harness.runners import (
     SpecificationViolation,
+    build_task_simulation,
     make_adversary,
     run_leader_election,
     run_renaming,
@@ -142,6 +143,36 @@ class TestRunSiftingPhase:
         # probability outside [0, 1] is not one: neither is ignored.
         with pytest.raises(ValueError, match="bias"):
             run_sifting_phase(n=4, kind=kind, bias=bias)
+
+
+class TestPrebuiltSimulation:
+    """``simulation=`` runs are judged as the row they were built for."""
+
+    def test_bias_with_simulation_rejected(self):
+        sim = build_task_simulation("sift", "poison_pill", 8, adversary="eager")
+        with pytest.raises(ValueError, match="bias"):
+            run_sifting_phase(n=8, kind="poison_pill", adversary="eager", seed=0,
+                              bias=1.0, simulation=sim)
+
+    @pytest.mark.parametrize("runner, task, built, named", [
+        (run_sifting_phase, "sift", "heterogeneous", "poison_pill"),
+        (run_leader_election, "elect", "tournament", "poison_pill"),
+        (run_renaming, "rename", "linear", "paper"),
+    ])
+    def test_simulation_built_for_another_row_rejected(self, runner, task, built, named):
+        sim = build_task_simulation(task, built, 6, adversary="eager")
+        name = "kind" if task == "sift" else "algorithm"
+        with pytest.raises(ValueError, match=f"built for {task} algorithm '{built}'"):
+            runner(n=6, adversary="eager", simulation=sim, **{name: named})
+
+    def test_matching_row_runs_as_that_row(self):
+        # The task default resolves to the same row as its explicit name.
+        sim = build_task_simulation("sift", None, 8, adversary="eager")
+        run = run_sifting_phase(n=8, kind="heterogeneous", adversary="eager",
+                                seed=0, simulation=sim)
+        direct = run_sifting_phase(n=8, kind="heterogeneous", adversary="eager", seed=0)
+        assert run.kind == "heterogeneous"
+        assert run.result.outcomes == direct.result.outcomes
 
 
 class TestRunRenaming:
