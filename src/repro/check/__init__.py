@@ -50,7 +50,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "TrialStats",
         "invariants_for",
     ),
-    ".streaming": ("StreamError", "StreamingChecker", "StreamingViolation", "audit_trace"),
+    ".streaming": ("StreamingChecker", "StreamingViolation"),
     ".shrink": (
         "ArtifactReplay",
         "ShrinkResult",

@@ -32,7 +32,10 @@ streams:
 
 The folds normalize decision values, so the same checker works on live
 streams (fields carry :class:`~repro.core.protocol.Outcome` enums) and
-on replayed JSONL traces (fields carry their serialized strings).
+on recorded JSONL traces (fields carry their serialized strings):
+``feed(iter_events(path), checker)`` audits a file in constant memory,
+and a malformed line raises :class:`~repro.obs.jsonl.ArtifactError`
+(see :func:`~repro.obs.jsonl.iter_events`).
 """
 
 from __future__ import annotations
@@ -42,21 +45,7 @@ from typing import Sequence
 from ..obs.events import Event
 from .invariants import FOLDED_EVENTS, stream_folds
 
-__all__ = [
-    "StreamError",
-    "StreamingChecker",
-    "StreamingViolation",
-    "audit_trace",
-]
-
-
-class StreamError(ValueError):
-    """A trace stream is malformed: truncated, interleaved, or not JSONL.
-
-    Raised by :func:`audit_trace` with a one-line message naming the
-    file, the line number, and what was wrong — never a raw traceback
-    from the JSON parser.
-    """
+__all__ = ["StreamingChecker", "StreamingViolation"]
 
 
 class StreamingViolation(RuntimeError):
@@ -145,63 +134,3 @@ class StreamingChecker:
     def close(self) -> None:
         """No-op: recorded violations stay readable after the run."""
         pass
-
-    def check_events(self, events) -> list[StreamingViolation]:
-        """Audit a pre-recorded event sequence; returns the violations.
-
-        Convenience for trace files: respects ``fail_fast`` (the first
-        violation raises) and otherwise returns everything found.
-        """
-        for event in events:
-            self.emit(event)
-        return self.violations
-
-
-def audit_trace(
-    path: str,
-    task: str,
-    k: int | None = None,
-    invariants: Sequence[str] | None = None,
-    fail_fast: bool = True,
-) -> StreamingChecker:
-    """Stream a JSONL trace file through a fresh :class:`StreamingChecker`.
-
-    Reads line by line (never the whole file), so a multi-gigabyte soak
-    trace audits in constant memory.  Malformed input — a truncated last
-    line, two writers' lines interleaved into broken JSON, an event
-    object missing its ``t``/``e``/``p``/``f`` keys — raises
-    :class:`StreamError` with a one-line diagnosis instead of leaking a
-    parser traceback.  Invariant violations propagate per ``fail_fast``,
-    exactly as :meth:`StreamingChecker.emit` does; the returned checker
-    carries accumulated violations otherwise.
-    """
-    import json
-
-    from ..obs.jsonl import iter_trace_lines, obj_to_event
-
-    checker = StreamingChecker(task, k=k, invariants=invariants,
-                               fail_fast=fail_fast)
-    for number, line in enumerate(iter_trace_lines(path), start=1):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise StreamError(
-                f"{path}: line {number}: not valid JSON "
-                f"({error.msg} at column {error.colno}) — stream truncated "
-                "or interleaved?"
-            ) from None
-        if not isinstance(obj, dict):
-            raise StreamError(
-                f"{path}: line {number}: expected a JSON object, "
-                f"got {type(obj).__name__}"
-            )
-        if number == 1 and "meta" in obj:
-            continue
-        missing = sorted({"t", "e", "p", "f"} - set(obj))
-        if missing:
-            raise StreamError(
-                f"{path}: line {number}: event object missing "
-                f"key(s) {missing} — not a repro trace line?"
-            )
-        checker.emit(obj_to_event(obj))
-    return checker

@@ -725,23 +725,20 @@ def _cmd_replay(args) -> int:
 
 def _cmd_report(args) -> int:
     from .obs.aggregate import TraceAggregator
+    from .obs.causality import CausalReport, critical_path_report, lineage_report
+    from .obs.events import feed
+    from .obs.jsonl import iter_events
 
-    aggregator = TraceAggregator.from_file(args.trace)
+    aggregator, causal = TraceAggregator(), CausalReport()
+    wants_causal = args.critical_path or args.lineage is not None
+    feed(iter_events(args.trace), aggregator, *([causal] if wants_causal else []))
     print(aggregator.report(title=args.trace))
-    if args.critical_path or args.lineage is not None:
-        from .obs.causality import (
-            analyze_trace,
-            critical_path_report,
-            lineage_report,
-        )
-
-        causal = analyze_trace(args.trace)
-        if args.critical_path:
-            print()
-            print(critical_path_report(causal, title=args.trace))
-        if args.lineage is not None:
-            print()
-            print(lineage_report(causal, args.lineage))
+    if args.critical_path:
+        print()
+        print(critical_path_report(causal, title=args.trace))
+    if args.lineage is not None:
+        print()
+        print(lineage_report(causal, args.lineage))
     return 0
 
 

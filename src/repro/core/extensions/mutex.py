@@ -29,7 +29,7 @@ intervals that :func:`critical_section_intervals` extracts and
 :func:`assert_mutual_exclusion` checks for pairwise disjointness.  The
 extractor reads only event fields, so it runs equally on the live stream
 of a :class:`~repro.obs.events.ListSink` and on a recorded ``.jsonl``
-file (:func:`repro.obs.jsonl.read_events`).
+file (:func:`repro.obs.jsonl.iter_events`).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ issues flows from the service's ``grant_hook`` through the streaming
 serve-task folds of :mod:`repro.check.invariants` (the epoch fence),
 and optional ``repro net`` election episodes run under the phase plan
 current at launch with their traces streamed through
-:func:`repro.check.streaming.audit_trace`.  The first violation aborts
+:class:`repro.check.streaming.StreamingChecker`.  The first violation aborts
 the soak immediately and writes a **replayable incident artifact** —
 seed, profile, full phase plan, the complete grant log with a canonical
 digest, the violation, and a metrics snapshot —
@@ -388,17 +388,19 @@ def _audit_episode(trace_path: str, task: str, run: Any) -> SoakViolation | None
     malformed/truncated stream, or a run-level violation the driver's
     own post-hoc check reported.
     """
-    from ..check.streaming import StreamError, StreamingViolation, audit_trace
+    from ..check.streaming import StreamingChecker, StreamingViolation
+    from ..obs.events import feed
+    from ..obs.jsonl import ArtifactError, iter_events
 
     try:
-        audit_trace(trace_path, task)
+        feed(iter_events(trace_path), StreamingChecker(task))
     except StreamingViolation as exc:
         return SoakViolation(
             invariant=exc.invariant,
             message=f"episode trace {trace_path}: {exc}",
             source="episode",
         )
-    except StreamError as exc:
+    except ArtifactError as exc:
         return SoakViolation(
             invariant="stream_integrity", message=str(exc), source="episode",
         )

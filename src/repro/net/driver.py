@@ -34,7 +34,7 @@ from ..core.catalogue import protocol_for
 from ..core.protocol import Outcome
 from ..errors import ReproError
 from ..harness.workloads import choose_participants
-from ..obs.jsonl import TRACE_FORMAT_VERSION, obj_to_event, read_trace, write_events
+from ..obs.jsonl import TRACE_FORMAT_VERSION, iter_events, write_events
 from ..obs.live import SnapshotWriter
 from ..obs.metrics import merge_snapshots
 from ..sim.messages import MessageKind
@@ -549,8 +549,7 @@ def _merge_traces(
     for pid, path in sorted(trace_paths.items()):
         if not os.path.exists(path):
             continue
-        _, objects = read_trace(path)
-        events.extend(obj_to_event(obj) for obj in objects)
+        events.extend(iter_events(path))
     events.sort(key=lambda event: (event.time, event.pid))
     plan = meta.pop("plan")
     header = {

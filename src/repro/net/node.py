@@ -340,30 +340,34 @@ class NodeRuntime:
                 "net.delay",
                 {"dst": link.dst, "kind": frame.ftype, "ms": fate.delay_s * 1e3},
             )
-            task = asyncio.create_task(self._delayed_write(writer, frame, fate.delay_s))
+            task = asyncio.create_task(
+                self._delayed_write(writer, frame, link.dst, fate.delay_s)
+            )
             self._track(task)
         else:
-            self._write_now(writer, frame)
+            self._write_now(writer, frame, link.dst)
         for _ in range(fate.duplicates):
             self.stats.frames_duplicated += 1
-            self._write_now(writer, frame)
+            self._write_now(writer, frame, link.dst)
 
-    def _write_now(self, writer: asyncio.StreamWriter, frame: Frame) -> None:
+    def _write_now(self, writer: asyncio.StreamWriter, frame: Frame, dst: int) -> None:
         if writer.is_closing():
             return
-        writer.write(pack_frame(frame))
-        self.stats.frames_sent += 1
+        # Stamped before the write, so the send's clock precedes the
+        # receiver's deliver stamp and the merged trace keeps them in order.
         self._emit(
             EventType.MSG_SEND,
-            {"kind": frame.ftype, "src": self.pid, "dst": -1,
+            {"kind": frame.ftype, "src": self.pid, "dst": dst,
              "call": frame.fields.get("call", -1), "var": frame.fields.get("var", "")},
         )
+        writer.write(pack_frame(frame))
+        self.stats.frames_sent += 1
 
     async def _delayed_write(
-        self, writer: asyncio.StreamWriter, frame: Frame, delay_s: float
+        self, writer: asyncio.StreamWriter, frame: Frame, dst: int, delay_s: float
     ) -> None:
         await asyncio.sleep(delay_s)
-        self._write_now(writer, frame)
+        self._write_now(writer, frame, dst)
 
     def _track(self, task: asyncio.Task) -> None:
         self._background.add(task)

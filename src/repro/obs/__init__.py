@@ -7,7 +7,9 @@ consumers:
 
 * :mod:`repro.obs.events`    — the :class:`Event` schema and sinks
   (in-memory list, bounded ring buffer, multi-sink fan-out);
-* :mod:`repro.obs.jsonl`     — byte-stable JSONL export/import;
+* :mod:`repro.obs.jsonl`     — byte-stable JSONL export and the one
+  streaming trace reader, whose events :func:`feed` drives through
+  any set of sinks in one pass;
 * :mod:`repro.obs.aggregate` — streaming per-round survivor curves,
   message histograms, and communicate-call statistics;
 * :mod:`repro.obs.metrics`   — live metrics registry: counters, gauges,
@@ -34,15 +36,8 @@ from __future__ import annotations
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".aggregate": ("PhaseStats", "RoundStats", "TraceAggregator", "aggregate_events"),
-    ".causality": (
-        "CausalReport",
-        "MessageHop",
-        "analyze_events",
-        "analyze_trace",
-        "critical_path_report",
-        "lineage_report",
-    ),
+    ".aggregate": ("PhaseStats", "RoundStats", "TraceAggregator"),
+    ".causality": ("CausalReport", "MessageHop", "critical_path_report", "lineage_report"),
     ".events": (
         "CallbackSink",
         "Event",
@@ -53,14 +48,14 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "RingBufferSink",
         "SCHEDULE_EVENT_TYPES",
         "combine_sinks",
+        "feed",
         "json_safe",
     ),
     ".jsonl": (
         "JsonlSink",
         "TRACE_FORMAT_VERSION",
         "event_line",
-        "read_events",
-        "read_trace",
+        "iter_events",
         "write_events",
     ),
     ".live": (

@@ -1,9 +1,10 @@
 """Streaming aggregation of event streams into per-round rollups.
 
 :class:`TraceAggregator` is an :class:`~repro.obs.events.EventSink` that
-consumes events one at a time — attach it live to a simulation, or feed
-it a recorded JSONL trace — and maintains exactly the quantities the
-paper's statements are about:
+consumes events one at a time — attach it live to a simulation, or
+``feed(iter_events(path), aggregator)`` a recorded JSONL trace (see
+:func:`~repro.obs.events.feed`) — and maintains exactly the quantities
+the paper's statements are about:
 
 * per-round survivor curves for the Heterogeneous PoisonPill loop
   (Lemmas 3.6-3.7): entrants, survivors, deaths, and PreRound verdicts;
@@ -14,14 +15,16 @@ paper's statements are about:
 * coin-flip tallies and decision outcomes.
 
 Aggregation is incremental (O(1) per event, O(rounds + pids + kinds)
-memory), so it scales to arbitrarily long streams where storing the full
-event list would not.
+memory besides one duration per ``communicate`` call), so it scales to
+arbitrarily long streams where storing the full event list would not.
+That holds for files too: :func:`~repro.obs.jsonl.iter_events` streams
+the trace line by line and never holds its event list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from .events import Event, EventType, json_safe
 
@@ -89,19 +92,6 @@ class TraceAggregator:
     def close(self) -> None:
         """No-op: aggregation state stays readable after the run."""
         pass
-
-    def feed(self, events: Iterable[Event]) -> "TraceAggregator":
-        """Consume a whole event sequence; returns self for chaining."""
-        for event in events:
-            self.emit(event)
-        return self
-
-    @classmethod
-    def from_file(cls, path: str) -> "TraceAggregator":
-        """Aggregate a recorded JSONL trace."""
-        from .jsonl import read_events
-
-        return cls().feed(read_events(path))
 
     # ------------------------------------------------------------------
     # Per-type handlers
@@ -311,8 +301,3 @@ class TraceAggregator:
             f"{len(self.crashes)} crashes"
         )
         return "\n\n".join([summary_line, *sections])
-
-
-def aggregate_events(events: Iterable[Event]) -> TraceAggregator:
-    """One-shot aggregation of an in-memory event sequence."""
-    return TraceAggregator().feed(events)

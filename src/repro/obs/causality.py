@@ -30,15 +30,12 @@ in-flight messages) state, so it handles arbitrarily long streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
 
 from .events import Event, EventType
 
 __all__ = [
     "CausalReport",
     "MessageHop",
-    "analyze_events",
-    "analyze_trace",
     "critical_path_report",
     "lineage_report",
 ]
@@ -76,7 +73,18 @@ class _PendingSend:
 
 
 class CausalReport:
-    """The result of a happens-before pass over one event stream."""
+    """An :class:`~repro.obs.events.EventSink` rebuilding happens-before.
+
+    One forward pass: attach it live to a run, or
+    ``feed(iter_events(path), report)`` a recorded trace (see
+    :func:`~repro.obs.events.feed`).  Per processor,
+    ``depth_by_pid`` holds the length of the longest message chain that
+    happens-before its current state.  A send stamps the message with
+    the sender's depth; the matching deliver extends the chain by one
+    hop and raises the recipient's depth if the new chain is longer.
+    ``proc.decide`` freezes the recipient's depth as that decision's
+    critical path.
+    """
 
     __slots__ = (
         "depth_by_pid",
@@ -87,6 +95,7 @@ class CausalReport:
         "events_seen",
         "matched_messages",
         "unmatched_delivers",
+        "_pending",
     )
 
     def __init__(self) -> None:
@@ -103,6 +112,7 @@ class CausalReport:
         self.events_seen = 0
         self.matched_messages = 0
         self.unmatched_delivers = 0
+        self._pending: dict[tuple[int, int, str, int], list[_PendingSend]] = {}
 
     @property
     def max_decision_depth(self) -> int:
@@ -123,29 +133,18 @@ class CausalReport:
         chain.reverse()
         return chain
 
-
-def analyze_events(events: Iterable[Event]) -> CausalReport:
-    """Single forward pass: rebuild happens-before, track chain depths.
-
-    Per processor, ``depth_by_pid`` holds the length of the longest
-    message chain that happens-before its current state.  A send stamps
-    the message with the sender's depth; the matching deliver extends
-    the chain by one hop and raises the recipient's depth if the new
-    chain is longer.  ``proc.decide`` freezes the recipient's depth as
-    that decision's critical path.
-    """
-    report = CausalReport()
-    pending: dict[tuple[int, int, str, int], list[_PendingSend]] = {}
-    depth = report.depth_by_pid
-    last_hop = report.last_hop_by_pid
-    for index, event in enumerate(events):
-        report.events_seen += 1
+    def emit(self, event: Event) -> None:
+        """Fold one event into the happens-before state."""
+        index = self.events_seen
+        self.events_seen += 1
         etype = event.etype
+        depth = self.depth_by_pid
+        last_hop = self.last_hop_by_pid
         if etype == EventType.MSG_SEND:
             fields = event.fields
             src = fields["src"]
             key = (src, fields["dst"], fields["kind"], fields.get("call", 0))
-            pending.setdefault(key, []).append(_PendingSend(
+            self._pending.setdefault(key, []).append(_PendingSend(
                 send_index=index,
                 send_time=event.time,
                 sender_depth=depth.get(src, 0),
@@ -156,17 +155,17 @@ def analyze_events(events: Iterable[Event]) -> CausalReport:
             src = fields["src"]
             dst = fields["dst"]
             key = (src, dst, fields["kind"], fields.get("call", 0))
-            queue = pending.get(key)
+            queue = self._pending.get(key)
             if not queue:
                 # Net chaos can duplicate a frame: the second delivery has
                 # no waiting send.  Count it; the first matched delivery
                 # already carried the causal edge.
-                report.unmatched_delivers += 1
-                continue
+                self.unmatched_delivers += 1
+                return
             send = queue.pop(0)
             if not queue:
-                del pending[key]
-            report.matched_messages += 1
+                del self._pending[key]
+            self.matched_messages += 1
             hop_depth = send.sender_depth + 1
             if hop_depth > depth.get(dst, 0):
                 hop = MessageHop(
@@ -185,48 +184,24 @@ def analyze_events(events: Iterable[Event]) -> CausalReport:
                 last_hop[dst] = hop
         elif etype == EventType.PROC_DECIDE:
             pid = event.pid
-            report.decision_depths[pid] = depth.get(pid, 0)
-            report.decision_hops[pid] = last_hop.get(pid)
-            report.decide_times[pid] = event.time
-    return report
+            self.decision_depths[pid] = depth.get(pid, 0)
+            self.decision_hops[pid] = last_hop.get(pid)
+            self.decide_times[pid] = event.time
+
+    def close(self) -> None:
+        """No-op: the analysis stays readable after the stream ends."""
+        pass
 
 
-def analyze_trace(path: str) -> CausalReport:
-    """Happens-before analysis of a recorded JSONL trace file."""
-    from .jsonl import read_events
-
-    return analyze_events(read_events(path))
-
-
-def _outcome_label(outcome: Any) -> str:
-    return str(getattr(outcome, "value", outcome))
-
-
-def critical_path_report(
-    report: CausalReport,
-    outcomes: Mapping[int, Any] | None = None,
-    title: str = "critical paths",
-) -> str:
-    """Render per-decision critical-path depths as a table.
-
-    ``outcomes`` (pid → decided value), when given, adds an outcome
-    column so depth can be compared between winners and losers.
-    """
+def critical_path_report(report: CausalReport, title: str = "critical paths") -> str:
+    """Render per-decision critical-path depths as a table."""
     from ..harness.tables import Table
 
-    headers = ["pid", "depth (msgs)", "decided at"]
-    if outcomes is not None:
-        headers.append("outcome")
-    table = Table(title, headers)
+    table = Table(title, ["pid", "depth (msgs)", "decided at"])
     for pid in sorted(report.decision_depths):
-        row: list[Any] = [
-            pid,
-            report.decision_depths[pid],
-            report.decide_times.get(pid, 0),
-        ]
-        if outcomes is not None:
-            row.append(_outcome_label(outcomes.get(pid, "?")))
-        table.add_row(*row)
+        table.add_row(
+            pid, report.decision_depths[pid], report.decide_times.get(pid, 0)
+        )
     table.add_note(
         f"max depth {report.max_decision_depth}; "
         f"{report.matched_messages:,} matched messages, "

@@ -242,3 +242,16 @@ def combine_sinks(sinks: Iterable[EventSink]) -> EventSink | None:
     if len(collected) == 1:
         return collected[0]
     return MultiSink(*collected)
+
+
+def feed(events: Iterable[Event], *sinks: EventSink) -> None:
+    """Drive every sink through one pass over ``events``, then close them.
+
+    The file-fed counterpart of attaching the sinks live: feeding
+    :func:`~repro.obs.jsonl.iter_events` of a trace gives each analyzer
+    the state it would have built during the recorded run.
+    """
+    sink = MultiSink(*sinks)
+    for event in events:
+        sink.emit(event)
+    sink.close()

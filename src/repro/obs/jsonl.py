@@ -6,6 +6,7 @@ reconstruct the run: task, system size, participants spec, seed, and the
 adversary's registry name.  Every following line is one event, serialized
 with sorted keys and no whitespace so that identical executions produce
 byte-identical files — the property the replay verifier asserts.
+:func:`iter_events` streams a trace back as events.
 
 :func:`read_artifact` identifies and loads every replayable file: a
 trace, a shrunk ``repro check`` violation or a soak incident.
@@ -117,7 +118,10 @@ class JsonlSink:
 
 
 def iter_trace_lines(path: str) -> Iterator[str]:
-    """Yield the raw lines of a trace file, without trailing newlines."""
+    """Yield the raw lines of a trace file, without trailing newlines.
+
+    For byte comparison only; :func:`iter_events` parses them.
+    """
     with open(path, "r", encoding="utf-8") as fp:
         for line in fp:
             line = line.rstrip("\n")
@@ -125,26 +129,43 @@ def iter_trace_lines(path: str) -> Iterator[str]:
                 yield line
 
 
-def read_trace(path: str) -> tuple[dict[str, Any] | None, list[dict[str, Any]]]:
-    """Load a trace file: ``(meta, event_objects)``.
+def iter_events(path: str) -> Iterator[Event]:
+    """Stream a trace file's events, one line at a time.
 
-    ``meta`` is ``None`` for headerless streams (e.g. a bare event dump).
+    The only trace reader: a line-1 ``{"meta": ...}`` header is skipped
+    and memory stays constant however long the file.  A malformed line
+    (truncated or interleaved JSON, a non-object, an object missing
+    its ``t``/``e``/``p``/``f`` keys) raises :class:`ArtifactError`
+    with one ``path: line N: reason`` message.
     """
-    meta: dict[str, Any] | None = None
-    events: list[dict[str, Any]] = []
-    for index, line in enumerate(iter_trace_lines(path)):
-        obj = json.loads(line)
-        if index == 0 and "meta" in obj:
-            meta = obj["meta"]
-        else:
-            events.append(obj)
-    return meta, events
-
-
-def read_events(path: str) -> list[Event]:
-    """Load a trace file's events as :class:`Event` objects."""
-    _, objects = read_trace(path)
-    return [obj_to_event(obj) for obj in objects]
+    with open(path, "r", encoding="utf-8") as fp:
+        for number, line in enumerate(fp, start=1):
+            if line == "\n":
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as error:
+                raise ArtifactError(
+                    f"{path}: line {number}: not valid JSON "
+                    f"({error.msg}: column {error.colno}) — stream truncated "
+                    "or interleaved?"
+                ) from None
+            if type(obj) is not dict:
+                raise ArtifactError(
+                    f"{path}: line {number}: expected a JSON object, "
+                    f"got {type(obj).__name__}"
+                )
+            if number == 1 and "meta" in obj:
+                continue
+            try:
+                event = obj_to_event(obj)
+            except KeyError:
+                missing = sorted({"t", "e", "p", "f"} - set(obj))
+                raise ArtifactError(
+                    f"{path}: line {number}: event object missing "
+                    f"key(s) {missing} — not a repro trace line?"
+                ) from None
+            yield event
 
 
 def write_events(path: str, events: Iterable[Event], meta: dict[str, Any] | None = None) -> int:

@@ -22,7 +22,6 @@ The flow::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
@@ -40,8 +39,8 @@ from .jsonl import (
     TRACE_FORMAT_VERSION,
     event_line,
     event_to_obj,
+    iter_events,
     iter_trace_lines,
-    obj_to_event,
     read_artifact,
 )
 
@@ -292,8 +291,8 @@ def replay_trace(path: str, check: bool = True) -> ReplayReport:
         raise ArtifactError(
             f"{path}: a repro net trace; only simulator traces replay"
         )
+    schedule = schedule_of(iter_events(path))
     recorded_lines = list(iter_trace_lines(path))[1:]
-    schedule = schedule_of(obj_to_event(json.loads(line)) for line in recorded_lines)
     adversary = SchedulePrefixAdversary(schedule)
     capture = ListSink()
     run = _run_meta(meta, adversary, capture, check=check)

@@ -29,7 +29,7 @@ from repro.harness.runners import (
     run_leader_election,
     run_sifting_phase,
 )
-from repro.obs.events import Event, EventType, ListSink
+from repro.obs.events import Event, EventType, ListSink, feed
 
 
 def _decide(time, pid, result):
@@ -132,12 +132,12 @@ class TestMonitorsSynthetic:
 
     def test_fail_fast_off_records_and_drops_monitor(self):
         checker = StreamingChecker("elect", fail_fast=False)
-        violations = checker.check_events([
+        feed([
             _decide(1, 0, "win"),
             _decide(2, 1, "win"),
             _decide(3, 2, "win"),  # fold already dropped: no new entry
-        ])
-        assert len(violations) == 1
+        ], checker)
+        assert len(checker.violations) == 1
         assert checker.events_checked == 3
 
 
@@ -222,7 +222,8 @@ class TestAgreement:
             if spec.task == "sift" and INVARIANTS["sifting_effective"].witness(ctx):
                 post_hoc.add("sifting_witness")
             checker = StreamingChecker(spec.task, k=run.k, fail_fast=False)
-            stream = {v.invariant for v in checker.check_events(sink.events)}
+            feed(sink.events, checker)
+            stream = {v.invariant for v in checker.violations}
             assert stream == post_hoc, (protocol, n, adversary, seed)
             # Without a captured stream, the post-hoc driver rebuilds the
             # decide events from the decisions in the order they were emitted.

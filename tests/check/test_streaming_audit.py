@@ -1,8 +1,8 @@
-"""Tests for ``audit_trace``: streaming a JSONL trace through the checker.
+"""Tests for auditing a JSONL trace: ``iter_events`` fed to the checker.
 
 The soak harness feeds episode traces through this path while the
 writer may have died mid-line, so the malformed-stream cases must fail
-with a clean one-line :class:`StreamError`, never a traceback from the
+with a clean one-line :class:`ArtifactError`, never a traceback from the
 JSON machinery.
 """
 
@@ -12,9 +12,16 @@ import json
 
 import pytest
 
-from repro.check.streaming import StreamError, StreamingViolation, audit_trace
-from repro.obs.events import Event, EventType
-from repro.obs.jsonl import event_line
+from repro.check.streaming import StreamingChecker, StreamingViolation
+from repro.obs.events import Event, EventType, feed
+from repro.obs.jsonl import ArtifactError, event_line, iter_events
+
+
+def audit_trace(path, task, fail_fast=True):
+    """Stream the trace at ``path`` through a fresh checker; return it."""
+    checker = StreamingChecker(task, fail_fast=fail_fast)
+    feed(iter_events(path), checker)
+    return checker
 
 
 def write_trace(path, events, meta=None, tail=""):
@@ -69,7 +76,7 @@ class TestMalformedStreams:
             meta={"task": "elect"},
             tail='{"t": 2, "e": "proc.decide", "p": 1, "f": {"res',
         )
-        with pytest.raises(StreamError) as info:
+        with pytest.raises(ArtifactError) as info:
             audit_trace(path, "elect")
         self.assert_one_liner(info.value)
         assert "line 3" in str(info.value)
@@ -83,7 +90,7 @@ class TestMalformedStreams:
         with open(path, "w", encoding="utf-8") as fp:
             fp.write(good + "\n")
             fp.write(good[: len(good) // 2] + good + "\n")
-        with pytest.raises(StreamError) as info:
+        with pytest.raises(ArtifactError) as info:
             audit_trace(str(path), "elect")
         self.assert_one_liner(info.value)
         assert "line 2" in str(info.value)
@@ -91,14 +98,14 @@ class TestMalformedStreams:
     def test_non_object_line_rejected(self, tmp_path):
         path = tmp_path / "list.jsonl"
         path.write_text('[1, 2, 3]\n', encoding="utf-8")
-        with pytest.raises(StreamError) as info:
+        with pytest.raises(ArtifactError) as info:
             audit_trace(str(path), "elect")
         self.assert_one_liner(info.value)
 
     def test_missing_event_keys_named(self, tmp_path):
         path = tmp_path / "keys.jsonl"
         path.write_text('{"t": 1, "e": "proc.decide"}\n', encoding="utf-8")
-        with pytest.raises(StreamError) as info:
+        with pytest.raises(ArtifactError) as info:
             audit_trace(str(path), "elect")
         self.assert_one_liner(info.value)
         assert "'f'" in str(info.value) and "'p'" in str(info.value)
@@ -125,7 +132,7 @@ class TestLearnedClosureFromFile:
         from repro.check.invariants import INVARIANTS
         from repro.harness.runners import run_sifting_phase
         from repro.obs.events import ListSink
-        from repro.obs.jsonl import read_events, write_events
+        from repro.obs.jsonl import write_events
 
         sink = ListSink()
         run_sifting_phase(
@@ -134,7 +141,7 @@ class TestLearnedClosureFromFile:
         path = str(tmp_path / "het.jsonl")
         write_events(path, sink.events)
         folds = []
-        for events in (sink.events, read_events(path)):
+        for events in (sink.events, iter_events(path)):
             fold = INVARIANTS["learned_closure"].fold(8)
             for event in events:
                 assert fold.observe(event) is None

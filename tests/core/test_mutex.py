@@ -10,7 +10,7 @@ from repro.core.extensions.mutex import (
     make_lock_once,
 )
 from repro.obs.events import Event, EventType, ListSink
-from repro.obs.jsonl import read_events, write_events
+from repro.obs.jsonl import iter_events, write_events
 from repro.sim import Simulation
 
 from ..conftest import ALL_ADVERSARY_NAMES, fresh_adversary
@@ -86,7 +86,7 @@ class TestMutualExclusion:
         write_events(path, events)
         live = critical_section_intervals(events)
         assert len(live) == 4
-        assert critical_section_intervals(read_events(path)) == live
+        assert critical_section_intervals(iter_events(path)) == live
 
 
 class TestCheckerDetectsViolations:

@@ -169,11 +169,11 @@ class TestObservabilityVerbs:
     def test_trace_and_snapshot_headers_name_the_default_algorithm(
         self, capsys, tmp_path
     ):
-        from repro.obs.jsonl import read_trace
+        from repro.obs.jsonl import read_artifact
         from repro.obs.live import read_snapshots
 
         trace, stream = self._record(tmp_path, snapshots=True)
-        assert read_trace(trace)[0]["algorithm"] == "poison_pill"
+        assert read_artifact(trace, "trace")[1]["algorithm"] == "poison_pill"
         assert read_snapshots(stream)[0]["algorithm"] == "poison_pill"
 
     def test_rejected_algorithm_leaves_existing_files_untouched(
@@ -224,6 +224,42 @@ class TestObservabilityVerbs:
         out = capsys.readouterr().out
         assert out.startswith("error:")
         assert "Traceback" not in out
+
+    @pytest.mark.parametrize("verb", ["report", "replay"])
+    @pytest.mark.parametrize("case", ["truncated", "non-object", "missing-keys"])
+    def test_malformed_trace_line_is_one_error_line(self, verb, case, capsys, tmp_path):
+        trace, _ = self._record(tmp_path)
+        with open(trace, encoding="utf-8") as fp:
+            lines = fp.read().splitlines()
+        if case == "truncated":  # the writer died mid-line
+            number = len(lines)
+            lines[-1] = lines[-1][: len(lines[-1]) // 2]
+        else:
+            number = 3
+            lines[2] = "[1, 2, 3]" if case == "non-object" else '{"t": 1, "e": "proc.decide"}'
+        bad = str(tmp_path / "bad.jsonl")
+        with open(bad, "w", encoding="utf-8") as fp:
+            fp.write("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([verb, bad]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith(f"error: {bad}: line {number}: ")
+
+    def test_report_reads_its_trace_once(self, capsys, tmp_path, monkeypatch):
+        import builtins
+
+        trace, _ = self._record(tmp_path)
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if file == trace:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert main(["report", trace, "--critical-path", "--lineage", "0"]) == 0
+        assert opened == [trace]
 
     def test_watch_no_follow_renders_last_snapshot(self, capsys, tmp_path):
         _, stream = self._record(tmp_path, snapshots=True)

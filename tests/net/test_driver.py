@@ -24,7 +24,9 @@ from repro.net.driver import (
     run_net,
 )
 from repro.net.node import NodeRuntime
-from repro.obs.jsonl import read_trace
+from repro.obs.causality import CausalReport
+from repro.obs.events import feed
+from repro.obs.jsonl import iter_events, read_artifact
 
 #: Response time of an operation that never responded (crashed or
 #: undecided); effectively "+infinity" for interval comparisons.
@@ -120,31 +122,46 @@ class TestChaosAtTheTransport:
             run_net(task="elect", n=3, seed=0, plan=plan, deadline_s=4.0)
 
 
+@pytest.fixture(scope="module")
+def clean_trace(tmp_path_factory):
+    """The merged trace of one clean n=4 election over sockets."""
+    out = tmp_path_factory.mktemp("net") / "net.jsonl"
+    run = run_net(task="elect", n=4, seed=0, trace_path=str(out))
+    assert run.ok, run.violations
+    return str(out)
+
+
 class TestTracing:
-    def test_merged_trace_is_time_sorted_and_complete(self, tmp_path):
-        out = tmp_path / "net.jsonl"
-        run = run_net(task="elect", n=4, seed=0, trace_path=str(out))
-        assert run.ok, run.violations
-        meta, objects = read_trace(str(out))
+    def test_merged_trace_is_time_sorted_and_complete(self, clean_trace):
+        out = clean_trace
+        _, meta = read_artifact(out, "trace")
         assert meta["backend"] == "net"
         assert meta["chaos"]["drop"] == 0.0
         assert meta["n"] == 4
-        times = [obj["t"] for obj in objects]
+        events = list(iter_events(out))
+        times = [event.time for event in events]
         assert times == sorted(times)
-        etypes = {obj["e"] for obj in objects}
+        etypes = {event.etype for event in events}
         assert "proc.start" in etypes
         assert "proc.decide" in etypes
         assert "comm.call" in etypes
         assert "msg.send" in etypes
-        assert {obj["p"] for obj in objects} == {0, 1, 2, 3}
+        assert {event.pid for event in events} == {0, 1, 2, 3}
+
+    def test_sends_match_their_deliveries(self, clean_trace):
+        # Every send names its real recipient, so causal analysis pairs
+        # it with the delivery and the decisions sit on message chains.
+        causal = CausalReport()
+        feed(iter_events(clean_trace), causal)
+        assert causal.matched_messages > 0
+        assert causal.max_decision_depth >= 1
 
     def test_chaos_events_recorded(self, tmp_path):
         out = tmp_path / "net.jsonl"
         plan = ChaosPlan(seed=5, drop=0.3)
         run = run_net(task="elect", n=4, seed=0, plan=plan, trace_path=str(out))
         assert run.ok, run.violations
-        _, objects = read_trace(str(out))
-        assert any(obj["e"] == "net.drop" for obj in objects)
+        assert any(event.etype == "net.drop" for event in iter_events(str(out)))
 
     def test_register_writes_record_the_value_itself(self, tmp_path):
         # Sim/net parity: a node's reg.put carries the written value, not
@@ -154,8 +171,7 @@ class TestTracing:
         node = NodeRuntime(pid=0, n=2, seed=1, driver_port=1, trace_path=str(out))
         node.process.put_hook("hpp.learned", 0, 5)
         asyncio.run(node._shutdown())
-        _, objects = read_trace(str(out))
-        assert [obj["f"] for obj in objects] == [
+        assert [event.fields for event in iter_events(str(out))] == [
             {"var": "hpp.learned", "key": 0, "value": 5}
         ]
 

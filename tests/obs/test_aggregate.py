@@ -12,8 +12,8 @@ import pytest
 
 from repro.adversary import ADVERSARY_FACTORIES
 from repro.core import Outcome, make_leader_elect
-from repro.obs.aggregate import TraceAggregator, aggregate_events
-from repro.obs.events import Event, EventType, ListSink
+from repro.obs.aggregate import TraceAggregator
+from repro.obs.events import Event, EventType, ListSink, MultiSink, feed
 from repro.sim.runtime import Simulation
 
 
@@ -105,10 +105,10 @@ def test_decisions_and_report_render():
 
 
 def test_streaming_equals_batch():
-    sink = ListSink()
-    _run_election(8, 4, sink)
-    streamed = TraceAggregator().feed(sink.events)
-    batch = aggregate_events(sink.events)
+    sink, streamed = ListSink(), TraceAggregator()
+    _run_election(8, 4, MultiSink(sink, streamed))
+    batch = TraceAggregator()
+    feed(sink.events, batch)
     assert streamed.survivors_by_round() == batch.survivors_by_round()
     assert streamed.message_histogram == batch.message_histogram
     assert streamed.events_seen == batch.events_seen == len(sink.events)
@@ -116,6 +116,7 @@ def test_streaming_equals_batch():
 
 def test_preround_tallies():
     event = Event(0, EventType.PREROUND, 3, {"round": 2, "verdict": "win"})
-    aggregator = aggregate_events([event])
+    aggregator = TraceAggregator()
+    feed([event], aggregator)
     (stats,) = aggregator.survivor_curve()
     assert (stats.round, stats.entered, stats.preround_wins) == (2, 1, 1)

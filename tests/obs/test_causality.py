@@ -3,19 +3,26 @@
 Synthetic streams pin the chain-depth arithmetic exactly (a relay chain
 has depth = hops, a fan-in takes the longest incoming chain, duplicates
 are counted not corrupting); a real recorded election then checks the
-analysis end-to-end through ``analyze_trace`` and the report renderers.
+analysis end-to-end through ``feed(iter_events(path), CausalReport())``
+and the report renderers.
 """
 
 from __future__ import annotations
 
-from repro.obs.causality import (
-    analyze_events,
-    analyze_trace,
-    critical_path_report,
-    lineage_report,
-)
-from repro.obs.events import Event, EventType
+import pytest
+
+from repro.obs.aggregate import TraceAggregator
+from repro.obs.causality import CausalReport, critical_path_report, lineage_report
+from repro.obs.events import Event, EventType, MultiSink, feed
+from repro.obs.jsonl import iter_events
 from repro.obs.replay import record_trace
+
+
+def _analyze(events):
+    """A :class:`CausalReport` fed ``events`` in one pass."""
+    report = CausalReport()
+    feed(events, report)
+    return report
 
 
 def _send(time, src, dst, kind="collect", call=0):
@@ -45,7 +52,7 @@ class TestSyntheticChains:
             events.append(_send(10 * hop, src, dst, call=hop))
             events.append(_deliver(10 * hop + 5, src, dst, call=hop))
         events.append(_decide(100, 3))
-        report = analyze_events(events)
+        report = _analyze(events)
         assert report.depth_by_pid == {1: 1, 2: 2, 3: 3}
         assert report.decision_depths == {3: 3}
         assert report.max_decision_depth == 3
@@ -61,18 +68,18 @@ class TestSyntheticChains:
             _send(2, 0, 1, call=1), _deliver(3, 0, 1, call=1),
             _send(4, 1, 2, call=2), _deliver(5, 1, 2, call=2),
         ]
-        report = analyze_events(events)
+        report = _analyze(events)
         assert report.depth_by_pid[2] == 2
         # A later shallow delivery must not lower the depth.
         more = events + [_send(6, 0, 2, call=3), _deliver(7, 0, 2, call=3)]
-        assert analyze_events(more).depth_by_pid[2] == 2
+        assert _analyze(more).depth_by_pid[2] == 2
 
     def test_duplicate_deliver_counted_not_corrupting(self):
         events = [
             _send(0, 0, 1), _deliver(1, 0, 1),
             _deliver(2, 0, 1),  # chaos duplicate: no waiting send
         ]
-        report = analyze_events(events)
+        report = _analyze(events)
         assert report.matched_messages == 1
         assert report.unmatched_delivers == 1
         assert report.depth_by_pid[1] == 1
@@ -84,13 +91,13 @@ class TestSyntheticChains:
             _send(0, 0, 1, call=7), _send(1, 0, 1, call=7),
             _deliver(2, 0, 1, call=7), _deliver(3, 0, 1, call=7),
         ]
-        report = analyze_events(events)
+        report = _analyze(events)
         assert report.matched_messages == 2
         chain = report.lineage(1)
         assert chain[-1].send_time == 0  # first match set the depth-1 hop
 
     def test_decision_without_messages_has_depth_zero(self):
-        report = analyze_events([_decide(5, 0)])
+        report = _analyze([_decide(5, 0)])
         assert report.decision_depths == {0: 0}
         assert report.lineage(0) == []
 
@@ -103,7 +110,7 @@ class TestRealTrace:
         recorded = record_trace(
             path, task="elect", n=12, adversary="random", seed=7
         )
-        report = analyze_trace(path)
+        report = _analyze(iter_events(path))
         assert report.events_seen == recorded.events
         assert len(report.decision_depths) == 12
         assert report.unmatched_delivers == 0
@@ -116,7 +123,7 @@ class TestRealTrace:
     def test_reports_render(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         record_trace(path, task="elect", n=8, adversary="sequential", seed=2)
-        report = analyze_trace(path)
+        report = _analyze(iter_events(path))
         text = critical_path_report(report, title="t")
         assert "max depth" in text and "matched messages" in text
         some_pid = next(iter(report.decision_depths))
@@ -124,6 +131,29 @@ class TestRealTrace:
         assert f"message lineage of p{some_pid}" in lineage
 
     def test_lineage_report_for_uninfluenced_processor(self):
-        report = analyze_events([])
+        report = _analyze([])
         text = lineage_report(report, 3)
         assert "no message ever influenced" in text
+
+
+class TestOnePassEqualsLive:
+    """A file fed once gives every sink what it built attached live."""
+
+    @staticmethod
+    def _render(aggregator, causal):
+        return (
+            aggregator.report(title="t"),
+            critical_path_report(causal, title="t"),
+            lineage_report(causal, 0),
+        )
+
+    @pytest.mark.parametrize("task", ["elect", "sift", "rename"])
+    def test_file_fed_sinks_equal_live_sinks(self, task, tmp_path):
+        path = str(tmp_path / f"{task}.jsonl")
+        live = TraceAggregator(), CausalReport()
+        record_trace(path, task=task, n=8, adversary="random", seed=3,
+                     telemetry=MultiSink(*live))
+        fed = TraceAggregator(), CausalReport()
+        feed(iter_events(path), *fed)
+        assert self._render(*fed) == self._render(*live)
+        assert fed[1].matched_messages == live[1].matched_messages > 0

@@ -21,9 +21,8 @@ from repro.obs.jsonl import (
     JsonlSink,
     event_line,
     event_to_obj,
+    iter_events,
     obj_to_event,
-    read_events,
-    read_trace,
     write_events,
 )
 
@@ -82,10 +81,9 @@ def test_jsonl_sink_writes_meta_then_events(tmp_path):
     sink.emit(Event(0, EventType.SCHED_STEP, 1, {}))
     sink.emit(Event(1, EventType.PROC_DECIDE, 1, {"result": "win"}))
     sink.close()
-    meta, objects = read_trace(path)
-    assert meta == {"task": "elect", "n": 4}
-    assert [obj["e"] for obj in objects] == ["sched.step", "proc.decide"]
-    events = read_events(path)
+    with open(path, encoding="utf-8") as fp:
+        assert json.loads(fp.readline()) == {"meta": {"task": "elect", "n": 4}}
+    events = list(iter_events(path))
     assert [event.etype for event in events] == ["sched.step", "proc.decide"]
 
 
@@ -93,7 +91,7 @@ def test_write_and_read_events_helpers(tmp_path):
     path = str(tmp_path / "w.jsonl")
     events = [Event(t, EventType.COIN_FLIP, 0, {"value": t % 2}) for t in range(3)]
     write_events(path, events, meta={"n": 1})
-    assert [event.time for event in read_events(path)] == [0, 1, 2]
+    assert [event.time for event in iter_events(path)] == [0, 1, 2]
 
 
 def test_frozen_event_rejects_mutation():

@@ -13,7 +13,7 @@ import pytest
 
 from repro.adversary import ADVERSARY_FACTORIES
 from repro.check.invariants import PROTOCOLS, run_protocol
-from repro.obs.jsonl import ArtifactError, read_events
+from repro.obs.jsonl import ArtifactError, iter_events
 from repro.obs.replay import (
     ReplayError,
     SchedulePrefixAdversary,
@@ -52,7 +52,7 @@ def test_replay_uses_recorded_schedule_not_fresh_randomness(tmp_path):
     # ends at the last one without a fallback action.
     path = str(tmp_path / "sched.jsonl")
     record_trace(path, task="elect", n=8, adversary="random", seed=9)
-    schedule = schedule_of(read_events(path))
+    schedule = schedule_of(iter_events(path))
     assert schedule, "a run must contain scheduling events"
     adversary = SchedulePrefixAdversary(schedule)
     run = run_protocol(PROTOCOLS["leader_election"], 8, None, adversary, 9)
