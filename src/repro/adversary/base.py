@@ -151,8 +151,7 @@ class Adversary:
         generator changes what it caches: a crash wrapper's ``Crash``
         lands between two of the inner generator's actions.  Everything
         that must survive a new generator (hand-driven
-        ``next(adversary.actions(sim))``, a fork from a snapshot) lives
-        on ``self``.
+        ``next(adversary.actions(sim))``) lives on ``self``.
         """
         choose = self.choose
         while True:

@@ -55,7 +55,7 @@ from __future__ import annotations
 import asyncio
 import heapq
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -205,7 +205,7 @@ class _Session(asyncio.Protocol):
 
     __slots__ = (
         "service", "sid", "pid", "transport", "decoder", "link", "replied",
-        "replied_order", "closed", "outbox",
+        "closed", "outbox",
     )
 
     def __init__(self, service: "ElectionService", sid: int) -> None:
@@ -215,8 +215,7 @@ class _Session(asyncio.Protocol):
         self.transport: asyncio.Transport | None = None
         self.decoder = FrameDecoder()
         self.link: LinkChaos | None = None
-        self.replied: dict[int, Frame] = {}
-        self.replied_order: list[int] = []
+        self.replied: OrderedDict[int, Frame] = OrderedDict()  # by rpc, oldest first
         self.closed = False
         #: Packed frames awaiting the end of the chunk being dispatched.
         self.outbox: list[bytes] = []
@@ -233,13 +232,11 @@ class _Session(asyncio.Protocol):
 
     def cache_reply(self, rpc: int, frame: Frame) -> None:
         """Remember a reply so a chaos-dropped one can be resent verbatim."""
-        if rpc in self.replied:
-            self.replied[rpc] = frame
-            return
-        self.replied[rpc] = frame
-        self.replied_order.append(rpc)
-        if len(self.replied_order) > REPLY_CACHE_LIMIT:
-            self.replied.pop(self.replied_order.pop(0), None)
+        replied = self.replied
+        replied[rpc] = frame  # an rpc cached again keeps its place
+        if len(replied) > REPLY_CACHE_LIMIT:
+            # O(1); `next(iter(dict))` rescans the slots freed at the front.
+            replied.popitem(last=False)
 
 
 class ElectionService:

@@ -134,7 +134,7 @@ class EventSink(Protocol):
 
 
 class ListSink:
-    """Unbounded in-memory sink; the workhorse for tests and replay."""
+    """Unbounded in-memory sink; the workhorse for tests."""
 
     __slots__ = ("events",)
 

@@ -23,7 +23,7 @@ The flow::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
 from ..adversary.base import Adversary, fallback_action
 from ..check.invariants import run_protocol
@@ -32,7 +32,7 @@ from ..errors import ReproError
 from ..harness.runners import make_adversary
 from ..harness.workloads import choose_participants
 from ..sim.runtime import Action, Crash, Step
-from .events import Event, EventType, ListSink, SCHEDULE_EVENT_TYPES
+from .events import Event, EventType, SCHEDULE_EVENT_TYPES
 from .jsonl import (
     ArtifactError,
     JsonlSink,
@@ -184,6 +184,35 @@ class ReplayReport:
         )
 
 
+class _LineComparer:
+    """Sink comparing each rerun event's line with the next recorded line.
+
+    Keeps the first mismatch and counts both sides, so neither stream is
+    ever held in memory.
+    """
+
+    def __init__(self, recorded: Iterator[str]) -> None:
+        self._recorded = recorded
+        self.recorded_events = self.replayed_events = 0
+        self.divergence_index: int | None = None
+        self.recorded_line = self.replayed_line = None
+
+    def emit(self, event: Event) -> None:
+        """Compare one replayed event with the next recorded line."""
+        self.replayed_events += 1
+        recorded = next(self._recorded, None)
+        if recorded is None:
+            return
+        self.recorded_events += 1
+        if self.divergence_index is None and recorded != (line := event_line(event)):
+            self.divergence_index = self.recorded_events - 1
+            self.recorded_line, self.replayed_line = recorded, line
+
+    def close(self) -> None:
+        """Count the recorded lines the rerun never reached."""
+        self.recorded_events += sum(1 for _ in self._recorded)
+
+
 def _run_meta(meta: Mapping[str, Any], adversary, sink, check: bool, telemetry=None):
     """Run the task a trace's meta header describes, with ``adversary``."""
     return run_protocol(
@@ -292,30 +321,27 @@ def replay_trace(path: str, check: bool = True) -> ReplayReport:
             f"{path}: a repro net trace; only simulator traces replay"
         )
     schedule = schedule_of(iter_events(path))
-    recorded_lines = list(iter_trace_lines(path))[1:]
     adversary = SchedulePrefixAdversary(schedule)
-    capture = ListSink()
-    run = _run_meta(meta, adversary, capture, check=check)
+    recorded = iter_trace_lines(path)
+    next(recorded, None)  # the meta header
+    compare = _LineComparer(recorded)
+    try:
+        run = _run_meta(meta, adversary, compare, check=check)
+        compare.close()
+    finally:
+        recorded.close()
     schedule_error = None
     if adversary.first_skip is not None:
         schedule_error = _unresolved(
             adversary.first_skip, schedule[adversary.first_skip]
         )
-    replayed_lines = [event_line(event) for event in capture.events]
-    divergence_index = None
-    recorded_line = replayed_line = None
-    for index, (recorded, replayed) in enumerate(zip(recorded_lines, replayed_lines)):
-        if recorded != replayed:
-            divergence_index = index
-            recorded_line, replayed_line = recorded, replayed
-            break
     return ReplayReport(
         path=path,
-        recorded_events=len(recorded_lines),
-        replayed_events=len(replayed_lines),
-        divergence_index=divergence_index,
-        recorded_line=recorded_line,
-        replayed_line=replayed_line,
+        recorded_events=compare.recorded_events,
+        replayed_events=compare.replayed_events,
+        divergence_index=compare.divergence_index,
+        recorded_line=compare.recorded_line,
+        replayed_line=compare.replayed_line,
         run=run,
         schedule_error=schedule_error,
     )

@@ -10,7 +10,6 @@ from . import pidset
 from .communicate import Collect, PendingCall, Propagate, Request
 from .errors import (
     AdversaryProtocolError,
-    CheckpointError,
     CrashBudgetError,
     ProcessProtocolError,
     QuiescenceError,
@@ -30,16 +29,11 @@ from .runtime import (
     SimulationResult,
     Step,
 )
-from .snapshot import SimulationCheckpoint, capture, enable_recording
 from .trace import Metrics
 
 __all__ = [
     "Action",
     "AdversaryProtocolError",
-    "CheckpointError",
-    "SimulationCheckpoint",
-    "capture",
-    "enable_recording",
     "AlgorithmFactory",
     "Broadcast",
     "CoinLog",

@@ -39,12 +39,3 @@ class CrashBudgetError(SimulationError):
 class ProcessProtocolError(SimulationError):
     """A process coroutine yielded something other than a valid request."""
 
-
-class CheckpointError(SimulationError):
-    """A simulation state snapshot could not be captured or restored.
-
-    Raised when I/O recording was never enabled on the source run, when an
-    attached sink cannot be deep-copied (file handles), or when the
-    adversary handed to :meth:`~repro.sim.snapshot.SimulationCheckpoint.fork`
-    is incompatible with the captured pool representation.
-    """

@@ -56,8 +56,6 @@ class Process:
         "decide_time",
         "put_hook",
         "obs",
-        "io_record",
-        "io_replay",
     )
 
     def __init__(
@@ -93,16 +91,6 @@ class Process:
         #: set by the simulation when an event sink is attached.  ``None``
         #: means observability is off and emission sites cost one check.
         self.obs: Callable[..., None] | None = None
-        #: Checkpoint support (:mod:`repro.sim.snapshot`).  When recording
-        #: is on, ``io_record`` accumulates every value that crossed into
-        #: the algorithm coroutine — resume inputs (appended by the
-        #: simulation) interleaved with register reads and coin outcomes
-        #: (appended below) — in program order.  A fork rebuilds the
-        #: coroutine by replaying that log through ``io_replay``, during
-        #: which the API methods return recorded values instead of
-        #: touching registers or the RNG.  Both ``None`` when off.
-        self.io_record: list[Any] | None = None
-        self.io_replay: Any | None = None
 
     @property
     def is_participant(self) -> bool:
@@ -164,23 +152,11 @@ class ProcessAPI:
 
     def get(self, var: str, key: Hashable, default: Any = None) -> Any:
         """Read this processor's current view of ``var[key]``."""
-        process = self._process
-        if process.io_replay is not None:
-            return process.io_replay.take("get")
-        value = process.registers.get(var, key, default)
-        if process.io_record is not None:
-            process.io_record.append(value)
-        return value
+        return self._process.registers.get(var, key, default)
 
     def view(self, var: str) -> dict[Hashable, Any]:
         """Snapshot this processor's whole view of ``var``."""
-        process = self._process
-        if process.io_replay is not None:
-            return process.io_replay.take("view")
-        value = process.registers.view(var)
-        if process.io_record is not None:
-            process.io_record.append(value)
-        return value
+        return self._process.registers.view(var)
 
     def flip(self, probability: float, label: str = "coin") -> int:
         """Flip a biased coin: 1 with ``probability``, else 0.
@@ -190,12 +166,8 @@ class ProcessAPI:
         steps — faithfully modelling the paper's adversary.
         """
         process = self._process
-        if process.io_replay is not None:
-            return process.io_replay.take("flip")
         value = 1 if process.rng.random() < probability else 0
         process.coins.record(label, value)
-        if process.io_record is not None:
-            process.io_record.append(value)
         obs = process.obs
         if obs is not None:
             obs("coin.flip", {"label": label, "p": probability, "value": value})
@@ -206,12 +178,8 @@ class ProcessAPI:
         if not options:
             raise ValueError("cannot choose from an empty sequence")
         process = self._process
-        if process.io_replay is not None:
-            return options[process.io_replay.take("choice")]
         index = process.rng.randrange(len(options))
         process.coins.record(label, index)
-        if process.io_record is not None:
-            process.io_record.append(index)
         obs = process.obs
         if obs is not None:
             obs("coin.choice", {"label": label, "index": index, "options": len(options)})

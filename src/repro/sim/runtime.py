@@ -595,13 +595,6 @@ class Simulation:
 
     def _advance(self, process: Process, send_value: Any) -> None:
         assert process.coroutine is not None
-        # Checkpoint support (repro.sim.snapshot): generators cannot be
-        # deep-copied, so a fork rebuilds each coroutine by replaying the
-        # exact values it consumed — resume inputs recorded here, register
-        # reads and coin outcomes recorded in ProcessAPI.  One None check
-        # when recording is off.
-        if process.io_record is not None:
-            process.io_record.append(send_value)
         try:
             request = process.coroutine.send(send_value)
         except StopIteration as stop:

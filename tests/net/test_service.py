@@ -28,10 +28,12 @@ from repro.net.chaos import ChaosPlan
 from repro.net.client import Lease, ServiceClient
 from repro.net.load import run_load
 from repro.net.service import (
+    REPLY_CACHE_LIMIT,
     ElectionService,
     GrantRecord,
     ServiceError,
     ServiceRun,
+    _Session,
 )
 from repro.net.wire import Frame, FrameDecoder, FrameType, pack_frame
 
@@ -423,6 +425,22 @@ class TestAtMostOnce:
 
         _, run = run_scenario(body, plan=noisy)
         assert [record.epoch for record in run.history] == [1, 2, 3, 4, 5]
+
+    def test_reply_cache_evicts_oldest_and_recache_keeps_place(self):
+        """The cache is bounded FIFO; re-caching an rpc replaces it in place."""
+        session = _Session(service=None, sid=0)
+
+        def reply(rpc, tag="ok"):
+            return Frame(FrameType.SVC_REPLY, 0, {"rpc": rpc, "status": tag})
+
+        for rpc in range(REPLY_CACHE_LIMIT):
+            session.cache_reply(rpc, reply(rpc))
+        session.cache_reply(0, reply(0, "again"))
+        assert len(session.replied) == REPLY_CACHE_LIMIT
+        assert next(iter(session.replied)) == 0
+        assert session.replied[0].fields["status"] == "again"
+        session.cache_reply(REPLY_CACHE_LIMIT, reply(REPLY_CACHE_LIMIT))
+        assert list(session.replied) == list(range(1, REPLY_CACHE_LIMIT + 1))
 
 
 class TestSimElection:

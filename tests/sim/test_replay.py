@@ -63,18 +63,52 @@ def test_replay_uses_recorded_schedule_not_fresh_randomness(tmp_path):
 
 
 def test_tampered_trace_is_detected(tmp_path):
-    path = str(tmp_path / "tampered.jsonl")
-    record_trace(path, task="elect", n=8, adversary="sequential", seed=0)
-    lines = open(path).read().splitlines()
+    path = tmp_path / "tampered.jsonl"
+    record_trace(str(path), task="elect", n=8, adversary="sequential", seed=0)
+    lines = path.read_text().splitlines()
     # Drop one non-scheduling event line from the middle of the stream:
     # the replay stream then has more events than the recording.
     victim = next(
         i for i, line in enumerate(lines[1:], start=1) if '"e":"coin.' in line
     )
-    del lines[victim]
-    open(path, "w").write("\n".join(lines) + "\n")
-    report = replay_trace(path)
+    removed = lines.pop(victim)
+    path.write_text("\n".join(lines) + "\n")
+    report = replay_trace(str(path))
     assert not report.ok
+    # Event indexes exclude the meta header on line 0.
+    assert report.divergence_index == victim - 1
+    assert report.replayed_line == removed
+    assert report.recorded_line == lines[victim]
+    assert report.schedule_error is None
+
+
+@pytest.mark.parametrize("edit, recorded_delta", [
+    ("duplicate-last", +1),
+    ("drop-last", -1),
+], ids=["duplicate-last", "drop-last"])
+def test_event_count_mismatch_is_detected(tmp_path, edit, recorded_delta):
+    # An edit at the tail leaves every common line equal: the verdict is
+    # the count mismatch alone, with no divergent line.
+    path = tmp_path / f"{edit}.jsonl"
+    recorded = record_trace(str(path), task="elect", n=8, adversary="sequential", seed=0)
+    lines = path.read_text().splitlines()
+    assert '"e":"proc.decide"' in lines[-1]  # not a schedule entry
+    if edit == "duplicate-last":
+        lines.append(lines[-1])
+    else:
+        lines.pop()
+    path.write_text("\n".join(lines) + "\n")
+    report = replay_trace(str(path))
+    assert not report.ok
+    assert report.recorded_events == recorded.events + recorded_delta
+    assert report.replayed_events == recorded.events
+    assert report.divergence_index is None
+    assert report.schedule_error is None
+    assert report.describe() == (
+        f"replay DIVERGED: event counts differ "
+        f"(recorded {recorded.events + recorded_delta:,}, "
+        f"replayed {recorded.events:,})"
+    )
 
 
 def test_meta_header_required(tmp_path):
