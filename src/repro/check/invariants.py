@@ -86,15 +86,13 @@ def run_protocol(
     pattern: str = "first",
     sink=None,
     check: bool = False,
-    telemetry=None,
 ):
     """Run one execution of ``spec`` and return its Run object.
 
     Checking is off by default (``check=False``) so specification
     violations surface as invariant verdicts rather than raised
     exceptions — the explorer wants to *record* a violation, not die on
-    it.  Trace recording and replay run checked, with ``telemetry`` as a
-    second sink.
+    it.  Trace recording and replay run checked.
     """
     from ..harness.runners import (
         run_leader_election,
@@ -104,7 +102,7 @@ def run_protocol(
 
     common = dict(
         n=n, k=k, adversary=adversary, seed=seed, pattern=pattern,
-        check=check, sink=sink, telemetry=telemetry,
+        check=check, sink=sink,
     )
     if spec.task == "elect":
         return run_leader_election(algorithm=spec.algorithm, **common)

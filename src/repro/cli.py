@@ -695,7 +695,7 @@ def _cmd_trace(args) -> int:
         })
         telemetry = LiveTelemetry(writer)
     try:
-        recorded = record_trace(args.out, telemetry=telemetry, **config)
+        recorded = record_trace(args.out, sink=telemetry, **config)
     finally:
         if telemetry is not None:
             telemetry.close()

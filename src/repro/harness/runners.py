@@ -81,7 +81,6 @@ def build_task_simulation(
     sink=None,
     profiler=None,
     delta_propagation: bool = True,
-    telemetry=None,
 ) -> Simulation:
     """Build (without running) the simulation a task runner would drive.
 
@@ -93,7 +92,7 @@ def build_task_simulation(
     spec = protocol_for(task, algorithm)
     simulation = _build_simulation(
         spec.make(), n, k, pattern, adversary, seed,
-        None, max_events, sink, profiler, delta_propagation, telemetry,
+        None, max_events, sink, profiler, delta_propagation,
     )
     _BUILT_FOR[simulation] = spec
     return simulation
@@ -111,7 +110,6 @@ def _build_simulation(
     sink=None,
     profiler=None,
     delta_propagation: bool = True,
-    telemetry=None,
 ) -> Simulation:
     participants = choose_participants(n, k, pattern, seed)
     scheduler = make_adversary(adversary, seed)
@@ -126,7 +124,6 @@ def _build_simulation(
         sink=sink,
         profiler=profiler,
         delta_propagation=delta_propagation,
-        telemetry=telemetry,
     )
 
 
@@ -262,7 +259,6 @@ def run_leader_election(
     sink=None,
     profiler=None,
     delta_propagation: bool = True,
-    telemetry=None,
     simulation: Simulation | None = None,
 ) -> LeaderElectionRun:
     """Run one leader election to completion and check it.
@@ -275,15 +271,15 @@ def run_leader_election(
     tree; both default to off and neither changes the execution.
     ``delta_propagation=False`` forces full PROPAGATE payloads —
     semantically identical, used by the equivalence regression tests.
-    ``telemetry`` is a second sink slot for live consumers
-    (:class:`~repro.obs.metrics.MetricsSink`,
-    :class:`~repro.obs.live.LiveTelemetry`, or a
-    :class:`~repro.check.streaming.StreamingChecker`).  ``simulation``
-    runs one built by :func:`build_task_simulation` for the same
-    catalogue row (another row raises ``ValueError``), or a hand-built
-    :class:`~repro.sim.runtime.Simulation` judged as the named row,
-    instead of constructing one; the construction arguments are then
-    recorded verbatim but otherwise unused.  These arguments mean the
+    Live consumers (:class:`~repro.obs.metrics.MetricsSink`,
+    :class:`~repro.obs.live.LiveTelemetry`, a
+    :class:`~repro.check.streaming.StreamingChecker`) are sinks too; a
+    :class:`~repro.obs.events.MultiSink` fans one stream out to several.
+    ``simulation`` runs one built by :func:`build_task_simulation` for
+    the same catalogue row (another row raises ``ValueError``), or a
+    hand-built :class:`~repro.sim.runtime.Simulation` judged as the
+    named row, instead of constructing one; the construction arguments
+    are then recorded verbatim but otherwise unused.  These arguments mean the
     same in the other two runners.
     """
     return _run_checked(
@@ -291,7 +287,7 @@ def run_leader_election(
         check=check, require_termination=check and not crash_schedule,
         n=n, k=k, pattern=pattern, adversary=adversary, seed=seed,
         crash_schedule=crash_schedule, max_events=max_events, sink=sink,
-        profiler=profiler, delta_propagation=delta_propagation, telemetry=telemetry,
+        profiler=profiler, delta_propagation=delta_propagation,
     )
 
 
@@ -337,7 +333,6 @@ def run_sifting_phase(
     sink=None,
     profiler=None,
     delta_propagation: bool = True,
-    telemetry=None,
     simulation: Simulation | None = None,
 ) -> SiftingRun:
     """Run one sifting phase (PoisonPill / heterogeneous / naive).
@@ -368,7 +363,7 @@ def run_sifting_phase(
         check=check, require_termination=True, factory=factory,
         n=n, k=k, pattern=pattern, adversary=adversary, seed=seed,
         crash_schedule=None, max_events=max_events, sink=sink,
-        profiler=profiler, delta_propagation=delta_propagation, telemetry=telemetry,
+        profiler=profiler, delta_propagation=delta_propagation,
     )
 
 
@@ -419,7 +414,6 @@ def run_renaming(
     sink=None,
     profiler=None,
     delta_propagation: bool = True,
-    telemetry=None,
     simulation: Simulation | None = None,
 ) -> RenamingRun:
     """Run one renaming execution to completion and check it.
@@ -431,5 +425,5 @@ def run_renaming(
         check=check, require_termination=check and not crash_schedule,
         n=n, k=k, pattern=pattern, adversary=adversary, seed=seed,
         crash_schedule=crash_schedule, max_events=max_events, sink=sink,
-        profiler=profiler, delta_propagation=delta_propagation, telemetry=telemetry,
+        profiler=profiler, delta_propagation=delta_propagation,
     )

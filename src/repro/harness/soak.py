@@ -338,11 +338,7 @@ async def _service_restart(
     namespace = old.export_namespace()
     state.fenced_base.extend(old.fenced)
     state.snapshots.append(old.snapshot())
-    ended = time.monotonic_ns()
-    for record in old.history:
-        if record.ended_ns is None:
-            record.ended_ns = ended
-            record.reason = "crash"
+    old.leases.crash_all(time.monotonic())
     fresh = ElectionService(
         seed=seed, default_ttl_ms=ttl_ms, plan=plan,
         namespace=namespace, grant_hook=old.grant_hook,

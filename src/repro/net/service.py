@@ -1,59 +1,26 @@
 """Election-as-a-service: a keyed, multi-tenant election namespace.
 
-Every other entry point in this repo is one-shot batch: spawn ``n``
-processes, elect, exit.  This module is the long-lived coordination
-layer the ROADMAP asks for: a persistent asyncio service that owns a
-namespace of *named* elections and serves them to external clients over
-the versioned frame codec of :mod:`repro.net.wire`.
+A long-lived asyncio server that serves named elections to external
+clients over the frame codec of :mod:`repro.net.wire`.  Each key is an
+independent, epoch-fenced leader election with a TTL lease — the
+paper's one election per name (Figure 3 / Theorem 4.2).  The lease state
+machine is the pure :class:`~repro.net.lease.LeaseTable`; this module
+owns the sockets, the clock, chaos and telemetry, feeds the table each
+request with the time, and delivers what it decides.
 
-The mapping onto the paper is direct.  Figure 3 / Theorem 4.2 build
-strong renaming out of **one independent leader election per name** —
-a grid of test-and-set objects, each settled by its own election.  This
-service generalizes exactly that construction: each *key* is a name,
-each handoff of a key is one leader-election instance among the current
-contenders, and the winner holds the key under a **lease** until it
-releases, crashes, or lets the lease expire.  Epochs make the sequence
-of elections per key explicit: every grant carries a strictly
-increasing ``(key, epoch)`` fencing token, and any write (renew /
-release) presenting a stale epoch is rejected with FENCED at the wire
-layer — the service-side analogue of "a LOSE must never overwrite the
-winner" (Lemma A.3).
-
-Lease state machine, per key::
-
-    FREE ──acquire──> HELD ──(ttl - grace elapses)──> EXPIRING
-      ^                 │  ^                             │
-      │             release renew                        │ (ttl elapses,
-      │(no waiters)     │  └────────── EXPIRING ─────────┘  or holder
-      └──────────── RE-ELECTING <── crash ──┘               crashes)
-                        │
-                        └─(winner drawn among waiters)─> HELD, epoch+1
-
-Contested handoffs are decided by :meth:`ElectionService._elect`: by
-default a deterministic draw from a per-``(key, epoch)`` RNG stream
-(:func:`~repro.sim.rng.make_stream`), or — ``election="sim"`` — by
-running the paper's actual O(log* k) leader-election algorithm in the
-simulator with one pid per contender, making each handoff a literal
-instance of the reproduced protocol.
-
-Delivery semantics under chaos: replies and watch events pass through
-the seeded fault plan of :mod:`repro.net.chaos` (link ``SERVICE_PID ->
-client``), so a granted reply can be dropped or delayed exactly like a
-lossy network would.  Clients retry with the same ``rpc`` nonce; the
-service keeps a bounded per-session reply cache and resends the
-*recorded* reply instead of re-executing, making every request
-at-most-once — a retried ACQUIRE can never double-grant.
-
-Everything the service decides lands in an append-only grant history;
-:func:`repro.check.invariants.evaluate_service_run` judges it with the
-run-invariant machinery (at most one holder per ``(key, epoch)``,
-strictly increasing epochs, non-overlapping holds).
+Replies and watch events pass through the seeded fault plan of
+:mod:`repro.net.chaos` (link ``SERVICE_PID -> client``), so a reply can
+be dropped or delayed like on a lossy network.  Clients retry with the
+same ``rpc`` nonce, and each session's bounded reply cache resends the
+*recorded* reply instead of re-executing: every request is at-most-once,
+and a retried ACQUIRE can never grant twice.  The grant history is
+judged by :func:`repro.check.invariants.evaluate_service_run`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import heapq
+import math
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
@@ -62,46 +29,14 @@ from typing import Any, Callable, Mapping
 from ..errors import ReproError
 from ..obs.live import SnapshotWriter
 from ..obs.metrics import MetricsRegistry
-from ..sim.rng import make_stream
 from ..sim.runtime import SimulationResult
 from ..sim.trace import Metrics
 from .chaos import CLEAN_PLAN, ChaosPlan, LinkChaos
+from .lease import EVENT, FencedRecord, GrantRecord, LeaseState, LeaseTable, ReplyStatus
 from .wire import Frame, FrameDecoder, FrameType, WireError, pack_frame
 
 #: The service's sender id on reply/event frames (the driver uses -1).
 SERVICE_PID = -2
-
-#: Reply statuses carried in the ``status`` field of SVC_REPLY frames.
-class ReplyStatus:
-    """String constants for every service reply outcome."""
-
-    GRANTED = "granted"
-    BUSY = "busy"
-    FENCED = "fenced"
-    OK = "ok"
-    STATE = "state"
-    ERROR = "error"
-
-
-class LeaseState:
-    """String constants for the per-key lease state machine."""
-
-    FREE = "free"
-    HELD = "held"
-    EXPIRING = "expiring"
-    REELECTING = "re-electing"
-
-
-#: Watch event kinds pushed to watchers as SVC_EVENT frames.
-class WatchEvent:
-    """String constants for the watch notification kinds."""
-
-    GRANTED = "granted"
-    EXPIRING = "expiring"
-    EXPIRED = "expired"
-    RELEASED = "released"
-    CRASHED = "crashed"
-
 
 #: How many replies each session's at-most-once cache retains.
 REPLY_CACHE_LIMIT = 1024
@@ -117,81 +52,17 @@ DEFAULT_TTL_MS = 5000.0
 #: What converting a malformed request field raises.
 _FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
-#: Contender-count ceiling for ``election="sim"``; larger fields fall
-#: back to the seeded draw (a simulated election over hundreds of pids
-#: would stall the event loop the service shares with every key).
-SIM_ELECTION_MAX_CONTENDERS = 16
+
+def _finite(name: str, value: Any) -> float:
+    """``value`` as a float; NaN would stall the expiry heap, so no NaN or inf."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 class ServiceError(ReproError, RuntimeError):
     """A service run failed to complete: bad configuration or runtime fault."""
-
-
-@dataclass(slots=True)
-class GrantRecord:
-    """One completed or in-flight grant: the unit of the decision log.
-
-    ``ended_ns`` is ``None`` while the lease is live; ``reason`` is one
-    of ``release`` / ``expire`` / ``crash`` / ``open`` once settled.
-    """
-
-    key: str
-    epoch: int
-    holder: str
-    session: int
-    granted_ns: int
-    ended_ns: int | None = None
-    reason: str = "open"
-
-    def to_obj(self) -> dict[str, Any]:
-        """JSON-safe form for artifacts and telemetry dumps."""
-        return {
-            "key": self.key, "epoch": self.epoch, "holder": self.holder,
-            "session": self.session, "granted_ns": self.granted_ns,
-            "ended_ns": self.ended_ns, "reason": self.reason,
-        }
-
-
-@dataclass(slots=True)
-class FencedRecord:
-    """One stale-epoch (or non-holder) rejection, for the fencing invariant."""
-
-    key: str
-    request_epoch: int
-    current_epoch: int
-    verb: str
-    client: str
-
-
-@dataclass(slots=True)
-class _Waiter:
-    """One queued contender for a held key."""
-
-    client: str
-    session: "_Session"
-    rpc: int
-    enqueued: float
-    deadline: float | None  # monotonic seconds; None = wait forever
-
-
-@dataclass(slots=True)
-class _KeyState:
-    """Everything the service tracks about one key."""
-
-    key: str
-    epoch: int = 0
-    state: str = LeaseState.FREE
-    holder: str | None = None
-    holder_session: "_Session | None" = None
-    expires_at: float = 0.0
-    ttl_s: float = 0.0
-    waiters: list[_Waiter] = field(default_factory=list)
-    watchers: set["_Session"] = field(default_factory=set)
-    #: When the current vacancy began (crash/expiry), for failover latency.
-    vacated_at: float | None = None
-    vacated_by_crash: bool = False
-    #: The current holder's grant record, closed when the lease ends.
-    grant: GrantRecord | None = None
 
 
 class _Session(asyncio.Protocol):
@@ -230,6 +101,10 @@ class _Session(asyncio.Protocol):
         if self.pid is not None:
             self.service._session_crashed(self)
 
+    def cached(self, rpc: int) -> Frame | None:
+        """The reply already sent for ``rpc``, if the cache still holds it."""
+        return self.replied.get(rpc)
+
     def cache_reply(self, rpc: int, frame: Frame) -> None:
         """Remember a reply so a chaos-dropped one can be resent verbatim."""
         replied = self.replied
@@ -262,60 +137,57 @@ class ElectionService:
         namespace: Mapping[str, int] | None = None,
         grant_hook: "Callable[[GrantRecord], None] | None" = None,
     ) -> None:
-        if default_ttl_ms <= 0:
+        if not (math.isfinite(default_ttl_ms) and default_ttl_ms > 0):
             raise ServiceError(f"default ttl must be positive, got {default_ttl_ms}")
         if not 0.0 < grace_fraction < 1.0:
-            raise ServiceError(
-                f"grace fraction must be in (0, 1), got {grace_fraction}"
-            )
+            raise ServiceError(f"grace fraction must be in (0, 1), got {grace_fraction}")
         if election not in ("draw", "sim"):
             raise ServiceError(
                 f"unknown election mode {election!r}; expected 'draw' or 'sim'"
             )
+        for key, epoch in (namespace or {}).items():
+            if epoch < 0:
+                raise ServiceError(f"namespace epoch for {key!r} must be >= 0, got {epoch}")
         self.seed = seed
-        self.default_ttl_s = default_ttl_ms / 1000.0
-        self.grace_fraction = grace_fraction
         self.election = election
         self.plan = plan
         self.host = host
         self.port = port
-        self.keys: dict[str, _KeyState] = {}
-        if namespace:
-            # Restart-and-recover: re-seed keys at their last known epoch
-            # (all FREE — leases do not survive a restart) so post-restart
-            # grants keep fencing tokens issued before it.
-            for key, epoch in namespace.items():
-                if epoch < 0:
-                    raise ServiceError(
-                        f"namespace epoch for {key!r} must be >= 0, got {epoch}"
-                    )
-                self.keys[str(key)] = _KeyState(key=str(key), epoch=int(epoch))
-        self.history: list[GrantRecord] = []
-        self.fenced: list[FencedRecord] = []
-        self.grant_hook = grant_hook
+        self.metrics = MetricsRegistry()
+        #: The lease state machine; ``namespace`` restarts it without
+        #: forgetting epochs (see :meth:`export_namespace`).
+        self.leases = LeaseTable(
+            seed, default_ttl_ms / 1000.0, grace_fraction, election,
+            self.metrics, namespace, grant_hook,
+        )
+        self.keys = self.leases.keys
+        self.history = self.leases.history
+        self.fenced = self.leases.fenced
         #: Chaos-dropped frames awaiting post-heal replay: (sid, frame).
         self.dlq: deque[tuple[int, Frame]] = deque(maxlen=DLQ_LIMIT)
-        self.metrics = MetricsRegistry()
         self._sessions: dict[int, _Session] = {}
         self._session_counter = 0
         self._server: asyncio.base_events.Server | None = None
         #: Sessions written to while a chunk is dispatched; ``None`` when
         #: no chunk is, and writes go straight to the transport.
         self._touched: list[_Session] | None = None
-        self._expiry_heap: list[tuple[float, int, str]] = []
-        self._heap_counter = 0
         self._sweeper: asyncio.Task | None = None
         self._telemetry_path = telemetry_path
         self._telemetry_interval_s = telemetry_interval_s
         self._telemetry_task: asyncio.Task | None = None
         self._snapshot_writer: SnapshotWriter | None = None
         self._background: set[asyncio.Task] = set()
-        self._stopped = False
         self._started_at = time.monotonic()
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
+    @property
+    def grant_hook(self) -> "Callable[[GrantRecord], None] | None":
+        """Called with every new :class:`GrantRecord`, as it is granted."""
+        return self.leases.grant_hook
+
+    @grant_hook.setter
+    def grant_hook(self, hook: "Callable[[GrantRecord], None] | None") -> None:
+        """Replace the hook the lease table calls on every grant."""
+        self.leases.grant_hook = hook
 
     async def start(self) -> tuple[str, int]:
         """Bind the server and start the sweeper; returns ``(host, port)``."""
@@ -341,9 +213,9 @@ class ElectionService:
         Idempotent: the CLI path stops once from ``serve_forever`` and
         once from its own cleanup, and the second call is a no-op.
         """
-        if self._stopped:
+        if self.leases.stopped:
             return
-        self._stopped = True
+        self.leases.stopped = True
         for task in (self._sweeper, self._telemetry_task, *self._background):
             if task is not None:
                 task.cancel()
@@ -353,7 +225,6 @@ class ElectionService:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        # Settle the log: leases still held at shutdown end as "open".
         if self._snapshot_writer is not None:
             self._snapshot_writer.write_snapshot(
                 self._clock_ms(), self.snapshot()
@@ -406,10 +277,6 @@ class ElectionService:
         except asyncio.CancelledError:
             pass
 
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-
     def _new_session(self) -> _Session:
         """The protocol for one accepted connection."""
         self._session_counter += 1
@@ -452,12 +319,9 @@ class ElectionService:
         """Route one request frame; replies go back through chaos."""
         rpc = frame.fields.get("rpc")
         if not isinstance(rpc, int):
-            self._reply(session, Frame(FrameType.SVC_REPLY, SERVICE_PID, {
-                "rpc": -1, "status": ReplyStatus.ERROR,
-                "message": f"request {frame.ftype!r} missing int rpc nonce",
-            }), cache=False)
+            self._error(session, -1, f"request {frame.ftype!r} missing int rpc nonce")
             return
-        cached = session.replied.get(rpc)
+        cached = session.cached(rpc)
         if cached is not None:
             # At-most-once: the reply was computed but (possibly) lost to
             # chaos; resend the recorded frame without re-executing.
@@ -473,12 +337,15 @@ class ElectionService:
         }
         handler = handlers.get(frame.ftype)
         if handler is None:
-            self._reply(session, Frame(FrameType.SVC_REPLY, SERVICE_PID, {
-                "rpc": rpc, "status": ReplyStatus.ERROR,
-                "message": f"unexpected frame type {frame.ftype!r}",
-            }), cache=False)
+            self._error(session, rpc, f"unexpected frame type {frame.ftype!r}")
             return
         handler(session, rpc, frame.fields)
+
+    def _error(self, session: _Session, rpc: int, message: str,
+               cache: bool = False) -> None:
+        self._reply(session, Frame(FrameType.SVC_REPLY, SERVICE_PID, {
+            "rpc": rpc, "status": ReplyStatus.ERROR, "message": message,
+        }), cache=cache)
 
     def _reply(self, session: _Session, frame: Frame, cache: bool = True) -> None:
         """Record (for at-most-once resends) and send one reply frame."""
@@ -531,13 +398,10 @@ class ElectionService:
     def replay_dlq(self) -> int:
         """Re-deliver chaos-dropped frames to their still-open sessions.
 
-        The dead-letter replay path for a healed partition: frames the
-        fault plan swallowed are written directly (no second chaos
-        draw — they already paid theirs).  Receivers are idempotent by
-        construction: replies carry their original ``rpc`` nonce and
-        watch events are monotone state announcements.  Frames whose
-        session has since closed are discarded.  Returns the number of
-        frames actually re-sent.
+        The dead-letter replay path for a healed partition: swallowed
+        frames are written directly (no second chaos draw).  Receivers
+        are idempotent: replies carry their ``rpc`` nonce and watch
+        events are monotone.  Returns the number of frames re-sent.
         """
         replayed = 0
         while self.dlq:
@@ -560,60 +424,34 @@ class ElectionService:
         """
         return {key: state.epoch for key, state in self.keys.items()}
 
-    # ------------------------------------------------------------------
-    # Request handlers
-    # ------------------------------------------------------------------
-
-    def _key(self, key: str) -> _KeyState:
-        state = self.keys.get(key)
-        if state is None:
-            state = self.keys[key] = _KeyState(key=key)
-        return state
+    def _emit(self, out: list) -> None:
+        """Deliver a lease-table decision: replies and watch events, in order."""
+        for kind, session, fields in out:
+            if kind is EVENT:
+                self.metrics.counter("svc.events_pushed").inc()
+                self._send(session, Frame(FrameType.SVC_EVENT, SERVICE_PID, fields))
+            else:
+                self._reply(session, Frame(FrameType.SVC_REPLY, SERVICE_PID, fields))
 
     def _on_acquire(self, session: _Session, rpc: int,
                     fields: Mapping[str, Any]) -> None:
         """ACQUIRE: grant now, queue as a contender, or reply BUSY."""
         try:
             key, client = str(fields["key"]), str(fields["client"])
-            ttl_ms = float(fields.get("ttl_ms") or self.default_ttl_s * 1000.0)
-            wait_ms = float(fields.get("wait_ms", 0.0))
+            ttl_ms = _finite("ttl_ms", fields.get("ttl_ms") or (
+                self.leases.default_ttl_s * 1000.0
+            ))
+            wait_ms = _finite("wait_ms", fields.get("wait_ms", 0.0))
         except _FIELD_ERRORS as error:
             self._malformed(session, rpc, FrameType.ACQUIRE, error)
             return
         self.metrics.counter("svc.acquires").inc()
         if ttl_ms <= 0:
-            self._reply(session, Frame(FrameType.SVC_REPLY, SERVICE_PID, {
-                "rpc": rpc, "status": ReplyStatus.ERROR,
-                "message": f"ttl_ms must be positive, got {ttl_ms}",
-            }))
+            self._error(session, rpc, f"ttl_ms must be positive, got {ttl_ms}", cache=True)
             return
-        state = self._key(key)
-        if state.state in (LeaseState.HELD, LeaseState.EXPIRING):
-            if state.holder == client and state.holder_session is session:
-                # Idempotent re-acquire by the live holder: current token.
-                self._reply(session, self._grant_reply(rpc, state, ttl_ms))
-                return
-            if wait_ms <= 0:
-                self.metrics.counter("svc.busy").inc()
-                self._reply(session, Frame(FrameType.SVC_REPLY, SERVICE_PID, {
-                    "rpc": rpc, "status": ReplyStatus.BUSY,
-                    "key": key, "holder": state.holder, "epoch": state.epoch,
-                }))
-                return
-            for waiter in state.waiters:
-                if waiter.session is session and waiter.rpc == rpc:
-                    # A chaos-retried ACQUIRE: the contender is already
-                    # queued and will be answered once; don't double-enter.
-                    return
-            now = time.monotonic()
-            state.waiters.append(_Waiter(
-                client=client, session=session, rpc=rpc,
-                enqueued=now, deadline=now + wait_ms / 1000.0,
-            ))
-            self._push_expiry(now + wait_ms / 1000.0, key)
-            return
-        # FREE (or RE-ELECTING with no contest in flight): grant now.
-        self._grant(state, client, session, rpc, ttl_ms)
+        self._emit(self.leases.acquire(
+            session, rpc, key, client, ttl_ms, wait_ms, time.monotonic()
+        ))
 
     def _on_renew(self, session: _Session, rpc: int,
                   fields: Mapping[str, Any]) -> None:
@@ -621,29 +459,15 @@ class ElectionService:
         try:
             key, client = str(fields["key"]), str(fields["client"])
             epoch = int(fields["epoch"])
-            ttl_ms = float(fields["ttl_ms"]) if fields.get("ttl_ms") else None
+            ttl = fields.get("ttl_ms")
+            ttl_ms = _finite("ttl_ms", ttl) if ttl else None
         except _FIELD_ERRORS as error:
             self._malformed(session, rpc, FrameType.RENEW, error)
             return
         self.metrics.counter("svc.renews").inc()
-        state = self.keys.get(key)
-        if (
-            state is None
-            or state.state not in (LeaseState.HELD, LeaseState.EXPIRING)
-            or state.epoch != epoch
-            or state.holder != client
-        ):
-            self._fence(session, rpc, key, epoch, client, "renew")
-            return
-        if ttl_ms is None:
-            ttl_ms = state.ttl_s * 1000.0
-        state.ttl_s = ttl_ms / 1000.0
-        state.expires_at = time.monotonic() + state.ttl_s
-        state.state = LeaseState.HELD
-        self._push_expiry(
-            state.expires_at - state.ttl_s * self.grace_fraction, key
-        )
-        self._reply(session, self._grant_reply(rpc, state, ttl_ms))
+        self._emit(self.leases.renew(
+            session, rpc, key, client, epoch, ttl_ms, time.monotonic()
+        ))
 
     def _on_release(self, session: _Session, rpc: int,
                     fields: Mapping[str, Any]) -> None:
@@ -655,20 +479,9 @@ class ElectionService:
             self._malformed(session, rpc, FrameType.RELEASE, error)
             return
         self.metrics.counter("svc.releases").inc()
-        state = self.keys.get(key)
-        if (
-            state is None
-            or state.state not in (LeaseState.HELD, LeaseState.EXPIRING)
-            or state.epoch != epoch
-            or state.holder != client
-        ):
-            self._fence(session, rpc, key, epoch, client, "release")
-            return
-        self._reply(session, Frame(FrameType.SVC_REPLY, SERVICE_PID, {
-            "rpc": rpc, "status": ReplyStatus.OK, "key": key, "epoch": epoch,
-        }))
-        self._end_grant(state, "release", WatchEvent.RELEASED)
-        self._handoff(state)
+        self._emit(self.leases.release(
+            session, rpc, key, client, epoch, time.monotonic()
+        ))
 
     def _on_watch(self, session: _Session, rpc: int,
                   fields: Mapping[str, Any]) -> None:
@@ -678,12 +491,7 @@ class ElectionService:
         except _FIELD_ERRORS as error:
             self._malformed(session, rpc, FrameType.WATCH, error)
             return
-        state = self._key(key)
-        state.watchers.add(session)
-        self._reply(session, Frame(FrameType.SVC_REPLY, SERVICE_PID, {
-            "rpc": rpc, "status": ReplyStatus.STATE, "key": key,
-            "state": state.state, "epoch": state.epoch, "holder": state.holder,
-        }))
+        self._emit(self.leases.watch(session, rpc, key))
 
     def _on_stats(self, session: _Session, rpc: int,
                   fields: Mapping[str, Any]) -> None:
@@ -702,262 +510,37 @@ class ElectionService:
         detail = (
             f"missing field {error}" if isinstance(error, KeyError) else str(error)
         )
-        self._reply(session, Frame(FrameType.SVC_REPLY, SERVICE_PID, {
-            "rpc": rpc, "status": ReplyStatus.ERROR,
-            "message": f"malformed {verb} request: {detail}",
-        }), cache=False)
-
-    def _fence(self, session: _Session, rpc: int, key: str, epoch: int,
-               client: str, verb: str) -> None:
-        """Reject a write presenting a stale token; log it for the invariant."""
-        current = self.keys[key].epoch if key in self.keys else 0
-        self.metrics.counter("svc.fenced").inc()
-        self.fenced.append(FencedRecord(
-            key=key, request_epoch=epoch, current_epoch=current,
-            verb=verb, client=client,
-        ))
-        self._reply(session, Frame(FrameType.SVC_REPLY, SERVICE_PID, {
-            "rpc": rpc, "status": ReplyStatus.FENCED,
-            "key": key, "epoch": epoch, "current": current,
-        }))
-
-    # ------------------------------------------------------------------
-    # Lease transitions
-    # ------------------------------------------------------------------
-
-    def _grant_reply(self, rpc: int, state: _KeyState, ttl_ms: float) -> Frame:
-        return Frame(FrameType.SVC_REPLY, SERVICE_PID, {
-            "rpc": rpc, "status": ReplyStatus.GRANTED, "key": state.key,
-            "epoch": state.epoch, "ttl_ms": ttl_ms, "holder": state.holder,
-        })
-
-    def _grant(self, state: _KeyState, client: str, session: _Session,
-               rpc: int, ttl_ms: float) -> None:
-        """Elect ``client`` the holder of ``state.key`` under a fresh epoch.
-
-        A stopping service grants nothing: its connections' callbacks
-        still run while the server closes, and a grant then would reuse
-        the first epoch of a successor seeded from :meth:`export_namespace`.
-        """
-        if self._stopped:
-            state.state = LeaseState.FREE
-            return
-        now = time.monotonic()
-        state.epoch += 1
-        state.state = LeaseState.HELD
-        state.holder = client
-        state.holder_session = session
-        state.ttl_s = ttl_ms / 1000.0
-        state.expires_at = now + state.ttl_s
-        record = state.grant = GrantRecord(
-            key=state.key, epoch=state.epoch, holder=client,
-            session=session.sid, granted_ns=time.monotonic_ns(),
-        )
-        self.history.append(record)
-        self.metrics.counter("svc.grants").inc()
-        if self.grant_hook is not None:
-            self.grant_hook(record)
-        if state.vacated_at is not None:
-            failover_ms = (now - state.vacated_at) * 1000.0
-            self.metrics.histogram("svc.failover_ms").observe(failover_ms)
-            if state.vacated_by_crash:
-                self.metrics.histogram("svc.crash_failover_ms").observe(
-                    failover_ms
-                )
-            state.vacated_at = None
-            state.vacated_by_crash = False
-        self._push_expiry(
-            state.expires_at - state.ttl_s * self.grace_fraction, state.key
-        )
-        self._reply(session, self._grant_reply(rpc, state, ttl_ms))
-        self._notify(state, WatchEvent.GRANTED)
-
-    def _end_grant(self, state: _KeyState, reason: str, event: str) -> None:
-        """Close the key's open grant record and vacate the lease."""
-        record = state.grant
-        if record is not None and record.ended_ns is None:
-            record.ended_ns = time.monotonic_ns()
-            record.reason = reason
-        state.grant = None
-        state.holder = None
-        state.holder_session = None
-        state.state = LeaseState.FREE
-        state.vacated_at = time.monotonic()
-        state.vacated_by_crash = reason == "crash"
-        self._notify(state, event)
-
-    def _handoff(self, state: _KeyState) -> None:
-        """After a vacancy: elect among live waiters, or fall back to FREE."""
-        now = time.monotonic()
-        live = [
-            waiter for waiter in state.waiters
-            if not waiter.session.closed
-            and (waiter.deadline is None or waiter.deadline > now)
-        ]
-        expired = [
-            waiter for waiter in state.waiters
-            if waiter not in live and not waiter.session.closed
-        ]
-        state.waiters = []
-        for waiter in expired:
-            self.metrics.counter("svc.busy").inc()
-            self._reply(waiter.session, Frame(FrameType.SVC_REPLY, SERVICE_PID, {
-                "rpc": waiter.rpc, "status": ReplyStatus.BUSY,
-                "key": state.key, "holder": None, "epoch": state.epoch,
-            }))
-        if not live:
-            state.state = LeaseState.FREE
-            return
-        state.state = LeaseState.REELECTING
-        winner = self._elect(state, live)
-        self.metrics.counter("svc.reelections").inc()
-        for waiter in live:
-            if waiter is not winner:
-                state.waiters.append(waiter)  # losers stay queued
-        self.metrics.histogram("svc.acquire_wait_ms").observe(
-            (now - winner.enqueued) * 1000.0
-        )
-        self._grant(
-            state, winner.client, winner.session, winner.rpc,
-            self.default_ttl_s * 1000.0,
-        )
-
-    def _elect(self, state: _KeyState, contenders: list[_Waiter]) -> _Waiter:
-        """One leader election among the key's contenders.
-
-        ``draw`` samples the winner from the per-``(key, epoch)`` RNG
-        stream — the distributional shadow of the paper's election
-        (uniform over contenders, Lemma 3.6's symmetry).  ``sim`` runs
-        the real O(log* k) algorithm over the simulator with one pid per
-        contender, so each handoff is a genuine protocol execution.
-        """
-        if len(contenders) == 1:
-            return contenders[0]
-        ordered = sorted(contenders, key=lambda waiter: waiter.client)
-        stream = make_stream(self.seed, f"svc/{state.key}/{state.epoch + 1}")
-        if (
-            self.election == "sim"
-            and len(ordered) <= SIM_ELECTION_MAX_CONTENDERS
-        ):
-            from ..harness.runners import run_leader_election
-
-            run = run_leader_election(
-                n=len(ordered), adversary="random",
-                seed=stream.randrange(2**31),
-            )
-            return ordered[run.winner]
-        return ordered[stream.randrange(len(ordered))]
-
-    def _notify(self, state: _KeyState, event: str) -> None:
-        """Push one SVC_EVENT frame to every live watcher of the key."""
-        if not state.watchers:
-            return
-        frame = Frame(FrameType.SVC_EVENT, SERVICE_PID, {
-            "key": state.key, "event": event,
-            "epoch": state.epoch, "holder": state.holder,
-        })
-        for watcher in list(state.watchers):
-            if watcher.closed:
-                state.watchers.discard(watcher)
-                continue
-            self.metrics.counter("svc.events_pushed").inc()
-            self._send(watcher, frame)
+        self._error(session, rpc, f"malformed {verb} request: {detail}")
 
     def _session_crashed(self, session: _Session) -> None:
         """Disconnect semantics: every lease the session held fails over."""
         session.closed = True
         self._sessions.pop(session.sid, None)
         self.metrics.counter("svc.sessions_closed").inc()
-        for state in self.keys.values():
-            state.watchers.discard(session)
-            state.waiters = [
-                waiter for waiter in state.waiters
-                if waiter.session is not session
-            ]
-            if (
-                state.holder_session is session
-                and state.state in (LeaseState.HELD, LeaseState.EXPIRING)
-            ):
-                self.metrics.counter("svc.crash_failovers").inc()
-                self._end_grant(state, "crash", WatchEvent.CRASHED)
-                self._handoff(state)
+        self._handoff(session)
 
-    # ------------------------------------------------------------------
-    # Expiry sweeping
-    # ------------------------------------------------------------------
-
-    def _push_expiry(self, when: float, key: str) -> None:
-        """Schedule a lazy wake-up for ``key`` around ``when`` (monotonic)."""
-        self._heap_counter += 1
-        heapq.heappush(self._expiry_heap, (when, self._heap_counter, key))
+    def _handoff(self, session: _Session) -> None:
+        """Hand a closed session's leases over to their keys' waiters."""
+        self._emit(self.leases.crash(session, time.monotonic()))
 
     async def _sweep_loop(self) -> None:
-        """Drive lease expiry from one heap-ordered timer task.
-
-        Entries are lazy: each wake-up re-validates the key's *current*
-        deadline, so renewals and releases never have to unschedule
-        anything (the stale entry pops, sees a healthy lease, and is
-        discarded) — the timer-wheel discipline that keeps thousands of
-        keys on one task.
-        """
+        """Drive every lease deadline from one timer task."""
         try:
             while True:
                 now = time.monotonic()
-                while self._expiry_heap and self._expiry_heap[0][0] <= now:
-                    _, _, key = heapq.heappop(self._expiry_heap)
+                for key in self.leases.due(now):
                     self._sweep_key(key, now)
-                if self._expiry_heap:
-                    pause = min(
-                        max(self._expiry_heap[0][0] - now, 0.001), 0.05
-                    )
-                else:
-                    pause = 0.05
+                deadline = self.leases.next_deadline()
+                pause = 0.05 if deadline is None else min(
+                    max(deadline - now, 0.001), 0.05
+                )
                 await asyncio.sleep(pause)
         except asyncio.CancelledError:
             pass
 
     def _sweep_key(self, key: str, now: float) -> None:
         """Apply any due transition for ``key``: EXPIRING, expiry, timeouts."""
-        state = self.keys.get(key)
-        if state is None:
-            return
-        # Waiter timeouts fire regardless of the lease's health.
-        timed_out = [
-            waiter for waiter in state.waiters
-            if waiter.deadline is not None and waiter.deadline <= now
-            and not waiter.session.closed
-        ]
-        if timed_out:
-            state.waiters = [
-                waiter for waiter in state.waiters if waiter not in timed_out
-            ]
-            for waiter in timed_out:
-                self.metrics.counter("svc.busy").inc()
-                self._reply(waiter.session, Frame(
-                    FrameType.SVC_REPLY, SERVICE_PID, {
-                        "rpc": waiter.rpc, "status": ReplyStatus.BUSY,
-                        "key": key, "holder": state.holder,
-                        "epoch": state.epoch,
-                    },
-                ))
-        if state.state not in (LeaseState.HELD, LeaseState.EXPIRING):
-            return
-        if state.expires_at <= now:
-            self.metrics.counter("svc.expirations").inc()
-            self._end_grant(state, "expire", WatchEvent.EXPIRED)
-            self._handoff(state)
-        elif (
-            state.state == LeaseState.HELD
-            and state.expires_at - state.ttl_s * self.grace_fraction <= now
-        ):
-            state.state = LeaseState.EXPIRING
-            self._notify(state, WatchEvent.EXPIRING)
-            self._push_expiry(state.expires_at, key)
-
-
-# ---------------------------------------------------------------------------
-# The checkable run digest
-# ---------------------------------------------------------------------------
+        self._emit(self.leases.sweep(key, now))
 
 
 @dataclass(slots=True)

@@ -47,7 +47,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "MultiSink",
         "RingBufferSink",
         "SCHEDULE_EVENT_TYPES",
-        "combine_sinks",
         "feed",
         "json_safe",
     ),

@@ -234,16 +234,6 @@ class CallbackSink:
         pass
 
 
-def combine_sinks(sinks: Iterable[EventSink]) -> EventSink | None:
-    """Collapse a sink collection: ``None`` when empty, bare sink when one."""
-    collected = [sink for sink in sinks if sink is not None]
-    if not collected:
-        return None
-    if len(collected) == 1:
-        return collected[0]
-    return MultiSink(*collected)
-
-
 def feed(events: Iterable[Event], *sinks: EventSink) -> None:
     """Drive every sink through one pass over ``events``, then close them.
 

@@ -22,6 +22,7 @@ The flow::
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
@@ -32,7 +33,7 @@ from ..errors import ReproError
 from ..harness.runners import make_adversary
 from ..harness.workloads import choose_participants
 from ..sim.runtime import Action, Crash, Step
-from .events import Event, EventType, SCHEDULE_EVENT_TYPES
+from .events import Event, EventType, MultiSink, SCHEDULE_EVENT_TYPES
 from .jsonl import (
     ArtifactError,
     JsonlSink,
@@ -70,12 +71,16 @@ class SchedulePrefixAdversary(Adversary):
     tampered file — yields a complete execution that is a pure function
     of ``(seed, schedule)``.  On a faithful recording every entry
     resolves and the run ends at the last one.
+
+    Each entry is kept as one ``(etype, pid, src, kind, call)`` tuple
+    with interned strings, a fraction of its dict's memory, so a long
+    trace's schedule can be streamed in.
     """
 
     name = "schedule_prefix"
 
     def __init__(self, schedule: Iterable[Mapping[str, Any]]) -> None:
-        self._schedule: list[Mapping[str, Any]] = list(schedule)
+        self._schedule: list[tuple] = [_compact(entry) for entry in schedule]
         self._cursor = 0
         #: Index of the first entry that failed to resolve, if any.
         self.first_skip: int | None = None
@@ -85,9 +90,8 @@ class SchedulePrefixAdversary(Adversary):
         self._cursor = 0
         self.first_skip = None
 
-    def _resolve(self, entry: Mapping[str, Any], sim: "Simulation") -> Action | None:
-        etype = entry["e"]
-        pid = entry["p"]
+    def _resolve(self, entry: tuple, sim: "Simulation") -> Action | None:
+        etype, pid, src, kind, call = entry
         if etype == EventType.SCHED_STEP:
             return Step(pid) if pid not in sim.crashed else None
         if etype == EventType.SCHED_CRASH:
@@ -95,10 +99,7 @@ class SchedulePrefixAdversary(Adversary):
                 return Crash(pid)
             return None
         if etype == EventType.MSG_DELIVER:
-            fields = entry["f"]
-            return sim.in_flight.match(
-                fields["src"], pid, fields["kind"], fields["call"]
-            )
+            return sim.in_flight.match(src, pid, kind, call)
         raise ReplayError(f"unknown schedule entry type {etype!r}")
 
     def choose(self, sim: "Simulation") -> Action | None:
@@ -112,6 +113,21 @@ class SchedulePrefixAdversary(Adversary):
             if self.first_skip is None:
                 self.first_skip = self._cursor - 1
         return fallback_action(sim)
+
+
+def _compact(entry: Mapping[str, Any]) -> tuple:
+    """One schedule entry object as ``(etype, pid, src, kind, call)``."""
+    etype = _intern(entry["e"])
+    if etype != EventType.MSG_DELIVER:
+        return etype, entry["p"], None, None, None
+    fields = entry["f"]
+    return etype, entry["p"], fields["src"], _intern(fields["kind"]), fields["call"]
+
+
+def _intern(value: Any) -> Any:
+    # A tampered artifact may hold any JSON value here; it must fail to
+    # resolve, not fail to load.
+    return sys.intern(value) if type(value) is str else value
 
 
 def schedule_of(events: Iterable[Event]) -> list[dict[str, Any]]:
@@ -213,26 +229,23 @@ class _LineComparer:
         self.recorded_events += sum(1 for _ in self._recorded)
 
 
-def _run_meta(meta: Mapping[str, Any], adversary, sink, check: bool, telemetry=None):
+def _run_meta(meta: Mapping[str, Any], adversary, sink, check: bool):
     """Run the task a trace's meta header describes, with ``adversary``."""
     return run_protocol(
         protocol_for(meta["task"], meta["algorithm"]), meta["n"],
         meta.get("k"), adversary, meta["seed"],
         pattern=meta.get("pattern", "first"), sink=sink, check=check,
-        telemetry=telemetry,
     )
 
 
-def _unresolved(index: int, entry: Mapping[str, Any]) -> str:
-    """Why schedule entry ``index`` did not resolve against the rerun."""
-    pid = entry["p"]
-    if entry["e"] == EventType.MSG_DELIVER:
-        fields = entry["f"]
+def _unresolved(index: int, entry: tuple) -> str:
+    """Why compact schedule entry ``index`` did not resolve against the rerun."""
+    etype, pid, src, kind, call = entry
+    if etype == EventType.MSG_DELIVER:
         reason = (
-            f"no in-flight message matches {fields['kind']} "
-            f"{fields['src']}->{pid} call={fields['call']}"
+            f"no in-flight message matches {kind} {src}->{pid} call={call}"
         )
-    elif entry["e"] == EventType.SCHED_STEP:
+    elif etype == EventType.SCHED_STEP:
         reason = f"processor {pid} has crashed and cannot step"
     else:
         reason = (
@@ -285,23 +298,26 @@ def record_trace(
     adversary: str = "random",
     seed: int = 0,
     pattern: str = "first",
-    telemetry=None,
+    sink=None,
 ) -> RecordedTrace:
     """Run one task and record its full event stream to ``path``.
 
     ``adversary`` must be a registry name (not an instance) so the meta
-    header alone suffices to describe the run.  ``telemetry`` is an
-    optional second sink (e.g. :class:`~repro.obs.live.LiveTelemetry`)
-    that sees the same stream; the caller owns closing it.  A run that
+    header alone suffices to describe the run.  ``sink`` (e.g. a
+    :class:`~repro.obs.live.LiveTelemetry`) sees the same stream as the
+    file; the caller owns closing it.  A run that
     cannot start (:func:`trace_meta`) leaves ``path`` untouched.
     """
     meta = trace_meta(task, n, k, algorithm, adversary, seed, pattern)
-    sink = JsonlSink(path, meta=meta)
+    out = JsonlSink(path, meta=meta)
     try:
-        run = _run_meta(meta, adversary, sink, check=True, telemetry=telemetry)
+        run = _run_meta(
+            meta, adversary, out if sink is None else MultiSink(out, sink),
+            check=True,
+        )
     finally:
-        events = sink.line_count - 1  # meta header excluded
-        sink.close()
+        events = out.line_count - 1  # meta header excluded
+        out.close()
     return RecordedTrace(path=path, meta=meta, events=events, run=run)
 
 
@@ -320,8 +336,10 @@ def replay_trace(path: str, check: bool = True) -> ReplayReport:
         raise ArtifactError(
             f"{path}: a repro net trace; only simulator traces replay"
         )
-    schedule = schedule_of(iter_events(path))
-    adversary = SchedulePrefixAdversary(schedule)
+    adversary = SchedulePrefixAdversary(
+        event_to_obj(event) for event in iter_events(path)
+        if event.etype in SCHEDULE_EVENT_TYPES
+    )
     recorded = iter_trace_lines(path)
     next(recorded, None)  # the meta header
     compare = _LineComparer(recorded)
@@ -333,7 +351,7 @@ def replay_trace(path: str, check: bool = True) -> ReplayReport:
     schedule_error = None
     if adversary.first_skip is not None:
         schedule_error = _unresolved(
-            adversary.first_skip, schedule[adversary.first_skip]
+            adversary.first_skip, adversary._schedule[adversary.first_skip]
         )
     return ReplayReport(
         path=path,

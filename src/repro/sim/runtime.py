@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
-from ..obs.events import Event, EventType, combine_sinks
+from ..obs.events import Event, EventType
 from .communicate import Collect, PendingCall, Propagate
 from .errors import (
     AdversaryProtocolError,
@@ -155,7 +155,6 @@ class Simulation:
         sink: "EventSink | None" = None,
         profiler: "Profiler | None" = None,
         delta_propagation: bool = True,
-        telemetry: "EventSink | None" = None,
     ) -> None:
         if n < 1:
             raise ValueError("need at least one processor")
@@ -198,13 +197,10 @@ class Simulation:
             {} if delta_propagation else None
         )
         self.profiler = profiler
-        # The structured event stream (repro.obs).  ``sink`` receives the
-        # full typed stream; ``telemetry`` is a second sink slot for live
-        # consumers (a MetricsSink, LiveTelemetry, or StreamingChecker) so
-        # callers can record a trace and watch it at the same time.  When
-        # both are absent every emission site below reduces to one
-        # ``is None`` check.
-        self._obs = combine_sinks((sink, telemetry))
+        # The structured event stream (repro.obs): a trace writer, a live
+        # consumer, or a MultiSink of several.  Without one every
+        # emission site below reduces to one ``is None`` check.
+        self._obs = sink
         self.clock = 0
         self.max_events = max_events if max_events is not None else 100_000 + 1_000 * n * n
         self._call_counter = 0

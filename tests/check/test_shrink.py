@@ -127,6 +127,17 @@ class TestSeededViolation:
         replay = replay_artifact(str(tampered))
         assert not replay.digest_matches
 
+    def test_replay_of_a_non_string_message_kind_diverges(self, seeded_violation, tmp_path):
+        # The replayer keeps entries compact (interned strings); a value of
+        # another JSON type must fail to resolve, not fail to load.
+        _, obj = read_artifact(seeded_violation.artifact_path)
+        entry = next(e for e in obj["schedule"] if e["e"] == "msg.deliver")
+        entry["f"]["kind"] = 5
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(obj))
+        replay = replay_artifact(str(tampered))
+        assert not replay.digest_matches
+
     def test_artifact_digest_matches_fresh_execution(self, seeded_violation):
         _, obj = read_artifact(seeded_violation.artifact_path)
         spec = PROTOCOLS[obj["protocol"]]

@@ -295,6 +295,14 @@ class TestMalformedRequests:
         (FrameType.RELEASE, {"key": "held", "client": "a", "epoch": "abc"}),
         (FrameType.RELEASE, {"client": "a", "epoch": 1}),
         (FrameType.WATCH, {}),
+        (FrameType.ACQUIRE,
+         {"key": "k", "client": "a", "ttl_ms": float("nan")}),
+        (FrameType.ACQUIRE,
+         {"key": "k", "client": "a", "ttl_ms": float("inf")}),
+        (FrameType.ACQUIRE,
+         {"key": "held", "client": "b", "wait_ms": float("nan")}),
+        (FrameType.RENEW,
+         {"key": "held", "client": "a", "epoch": 1, "ttl_ms": float("nan")}),
     ])
     def test_malformed_field_gets_error_and_keeps_session(self, ftype, fields):
         """A bad field is answered with ERROR; the sender's leases survive."""
@@ -318,6 +326,23 @@ class TestMalformedRequests:
         assert [(record.key, record.reason) for record in run.history] == [
             ("held", "release"),
         ]
+
+    def test_non_finite_ttl_leaves_other_keys_expiring(self):
+        """A NaN deadline at the head of the expiry heap would stall it."""
+
+        async def body(service, host, port):
+            client = await ServiceClient.connect(host, port, client_id="a")
+            await client._call(FrameType.ACQUIRE, {
+                "key": "k", "client": "a", "ttl_ms": float("nan"),
+            })
+            assert await client.acquire("k2", ttl_ms=50) is not None
+            await asyncio.sleep(0.4)
+            state = service.keys["k2"].state
+            await client.close()
+            return state
+
+        state, _ = run_scenario(body)
+        assert state == "free"
 
     def test_valid_frame_then_garbage_in_one_write(self):
         """Frames before the bad bytes are answered, then the session fails over."""

@@ -152,7 +152,7 @@ class TestOnePassEqualsLive:
         path = str(tmp_path / f"{task}.jsonl")
         live = TraceAggregator(), CausalReport()
         record_trace(path, task=task, n=8, adversary="random", seed=3,
-                     telemetry=MultiSink(*live))
+                     sink=MultiSink(*live))
         fed = TraceAggregator(), CausalReport()
         feed(iter_events(path), *fed)
         assert self._render(*fed) == self._render(*live)

@@ -14,7 +14,6 @@ from repro.obs.events import (
     ListSink,
     MultiSink,
     RingBufferSink,
-    combine_sinks,
     json_safe,
 )
 from repro.obs.jsonl import (
@@ -62,17 +61,14 @@ def test_list_and_ring_sinks():
     assert [event.time for event in ring.events] == [2, 3, 4]
 
 
-def test_multi_and_callback_sinks_and_combine():
+def test_multi_and_callback_sinks():
     seen: list[int] = []
     callback = CallbackSink(lambda event: seen.append(event.time))
     listed = ListSink()
-    multi = combine_sinks([callback, listed])
-    assert isinstance(multi, MultiSink)
+    multi = MultiSink(callback, listed)
     multi.emit(Event(1, EventType.SCHED_STEP, 0, {}))
     multi.close()
     assert seen == [1] and len(listed.events) == 1
-    assert combine_sinks([]) is None
-    assert combine_sinks([listed]) is listed
 
 
 def test_jsonl_sink_writes_meta_then_events(tmp_path):

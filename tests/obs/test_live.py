@@ -32,7 +32,7 @@ def _record_stream(path: str, seed: int = 5) -> str:
     telemetry = LiveTelemetry(str(path), meta={"task": "elect", "seed": seed})
     try:
         run_leader_election(
-            n=16, adversary="random", seed=seed, telemetry=telemetry,
+            n=16, adversary="random", seed=seed, sink=telemetry,
         )
     finally:
         telemetry.close()

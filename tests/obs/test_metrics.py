@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.runners import run_leader_election
-from repro.obs.events import Event, EventType, ListSink
+from repro.obs.events import Event, EventType, ListSink, MultiSink
 from repro.obs.metrics import (
     UNDERFLOW,
     Counter,
@@ -166,8 +166,8 @@ class TestMetricsSink:
         sink = ListSink()
         metrics_sink = MetricsSink()
         run = run_leader_election(
-            n=16, adversary="random", seed=11, sink=sink,
-            telemetry=metrics_sink,
+            n=16, adversary="random", seed=11,
+            sink=MultiSink(sink, metrics_sink),
         )
         return run, sink, metrics_sink.registry
 
@@ -205,7 +205,7 @@ class TestMetricsSink:
         for _ in range(2):
             telemetry = MetricsSink()
             run_leader_election(
-                n=16, adversary="random", seed=11, telemetry=telemetry,
+                n=16, adversary="random", seed=11, sink=telemetry,
             )
             snapshots.append(telemetry.registry.snapshot())
         assert snapshots[0] == snapshots[1]
@@ -215,8 +215,8 @@ class TestMetricsSink:
         run_leader_election(n=12, adversary="sequential", seed=4, sink=bare)
         observed = ListSink()
         run_leader_election(
-            n=12, adversary="sequential", seed=4, sink=observed,
-            telemetry=MetricsSink(),
+            n=12, adversary="sequential", seed=4,
+            sink=MultiSink(observed, MetricsSink()),
         )
         assert [
             (e.time, e.etype, e.pid) for e in bare.events

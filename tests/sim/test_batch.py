@@ -28,7 +28,7 @@ from repro.adversary import (
     RandomCrashAdversary,
 )
 from repro.core import make_heterogeneous_poison_pill, make_leader_elect
-from repro.obs.events import EventType, ListSink
+from repro.obs.events import EventType, ListSink, MultiSink
 from repro.obs.metrics import MetricsSink
 from repro.sim import Deliver, Simulation, Step
 from repro.sim.messages import (
@@ -90,7 +90,7 @@ def _assert_mode_independent(build, make_adversary):
     plain = build(make_adversary())
     expected = _observables(plain.run())
     watched = build(
-        make_adversary(), sink=ListSink(), telemetry=MetricsSink()
+        make_adversary(), sink=MultiSink(ListSink(), MetricsSink())
     )
     assert _observables(watched.run()) == expected
     indexed = build(_indexed(make_adversary()))

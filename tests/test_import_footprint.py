@@ -40,6 +40,10 @@ def loaded_after(statement: str, names: tuple[str, ...]) -> list[str]:
          "multiprocessing"),
     ),
     ("import repro.net.service", ("repro.adversary", "repro.harness")),
+    (
+        "import repro.net.lease",
+        ("asyncio", "repro.net.wire", "repro.net.chaos", "repro.net.service"),
+    ),
     ("import repro", ("repro.sim", "repro.harness", "repro.net")),
     ("import repro.check.invariants", ("repro.check.explore", "repro.adversary")),
 ])
