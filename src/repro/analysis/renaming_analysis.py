@@ -24,14 +24,16 @@ the proofs rely on:
 * **Claim A.11** — each processor runs at most one ``dirty(j)`` and at
   most one ``cross(j)`` iteration for every ``j``.
 
-The input is the live event stream of a run: pass a
-:class:`~repro.obs.events.ListSink` as the simulation's ``sink=`` and
-hand its ``events`` to :meth:`RenamingAnalysis.from_events`.  Views grow
-through two kinds of events: ``reg.put`` (local writes, read from the
-event fields) and PROPAGATE ``msg.deliver``, whose merged register
-entries are carried only as the event's ``raw`` payload — no event field
-holds them.  ``raw`` never reaches disk, so unlike the mutual-exclusion
-extractor this analysis cannot run from a recorded ``.jsonl`` file.
+The input is a run's event stream, live (a
+:class:`~repro.obs.events.ListSink`'s ``events``) or read back from a
+recorded trace (:func:`~repro.obs.jsonl.iter_events`); both give the
+same analysis.  Views grow through two kinds of events: ``reg.put``
+(local writes) and the PROPAGATE ``msg.deliver`` legs to live
+recipients.  A leg carries the contended names its ``comm.call`` sent:
+the call's ``keys`` within the sender's view at that moment, or the
+whole view when ``keys`` is null.  Marking a name is idempotent, so
+delta propagation, which only drops entries the recipient already
+holds, cannot change the result.
 """
 
 from __future__ import annotations
@@ -98,9 +100,9 @@ class RenamingAnalysis:
     ) -> "RenamingAnalysis":
         """Reconstruct per-processor renaming iterations from a run's events.
 
-        ``events`` is the live stream of an ``n``-processor run, in
-        emission order (a :class:`~repro.obs.events.ListSink`'s
-        ``events``).  Raises ``ValueError`` on an empty stream.
+        ``events`` is the stream of an ``n``-processor run in emission
+        order, live or from a trace file.  Raises ``ValueError`` on an
+        empty stream.
         """
         var = contended_var(namespace)
         iter_var = f"{namespace}.iter"
@@ -109,6 +111,9 @@ class RenamingAnalysis:
         quorum_times: dict[int, float] = {}
         ever_contended: set[int] = set()
         records: dict[tuple[int, int], IterationRecord] = {}
+        # (sender, call) -> the contended names its PROPAGATE legs carry.
+        sent: dict[tuple[int, int], set[int]] = {}
+        crashed: set[int] = set()
 
         def mark(pid: int, name: int, clock: int) -> None:
             if name in views[pid]:
@@ -141,17 +146,24 @@ class RenamingAnalysis:
                         record.pick_clock = event.time
                         record.viewed_contended = frozenset(contended_now)
                         record.spot = spot
-            elif etype == EventType.MSG_DELIVER and event.raw is not None:
-                # Only a PROPAGATE delivered to a live recipient carries
-                # ``raw``: the (delta-suppressed) entries it merges.
-                if event.fields["var"] == var:
-                    for key, entry in event.raw.items():
-                        if entry[1] is True:
-                            mark(event.pid, key, event.time)
+            elif etype == EventType.COMM_CALL:
+                fields = event.fields
+                if fields["kind"] == "propagate" and fields["var"] == var:
+                    view, keys = views[event.pid], fields["keys"]
+                    sent[event.pid, fields["call"]] = (
+                        set(view) if keys is None else view.intersection(keys)
+                    )
+            elif etype == EventType.MSG_DELIVER:
+                fields = event.fields
+                if fields["kind"] == "propagate" and event.pid not in crashed:
+                    for name in sent.get((fields["src"], fields["call"]), ()):
+                        mark(event.pid, name, event.time)
+            elif etype == EventType.SCHED_CRASH:
+                crashed.add(event.pid)
         if empty:
             raise ValueError(
-                "renaming analysis needs the run's event stream; attach a "
-                "ListSink as the simulation's sink="
+                "renaming analysis needs the run's event stream: a "
+                "ListSink's events or a recorded trace"
             )
 
         full_times = {

@@ -334,6 +334,7 @@ async def _orchestrate(
         if waiter not in done:
             raise NetError(f"timed out after {timeout:.0f}s waiting for {what}")
 
+    shutdown_sent = False
     try:
         await await_or_fail(plane.all_registered, "node registration", deadline_s)
         start_fields = {
@@ -346,6 +347,7 @@ async def _orchestrate(
         await await_or_fail(plane.all_decided, "participant decisions", deadline_s)
         for writer in plane.writers.values():
             await write_frame(writer, Frame(FrameType.SHUTDOWN, DRIVER_PID, {}))
+        shutdown_sent = True
         try:
             await await_or_fail(
                 plane.all_final, "final stats", FINAL_STATS_TIMEOUT_S
@@ -358,9 +360,12 @@ async def _orchestrate(
         monitor.cancel()
         server.close()
         await server.wait_closed()
-        deadline = time.monotonic() + 5.0
-        for child in children:
-            child.join(timeout=max(0.0, deadline - time.monotonic()))
+        if shutdown_sent:
+            # Only a node that was sent SHUTDOWN exits on its own; after a
+            # failure each one still waits on a quorum or the driver.
+            deadline = time.monotonic() + 5.0
+            for child in children:
+                child.join(timeout=max(0.0, deadline - time.monotonic()))
         for child in children:
             if child.is_alive():
                 child.terminate()

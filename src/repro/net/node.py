@@ -248,7 +248,6 @@ class NodeRuntime:
         )
         if self._sink is not None:
             self.process.obs = self._emit
-            self.process.put_hook = self._put_hook
         # Live telemetry: a registry of wall-clock instruments (per-RPC
         # latency, retry counts, chaos drops/delays) reported to the
         # driver as periodic RESULT kind="stats" frames.  None when the
@@ -270,13 +269,6 @@ class NodeRuntime:
         """Emit one structured event (no-op when tracing is off)."""
         if self._sink is not None:
             self._sink.emit(Event(self._now_ns(), etype, self.pid, dict(fields)))
-
-    def _put_hook(self, var, key, value) -> None:
-        # The value itself, as the simulator records it (see the
-        # PROC_DECIDE emission below): the sink's ``json_safe`` renders
-        # it, so invariant folds over ``reg.put`` read the same types on
-        # both backends.
-        self._emit(EventType.REG_PUT, {"var": var, "key": key, "value": value})
 
     def telemetry_snapshot(self) -> dict[str, Any]:
         """The node's current metrics snapshot (telemetry must be on).
@@ -444,7 +436,7 @@ class NodeRuntime:
         """Resolve one yielded request against a quorum of peers."""
         self._call_counter += 1
         call_id = self._call_counter
-        self.process.comm_calls += 1
+        self.process.begin_call(call_id, request)
         registers = self.process.registers
         if isinstance(request, Propagate):
             payload = dict(registers.entries(request.var, request.keys))
@@ -459,12 +451,6 @@ class NodeRuntime:
                 needed=self.n // 2,
                 views=[registers.view(request.var)],
             )
-        self._emit(
-            EventType.COMM_CALL,
-            {"call": call_id,
-             "kind": "propagate" if ftype == FrameType.PROPAGATE else "collect",
-             "var": request.var},
-        )
         if call.needed == 0:
             # Degenerate quorum (n == 1): resolvable with no remote help.
             self._emit(EventType.COMM_DONE, {"call": call_id, "acks": 0})
@@ -532,27 +518,12 @@ class NodeRuntime:
     async def _run_protocol(self) -> tuple[Any, int, int]:
         """Drive the participant coroutine; returns (result, start, decide) ns."""
         start_ns = time.monotonic_ns()
-        self._emit(EventType.PROC_START, {})
-        coroutine = self.process.start()
-        value: Any = None
-        while True:
-            try:
-                request = coroutine.send(value)
-            except StopIteration as stop:
-                decide_ns = time.monotonic_ns()
-                self.process.result = stop.value
-                # The raw value, not its repr: the sink's ``json_safe``
-                # maps Outcome enums to "win"/"lose" exactly as the sim
-                # backend does, so net traces stay auditable by the same
-                # streaming checker.
-                self._emit(EventType.PROC_DECIDE, {"result": stop.value})
-                return stop.value, start_ns, decide_ns
-            if not isinstance(request, (Propagate, Collect)):
-                raise WireError(
-                    f"processor {self.pid} yielded {request!r}; expected a "
-                    "Propagate or Collect request"
-                )
-            value = await self._communicate(request)
+        process = self.process
+        process.start()
+        request = process.resume(None)
+        while request is not None:
+            request = process.resume(await self._communicate(request))
+        return process.result, start_ns, time.monotonic_ns()
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -465,6 +465,9 @@ class ElectionService:
             self._malformed(session, rpc, FrameType.RENEW, error)
             return
         self.metrics.counter("svc.renews").inc()
+        if ttl_ms is not None and ttl_ms <= 0:
+            self._error(session, rpc, f"ttl_ms must be positive, got {ttl_ms}", cache=True)
+            return
         self._emit(self.leases.renew(
             session, rpc, key, client, epoch, ttl_ms, time.monotonic()
         ))

@@ -75,20 +75,15 @@ SCHEDULE_EVENT_TYPES = frozenset(
 class Event:
     """One structured observation, stamped with the global logical clock.
 
-    ``fields`` is the serializable payload (see :func:`json_safe`).
-    ``raw`` has one meaning: on a PROPAGATE ``msg.deliver`` to a live
-    recipient, the register entries that recipient merges (after delta
-    suppression, so possibly empty) — read by the Section 4 renaming
-    analyzer, since no field carries them.  Every other event carries
-    ``None``.  ``raw`` never reaches disk and is excluded from
-    equality-of-streams comparisons.
+    ``fields`` is the serializable payload (see :func:`json_safe`); it is
+    everything the event says, so a recorded trace answers every
+    analyzer a live stream does.
     """
 
     time: int
     etype: str
     pid: int
     fields: Mapping[str, Any]
-    raw: Any = None
 
 
 def json_safe(value: Any) -> Any:

@@ -53,7 +53,7 @@ class ArtifactError(ValueError):
 
 
 def event_to_obj(event: Event) -> dict[str, Any]:
-    """The JSON object form of one event (``raw`` is dropped)."""
+    """The JSON object form of one event."""
     from .events import json_safe
 
     return {

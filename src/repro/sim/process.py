@@ -10,6 +10,13 @@ Algorithms never touch :class:`Process` directly; they receive a
 :class:`ProcessAPI` facade exposing exactly the operations the paper's
 pseudocode uses: local register writes/reads, biased coin flips, and the
 identity/participant-count constants.
+
+A :class:`Process` is also the one emitter of its own lifecycle events
+— ``proc.start``, ``comm.call``, ``reg.put`` and ``proc.decide`` — on
+both backends: the simulator and the socket node drive it through
+:meth:`Process.start`, :meth:`Process.resume` and
+:meth:`Process.begin_call`, and differ only in the clock their emission
+channel stamps.
 """
 
 from __future__ import annotations
@@ -18,7 +25,9 @@ import random
 from enum import Enum
 from typing import Any, Callable, Generator, Hashable
 
-from .communicate import PendingCall, Request
+from ..obs.events import EventType
+from .communicate import Collect, PendingCall, Propagate, Request
+from .errors import ProcessProtocolError
 from .registers import POLICY_VERSION, RegisterFile
 from .rng import CoinLog
 
@@ -54,7 +63,6 @@ class Process:
         "messages_sent",
         "failure",
         "decide_time",
-        "put_hook",
         "obs",
     )
 
@@ -81,14 +89,9 @@ class Process:
         self.messages_sent = 0
         self.failure: BaseException | None = None
         self.decide_time: int | None = None
-        #: Optional observer invoked on every local register write; set by
-        #: the simulation when an event sink is attached, so each write
-        #: becomes a ``reg.put`` event that analyzers read to replay view
-        #: evolution (local writes are not messages and would otherwise be
-        #: invisible to the event stream).
-        self.put_hook: Callable[[str, Hashable, Any], None] | None = None
-        #: Structured-event emission channel ``(etype, fields)``;
-        #: set by the simulation when an event sink is attached.  ``None``
+        #: Structured-event emission channel ``(etype, fields)``, which
+        #: stamps the backend's clock and this pid; set by the simulation
+        #: or the socket node when an event sink is attached.  ``None``
         #: means observability is off and emission sites cost one check.
         self.obs: Callable[..., None] | None = None
 
@@ -110,9 +113,51 @@ class Process:
     def start(self) -> AlgorithmCoroutine:
         """Instantiate the algorithm coroutine (first computation step)."""
         assert self.factory is not None and self.coroutine is None
+        if self.obs is not None:
+            self.obs(EventType.PROC_START, {})
         self.coroutine = self.factory(ProcessAPI(self))
         self.status = ProcessStatus.RUNNING
         return self.coroutine
+
+    def resume(self, value: Any) -> Request | None:
+        """Run the coroutine to its next request; ``None`` once it returned.
+
+        On return the process is DONE with its ``result`` stored and
+        ``proc.decide`` emitted.  Anything yielded other than a
+        ``Propagate`` or ``Collect`` raises :class:`ProcessProtocolError`.
+        """
+        try:
+            request = self.coroutine.send(value)
+        except StopIteration as stop:
+            self.status = ProcessStatus.DONE
+            self.result = stop.value
+            if self.obs is not None:
+                # The value itself: the sink's ``json_safe`` renders it.
+                self.obs(EventType.PROC_DECIDE, {"result": stop.value})
+            return None
+        if not isinstance(request, (Propagate, Collect)):
+            raise ProcessProtocolError(
+                f"processor {self.pid} yielded {request!r}; expected a "
+                "Propagate or Collect request"
+            )
+        return request
+
+    def begin_call(self, call_id: int, request: Request) -> None:
+        """Count one ``communicate`` call and emit its ``comm.call``.
+
+        ``keys`` is the Propagate's key tuple, or ``None`` for a Collect
+        or an all-keys Propagate; with the sender's ``reg.put`` history
+        it names the entries the call's PROPAGATE legs carry.
+        """
+        self.comm_calls += 1
+        if self.obs is not None:
+            propagate = isinstance(request, Propagate)
+            self.obs(EventType.COMM_CALL, {
+                "call": call_id,
+                "kind": "propagate" if propagate else "collect",
+                "var": request.var,
+                "keys": request.keys if propagate else None,
+            })
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Process(pid={self.pid}, status={self.status.value})"
@@ -146,9 +191,11 @@ class ProcessAPI:
 
     def put(self, var: str, key: Hashable, value: Any, policy: str = POLICY_VERSION) -> None:
         """Local register write (visible to others only after Propagate)."""
-        self._process.registers.put(var, key, value, policy)
-        if self._process.put_hook is not None:
-            self._process.put_hook(var, key, value)
+        process = self._process
+        process.registers.put(var, key, value, policy)
+        obs = process.obs
+        if obs is not None:
+            obs(EventType.REG_PUT, {"var": var, "key": key, "value": value})
 
     def get(self, var: str, key: Hashable, default: Any = None) -> Any:
         """Read this processor's current view of ``var[key]``."""

@@ -33,11 +33,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from ..obs.events import Event, EventType
-from .communicate import Collect, PendingCall, Propagate
+from .communicate import PendingCall, Propagate, Request
 from .errors import (
     AdversaryProtocolError,
     CrashBudgetError,
-    ProcessProtocolError,
     QuiescenceError,
     SimulationLimitError,
 )
@@ -210,23 +209,12 @@ class Simulation:
         self._start_times: dict[int, int] = {}
         if self._obs is not None:
             for process in self.processes:
-                process.put_hook = self._make_put_hook(process.pid)
                 process.obs = self._make_obs_hook(process.pid)
 
-    def _make_put_hook(self, pid: int):
-        def hook(var, key, value):
-            self._obs.emit(Event(
-                self.clock,
-                EventType.REG_PUT,
-                pid,
-                {"var": var, "key": key, "value": value},
-            ))
-
-        return hook
-
     def _make_obs_hook(self, pid: int):
-        """Emission channel handed to processes for coin flips and the
-        protocol-level annotations (phase/round transitions)."""
+        """Emission channel handed to each process: its lifecycle events,
+        register writes, coin flips and protocol-level annotations,
+        stamped with the logical clock."""
 
         def hook(etype: str, fields: dict) -> None:
             self._obs.emit(Event(self.clock, etype, pid, fields))
@@ -471,10 +459,10 @@ class Simulation:
         words = broadcast._undelivered_words
         words[endpoint >> 6] &= ~(1 << (endpoint & 63))
         broadcast.undelivered_count -= 1
+        if obs is not None:
+            self._emit_leg(EventType.MSG_DELIVER, desc)
         recipient = self.processes[endpoint]
         if recipient.status is ProcessStatus.CRASHED:
-            if obs is not None:
-                self._emit_leg(EventType.MSG_DELIVER, desc)
             return  # delivered into the void; faulty processors never reply
         if broadcast.kind is _PROPAGATE:
             entries = broadcast.entries
@@ -484,8 +472,6 @@ class Simulation:
                     endpoint, broadcast.var, broadcast.entries,
                     broadcast.ticks, broadcast.cache,
                 )
-            if obs is not None:
-                self._emit_leg(EventType.MSG_DELIVER, desc, entries=entries)
             if entries:
                 # Empty payloads (fully delta-suppressed) skip the merge
                 # call outright — merging {} is a no-op anyway.
@@ -493,8 +479,6 @@ class Simulation:
             cells = 0
             metrics.messages_by_kind[_ACK] += 1
         else:
-            if obs is not None:
-                self._emit_leg(EventType.MSG_DELIVER, desc)
             # COLLECT: capture the responder's memoized value view at
             # request-delivery time (its registers may change before the
             # reply leg lands).
@@ -514,20 +498,12 @@ class Simulation:
         if obs is not None:
             self._emit_leg(EventType.MSG_SEND, desc | REPLY_BIT, cells=cells)
 
-    def _emit_leg(
-        self,
-        etype: str,
-        desc: int,
-        cells: int | None = None,
-        entries: Mapping[Any, Any] | None = None,
-    ) -> None:
+    def _emit_leg(self, etype: str, desc: int, cells: int | None = None) -> None:
         """Emit a ``msg.send`` / ``msg.deliver`` event for one leg.
 
         The fields are read straight from the broadcast's columns.
         ``msg.send`` events also carry the leg's logical payload size in
-        ``cells``.  ``entries`` is the payload a PROPAGATE delivery merges
-        (delta-suppressed, possibly empty), carried as the event's
-        ``raw``; every other leg event carries ``None``.
+        ``cells``.
         """
         pool = self.in_flight
         broadcast = pool.broadcast_of(desc)
@@ -544,7 +520,7 @@ class Simulation:
         else:
             pid = sender
             fields["cells"] = cells
-        self._obs.emit(Event(self.clock, etype, pid, fields, entries))
+        self._obs.emit(Event(self.clock, etype, pid, fields))
 
     def _step(self, pid: int) -> None:
         process = self.processes[pid]
@@ -556,8 +532,6 @@ class Simulation:
             self._obs.emit(Event(self.clock, EventType.SCHED_STEP, pid, _NO_FIELDS))
         if process.status is ProcessStatus.IDLE:
             self._start_times[pid] = self.clock
-            if self._obs is not None:
-                self._obs.emit(Event(self.clock, EventType.PROC_START, pid, _NO_FIELDS))
             process.start()
             self._advance(process, None)
         while (
@@ -590,46 +564,18 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def _advance(self, process: Process, send_value: Any) -> None:
-        assert process.coroutine is not None
-        try:
-            request = process.coroutine.send(send_value)
-        except StopIteration as stop:
-            process.status = ProcessStatus.DONE
-            process.result = stop.value
+        request = process.resume(send_value)
+        if request is None:
             process.decide_time = self.clock
-            process.pending = None
             self._undecided.discard(process.pid)
-            if self._obs is not None:
-                self._obs.emit(Event(
-                    self.clock,
-                    EventType.PROC_DECIDE,
-                    process.pid,
-                    {"result": stop.value},
-                ))
             return
-        if not isinstance(request, (Propagate, Collect)):
-            raise ProcessProtocolError(
-                f"processor {process.pid} yielded {request!r}; expected a "
-                "Propagate or Collect request"
-            )
         self._issue_communicate(process, request)
 
-    def _issue_communicate(self, process: Process, request: Propagate | Collect) -> None:
+    def _issue_communicate(self, process: Process, request: Request) -> None:
         self._call_counter += 1
         call_id = self._call_counter
-        process.comm_calls += 1
+        process.begin_call(call_id, request)
         self.metrics.record_comm_call(process.pid)
-        if self._obs is not None:
-            self._obs.emit(Event(
-                self.clock,
-                EventType.COMM_CALL,
-                process.pid,
-                {
-                    "call": call_id,
-                    "kind": "propagate" if isinstance(request, Propagate) else "collect",
-                    "var": request.var,
-                },
-            ))
         needed_remote = self.n // 2  # quorum = floor(n/2) + 1, counting self
         pending = PendingCall(call_id=call_id, request=request, needed=needed_remote)
         pid = process.pid

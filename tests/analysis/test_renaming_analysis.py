@@ -7,9 +7,11 @@ import math
 
 import pytest
 
+from repro.adversary import CrashingAdversary
 from repro.analysis.renaming_analysis import RenamingAnalysis, group_sizes
 from repro.core import make_get_name
-from repro.obs.events import ListSink
+from repro.obs.events import ListSink, MultiSink
+from repro.obs.jsonl import JsonlSink, iter_events
 from repro.sim import Simulation
 
 from ..conftest import ALL_ADVERSARY_NAMES, fresh_adversary
@@ -89,6 +91,36 @@ class TestReconstruction:
         analysis, _ = analyzed_run(8, "random", 6)
         finite = [end for end in analysis.phase_ends if end != math.inf]
         assert finite == sorted(finite)
+
+
+class TestFromTraceFile:
+    """A recorded trace gives the analysis the live stream gives."""
+
+    @pytest.mark.parametrize("n, name, seed, crashes", [
+        (8, "random", 0, ()),
+        (12, "quorum_split", 1, ()),
+        (8, "coin_aware", 2, ()),
+        (10, "random", 3, ((5, 0), (40, 9), (120, 4))),
+    ])
+    def test_file_fed_equals_live(self, tmp_path, n, name, seed, crashes):
+        adversary = fresh_adversary(name, seed)
+        if crashes:
+            adversary = CrashingAdversary(adversary, crashes)
+        path = str(tmp_path / "rename.jsonl")
+        live, trace = ListSink(), JsonlSink(path)
+        sim = Simulation(
+            n,
+            {pid: make_get_name() for pid in range(n)},
+            adversary,
+            seed=seed,
+            sink=MultiSink(live, trace),
+        )
+        sim.run()
+        trace.close()
+        assert len(sim.crashed) == len(crashes)
+        from_file = RenamingAnalysis.from_events(n, iter_events(path))
+        assert from_file == RenamingAnalysis.from_events(n, live.events)
+        from_file.check_all()
 
 
 class TestSection4Structure:

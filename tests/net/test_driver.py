@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.catalogue import protocol_for
 from repro.core.protocol import Outcome
+from repro.harness.runners import run_leader_election
 from repro.net.chaos import ChaosPlan, Partition
 from repro.net.driver import (
     NetError,
@@ -25,12 +26,16 @@ from repro.net.driver import (
 )
 from repro.net.node import NodeRuntime
 from repro.obs.causality import CausalReport
-from repro.obs.events import feed
+from repro.obs.events import ListSink, feed
 from repro.obs.jsonl import iter_events, read_artifact
+from repro.sim.process import ProcessAPI
 
 #: Response time of an operation that never responded (crashed or
 #: undecided); effectively "+infinity" for interval comparisons.
 PENDING_TIME = 2**62
+
+#: The events a Process emits itself, on either backend.
+PROCESS_EVENTS = ("proc.start", "comm.call", "reg.put", "proc.decide")
 
 
 class TestResolveFactory:
@@ -156,6 +161,24 @@ class TestTracing:
         assert causal.matched_messages > 0
         assert causal.max_decision_depth >= 1
 
+    def test_process_events_match_the_simulator(self, clean_trace):
+        # Sim/net parity: both backends drive the same Process, which
+        # emits these events itself, so each carries the same fields.
+        sink = ListSink()
+        run_leader_election(4, adversary="random", seed=0, sink=sink)
+
+        def field_names(events):
+            names = {etype: set() for etype in PROCESS_EVENTS}
+            for event in events:
+                if event.etype in names:
+                    names[event.etype].add(frozenset(event.fields))
+            return names
+
+        net = field_names(iter_events(clean_trace))
+        assert net == field_names(sink.events)
+        assert all(net[etype] for etype in PROCESS_EVENTS)
+        assert net["comm.call"] == {frozenset({"call", "kind", "var", "keys"})}
+
     def test_chaos_events_recorded(self, tmp_path):
         out = tmp_path / "net.jsonl"
         plan = ChaosPlan(seed=5, drop=0.3)
@@ -169,7 +192,7 @@ class TestTracing:
         # reads an int L set) see the types the simulator records.
         out = tmp_path / "node.jsonl"
         node = NodeRuntime(pid=0, n=2, seed=1, driver_port=1, trace_path=str(out))
-        node.process.put_hook("hpp.learned", 0, 5)
+        ProcessAPI(node.process).put("hpp.learned", 0, 5)
         asyncio.run(node._shutdown())
         assert [event.fields for event in iter_events(str(out))] == [
             {"var": "hpp.learned", "key": 0, "value": 5}

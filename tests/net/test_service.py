@@ -344,6 +344,32 @@ class TestMalformedRequests:
         state, _ = run_scenario(body)
         assert state == "free"
 
+    def test_negative_renew_ttl_is_a_cached_error(self):
+        """RENEW with a non-positive TTL is refused like ACQUIRE's: the
+        lease keeps its deadline instead of expiring at the next sweep."""
+
+        async def body(service, host, port):
+            client = await ServiceClient.connect(host, port, client_id="a")
+            lease = await client.acquire("held", ttl_ms=5000)
+            expires_at = service.keys["held"].expires_at
+            reply = await client._call(FrameType.RENEW, {
+                "key": "held", "client": "a", "epoch": lease.epoch, "ttl_ms": -5.0,
+            })
+            assert reply.fields["status"] == "error"
+            assert reply.fields["message"] == "ttl_ms must be positive, got -5.0"
+            session = next(iter(service._sessions.values()))
+            assert list(session.replied) == [1, 2]
+            await asyncio.sleep(0.2)
+            assert service.keys["held"].state == "held"
+            assert service.keys["held"].expires_at == expires_at
+            assert await client.release(lease)
+            await client.close()
+
+        _, run = run_scenario(body)
+        assert [(record.key, record.reason) for record in run.history] == [
+            ("held", "release"),
+        ]
+
     def test_valid_frame_then_garbage_in_one_write(self):
         """Frames before the bad bytes are answered, then the session fails over."""
 

@@ -319,10 +319,11 @@ class TestViews:
         assert pool.match(1, 2, "propagate", 8) is None
 
 
-def test_only_a_propagate_delivery_carries_raw(monkeypatch):
-    """``Event.raw`` has one meaning: the register payload a PROPAGATE
-    ``msg.deliver`` hands its recipient (``{}`` when delta propagation
-    suppresses every entry).  Every other event carries ``None``."""
+def test_comm_call_keys_name_the_merged_entries(monkeypatch):
+    """With delta propagation off, each PROPAGATE delivery merges exactly
+    the keys its ``comm.call`` names: ``keys``, or every key the sender
+    holds when ``keys`` is null.  A trace's readers rely on this in place
+    of the payload, which no event carries."""
     from repro.adversary import EagerAdversary
     from repro.obs.events import EventType, ListSink
     from repro.sim import Collect, Propagate, RegisterFile, Simulation
@@ -331,33 +332,43 @@ def test_only_a_propagate_delivery_carries_raw(monkeypatch):
     merge = RegisterFile.merge
 
     def spy(self, var, incoming):
-        merged.append(incoming)
+        merged.append(set(incoming))
         merge(self, var, incoming)
 
     monkeypatch.setattr(RegisterFile, "merge", spy)
 
     def algorithm(api):
         api.put("X", api.pid, 1)
+        api.put("X", api.pid + 10, 2)
         yield Propagate("X", (api.pid,))
-        yield Propagate("X", (api.pid,))  # re-sends cells already acked
+        yield Propagate("X", (api.pid + 10, api.pid))
+        yield Propagate("X")
         yield Collect("X")
         return True
 
     sink = ListSink()
-    Simulation(4, {0: algorithm, 1: algorithm}, EagerAdversary(), sink=sink).run()
-    payloads = []
+    Simulation(
+        4, {0: algorithm, 1: algorithm}, EagerAdversary(), sink=sink,
+        delta_propagation=False,
+    ).run()
+    held = [set() for _ in range(4)]  # the keys each processor holds
+    sent = {}
+    expected = []
     for event in sink.events:
-        if (
-            event.etype == EventType.MSG_DELIVER
-            and event.fields["kind"] == "propagate"
-        ):
-            payloads.append(event.raw)
-        else:
-            assert event.raw is None, event
-    assert {} in payloads
-    delivered = [payload for payload in payloads if payload]
-    assert len(delivered) == len(merged)
-    assert all(a is b for a, b in zip(delivered, merged))
+        fields = event.fields
+        if event.etype == EventType.REG_PUT:
+            held[event.pid].add(fields["key"])
+        elif event.etype == EventType.COMM_CALL and fields["kind"] == "propagate":
+            keys = fields["keys"]
+            sent[fields["call"]] = set(held[event.pid] if keys is None else keys)
+        elif event.etype == EventType.MSG_DELIVER and fields["kind"] == "propagate":
+            expected.append(sent[fields["call"]])
+            held[event.pid] |= sent[fields["call"]]
+    assert None in {
+        event.fields["keys"] for event in sink.of_type(EventType.COMM_CALL)
+    }
+    assert len(expected) == 18
+    assert merged == expected
 
 
 @given(

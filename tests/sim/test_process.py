@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.sim.communicate import Collect, Propagate
+from repro.sim.errors import ProcessProtocolError
 from repro.sim.process import Process, ProcessAPI, ProcessStatus
 from repro.sim.rng import make_stream
 
@@ -34,6 +36,41 @@ class TestProcess:
         coroutine = process.start()
         assert process.status is ProcessStatus.RUNNING
         assert process.coroutine is coroutine
+
+    def test_emits_its_own_lifecycle_events(self):
+        def algorithm(api):
+            api.put("X", api.pid, 1)
+            yield Propagate("X", (api.pid,))
+            yield Collect("X")
+            return "done"
+
+        events = []
+        process = make_process(factory=algorithm)
+        process.obs = lambda etype, fields: events.append((etype, fields))
+        process.start()
+        request = process.resume(None)
+        while request is not None:
+            process.begin_call(process.comm_calls + 1, request)
+            request = process.resume(None)
+        assert events == [
+            ("proc.start", {}),
+            ("reg.put", {"var": "X", "key": 0, "value": 1}),
+            ("comm.call", {"call": 1, "kind": "propagate", "var": "X", "keys": (0,)}),
+            ("comm.call", {"call": 2, "kind": "collect", "var": "X", "keys": None}),
+            ("proc.decide", {"result": "done"}),
+        ]
+        assert (process.status, process.result, process.comm_calls) == (
+            ProcessStatus.DONE, "done", 2,
+        )
+
+    def test_bad_yield_is_a_protocol_error(self):
+        def algorithm(api):
+            yield "not a request"
+
+        process = make_process(factory=algorithm)
+        process.start()
+        with pytest.raises(ProcessProtocolError, match="yielded 'not a request'"):
+            process.resume(None)
 
 
 class TestProcessAPI:

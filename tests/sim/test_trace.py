@@ -59,16 +59,13 @@ class TestTrace:
         # No sink, no telemetry: no process gets an emission hook, so
         # every emission site is one ``is None`` check.
         sim = Simulation(3, {0: _put_and_collect}, EagerAdversary())
-        assert all(
-            process.put_hook is None and process.obs is None
-            for process in sim.processes
-        )
+        assert all(process.obs is None for process in sim.processes)
         assert sim.run().outcomes == {0: True}
 
     def test_enabled_records(self):
         sink = ListSink()
         sim = Simulation(3, {0: _put_and_collect}, EagerAdversary(), sink=sink)
-        assert sim.processes[0].put_hook is not None
+        assert sim.processes[0].obs is not None
         sim.run()
         assert sink.events
         assert [event.time for event in sink.events] == sorted(
