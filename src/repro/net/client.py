@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, AsyncIterator, Mapping
 
-from .chaos import CLEAN_PLAN, ChaosPlan, LinkChaos
+from .chaos import CLEAN_PLAN, ChaosPlan, FrameFate, LinkChaos
 from .service import SERVICE_PID, ReplyStatus
 from .wire import Frame, FrameType, pack_frame, read_frame
 
@@ -199,18 +199,19 @@ class ServiceClient:
             return
         if fate.delay_s > 0.0:
             task = asyncio.get_running_loop().create_task(
-                self._delayed_send(frame, fate.delay_s)
+                self._delayed_send(frame, fate)
             )
             self._background.add(task)
             task.add_done_callback(self._background.discard)
             return
-        self._write(frame)
-        for _ in range(fate.duplicates):
+        for _ in range(1 + fate.duplicates):
             self._write(frame)
 
-    async def _delayed_send(self, frame: Frame, delay_s: float) -> None:
-        await asyncio.sleep(delay_s)
-        self._write(frame)
+    async def _delayed_send(self, frame: Frame, fate: FrameFate) -> None:
+        """Write the frame and its duplicates once its delay has passed."""
+        await asyncio.sleep(fate.delay_s)
+        for _ in range(1 + fate.duplicates):
+            self._write(frame)
 
     def _write(self, frame: Frame) -> None:
         if self._closed or self._writer.is_closing():

@@ -41,8 +41,16 @@ from ..obs.metrics import MetricsRegistry
 from ..sim.communicate import Collect, Propagate
 from ..sim.process import AlgorithmFactory, Process
 from ..sim.rng import make_stream
-from .chaos import CLEAN_PLAN, ChaosPlan, LinkChaos
-from .wire import Frame, FrameType, WireError, pack_frame, read_frame, write_frame
+from .chaos import CLEAN_PLAN, ChaosPlan, FrameFate, LinkChaos
+from .wire import (
+    Frame,
+    FrameType,
+    WireError,
+    check_entries,
+    pack_frame,
+    read_frame,
+    write_frame,
+)
 
 #: Seconds between attempts to reach a not-yet-listening peer or driver.
 CONNECT_RETRY_S = 0.05
@@ -180,31 +188,6 @@ class PeerClient:
         self._reader = self._writer = None
 
 
-@dataclass(slots=True)
-class _QuorumCall:
-    """Progress of one in-flight ``communicate`` broadcast."""
-
-    call_id: int
-    needed: int
-    successes: int = 0
-    views: list[dict] | None = None
-    resolved: asyncio.Event = field(default_factory=asyncio.Event)
-
-    def contribute(self, view: dict | None) -> None:
-        """Record one peer's contribution; set the event at quorum.
-
-        Contributions past the quorum are ignored, like stale
-        acknowledgements for an already-resolved call in the simulator.
-        """
-        if self.resolved.is_set():
-            return
-        self.successes += 1
-        if view is not None and self.views is not None:
-            self.views.append(view)
-        if self.successes >= self.needed:
-            self.resolved.set()
-
-
 class NodeRuntime:
     """One OS-process processor: serve quorum traffic, run the protocol.
 
@@ -326,20 +309,18 @@ class NodeRuntime:
             self.stats.frames_dropped += 1
             self._emit("net.drop", {"dst": link.dst, "kind": frame.ftype})
             return
+        self.stats.frames_duplicated += fate.duplicates
         if fate.delay_s > 0.0:
             self.stats.frames_delayed += 1
             self._emit(
                 "net.delay",
                 {"dst": link.dst, "kind": frame.ftype, "ms": fate.delay_s * 1e3},
             )
-            task = asyncio.create_task(
-                self._delayed_write(writer, frame, link.dst, fate.delay_s)
-            )
-            self._track(task)
-        else:
-            self._write_now(writer, frame, link.dst)
-        for _ in range(fate.duplicates):
-            self.stats.frames_duplicated += 1
+            self._track(asyncio.create_task(
+                self._delayed_write(writer, frame, link.dst, fate)
+            ))
+            return
+        for _ in range(1 + fate.duplicates):
             self._write_now(writer, frame, link.dst)
 
     def _write_now(self, writer: asyncio.StreamWriter, frame: Frame, dst: int) -> None:
@@ -356,10 +337,12 @@ class NodeRuntime:
         self.stats.frames_sent += 1
 
     async def _delayed_write(
-        self, writer: asyncio.StreamWriter, frame: Frame, dst: int, delay_s: float
+        self, writer: asyncio.StreamWriter, frame: Frame, dst: int, fate: FrameFate
     ) -> None:
-        await asyncio.sleep(delay_s)
-        self._write_now(writer, frame, dst)
+        """Write the frame and its duplicates once its delay has passed."""
+        await asyncio.sleep(fate.delay_s)
+        for _ in range(1 + fate.duplicates):
+            self._write_now(writer, frame, dst)
 
     def _track(self, task: asyncio.Task) -> None:
         self._background.add(task)
@@ -410,7 +393,7 @@ class NodeRuntime:
         """The delivery-step semantics: merge or snapshot, then reply."""
         fields = frame.fields
         if frame.ftype == FrameType.PROPAGATE:
-            self.process.registers.merge(fields["var"], fields["entries"])
+            self.process.registers.merge(fields["var"], check_entries(fields["entries"]))
             return Frame(
                 FrameType.ACK,
                 self.pid,
@@ -436,49 +419,43 @@ class NodeRuntime:
         """Resolve one yielded request against a quorum of peers."""
         self._call_counter += 1
         call_id = self._call_counter
-        self.process.begin_call(call_id, request)
-        registers = self.process.registers
+        process = self.process
+        pending = process.begin_call(call_id, request)
         if isinstance(request, Propagate):
-            payload = dict(registers.entries(request.var, request.keys))
+            payload = dict(process.registers.entries(request.var, request.keys))
             fields = {"call": call_id, "var": request.var, "entries": payload}
             ftype = FrameType.PROPAGATE
-            call = _QuorumCall(call_id=call_id, needed=self.n // 2)
         else:
             fields = {"call": call_id, "var": request.var}
             ftype = FrameType.COLLECT
-            call = _QuorumCall(
-                call_id=call_id,
-                needed=self.n // 2,
-                views=[registers.view(request.var)],
-            )
-        if call.needed == 0:
-            # Degenerate quorum (n == 1): resolvable with no remote help.
-            self._emit(EventType.COMM_DONE, {"call": call_id, "acks": 0})
-            return call.views if call.views is not None else None
-        tasks = [
-            asyncio.create_task(self._deliver_until_acked(peer, ftype, fields, call))
-            for peer in self._peers.values()
-        ]
-        try:
-            await call.resolved.wait()
-        finally:
-            # Quorum reached (or the node is dying): the adversary never
-            # delivers the leftover messages of this call.
-            for task in tasks:
-                task.cancel()
-        self._emit(EventType.COMM_DONE, {"call": call_id, "acks": call.successes})
-        if call.views is not None:
-            return list(call.views)
-        return None
+        if not pending.satisfied:
+            quorum = asyncio.Event()
+            tasks = [
+                asyncio.create_task(
+                    self._deliver_until_acked(peer, ftype, fields, quorum)
+                )
+                for peer in self._peers.values()
+            ]
+            try:
+                await quorum.wait()
+            finally:
+                # Quorum reached (or the node is dying): the adversary never
+                # delivers the leftover messages of this call.
+                for task in tasks:
+                    task.cancel()
+        process.pending = None
+        return pending.result()
 
     async def _deliver_until_acked(
         self,
         peer: PeerClient,
         ftype: str,
         fields: Mapping[str, Any],
-        call: _QuorumCall,
+        quorum: asyncio.Event,
     ) -> None:
-        """Retry one peer's RPC with exponential backoff until it lands."""
+        """Retry one peer's RPC with exponential backoff until it lands,
+        then fold the reply into the pending call (``quorum`` is set by
+        the reply that completes it)."""
         attempt = 0
         while not self._closing:
             self._rpc_counter += 1
@@ -492,7 +469,7 @@ class NodeRuntime:
                 self.stats.rpc_retries += 1
                 self._emit(
                     "net.retry",
-                    {"dst": peer.dst, "call": call.call_id, "attempt": attempt},
+                    {"dst": peer.dst, "call": fields["call"], "attempt": attempt},
                 )
                 await asyncio.sleep(
                     min(BACKOFF_BASE_S * (2 ** attempt), BACKOFF_CAP_S)
@@ -508,7 +485,8 @@ class NodeRuntime:
                 view = {
                     key: entry[1] for key, entry in reply.fields["entries"].items()
                 }
-            call.contribute(view)
+            if self.process.ack(fields["call"], view):
+                quorum.set()
             return
 
     # ------------------------------------------------------------------

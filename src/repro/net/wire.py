@@ -19,8 +19,8 @@ the wire codec must instead round-trip every value the protocols store:
 primitives, tuples, lists, sets/frozensets, dicts with non-string keys,
 and the protocol vocabulary (:class:`~repro.core.protocol.Outcome`,
 ``PillState``, ``HetStatus``).  Register entries — ``(version, value,
-policy)`` triples keyed by arbitrary hashables — ride on top of it via
-:func:`encode_entries` / :func:`decode_entries`.
+policy)`` triples keyed by arbitrary hashables — ride on top of it, and
+:func:`check_entries` checks their shape on arrival.
 """
 
 from __future__ import annotations
@@ -195,17 +195,16 @@ def decode_value(obj: Any) -> Any:
     raise WireError(f"unknown value tag {tag!r}")
 
 
-def encode_entries(entries: Mapping[Hashable, tuple[int, Any, str]]) -> Any:
-    """Encode a register entry mapping ``{key: (version, value, policy)}``."""
-    return encode_value(dict(entries))
+def check_entries(entries: Any) -> dict[Hashable, tuple[int, Any, str]]:
+    """Return a decoded PROPAGATE ``entries`` field once its shape is checked.
 
-
-def decode_entries(obj: Any) -> dict[Hashable, tuple[int, Any, str]]:
-    """Decode an entry mapping, validating the ``(int, value, str)`` shape."""
-    decoded = decode_value(obj)
-    if not isinstance(decoded, dict):
-        raise WireError(f"entries payload is not a mapping: {decoded!r}")
-    for key, entry in decoded.items():
+    A register entry mapping is ``{key: (int version, value, str
+    policy)}``; anything else raises :class:`WireError`, so a malformed
+    peer frame drops its connection before it reaches a register file.
+    """
+    if not isinstance(entries, dict):
+        raise WireError(f"entries payload is not a mapping: {entries!r}")
+    for key, entry in entries.items():
         if (
             not isinstance(entry, tuple)
             or len(entry) != 3
@@ -213,7 +212,7 @@ def decode_entries(obj: Any) -> dict[Hashable, tuple[int, Any, str]]:
             or not isinstance(entry[2], str)
         ):
             raise WireError(f"malformed register entry for key {key!r}: {entry!r}")
-    return decoded
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,11 @@ Request = Propagate | Collect
 
 @dataclass(slots=True)
 class PendingCall:
-    """Bookkeeping for a communicate call awaiting its quorum."""
+    """Bookkeeping for a communicate call awaiting its quorum.
+
+    Opened by :meth:`~repro.sim.process.Process.begin_call` and fed each
+    reply by :meth:`~repro.sim.process.Process.ack`, on both backends.
+    """
 
     call_id: int
     request: Request

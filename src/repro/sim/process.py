@@ -12,11 +12,11 @@ pseudocode uses: local register writes/reads, biased coin flips, and the
 identity/participant-count constants.
 
 A :class:`Process` is also the one emitter of its own lifecycle events
-— ``proc.start``, ``comm.call``, ``reg.put`` and ``proc.decide`` — on
-both backends: the simulator and the socket node drive it through
-:meth:`Process.start`, :meth:`Process.resume` and
-:meth:`Process.begin_call`, and differ only in the clock their emission
-channel stamps.
+— ``proc.start``, ``comm.call``, ``comm.done``, ``reg.put`` and
+``proc.decide`` — on both backends: the simulator and the socket node
+drive it through :meth:`Process.start`, :meth:`Process.resume`,
+:meth:`Process.begin_call` and :meth:`Process.ack`, and differ only in
+the clock their emission channel stamps and in how replies reach it.
 """
 
 from __future__ import annotations
@@ -142,22 +142,55 @@ class Process:
             )
         return request
 
-    def begin_call(self, call_id: int, request: Request) -> None:
-        """Count one ``communicate`` call and emit its ``comm.call``.
+    def begin_call(self, call_id: int, request: Request) -> PendingCall:
+        """Open one ``communicate`` call: count it, emit ``comm.call``, and
+        store and return its :class:`PendingCall` as :attr:`pending`.
 
         ``keys`` is the Propagate's key tuple, or ``None`` for a Collect
         or an all-keys Propagate; with the sender's ``reg.put`` history
-        it names the entries the call's PROPAGATE legs carry.
+        it names the entries the call's PROPAGATE legs carry.  The call
+        waits for ``n // 2`` remote replies (a quorum of ``n // 2 + 1``
+        counting the caller), and a Collect's first view is the caller's
+        own.  With ``n == 1`` the quorum is already complete, so
+        ``comm.done`` follows at once.
         """
         self.comm_calls += 1
-        if self.obs is not None:
-            propagate = isinstance(request, Propagate)
-            self.obs(EventType.COMM_CALL, {
+        obs = self.obs
+        collect = isinstance(request, Collect)
+        if obs is not None:
+            obs(EventType.COMM_CALL, {
                 "call": call_id,
-                "kind": "propagate" if propagate else "collect",
+                "kind": "collect" if collect else "propagate",
                 "var": request.var,
-                "keys": request.keys if propagate else None,
+                "keys": None if collect else request.keys,
             })
+        pending = self.pending = PendingCall(
+            call_id, request, self.n // 2,
+            views=[self.registers.value_view(request.var)] if collect else None,
+        )
+        if not pending.needed and obs is not None:
+            obs(EventType.COMM_DONE, {"call": call_id, "acks": 0})
+        return pending
+
+    def ack(self, call_id: int, view: dict[Hashable, Any] | None = None) -> bool:
+        """Fold one reply into the pending call; True iff it completed the quorum.
+
+        A reply for any call other than :attr:`pending` is stale and
+        ignored.  Otherwise the reply is counted (and a Collect reply's
+        ``view`` kept, also past the quorum), and the reply that
+        completes the quorum emits the call's one ``comm.done``.
+        """
+        pending = self.pending
+        if pending is None or pending.call_id != call_id:
+            return False
+        pending.acks += 1
+        if view is not None:
+            pending.views.append(view)
+        if pending.acks != pending.needed:
+            return False
+        if self.obs is not None:
+            self.obs(EventType.COMM_DONE, {"call": call_id, "acks": pending.acks})
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Process(pid={self.pid}, status={self.status.value})"

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from ..obs.events import Event, EventType
-from .communicate import PendingCall, Propagate, Request
+from .communicate import Propagate, Request
 from .errors import (
     AdversaryProtocolError,
     CrashBudgetError,
@@ -434,26 +434,11 @@ class Simulation:
                     # its call resolved still proves the recipient merged
                     # that call's payload.
                     tracker.on_ack(endpoint, broadcast.call_id)
-                pending = process.pending
-                if pending is None or pending.call_id != broadcast.call_id:
-                    return  # stale ack for an already-resolved call
-                pending.acks += 1
+                view = None
             else:
                 view = broadcast.views.pop(endpoint)
-                pending = process.pending
-                if pending is None or pending.call_id != broadcast.call_id:
-                    return
-                pending.acks += 1
-                pending.views.append(view)
-            if pending.satisfied and process.status is ProcessStatus.RUNNING:
+            if process.ack(broadcast.call_id, view):
                 self._needs_step.add(broadcast.sender)
-                if obs is not None:
-                    obs.emit(Event(
-                        self.clock,
-                        EventType.COMM_DONE,
-                        broadcast.sender,
-                        {"call": pending.call_id, "acks": pending.acks},
-                    ))
             return
         # Broadcast.mark_delivered, inlined.
         words = broadcast._undelivered_words
@@ -574,10 +559,8 @@ class Simulation:
     def _issue_communicate(self, process: Process, request: Request) -> None:
         self._call_counter += 1
         call_id = self._call_counter
-        process.begin_call(call_id, request)
+        pending = process.begin_call(call_id, request)
         self.metrics.record_comm_call(process.pid)
-        needed_remote = self.n // 2  # quorum = floor(n/2) + 1, counting self
-        pending = PendingCall(call_id=call_id, request=request, needed=needed_remote)
         pid = process.pid
         var = request.var
         tracker = None
@@ -599,10 +582,8 @@ class Simulation:
                 )
         else:
             entries = None
-            pending.views = [process.registers.value_view(var)]
             kind = MessageKind.COLLECT
             cells = 0
-        process.pending = pending
         # One Broadcast record plus n-1 packed descriptors (two C-speed
         # range-extends).  Delta payloads are computed lazily at delivery
         # time against the send-time tick snapshot the tracker recorded.
@@ -619,14 +600,7 @@ class Simulation:
                     self._emit_leg(EventType.MSG_SEND, base | recipient, cells)
         if pending.satisfied:
             # Degenerate quorums (n == 1): resolvable without remote acks.
-            self._needs_step.add(process.pid)
-            if self._obs is not None:
-                self._obs.emit(Event(
-                    self.clock,
-                    EventType.COMM_DONE,
-                    process.pid,
-                    {"call": call_id, "acks": pending.acks},
-                ))
+            self._needs_step.add(pid)
 
     @property
     def delta_stats(self) -> dict[str, int]:

@@ -3,11 +3,13 @@
 The whole point of seeded fault injection is that a failing chaotic run
 can be re-run: the fate of frame ``i`` on link ``src -> dst`` must be a
 pure function of ``(plan, src, dst, i)``.  These tests pin that down,
-plus the plan-file round trip the CLI and CI smoke jobs rely on.
+plus the plan-file round trip the CLI and CI smoke jobs rely on, and
+the one rule every chaos sender applies to a delayed, duplicated frame.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
@@ -22,6 +24,10 @@ from repro.net.chaos import (
     fates_for,
     load_plan,
 )
+from repro.net.client import ServiceClient
+from repro.net.node import NodeRuntime
+from repro.net.service import SERVICE_PID, ElectionService, _Session
+from repro.net.wire import Frame, FrameType, pack_frame
 
 plans = st.builds(
     ChaosPlan,
@@ -133,3 +139,68 @@ class TestSerialization:
         path.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(ValueError, match="must be a JSON object"):
             load_plan(str(path))
+
+
+class _Writer:
+    """A stream writer / transport stand-in that records each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(data)
+
+    def is_closing(self):
+        return False
+
+
+class TestDelayedDuplicates:
+    """Every sender writes a delayed frame's duplicates with the frame,
+    after its delay, never ahead of it and never dropped."""
+
+    PLAN = ChaosPlan(seed=0, delay=1.0, delay_ms=(1.0, 2.0), duplicate=1.0)
+    FRAME = Frame(FrameType.ACK, 0, {"call": 1, "rpc": 1})
+
+    def test_node(self):
+        writer = _Writer()
+
+        async def body():
+            node = NodeRuntime(pid=0, n=2, seed=0, driver_port=1, plan=self.PLAN)
+            await node.send_through_chaos(writer, self.FRAME, self.PLAN.link(0, 1))
+            assert writer.writes == []
+            await asyncio.gather(*node._background)
+            return node.stats
+
+        stats = asyncio.run(body())
+        assert writer.writes == [pack_frame(self.FRAME)] * 2
+        assert (stats.frames_sent, stats.frames_delayed, stats.frames_duplicated) == (2, 1, 1)
+
+    def test_service_client(self):
+        writer = _Writer()
+
+        async def body():
+            client = ServiceClient(asyncio.StreamReader(), writer, "a", plan=self.PLAN)
+            client._send(self.FRAME)
+            assert writer.writes == []
+            await asyncio.gather(*client._background)
+            client._read_task.cancel()
+
+        asyncio.run(body())
+        assert writer.writes == [pack_frame(self.FRAME)] * 2
+
+    def test_service(self):
+        transport = _Writer()
+
+        async def body():
+            service = ElectionService(plan=self.PLAN)
+            session = _Session(service, sid=0)
+            session.transport = transport
+            session.link = self.PLAN.link(SERVICE_PID, 0)
+            service._send(session, self.FRAME)
+            assert transport.writes == []
+            await asyncio.gather(*service._background)
+            return service.metrics.snapshot()
+
+        snapshot = asyncio.run(body())
+        assert transport.writes == [pack_frame(self.FRAME)] * 2
+        assert snapshot["counters"]["svc.frames_sent"] == 2

@@ -10,6 +10,7 @@ assembly) covered by unit tests below them.
 from __future__ import annotations
 
 import asyncio
+from collections import Counter
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.net.driver import (
     run_net,
 )
 from repro.net.node import NodeRuntime
+from repro.net.wire import Frame, FrameType, WireError
 from repro.obs.causality import CausalReport
 from repro.obs.events import ListSink, feed
 from repro.obs.jsonl import iter_events, read_artifact
@@ -35,7 +37,7 @@ from repro.sim.process import ProcessAPI
 PENDING_TIME = 2**62
 
 #: The events a Process emits itself, on either backend.
-PROCESS_EVENTS = ("proc.start", "comm.call", "reg.put", "proc.decide")
+PROCESS_EVENTS = ("proc.start", "comm.call", "comm.done", "reg.put", "proc.decide")
 
 
 class TestResolveFactory:
@@ -174,10 +176,26 @@ class TestTracing:
                     names[event.etype].add(frozenset(event.fields))
             return names
 
-        net = field_names(iter_events(clean_trace))
+        def completions(events):
+            # Call ids are per node on the socket backend, so key by pid.
+            calls, done = Counter(), Counter()
+            for event in events:
+                if event.etype == "comm.call":
+                    calls[event.pid, event.fields["call"]] += 1
+                elif event.etype == "comm.done":
+                    done[event.pid, event.fields["call"]] += 1
+            return calls, done
+
+        net_events = list(iter_events(clean_trace))
+        net = field_names(net_events)
         assert net == field_names(sink.events)
         assert all(net[etype] for etype in PROCESS_EVENTS)
         assert net["comm.call"] == {frozenset({"call", "kind", "var", "keys"})}
+        assert net["comm.done"] == {frozenset({"call", "acks"})}
+        for events in (net_events, sink.events):
+            calls, done = completions(events)
+            assert set(calls.values()) == {1}
+            assert done == calls  # exactly one comm.done per comm.call
 
     def test_chaos_events_recorded(self, tmp_path):
         out = tmp_path / "net.jsonl"
@@ -197,6 +215,23 @@ class TestTracing:
         assert [event.fields for event in iter_events(str(out))] == [
             {"var": "hpp.learned", "key": 0, "value": 5}
         ]
+
+
+class TestServe:
+    """The delivery-step semantics of one node, without sockets."""
+
+    @pytest.mark.parametrize("entries", [{"k": 5}, {"held": 5}, {"k": (1, 2)}, [1]])
+    def test_malformed_propagate_entries_raise_before_merging(self, entries):
+        node = NodeRuntime(pid=0, n=2, seed=1, driver_port=1)
+        ProcessAPI(node.process).put("X", "held", 7)
+        before = dict(node.process.registers.entries("X"))
+        frame = Frame(
+            FrameType.PROPAGATE, 1,
+            {"call": 1, "rpc": 1, "var": "X", "entries": entries},
+        )
+        with pytest.raises(WireError, match="entr"):
+            node._serve(frame)
+        assert dict(node.process.registers.entries("X")) == before
 
 
 class TestResultAssembly:

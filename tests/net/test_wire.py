@@ -29,9 +29,8 @@ from repro.net.wire import (
     FrameDecoder,
     FrameType,
     WireError,
-    decode_entries,
+    check_entries,
     decode_value,
-    encode_entries,
     encode_value,
     pack_frame,
 )
@@ -159,16 +158,16 @@ class TestEntryCodec:
     @given(entry_maps)
     @settings(max_examples=100)
     def test_entries_round_trip(self, entries):
-        assert decode_entries(encode_entries(entries)) == entries
+        assert check_entries(decode_value(encode_value(entries))) == entries
 
     def test_malformed_entry_rejected(self):
-        bad = encode_value({"x": (1, 2)})  # two-tuple, not a triple
+        bad = decode_value(encode_value({"x": (1, 2)}))  # two-tuple, not a triple
         with pytest.raises(WireError, match="malformed register entry"):
-            decode_entries(bad)
+            check_entries(bad)
 
     def test_non_mapping_payload_rejected(self):
         with pytest.raises(WireError, match="not a mapping"):
-            decode_entries(encode_value((1, 2, 3)))
+            check_entries((1, 2, 3))
 
 
 class TestFrameRoundTrip:

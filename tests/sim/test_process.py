@@ -63,6 +63,31 @@ class TestProcess:
             ProcessStatus.DONE, "done", 2,
         )
 
+    def test_ack_completes_the_call_once(self):
+        events = []
+        process = make_process(n=5)
+        process.obs = lambda etype, fields: events.append((etype, fields))
+        pending = process.begin_call(7, Collect("X"))
+        assert process.pending is pending
+        assert (pending.needed, pending.views) == (2, [{}])  # the caller's own view
+        assert not process.ack(6, {0: "stale"})  # a reply to another call
+        assert not process.ack(7, {1: "a"})
+        assert process.ack(7, {2: "b"})  # completes the quorum
+        assert not process.ack(7, {3: "c"})  # counted and kept, not completed again
+        assert pending.acks == 3
+        assert pending.result() == [{}, {1: "a"}, {2: "b"}, {3: "c"}]
+        assert [event for event in events if event[0] == "comm.done"] == [
+            ("comm.done", {"call": 7, "acks": 2}),
+        ]
+
+    def test_a_lone_process_completes_its_call_at_once(self):
+        events = []
+        process = make_process(n=1)
+        process.obs = lambda etype, fields: events.append((etype, fields))
+        pending = process.begin_call(1, Propagate("X"))
+        assert pending.satisfied and pending.result() is None
+        assert events[-1] == ("comm.done", {"call": 1, "acks": 0})
+
     def test_bad_yield_is_a_protocol_error(self):
         def algorithm(api):
             yield "not a request"

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.adversary import EagerAdversary, RandomAdversary, SequentialAdversary
 from repro.adversary.base import Adversary
+from repro.harness.runners import run_leader_election
+from repro.obs.events import ListSink, MultiSink
+from repro.obs.metrics import MetricsSink
 from repro.sim import (
     AdversaryProtocolError,
     Collect,
@@ -142,6 +147,23 @@ class TestMetrics:
         result = sim.run()
         decision = result.decisions[1]
         assert 0 < decision.start_time <= decision.decide_time
+
+
+    def test_each_call_completes_once(self):
+        # Replies landing between a call's quorum and the caller's next
+        # Step are counted, but the call's comm.done is emitted once.
+        capture, telemetry = ListSink(), MetricsSink()
+        run = run_leader_election(
+            16, adversary="eager", seed=0, sink=MultiSink(capture, telemetry)
+        )
+        events = capture.events
+        calls = Counter(e.fields["call"] for e in events if e.etype == "comm.call")
+        done = Counter(e.fields["call"] for e in events if e.etype == "comm.done")
+        assert set(calls.values()) == {1}
+        assert done == calls
+        counters = telemetry.registry.snapshot()["counters"]
+        assert counters["comm.done"] == counters["comm.calls"]
+        assert counters["comm.calls"] == sum(run.result.metrics.comm_calls_by)
 
 
 class TestDeterminism:
