@@ -83,13 +83,14 @@ class Adversary:
     name: str = "adversary"
 
     #: Whether this adversary reads the pool's per-endpoint index API
-    #: (``sent_by``/``addressed_to``/``involving``/``action_for``/
-    #: ``actions_in_send_order``/``match``).  Declaring ``False`` lets the
-    #: simulation build its :class:`~repro.sim.messages.InFlightPool` with
-    #: ``indexed=False``, dropping a few dict operations per send and per
-    #: delivery — a large fraction of per-message cost at scale.  Calling
-    #: the index API anyway then raises ``RuntimeError``; when in doubt,
-    #: leave the default ``True``.
+    #: (``sent_by``/``addressed_to``/``action_for``/``actions_in_send_order``/
+    #: ``match`` and the ``slots``/``by_sender``/``by_recipient`` views).
+    #: Declaring ``False`` lets the simulation build its
+    #: :class:`~repro.sim.messages.InFlightPool` with ``indexed=False``,
+    #: dropping a few dict operations per send and per delivery — a large
+    #: fraction of per-message cost at scale.  Calling the index API
+    #: anyway then raises ``RuntimeError``; when in doubt, leave the
+    #: default ``True``.
     uses_endpoint_indexes: bool = True
 
     def setup(self, sim: "Simulation") -> None:

@@ -18,20 +18,23 @@ the late 0-flippers regardless (the "catch-22" of Section 1).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from itertools import chain
+from typing import TYPE_CHECKING, Iterator
 
-from ..sim.runtime import Action, Step
+from ..sim.runtime import Action, Deliver, Step
 from .base import Adversary, FocusCursor, fallback_action
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.runtime import Simulation
+
+_NO_LEGS: dict[int, int] = {}
 
 
 class CoinAwareAdversary(Adversary):
     """Start everyone, inspect coins, then serialize 0-flippers first."""
 
     name = "coin_aware"
-    uses_endpoint_indexes = True  # reads sent_by / addressed_to
+    uses_endpoint_indexes = True  # reads the endpoint indexes and slot map
 
     def __init__(self) -> None:
         self._started_all = False
@@ -46,73 +49,74 @@ class CoinAwareAdversary(Adversary):
         self._cursor = None
         self._dirty_at = None
 
-    def _ordered_focus(self, sim: "Simulation") -> int | None:
+    def actions(self, sim: "Simulation") -> Iterator[Action | None]:
+        """Start everyone once, then run 0-flippers to completion first."""
+        steppable, processes, metrics = sim.steppable, sim.processes, sim.metrics
+        pool = sim.in_flight
+        # Each raises RuntimeError on an unindexed pool: checked once here.
+        slots, by_sender, by_recipient = pool.slots, pool.by_sender, pool.by_recipient
+        # Phase A: give every participant exactly one computation step so
+        # each one flips (or commits) and its first announcement is parked
+        # in flight.
+        while not self._started_all:
+            for pid in sorted(steppable):
+                if processes[pid].coroutine is None:
+                    yield Step(pid)
+                    break
+            else:
+                self._started_all = True
         if self._cursor is None:
             # All coins that will ever matter for ordering are flipped by
             # now; 0-flippers (and processors with no flips yet) go first.
             def sort_key(pid: int) -> tuple[int, int]:
-                last = sim.process(pid).coins.last()
+                last = processes[pid].coins.last()
                 return ((last[1] if last is not None else 0), pid)
 
             self._cursor = FocusCursor(sorted(sim.undecided, key=sort_key))
-        return self._cursor.current(sim)
-
-    def _one_flippers(self, sim: "Simulation") -> set[int]:
-        """Participants whose latest coin is 1.
-
-        Coins are flipped only by coroutines, and coroutines run only in
-        ``Simulation._step``, which counts itself in ``metrics.steps``; so
-        the set is rebuilt only when a step happened since the last call.
-        """
-        steps = sim.metrics.steps
-        if steps != self._dirty_at:
-            dirty = set()
-            for process in sim.processes:
-                if not process.is_participant:
-                    continue
-                last = process.coins.last()
-                if last is not None and last[1] == 1:
-                    dirty.add(process.pid)
-            self._dirty, self._dirty_at = dirty, steps
-        return self._dirty
-
-    def choose(self, sim: "Simulation") -> Action | None:
-        """Start everyone once, then run 0-flippers to completion first."""
-        if not self._started_all:
-            # Phase A: give every participant exactly one computation step
-            # so each one flips (or commits) and its first announcement is
-            # parked in flight.
-            for pid in sorted(sim.steppable):
-                if sim.process(pid).coroutine is None:
-                    return Step(pid)
-            self._started_all = True
-        focus = self._ordered_focus(sim)
-        if focus is None:
-            return fallback_action(sim)
-        if focus in sim.steppable:
-            return Step(focus)
-        # Serve the focus's quorums only through "clean" channels: a
-        # participant that flipped 1 would reveal its coin through its
-        # parked announcement or through a COLLECT reply, so all traffic to
-        # or from 1-flippers stays frozen as long as enough clean
-        # processors exist (the adversary never needs more than a bare
-        # majority to resolve a communicate call).  The focus's own coin
-        # never blocks its channels.
-        dirty = self._one_flippers(sim)
-        pool = sim.in_flight
-        held_back = None
-        for desc, sender in pool.addressed_to(focus):
-            if sender == focus or sender not in dirty:
-                return pool.action_for(desc)
-            held_back = desc
-        for desc, recipient in pool.sent_by(focus):
-            if recipient == focus or recipient not in dirty:
-                return pool.action_for(desc)
-            held_back = desc
-        if held_back is not None:
-            # Not enough clean channels to complete the quorum; leak
-            # minimally rather than deadlock.
-            return pool.action_for(held_back)
-        # Nothing involves the focus: it genuinely needs traffic from a
-        # blocked source.  Fall back to keep the run live.
-        return fallback_action(sim)
+        cursor = self._cursor
+        # The focus moves only when it decides (in a step) or crashes; a
+        # crash may come from a wrapper, between two of our actions.
+        steps = crashes = None
+        while True:
+            if metrics.steps != steps or metrics.crashes != crashes:
+                steps, crashes = metrics.steps, metrics.crashes
+                focus = cursor.current(sim)
+            if focus is None:
+                yield fallback_action(sim)
+                continue
+            if focus in steppable:
+                yield Step(focus)
+                continue
+            # Coins are flipped only by coroutines, which run only in
+            # steps, so the 1-flippers are re-read only after a step.
+            if steps != self._dirty_at:
+                self._dirty = {
+                    process.pid for process in processes
+                    if process.is_participant
+                    and (last := process.coins.last()) is not None
+                    and last[1] == 1
+                }
+                self._dirty_at = steps
+            dirty = self._dirty
+            # Serve the focus's quorums only through "clean" channels: a
+            # participant that flipped 1 would reveal its coin through its
+            # parked announcement or through a COLLECT reply, so all
+            # traffic to or from 1-flippers stays frozen as long as enough
+            # clean processors exist (the adversary never needs more than a
+            # bare majority to resolve a communicate call).  No leg has the
+            # focus at both ends, so the focus's own coin never blocks it.
+            chosen = None
+            for chosen, peer in chain(
+                by_recipient.get(focus, _NO_LEGS).items(),
+                by_sender.get(focus, _NO_LEGS).items(),
+            ):
+                if peer not in dirty:
+                    break
+            # Without a clean channel, ``chosen`` is the last dirty leg:
+            # leak minimally rather than deadlock.  Nothing involves the
+            # focus at all: it genuinely needs traffic from a blocked
+            # source, so fall back to keep the run live.
+            if chosen is None:
+                yield fallback_action(sim)
+            else:
+                yield Deliver(slots[chosen], chosen)

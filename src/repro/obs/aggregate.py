@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .events import Event, EventType, json_safe
+from .events import Event, EventType, call_key, json_safe
 
 
 @dataclass(slots=True)
@@ -73,7 +73,7 @@ class TraceAggregator:
         self.crashes: list[int] = []
         self._rounds: dict[int, RoundStats] = {}
         self._phases: dict[str, PhaseStats] = {}
-        self._open_calls: dict[int, int] = {}  # call id -> issue clock
+        self._open_calls: dict[tuple[int, int], int] = {}  # (pid, call) -> issue clock
 
     # ------------------------------------------------------------------
     # Sink interface
@@ -105,10 +105,10 @@ class TraceAggregator:
     def _on_comm_call(self, event: Event) -> None:
         pid = event.pid
         self.comm_calls_by[pid] = self.comm_calls_by.get(pid, 0) + 1
-        self._open_calls[event.fields["call"]] = event.time
+        self._open_calls[call_key(event)] = event.time
 
     def _on_comm_done(self, event: Event) -> None:
-        issued = self._open_calls.pop(event.fields["call"], None)
+        issued = self._open_calls.pop(call_key(event), None)
         if issued is not None:
             self.comm_durations_by.setdefault(event.pid, []).append(
                 event.time - issued

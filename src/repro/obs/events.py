@@ -86,6 +86,12 @@ class Event:
     fields: Mapping[str, Any]
 
 
+def call_key(event: Event) -> tuple[int, int]:
+    """The ``(pid, call)`` identity of a ``comm.call`` / ``comm.done`` event
+    (socket nodes number calls per node, so ``call`` alone repeats)."""
+    return event.pid, event.fields["call"]
+
+
 def json_safe(value: Any) -> Any:
     """Convert ``value`` into a deterministic JSON-serializable form.
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from typing import Any, Iterable, Mapping
 
-from .events import Event, EventType
+from .events import Event, EventType, call_key
 
 __all__ = [
     "Counter",
@@ -388,7 +388,7 @@ class MetricsSink:
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._open_calls: dict[int, int] = {}  # call id -> issue clock
+        self._open_calls: dict[tuple[int, int], int] = {}  # (pid, call) -> issue clock
 
     def emit(self, event: Event) -> None:
         """Fold one event into the registry."""
@@ -403,10 +403,10 @@ class MetricsSink:
             )
         elif etype == EventType.COMM_CALL:
             registry.counter("comm.calls").inc()
-            self._open_calls[event.fields["call"]] = event.time
+            self._open_calls[call_key(event)] = event.time
         elif etype == EventType.COMM_DONE:
             registry.counter("comm.done").inc()
-            issued = self._open_calls.pop(event.fields["call"], None)
+            issued = self._open_calls.pop(call_key(event), None)
             if issued is not None:
                 registry.histogram("comm.duration_ticks").observe(
                     event.time - issued

@@ -26,12 +26,9 @@ object is ever built.
 
 from __future__ import annotations
 
-from array import array
 from enum import Enum
 from itertools import chain, count
-from typing import Any, ItemsView, Iterable, Mapping, NamedTuple
-
-from . import pidset
+from typing import Any, ItemsView, Mapping, NamedTuple
 
 
 class MessageKind(Enum):
@@ -89,17 +86,10 @@ class Broadcast:
 
     The per-call columns are stored once — sender, call id, kind, var,
     the shared copy-on-write ``entries`` mapping (see
-    :meth:`RegisterFile.entries`) — and per-recipient state lives in two
-    compact structures:
-
-    * ``undelivered`` — which recipients' request legs are still in
-      flight, as a pidset int-bitmask (:mod:`repro.sim.pidset` encoding).
-      Internally stored as an ``array('Q')`` of 64-bit words so clearing
-      one recipient is an O(1) single-word update rather than an O(n/64)
-      whole-bigint rebuild; the property materializes the int on demand.
-    * ``views`` — for COLLECT broadcasts, the responders' memoized value
-      views captured at request-delivery time, keyed by responder pid
-      (popped when the matching COLLECT_REPLY leg is delivered).
+    :meth:`RegisterFile.entries`).  The only per-recipient state is
+    ``views``: for COLLECT broadcasts, the responders' memoized value
+    views captured at request-delivery time, keyed by responder pid
+    (popped when the matching COLLECT_REPLY leg is delivered).
 
     ``ticks``/``tracker``/``cache`` carry the delta-propagation state for
     PROPAGATE broadcasts: the send-time tick snapshot, the sender's
@@ -122,8 +112,6 @@ class Broadcast:
         "cache",
         "views",
         "base",
-        "undelivered_count",
-        "_undelivered_words",
     )
 
     def __init__(
@@ -133,7 +121,6 @@ class Broadcast:
         call_id: int,
         kind: MessageKind,
         var: str,
-        n: int,
         entries: Mapping[Any, tuple[int, Any, str]] | None = None,
         ticks: Mapping[Any, int] | None = None,
         tracker: Any = None,
@@ -153,20 +140,6 @@ class Broadcast:
             {} if kind is MessageKind.COLLECT else None
         )
         self.base = bid << BROADCAST_SHIFT
-        nwords = (n + 63) >> 6
-        mask = pidset.discard(pidset.full_below(n), sender)
-        self._undelivered_words = array("Q", mask.to_bytes(nwords * 8, "little"))
-        self.undelivered_count = n - 1
-
-    @property
-    def undelivered(self) -> int:
-        """Recipients whose request leg is still in flight, as a pidset int."""
-        return int.from_bytes(self._undelivered_words.tobytes(), "little")
-
-    def mark_delivered(self, recipient: int) -> None:
-        """Clear one recipient's undelivered bit (O(1): one word update)."""
-        self._undelivered_words[recipient >> 6] &= ~(1 << (recipient & 63))
-        self.undelivered_count -= 1
 
     def request_descriptor(self, recipient: int) -> int:
         """The packed descriptor of this broadcast's request leg to ``recipient``."""
@@ -179,8 +152,7 @@ class Broadcast:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Broadcast({self.kind.value} from {self.sender} "
-            f"call={self.call_id} var={self.var!r} "
-            f"undelivered={self.undelivered_count})"
+            f"call={self.call_id} var={self.var!r})"
         )
 
 
@@ -199,12 +171,14 @@ class InFlightPool:
 
     **Endpoint indexes.**  Targeted adversaries (coin-aware, bubble, the
     replay and shrink resolvers) find the traffic of one processor
-    through :meth:`sent_by` / :meth:`addressed_to`.  Each index maps a
-    descriptor to its peer pid, so adversaries read endpoints without
-    decoding.  The indexes are insertion-ordered dicts: insertion order
-    is send order, which keeps runs a pure function of the seed and the
-    adversary.  An indexed pool also tracks each descriptor's slot
-    (:meth:`action_for`), in send order too (:meth:`actions_in_send_order`).
+    through :meth:`sent_by` / :meth:`addressed_to`, or through the
+    read-only :attr:`by_sender` / :attr:`by_recipient` / :attr:`slots`
+    views behind them.  Each index maps a descriptor to its peer pid, so
+    adversaries read endpoints without decoding.  The indexes are
+    insertion-ordered dicts: insertion order is send order, which keeps
+    runs a pure function of the seed and the adversary.  An indexed pool
+    also tracks each descriptor's slot (:meth:`action_for`), in send
+    order too (:meth:`actions_in_send_order`).
 
     Maintaining the indexes costs a few dict operations per send and per
     delivery — a large share of per-message cost at scale — so only
@@ -258,7 +232,7 @@ class InFlightPool:
         ascending pid order, skipping the sender.
         """
         broadcast = Broadcast(
-            len(self._broadcasts), sender, call_id, kind, var, n,
+            len(self._broadcasts), sender, call_id, kind, var,
             entries=entries, ticks=ticks, tracker=tracker,
         )
         self._broadcasts.append(broadcast)
@@ -310,15 +284,20 @@ class InFlightPool:
         if slot < len(descs):
             descs[slot] = last
         if self._indexed:
-            self._unindex(slot, desc, last)
+            self._unindex(slot, desc, last, *self.endpoints_of(desc))
 
-    def _unindex(self, slot: int, desc: int, last: int) -> None:
-        """Index upkeep for a swap-remove that moved ``last`` into ``slot``."""
+    def _unindex(
+        self, slot: int, desc: int, last: int, sender: int, recipient: int
+    ) -> None:
+        """Index upkeep for a swap-remove that moved ``last`` into ``slot``.
+
+        ``sender`` and ``recipient`` are ``desc``'s endpoints, which the
+        caller has already decoded.
+        """
         slots = self._slots
         if last != desc:
             slots[last] = slot
         del slots[desc]
-        sender, recipient = self.endpoints_of(desc)
         del self._by_sender[sender][desc]
         del self._by_recipient[recipient][desc]
 
@@ -358,28 +337,19 @@ class InFlightPool:
 
     def sent_by(self, pid: int) -> ItemsView[int, int]:
         """``(desc, recipient)`` of the legs ``pid`` sent, in send order."""
-        self._require_indexes()
-        return self._by_sender.get(pid, _EMPTY_INDEX).items()
+        return self.by_sender.get(pid, _EMPTY_INDEX).items()
 
     def addressed_to(self, pid: int) -> ItemsView[int, int]:
         """``(desc, sender)`` of the legs addressed to ``pid``, in send order."""
-        self._require_indexes()
-        return self._by_recipient.get(pid, _EMPTY_INDEX).items()
-
-    def involving(self, pid: int) -> Iterable[tuple[int, int]]:
-        """``(desc, peer)`` of every in-flight leg with ``pid`` as an endpoint."""
-        yield from self.sent_by(pid)
-        yield from self.addressed_to(pid)
+        return self.by_recipient.get(pid, _EMPTY_INDEX).items()
 
     def action_for(self, desc: int) -> Deliver:
         """The Deliver action for an in-flight descriptor."""
-        self._require_indexes()
-        return Deliver(self._slots[desc], desc)
+        return Deliver(self.slots[desc], desc)
 
     def actions_in_send_order(self) -> list[Deliver]:
         """A Deliver action for every in-flight leg, oldest send first."""
-        self._require_indexes()
-        return [Deliver(slot, desc) for desc, slot in self._slots.items()]
+        return [Deliver(slot, desc) for desc, slot in self.slots.items()]
 
     def match(
         self, sender: int, recipient: int, kind: str, call_id: int
@@ -439,6 +409,29 @@ class InFlightPool:
         Callers may read but never mutate.
         """
         return self._broadcasts
+
+    @property
+    def slots(self) -> dict[int, int]:
+        """Read-only view of the descriptor -> slot map, in send order.
+
+        This and the two views below back the endpoint-index API; an
+        adversary may bind them once per run instead.  Each raises
+        ``RuntimeError`` on an unindexed pool.  Callers never mutate them.
+        """
+        self._require_indexes()
+        return self._slots
+
+    @property
+    def by_sender(self) -> dict[int, dict[int, int]]:
+        """Read-only ``pid -> {desc: recipient}`` index (pids may be absent)."""
+        self._require_indexes()
+        return self._by_sender
+
+    @property
+    def by_recipient(self) -> dict[int, dict[int, int]]:
+        """Read-only ``pid -> {desc: sender}`` index (pids may be absent)."""
+        self._require_indexes()
+        return self._by_recipient
 
     def __len__(self) -> int:
         return len(self._descs)

@@ -30,16 +30,6 @@ def singleton(pid: int) -> int:
     return 1 << pid
 
 
-def full_below(n: int) -> int:
-    """The full set ``{0, ..., n - 1}`` of all pids under ``n``.
-
-    The natural starting point for "everyone except ..." masks, e.g. the
-    undelivered-recipient set of a fresh broadcast
-    (:class:`~repro.sim.messages.Broadcast`).
-    """
-    return (1 << n) - 1
-
-
 def from_iterable(pids: Iterable[int]) -> int:
     """Build a pidset from any iterable of processor ids."""
     bits = 0

@@ -60,7 +60,6 @@ class Process:
         "coins",
         "comm_calls",
         "steps_taken",
-        "messages_sent",
         "failure",
         "decide_time",
         "obs",
@@ -86,7 +85,6 @@ class Process:
         self.coins = CoinLog()
         self.comm_calls = 0
         self.steps_taken = 0
-        self.messages_sent = 0
         self.failure: BaseException | None = None
         self.decide_time: int | None = None
         #: Structured-event emission channel ``(etype, fields)``, which

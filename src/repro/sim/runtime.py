@@ -395,10 +395,11 @@ class Simulation:
         pool = self.in_flight
         desc = action.desc
         slot = action.slot
-        # Inlined InFlightPool.remove / broadcast_of and the Broadcast /
-        # Metrics single-field updates below: this method runs once per
-        # delivered message (millions of times at n=65536), and the call
-        # frames alone cost ~25% of the loop.
+        # Inlined InFlightPool.remove / broadcast_of and the Metrics
+        # single-field updates below: this method runs once per delivered
+        # message (millions of times at n=65536), and the call frames alone
+        # cost ~25% of the loop.  An indexed pool's upkeep stays one call,
+        # fed the endpoints decoded here.
         descs = pool._descs
         if slot < 0 or slot >= len(descs) or descs[slot] != desc:
             raise KeyError(
@@ -407,14 +408,18 @@ class Simulation:
         last = descs.pop()
         if slot < len(descs):
             descs[slot] = last
-        if pool._indexed:
-            pool._unindex(slot, desc, last)
-        metrics = self.metrics
-        metrics.deliveries += 1
         broadcast = pool._broadcasts[desc >> BROADCAST_SHIFT]
         endpoint = desc & PID_MASK
+        reply = desc & REPLY_BIT
+        if pool._indexed:
+            if reply:
+                pool._unindex(slot, desc, last, endpoint, broadcast.sender)
+            else:
+                pool._unindex(slot, desc, last, broadcast.sender, endpoint)
+        metrics = self.metrics
+        metrics.deliveries += 1
         obs = self._obs
-        if desc & REPLY_BIT:
+        if reply:
             # Reply leg: fold the ack into the broadcaster's pending call.
             if obs is not None:
                 self._emit_leg(EventType.MSG_DELIVER, desc)
@@ -440,10 +445,6 @@ class Simulation:
             if process.ack(broadcast.call_id, view):
                 self._needs_step.add(broadcast.sender)
             return
-        # Broadcast.mark_delivered, inlined.
-        words = broadcast._undelivered_words
-        words[endpoint >> 6] &= ~(1 << (endpoint & 63))
-        broadcast.undelivered_count -= 1
         if obs is not None:
             self._emit_leg(EventType.MSG_DELIVER, desc)
         recipient = self.processes[endpoint]
@@ -476,7 +477,6 @@ class Simulation:
             pool.add_reply(desc)
         else:
             descs.append(desc | REPLY_BIT)  # pool.add_reply, inlined
-        recipient.messages_sent += 1
         # The rest of Metrics.record_send(endpoint, kind, cells), inlined.
         metrics.messages_total += 1
         metrics.messages_sent_by[endpoint] += 1
@@ -591,7 +591,6 @@ class Simulation:
             pid, call_id, kind, var, self.n,
             entries=entries, ticks=send_ticks, tracker=tracker,
         )
-        process.messages_sent += self.n - 1
         self.metrics.record_send_batch(pid, kind, cells, self.n - 1)
         if self._obs is not None:
             base = broadcast.base

@@ -183,3 +183,39 @@ def test_crashed_focus_is_skipped(task, algorithm):
     assert ("Crash", victim) in reference[0]
     assert incremental == reference
 
+
+
+class FreshGenerators(Adversary):
+    """Forward to ``inner`` through a new ``inner.actions(sim)`` per action."""
+
+    def __init__(self, inner: Adversary) -> None:
+        self._inner = inner
+        self.name = inner.name
+        self.uses_endpoint_indexes = inner.uses_endpoint_indexes
+
+    def setup(self, sim):
+        self._inner.setup(sim)
+
+    def actions(self, sim):
+        inner = self._inner
+        while True:
+            yield next(inner.actions(sim))
+
+
+@pytest.mark.parametrize("crashes", [False, True], ids=["bare", "random_crash"])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [8, 17])
+def test_fresh_generator_per_action(n, seed, crashes):
+    """Per-run state lives on the adversary, not in generator locals:
+    a new ``actions(sim)`` per action takes the drained run's actions."""
+
+    def adversary(fresh):
+        inner = CoinAwareAdversary()
+        if fresh:
+            inner = FreshGenerators(inner)
+        return RandomCrashAdversary(inner, rate=0.05, seed=seed) if crashes else inner
+
+    drained = _run("elect", "poison_pill", n, seed, adversary(False))
+    fresh = _run("elect", "poison_pill", n, seed, adversary(True))
+    assert any(kind == "Crash" for kind, *_ in drained[0]) == crashes
+    assert fresh == drained

@@ -27,8 +27,10 @@ from repro.net.driver import (
 )
 from repro.net.node import NodeRuntime
 from repro.net.wire import Frame, FrameType, WireError
+from repro.obs.aggregate import TraceAggregator
 from repro.obs.causality import CausalReport
 from repro.obs.events import ListSink, feed
+from repro.obs.metrics import MetricsSink
 from repro.obs.jsonl import iter_events, read_artifact
 from repro.sim.process import ProcessAPI
 
@@ -138,6 +140,16 @@ def clean_trace(tmp_path_factory):
     return str(out)
 
 
+@pytest.fixture(scope="module")
+def chaos_trace(tmp_path_factory):
+    """The merged trace of one n=6 election under seeded drops and delays."""
+    out = tmp_path_factory.mktemp("net") / "net-chaos.jsonl"
+    plan = ChaosPlan(seed=1, drop=0.15, delay=0.3)
+    run = run_net(task="elect", n=6, seed=0, plan=plan, trace_path=str(out))
+    assert run.ok, run.violations
+    return str(out)
+
+
 class TestTracing:
     def test_merged_trace_is_time_sorted_and_complete(self, clean_trace):
         out = clean_trace
@@ -196,6 +208,19 @@ class TestTracing:
             calls, done = completions(events)
             assert set(calls.values()) == {1}
             assert done == calls  # exactly one comm.done per comm.call
+
+    def test_every_call_gets_one_duration(self, chaos_trace):
+        # Call ids are per node, so they repeat across the pids of a
+        # merged trace: the sinks pair comm.call and comm.done on
+        # (pid, call), and no node's call overwrites another's.
+        aggregator, telemetry = TraceAggregator(), MetricsSink()
+        feed(iter_events(chaos_trace), aggregator, telemetry)
+        assert len(aggregator.comm_calls_by) == 6
+        durations = {pid: len(d) for pid, d in aggregator.comm_durations_by.items()}
+        assert durations == aggregator.comm_calls_by
+        snapshot = telemetry.registry.snapshot()
+        histogram = snapshot["histograms"]["comm.duration_ticks"]
+        assert histogram["count"] == snapshot["counters"]["comm.calls"]
 
     def test_chaos_events_recorded(self, tmp_path):
         out = tmp_path / "net.jsonl"

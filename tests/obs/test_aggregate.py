@@ -14,6 +14,7 @@ from repro.adversary import ADVERSARY_FACTORIES
 from repro.core import Outcome, make_leader_elect
 from repro.obs.aggregate import TraceAggregator
 from repro.obs.events import Event, EventType, ListSink, MultiSink, feed
+from repro.obs.metrics import MetricsSink
 from repro.sim.runtime import Simulation
 
 
@@ -102,6 +103,17 @@ def test_decisions_and_report_render():
     summary = aggregator.comm_duration_summary()
     assert summary is not None and summary.mean > 0
     assert aggregator.comm_timeline(0) == aggregator.comm_durations_by.get(0, [])
+
+
+def test_every_call_gets_one_duration():
+    """Both sinks pair each comm.call with its own comm.done."""
+    aggregator, telemetry = TraceAggregator(), MetricsSink()
+    _run_election(16, 0, MultiSink(aggregator, telemetry))
+    durations = {pid: len(d) for pid, d in aggregator.comm_durations_by.items()}
+    assert durations == aggregator.comm_calls_by
+    snapshot = telemetry.registry.snapshot()
+    histogram = snapshot["histograms"]["comm.duration_ticks"]
+    assert histogram["count"] == snapshot["counters"]["comm.calls"]
 
 
 def test_streaming_equals_batch():

@@ -9,9 +9,9 @@ descriptors, the only in-flight representation.  These tests pin:
   everything observable: decisions, every metrics counter, and the
   per-processor breakdowns.  Adversaries that skip the endpoint indexes
   behave identically on an indexed pool.
-* **Structure invariants** — the descriptor encoding round-trips, the
-  undelivered bitmask tracks deliveries exactly, and the descs list obeys
-  the swap-remove slot discipline.
+* **Structure invariants** — the descriptor encoding round-trips, a
+  delivery swaps its request leg for its reply leg, and the descs list
+  obeys the swap-remove slot discipline.
 * **Negotiation** — the pool is indexed exactly when the adversary reads
   the endpoint indexes, and the pid ceiling fails loudly.
 """
@@ -153,24 +153,9 @@ class TestModeEquivalence:
 
 
 class TestBroadcastRecord:
-    def test_undelivered_excludes_sender(self):
-        b = Broadcast(bid=0, sender=2, call_id=1, kind=MessageKind.PROPAGATE,
-                      var="X", n=8)
-        assert b.undelivered_count == 7
-        assert b.undelivered == 0b11111011
-
-    def test_mark_delivered_clears_one_bit(self):
-        b = Broadcast(bid=0, sender=0, call_id=1, kind=MessageKind.PROPAGATE,
-                      var="X", n=67)  # straddles the 64-bit word boundary
-        for recipient in (1, 63, 64, 66):
-            before = b.undelivered
-            b.mark_delivered(recipient)
-            assert b.undelivered == before & ~(1 << recipient)
-        assert b.undelivered_count == 66 - 4  # n-1 minus four deliveries
-
     def test_descriptor_round_trip(self):
         b = Broadcast(bid=5, sender=3, call_id=9, kind=MessageKind.COLLECT,
-                      var="X", n=16)
+                      var="X")
         request = b.request_descriptor(7)
         assert request & PID_MASK == 7
         assert not request & REPLY_BIT
@@ -275,8 +260,10 @@ class TestNegotiation:
         assert len(sim.in_flight) == 5
         action = sim.in_flight.last_action()
         assert isinstance(action, Deliver)
+        before = list(sim.in_flight.descriptors)
         sim.execute(action)
-        # The delivery cleared the recipient's bit and queued the ACK leg.
-        broadcast = sim.in_flight.broadcast_of(sim.in_flight.descriptors[-1])
-        assert broadcast.undelivered_count == 4
-        assert sim.in_flight.descriptors[-1] & REPLY_BIT
+        # The delivery took its request leg out and queued the ACK leg on top.
+        descs = sim.in_flight.descriptors
+        assert descs[-1] == action.desc | REPLY_BIT
+        assert sorted(descs[:-1]) == sorted(d for d in before if d != action.desc)
+        assert sum(not d & REPLY_BIT for d in descs) == 4

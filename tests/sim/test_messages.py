@@ -178,7 +178,11 @@ class TestInFlightPool:
         reply = b.reply_descriptor(0)
         assert dict(pool.sent_by(1)) == {a: 2, c: 3}
         assert dict(pool.addressed_to(1)) == {reply: 0}
-        assert set(pool.involving(1)) == {(a, 2), (c, 3), (reply, 0)}
+        assert pool.by_sender[1] == {a: 2, c: 3}
+        assert pool.by_recipient[1] == {reply: 0}
+        assert pool.slots == {
+            desc: slot for slot, desc in enumerate(pool.descriptors)
+        }
         _remove(pool, a)
         assert dict(pool.sent_by(1)) == {c: 3}
 
@@ -230,11 +234,16 @@ class TestUnindexedPool:
         with pytest.raises(RuntimeError, match="indexed=False"):
             pool.addressed_to(2)
         with pytest.raises(RuntimeError):
-            list(pool.involving(1))
-        with pytest.raises(RuntimeError):
             pool.action_for(pool.descriptors[0])
         with pytest.raises(RuntimeError):
             pool.actions_in_send_order()
+
+    @pytest.mark.parametrize("view", ["slots", "by_sender", "by_recipient"])
+    def test_index_views_raise(self, view):
+        pool = InFlightPool(indexed=False)
+        _broadcast(pool, sender=1, n=3)
+        with pytest.raises(RuntimeError, match="indexed=False"):
+            getattr(pool, view)
 
     def test_indexed_default_unchanged(self):
         pool = InFlightPool()
