@@ -21,7 +21,8 @@ from __future__ import annotations
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator
 
-from ..sim.runtime import Action, Deliver, Step
+from ..sim.messages import deliver_at
+from ..sim.runtime import Action, Step
 from .base import Adversary, FocusCursor, fallback_action
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -119,4 +120,4 @@ class CoinAwareAdversary(Adversary):
             if chosen is None:
                 yield fallback_action(sim)
             else:
-                yield Deliver(slots[chosen], chosen)
+                yield deliver_at((slots[chosen], chosen))

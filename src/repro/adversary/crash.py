@@ -107,10 +107,13 @@ class RandomCrashAdversary(Adversary):
         inner = self._inner.actions(sim)
         random, randrange = self._rng.random, self._rng.randrange
         rate, max_crashes = self._rate, self._max_crashes
+        metrics = sim.metrics
         while True:
             budget = sim.crashes_remaining
             if max_crashes is not None:
-                budget = min(budget, max_crashes - len(sim.crashed))
+                # metrics.crashes counts the crashed set without copying
+                # it the way sim.crashed does.
+                budget = min(budget, max_crashes - metrics.crashes)
             if budget > 0 and random() < rate:
                 crashed = sim.crashed  # a fresh frozenset per read: read it once
                 alive = [pid for pid in range(sim.n) if pid not in crashed]

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from ..sim.runtime import Action, Deliver, Step
+from ..sim.messages import deliver_at
+from ..sim.runtime import Action, Step
 from .base import Adversary
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,7 +36,7 @@ class EagerAdversary(Adversary):
         steppable = sim.steppable
         while True:
             if descs:
-                yield Deliver(len(descs) - 1, descs[-1])
+                yield deliver_at((len(descs) - 1, descs[-1]))
             elif steppable:
                 yield Step(min(steppable))
             else:
@@ -62,7 +63,7 @@ class RoundRobinAdversary(Adversary):
         n = sim.n
         while True:
             if descs:
-                yield Deliver(len(descs) - 1, descs[-1])
+                yield deliver_at((len(descs) - 1, descs[-1]))
             elif steppable:
                 pid = self._next_pid
                 while pid not in steppable:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from ..sim.messages import BROADCAST_SHIFT, PID_MASK
+from ..sim.messages import BROADCAST_SHIFT, PID_MASK, deliver_at
 from ..sim.runtime import Action, Deliver, Step
 from .base import Adversary
 
@@ -59,7 +59,7 @@ class QuorumSplitAdversary(Adversary):
                 desc = descs[index]
                 sender = broadcasts[desc >> BROADCAST_SHIFT].sender
                 if side[sender] == side[desc & PID_MASK]:
-                    return Deliver(index, desc)
+                    return deliver_at((index, desc))
             return None
 
         while True:
@@ -76,5 +76,5 @@ class QuorumSplitAdversary(Adversary):
                     # The bounded window held none: scan the rest.
                     action = newest_same_half(window, -1)
                     if action is None:
-                        action = Deliver(count - 1, descs[-1])  # forced leakage
+                        action = deliver_at((count - 1, descs[-1]))  # forced leakage
             yield action

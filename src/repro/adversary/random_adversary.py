@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
+from ..sim.messages import deliver_at
 from ..sim.rng import make_stream
-from ..sim.runtime import Action, Deliver, Step
+from ..sim.runtime import Action, Step
 from .base import Adversary
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,14 +50,21 @@ class RandomAdversary(Adversary):
         """Deliver or step a uniformly random enabled target."""
         descs = sim.in_flight.descriptors
         steppable = sim.steppable
-        random, randrange = self._rng.random, self._rng.randrange
+        rng = self._rng
+        random, getrandbits, randrange = rng.random, rng.getrandbits, rng.randrange
         bias = self._deliver_bias
         candidates = self._candidates
         while True:
             count = len(descs)
             if count and (not steppable or random() < bias):
-                slot = randrange(count)
-                yield Deliver(slot, descs[slot])
+                # randrange(count), inlined: CPython's
+                # _randbelow_with_getrandbits loop draws the same slots
+                # bit for bit without randrange's two Python frames.
+                k = count.bit_length()
+                slot = getrandbits(k)
+                while slot >= count:
+                    slot = getrandbits(k)
+                yield deliver_at((slot, descs[slot]))
             elif steppable:
                 pids = candidates(steppable)
                 yield Step(pids[randrange(len(pids))])

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from ..sim.runtime import Action, Deliver, Step
+from ..sim.messages import deliver_at
+from ..sim.runtime import Action, Step
 from .base import Adversary, FocusCursor
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,7 +62,7 @@ class SequentialAdversary(Adversary):
                 yield Step(focus)
                 focus = cursor.current(sim)
             elif descs:
-                yield Deliver(len(descs) - 1, descs[-1])
+                yield deliver_at((len(descs) - 1, descs[-1]))
             elif steppable:
                 # The focus is blocked with no traffic left (quorum
                 # unreachable, e.g. due to crashes); degrade gracefully

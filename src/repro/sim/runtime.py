@@ -82,6 +82,7 @@ Action = Deliver | Step | Crash
 _NO_FIELDS: Mapping[str, Any] = {}
 
 # Enum member lookups hoisted out of the delivery hot loop.
+_CRASHED = ProcessStatus.CRASHED
 _ACK = MessageKind.ACK
 _COLLECT_REPLY = MessageKind.COLLECT_REPLY
 _PROPAGATE = MessageKind.PROPAGATE
@@ -200,7 +201,6 @@ class Simulation:
         # consumer, or a MultiSink of several.  Without one every
         # emission site below reduces to one ``is None`` check.
         self._obs = sink
-        self.clock = 0
         self.max_events = max_events if max_events is not None else 100_000 + 1_000 * n * n
         self._call_counter = 0
         self._needs_step: set[int] = set(participants)
@@ -216,10 +216,22 @@ class Simulation:
         register writes, coin flips and protocol-level annotations,
         stamped with the logical clock."""
 
+        metrics = self.metrics
+
         def hook(etype: str, fields: dict) -> None:
-            self._obs.emit(Event(self.clock, etype, pid, fields))
+            self._obs.emit(Event(metrics.events_executed, etype, pid, fields))
 
         return hook
+
+    @property
+    def clock(self) -> int:
+        """The logical clock: the number of actions executed so far.
+
+        It is ``metrics.events_executed`` itself rather than a second
+        counter kept beside it, so the two cannot drift apart and the
+        hot loop pays one increment per action, not two.
+        """
+        return self.metrics.events_executed
 
     # ------------------------------------------------------------------
     # Adversary-facing inspection API
@@ -305,7 +317,6 @@ class Simulation:
             if action is None:
                 break
             metrics.events_executed += 1
-            self.clock += 1
             kind = type(action)
             # Deliver first: deliveries dominate the action mix.
             if kind is Deliver:
@@ -355,7 +366,6 @@ class Simulation:
     def execute(self, action: Action) -> None:
         """Apply one adversary-chosen action."""
         self.metrics.events_executed += 1
-        self.clock += 1
         kind = type(action)
         if kind is Deliver:
             self._deliver(action)
@@ -393,8 +403,7 @@ class Simulation:
     def _deliver(self, action: Deliver) -> None:
         """Deliver one in-flight leg, named by ``(slot, desc)``."""
         pool = self.in_flight
-        desc = action.desc
-        slot = action.slot
+        slot, desc = action
         # Inlined InFlightPool.remove / broadcast_of and the Metrics
         # single-field updates below: this method runs once per delivered
         # message (millions of times at n=65536), and the call frames alone
@@ -424,7 +433,7 @@ class Simulation:
             if obs is not None:
                 self._emit_leg(EventType.MSG_DELIVER, desc)
             process = self.processes[broadcast.sender]
-            if process.status is ProcessStatus.CRASHED:
+            if process.status is _CRASHED:
                 # A reply delivered to a crashed broadcaster vanishes
                 # before any accounting, delta watermarks included (the
                 # crashed sender never sends again, so the lost fold is
@@ -448,7 +457,7 @@ class Simulation:
         if obs is not None:
             self._emit_leg(EventType.MSG_DELIVER, desc)
         recipient = self.processes[endpoint]
-        if recipient.status is ProcessStatus.CRASHED:
+        if recipient.status is _CRASHED:
             return  # delivered into the void; faulty processors never reply
         if broadcast.kind is _PROPAGATE:
             entries = broadcast.entries
@@ -473,15 +482,17 @@ class Simulation:
             cells = len(view)
             metrics.messages_by_kind[_COLLECT_REPLY] += 1
             metrics.payload_cells += cells
+        # pool.add_reply, inlined: the index upkeep reuses the sender
+        # decoded above.
+        reply_desc = desc | REPLY_BIT
+        descs.append(reply_desc)
         if pool._indexed:
-            pool.add_reply(desc)
-        else:
-            descs.append(desc | REPLY_BIT)  # pool.add_reply, inlined
+            pool._index_reply(reply_desc, broadcast.sender)
         # The rest of Metrics.record_send(endpoint, kind, cells), inlined.
         metrics.messages_total += 1
         metrics.messages_sent_by[endpoint] += 1
         if obs is not None:
-            self._emit_leg(EventType.MSG_SEND, desc | REPLY_BIT, cells=cells)
+            self._emit_leg(EventType.MSG_SEND, reply_desc, cells=cells)
 
     def _emit_leg(self, etype: str, desc: int, cells: int | None = None) -> None:
         """Emit a ``msg.send`` / ``msg.deliver`` event for one leg.
@@ -505,7 +516,7 @@ class Simulation:
         else:
             pid = sender
             fields["cells"] = cells
-        self._obs.emit(Event(self.clock, etype, pid, fields))
+        self._obs.emit(Event(self.metrics.events_executed, etype, pid, fields))
 
     def _step(self, pid: int) -> None:
         process = self.processes[pid]

@@ -10,6 +10,7 @@ from repro.adversary import (
     RandomAdversary,
     RandomCrashAdversary,
 )
+from repro.obs.events import EventType, ListSink
 from repro.sim import Collect, Propagate, Simulation
 
 
@@ -90,6 +91,27 @@ class TestRandomCrashAdversary:
         sim = Simulation(9, {0: ping_factory}, adversary, seed=3)
         result = sim.run()
         assert len(result.crashed) <= 1
+
+    def test_max_crashes_crash_points_pinned(self):
+        # Seed 1 at rate 0.05 crashes four processors uncapped; the cap
+        # stops it after these two, at these logical times.
+        sink = ListSink()
+        adversary = RandomCrashAdversary(
+            RandomAdversary(seed=1), rate=0.05, seed=1, max_crashes=2
+        )
+        sim = Simulation(
+            9, {pid: ping_factory for pid in range(4)}, adversary, seed=1,
+            sink=sink,
+        )
+        result = sim.run()
+        crashes = [
+            (event.time, event.pid) for event in sink.events
+            if event.etype == EventType.SCHED_CRASH
+        ]
+        assert crashes == [(5, 4), (11, 8)]
+        assert result.metrics.crashes == 2
+        assert result.metrics.events_executed == 127
+        assert sorted(result.decisions) == [0, 1, 2, 3]
 
     def test_termination_with_minority_crashes(self):
         for seed in range(5):

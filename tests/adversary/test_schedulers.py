@@ -8,6 +8,8 @@ scheduling mechanics.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.adversary import (
@@ -23,6 +25,7 @@ from repro.adversary.base import Adversary, fallback_action
 from repro.core import make_leader_elect
 from repro.obs.events import EventType, ListSink
 from repro.sim import Collect, Deliver, Propagate, Simulation, Step
+from repro.sim.rng import make_stream
 
 from ..conftest import ALL_ADVERSARY_NAMES, fresh_adversary
 
@@ -137,6 +140,60 @@ class TestRandomAdversary:
             return sim.run().metrics.events_executed
 
         assert run(3) == run(3)
+
+
+class _Slots:
+    """A pool stand-in of ``count`` descriptors, each equal to its slot."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, slot: int) -> int:
+        return slot
+
+
+#: 1, 2, 3 and every power of two with its neighbours, up to 2**20.
+_DRAW_COUNTS = sorted(
+    {1, 2, 3}
+    | {(1 << p) + d for p in range(1, 21) for d in (-1, 0, 1)}
+)
+
+
+class TestDeliveryDraw:
+    """The random schedulers inline ``randrange(count)`` for their
+    delivery slot; it must draw exactly what ``randrange`` draws.
+
+    If a CPython release changes ``Random.randrange``, this fails
+    rather than every recorded schedule silently moving.
+    """
+
+    @pytest.mark.parametrize(
+        "cls, stream",
+        [
+            (RandomAdversary, "adversary/random"),
+            (ObliviousAdversary, "adversary/oblivious"),
+        ],
+    )
+    def test_slot_equals_randrange_on_twin_stream(self, cls, stream):
+        adversary = cls(seed=5)
+        descs = _Slots()
+        # Nothing steppable: every action is a delivery and the bias coin
+        # is never flipped, so the only draws are the slots.
+        sim = SimpleNamespace(in_flight=SimpleNamespace(descriptors=descs),
+                              steppable=set())
+        adversary.setup(sim)
+        actions = adversary.actions(sim)
+        twin = make_stream(5, stream)
+        for count in _DRAW_COUNTS:
+            descs.count = count
+            for _ in range(3):
+                action = next(actions)
+                assert type(action) is Deliver
+                assert action == Deliver(twin.randrange(count), action.desc)
+                assert action.desc == action.slot
 
 
 class TestActionsContract:

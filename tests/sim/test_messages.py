@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.messages import PID_MASK, REPLY_BIT, InFlightPool, MessageKind
+from repro.sim.messages import (
+    PID_MASK,
+    REPLY_BIT,
+    Deliver,
+    InFlightPool,
+    MessageKind,
+    deliver_at,
+)
 
 
 def _broadcast(pool, sender=0, n=3, call_id=1, kind=MessageKind.PROPAGATE):
@@ -17,6 +24,28 @@ def _broadcast(pool, sender=0, n=3, call_id=1, kind=MessageKind.PROPAGATE):
 
 def _remove(pool, desc):
     pool.remove(pool.descriptors.index(desc), desc)
+
+
+class TestDeliverAt:
+    def test_builds_an_equal_deliver(self):
+        action = deliver_at((3, 77))
+        assert type(action) is Deliver
+        assert action == Deliver(3, 77)
+        assert (action.slot, action.desc) == (3, 77)
+
+    def test_pool_helpers_build_delivers(self):
+        pool = InFlightPool()
+        _broadcast(pool, sender=0, n=4)
+        descs = pool.descriptors
+        expected = [Deliver(slot, desc) for slot, desc in enumerate(descs)]
+        built = [
+            pool.action_at(0),
+            pool.last_action(),
+            pool.action_for(descs[1]),
+            *pool.actions_in_send_order(),
+        ]
+        assert built == [expected[0], expected[-1], expected[1], *expected]
+        assert all(type(action) is Deliver for action in built)
 
 
 class TestMessage:

@@ -256,6 +256,40 @@ class TestCrashes:
         assert 1 in result.crashed
 
 
+class TestLogicalClock:
+    """``clock`` is ``metrics.events_executed``, not a counter of its own."""
+
+    def test_clock_tracks_events_executed(self):
+        sim = Simulation(
+            5, {0: writer_factory(), 1: reader_factory()}, EagerAdversary(),
+            seed=0,
+        )
+
+        def agree():
+            assert sim.clock == sim.metrics.events_executed
+
+        agree()
+        sim.execute(Step(0))
+        agree()
+        action = sim.in_flight.action_at(0)
+        sim.execute(action)
+        agree()
+        sim.execute(Crash(4))
+        agree()
+        with pytest.raises(KeyError):
+            sim.execute(action)  # stale: that leg was delivered
+        agree()
+        assert sim.clock == 4
+        sim.run()
+        agree()
+        assert sim.clock > 4
+
+    def test_clock_cannot_be_assigned(self):
+        sim = Simulation(3, {0: writer_factory()}, EagerAdversary())
+        with pytest.raises(AttributeError):
+            sim.clock = 5
+
+
 class TestErrorPaths:
     def test_event_limit(self):
         sim = Simulation(
