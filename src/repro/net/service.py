@@ -49,6 +49,16 @@ DLQ_LIMIT = 4096
 #: Default lease TTL when the client does not specify one (milliseconds).
 DEFAULT_TTL_MS = 5000.0
 
+#: The handler method for each request frame type, looked up per request
+#: (not bound once) so a wrapped handler is the one called.
+_HANDLERS = {
+    FrameType.ACQUIRE: "_on_acquire",
+    FrameType.RENEW: "_on_renew",
+    FrameType.RELEASE: "_on_release",
+    FrameType.WATCH: "_on_watch",
+    FrameType.SVC_STATS: "_on_stats",
+}
+
 #: What converting a malformed request field raises.
 _FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
@@ -318,7 +328,7 @@ class ElectionService:
     def _dispatch(self, session: _Session, frame: Frame) -> None:
         """Route one request frame; replies go back through chaos."""
         rpc = frame.fields.get("rpc")
-        if not isinstance(rpc, int):
+        if not isinstance(rpc, int) or isinstance(rpc, bool):
             self._error(session, -1, f"request {frame.ftype!r} missing int rpc nonce")
             return
         cached = session.cached(rpc)
@@ -328,18 +338,11 @@ class ElectionService:
             self.metrics.counter("svc.replays").inc()
             self._send(session, cached)
             return
-        handlers = {
-            FrameType.ACQUIRE: self._on_acquire,
-            FrameType.RENEW: self._on_renew,
-            FrameType.RELEASE: self._on_release,
-            FrameType.WATCH: self._on_watch,
-            FrameType.SVC_STATS: self._on_stats,
-        }
-        handler = handlers.get(frame.ftype)
-        if handler is None:
+        name = _HANDLERS.get(frame.ftype)
+        if name is None:
             self._error(session, rpc, f"unexpected frame type {frame.ftype!r}")
             return
-        handler(session, rpc, frame.fields)
+        getattr(self, name)(session, rpc, frame.fields)
 
     def _error(self, session: _Session, rpc: int, message: str,
                cache: bool = False) -> None:
@@ -350,7 +353,7 @@ class ElectionService:
     def _reply(self, session: _Session, frame: Frame, cache: bool = True) -> None:
         """Record (for at-most-once resends) and send one reply frame."""
         rpc = frame.fields.get("rpc")
-        if cache and isinstance(rpc, int) and rpc >= 0:
+        if cache and isinstance(rpc, int) and not isinstance(rpc, bool) and rpc >= 0:
             session.cache_reply(rpc, frame)
         self._send(session, frame)
 

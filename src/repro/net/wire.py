@@ -27,7 +27,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import struct
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.scanner import make_scanner
 from typing import Any, Hashable, Mapping, Sequence
 
 from ..core.protocol import HetStatus, Outcome, PillState
@@ -220,28 +223,67 @@ def check_entries(entries: Any) -> dict[Hashable, tuple[int, Any, str]]:
 # ---------------------------------------------------------------------------
 
 
-#: The canonical body encoder, built once (``json.dumps`` with keyword
-#: arguments would build a new encoder on every call).
-_BODY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: The canonical body encoder (sorted keys, no spaces), built once.
+#: ``JSONEncoder.encode`` would build a new C encoder on every call.
+#: Markers are ``None``: a body is never cyclic, and ``encode_value``
+#: would recurse first anyway.  ``default`` is ``JSONEncoder``'s own, so
+#: a non-JSON sender raises the same ``TypeError``.
+if c_make_encoder is None:  # pragma: no cover - CPython ships _json
+    _encode_body = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+else:
+    _c_encode = c_make_encoder(
+        markers=None, default=json.JSONEncoder().default,
+        encoder=encode_basestring_ascii, indent=None, key_separator=":",
+        item_separator=",", sort_keys=True, skipkeys=False, allow_nan=True,
+    )
+
+    def _encode_body(body: dict) -> str:
+        return "".join(_c_encode(body, 0))
+
+#: Field values that :func:`encode_value` passes through unchanged.
+_PLAIN_TYPES = frozenset((str, int, float, bool, type(None)))
+
+#: The header layout: magic, version byte, big-endian body length.
+_HEADER = struct.Struct(">2sBI")
+_pack_header, _unpack_header = _HEADER.pack, _HEADER.unpack_from
 
 
 def pack_frame(frame: Frame) -> bytes:
     """Serialize one frame to its canonical byte form."""
     if frame.ftype not in FRAME_TYPES:
         raise WireError(f"unknown frame type {frame.ftype!r}")
-    body = _BODY_ENCODER.encode({
-        "t": frame.ftype,
-        "s": frame.sender,
-        "f": {key: encode_value(value) for key, value in frame.fields.items()},
-    }).encode("utf-8")
+    fields = frame.fields
+    # Plain scalars encode as themselves: skip the tagged rebuild.
+    plain = type(fields) is dict
+    if plain:
+        for value in fields.values():
+            if type(value) not in _PLAIN_TYPES:
+                plain = False
+                break
+    if not plain:
+        fields = {key: encode_value(value) for key, value in fields.items()}
+    body = _encode_body({"t": frame.ftype, "s": frame.sender, "f": fields}).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame body {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
-    return MAGIC + bytes([WIRE_VERSION]) + len(body).to_bytes(4, "big") + body
+    return _pack_header(MAGIC, WIRE_VERSION, len(body)) + body
 
 
-def _decode_body(body: bytes) -> Frame:
+#: The scanner inside ``json.loads``, called directly: one value from
+#: offset 0, without the whitespace skips around it.
+_scan_json = make_scanner(json.JSONDecoder())
+
+
+def _decode_body(body: bytes | bytearray) -> Frame:
     try:
-        obj = json.loads(body.decode("utf-8"))
+        text = body.decode("utf-8")
+        try:
+            obj, end = _scan_json(text, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(text):
+            # Whitespace, extra data or a syntax error: json.loads decides,
+            # with its own error text.
+            obj = json.loads(text)
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise WireError(f"undecodable frame body: {error}") from None
     if not isinstance(obj, dict):
@@ -256,11 +298,13 @@ def _decode_body(body: bytes) -> Frame:
         raise WireError(f"frame sender is not an int: {sender!r}")
     if not isinstance(fields, dict):
         raise WireError(f"frame fields is not an object: {fields!r}")
-    return Frame(
-        ftype=ftype,
-        sender=sender,
-        fields={key: decode_value(value) for key, value in fields.items()},
-    )
+    for value in fields.values():
+        # JSON scalars decode as themselves; only objects and arrays need
+        # (or are refused by) the tagged codec.
+        if type(value) is dict or type(value) is list:
+            fields = {key: decode_value(value) for key, value in fields.items()}
+            break
+    return Frame(ftype=ftype, sender=sender, fields=fields)
 
 
 class FrameDecoder:
@@ -281,36 +325,38 @@ class FrameDecoder:
         """Consume ``data``; return every frame completed by it.
 
         A :class:`WireError` carries the frames cut before the malformed
-        bytes in its ``frames`` attribute.
+        bytes in its ``frames`` attribute.  A malformed header stays
+        buffered; a malformed body has already been cut off.
         """
-        self._buffer.extend(data)
+        buffer = self._buffer
+        buffer += data
         frames: list[Frame] = []
+        size = len(buffer)
+        start = 0
         try:
-            while (frame := self._try_cut()) is not None:
-                frames.append(frame)
+            while size - start >= HEADER_BYTES:
+                magic, version, length = _unpack_header(buffer, start)
+                if magic != MAGIC:
+                    raise WireError(f"bad frame magic {magic!r}")
+                if version != WIRE_VERSION:
+                    raise WireError(
+                        f"wire version {version} unsupported (expected {WIRE_VERSION})"
+                    )
+                if length > MAX_FRAME_BYTES:
+                    raise WireError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
+                end = start + HEADER_BYTES + length
+                if end > size:
+                    break
+                body = buffer[start + HEADER_BYTES:end]
+                start = end
+                frames.append(_decode_body(body))
         except WireError as error:
             error.frames = frames
             raise
+        finally:
+            # One cut for the whole chunk, not one per frame.
+            del buffer[:start]
         return frames
-
-    def _try_cut(self) -> Frame | None:
-        buffer = self._buffer
-        if len(buffer) < HEADER_BYTES:
-            return None
-        if bytes(buffer[:2]) != MAGIC:
-            raise WireError(f"bad frame magic {bytes(buffer[:2])!r}")
-        if buffer[2] != WIRE_VERSION:
-            raise WireError(
-                f"wire version {buffer[2]} unsupported (expected {WIRE_VERSION})"
-            )
-        length = int.from_bytes(buffer[3:7], "big")
-        if length > MAX_FRAME_BYTES:
-            raise WireError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-        if len(buffer) < HEADER_BYTES + length:
-            return None
-        body = bytes(buffer[HEADER_BYTES:HEADER_BYTES + length])
-        del buffer[:HEADER_BYTES + length]
-        return _decode_body(body)
 
     @property
     def pending_bytes(self) -> int:

@@ -370,6 +370,37 @@ class TestMalformedRequests:
             ("held", "release"),
         ]
 
+    def test_bool_rpc_is_not_a_nonce(self):
+        """JSON ``true`` is no rpc nonce: it must not replay rpc 1's reply."""
+
+        async def body(service, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            decoder = FrameDecoder()
+
+            async def call(rpc, key, client):
+                writer.write(pack_frame(Frame(FrameType.ACQUIRE, 4, {
+                    "rpc": rpc, "key": key, "client": client,
+                })))
+                while not (frames := decoder.feed(await reader.read(65536))):
+                    pass
+                return frames
+
+            granted = await call(1, "a", "a")
+            refused = await call(True, "b", "b")
+            session = next(iter(service._sessions.values()))
+            cached = list(session.replied)
+            writer.close()
+            return granted, refused, cached
+
+        (granted, refused, cached), run = run_scenario(body)
+        assert [frame.fields["status"] for frame in granted] == ["granted"]
+        assert [dict(frame.fields) for frame in refused] == [{
+            "rpc": -1, "status": "error",
+            "message": "request 'acquire' missing int rpc nonce",
+        }]
+        assert cached == [1]
+        assert [record.key for record in run.history] == ["a"]
+
     def test_valid_frame_then_garbage_in_one_write(self):
         """Frames before the bad bytes are answered, then the session fails over."""
 

@@ -13,6 +13,8 @@ a silently wrong frame.
 from __future__ import annotations
 
 import json
+import math
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +226,137 @@ class TestFrameRoundTrip:
             pack_frame(Frame("gossip", 0, {}))
 
 
+def _raw(body: bytes) -> bytes:
+    """A frame around ``body`` bytes, whatever they hold."""
+    return MAGIC + bytes([WIRE_VERSION]) + len(body).to_bytes(4, "big") + body
+
+
+def _reference_pack(frame: Frame) -> bytes:
+    """The frame codec's definition: ``json.dumps`` of the tagged body."""
+    body = json.dumps(
+        {
+            "t": frame.ftype,
+            "s": frame.sender,
+            "f": {key: encode_value(value) for key, value in frame.fields.items()},
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode("utf-8")
+    return _raw(body)
+
+
+def _reference_decode(body: bytes) -> Frame:
+    """``json.loads`` plus :func:`decode_value` on every field."""
+    obj = json.loads(body.decode("utf-8"))
+    return Frame(
+        obj["t"], obj["s"],
+        {key: decode_value(value) for key, value in obj["f"].items()},
+    )
+
+
+#: Plain field values: the scalars every service frame carries.
+plain_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False),
+    st.text(max_size=20),
+)
+
+mixed_field_maps = st.dictionaries(
+    st.text(max_size=12), st.one_of(plain_values, values), max_size=6
+)
+
+mixed_frames = st.builds(
+    Frame,
+    st.sampled_from(sorted(FRAME_TYPES)),
+    st.integers(min_value=-2, max_value=1023),
+    st.one_of(mixed_field_maps, mixed_field_maps.map(MappingProxyType)),
+)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class TestCodecMatchesReference:
+    """``pack_frame``/``FrameDecoder`` against the plain ``json`` reference.
+
+    Plain-scalar fields and tagged fields (register values) share one
+    frame here, so every encode and decode path is pinned to the same
+    bytes, frames and error texts as ``json.dumps``/``json.loads``.
+    """
+
+    @given(mixed_frames)
+    @settings(max_examples=300)
+    def test_pack_equals_reference(self, frame):
+        assert pack_frame(frame) == _reference_pack(frame)
+
+    @given(st.lists(mixed_frames, min_size=1, max_size=4))
+    @settings(max_examples=150)
+    def test_feed_equals_reference(self, frame_list):
+        raws = [pack_frame(frame) for frame in frame_list]
+        decoded = FrameDecoder().feed(b"".join(raws))
+        assert decoded == [_reference_decode(raw[HEADER_BYTES:]) for raw in raws]
+
+    def test_scalar_subclasses_pack_as_reference(self):
+        frame = Frame(FrameType.SVC_REPLY, -2, {
+            "a": _Str("x"), "b": _Int(7), "c": True, "d": None, "e": 1.5,
+        })
+        assert pack_frame(frame) == _reference_pack(frame)
+
+    def test_non_json_sender_raises_type_error(self):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            pack_frame(Frame(FrameType.ACK, object(), {}))
+
+    @pytest.mark.parametrize("body", [
+        b' \n{"f":{"k":1},"s":0,"t":"ack"}',
+        b'{"f":{"k":1},"s":0,"t":"ack"}\r\n ',
+        b'{ "t" : "ack", "s" : 0, "f" : { "k" : [1] } }',
+        b'{"f":{"x":{"__t":"t","v":[1,"a"]}},"s":3,"t":"ack"}',
+        b'{"f":{"x":Infinity,"y":-Infinity},"s":0,"t":"ack"}',
+    ], ids=["leading-ws", "trailing-ws", "spaced", "tagged", "infinity"])
+    def test_non_canonical_body_decodes_as_reference(self, body):
+        try:
+            expected = _reference_decode(body)
+        except WireError as error:
+            with pytest.raises(WireError) as caught:
+                FrameDecoder().feed(_raw(body))
+            assert str(caught.value) == str(error)
+        else:
+            assert FrameDecoder().feed(_raw(body)) == [expected]
+
+    def test_nan_body_decodes_as_reference(self):
+        (frame,) = FrameDecoder().feed(_raw(b'{"f":{"x":NaN},"s":0,"t":"ack"}'))
+        assert math.isnan(frame.fields["x"])
+
+    @pytest.mark.parametrize("body", [
+        b'{"f":{},"s":0,"t":"ack"} {}',
+        b'{"f":{},"s":0,"t":"ack"}x',
+        b"",
+        b"   ",
+        b'{"f":{',
+        b'{"f":{"x":[1,]},"s":0,"t":"ack"}',
+        b'{"f":{"x":nan},"s":0,"t":"ack"}',
+        b'\xef\xbb\xbf{"f":{},"s":0,"t":"ack"}',
+        b'{"f":{"x":"\xff"},"s":0,"t":"ack"}',
+        b'{"f":{"x":"\x01"},"s":0,"t":"ack"}',
+    ], ids=["extra-data", "extra-char", "empty", "blank", "truncated",
+            "trailing-comma", "lowercase-nan", "bom", "bad-utf8", "control-char"])
+    def test_undecodable_body_error_matches_reference(self, body):
+        try:
+            json.loads(body.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+            expected = f"undecodable frame body: {error}"
+        with pytest.raises(WireError) as caught:
+            FrameDecoder().feed(_raw(body))
+        assert str(caught.value) == expected
+
+
 class TestHostileInput:
     def test_bad_magic(self):
         with pytest.raises(WireError, match="bad frame magic"):
@@ -290,3 +423,35 @@ class TestHostileInput:
         raw = MAGIC + bytes([WIRE_VERSION]) + len(body).to_bytes(4, "big") + body
         with pytest.raises(WireError, match="missing key"):
             FrameDecoder().feed(raw)
+
+    @pytest.mark.parametrize("good", [0, 1, 2])
+    @pytest.mark.parametrize("bad, message, cut", [
+        (b"XX" + bytes(20), "bad frame magic", False),
+        (MAGIC + bytes([WIRE_VERSION + 1]) + bytes(8), "wire version", False),
+        (MAGIC + bytes([WIRE_VERSION]) + (MAX_FRAME_BYTES + 1).to_bytes(4, "big"),
+         "exceeds", False),
+        (_raw(b"\xff\xfenot json"), "undecodable frame body", True),
+        (_raw(b'{"f":{},"s":0,"t":"ack"} {}'), "Extra data", True),
+        (_raw(b"[1, 2]"), "not an object", True),
+        (_raw(b'{"t":"ack","s":true,"f":{}}'), "sender is not an int", True),
+        (_raw(b'{"t":"ack","s":0}'), "missing key", True),
+        (_raw(b'{"t":"gossip","s":0,"f":{}}'), "unknown frame type", True),
+        (_raw(b'{"t":"ack","s":0,"f":[]}'), "fields is not an object", True),
+        (_raw(b'{"t":"ack","s":0,"f":{"x":[1]}}'), "bare JSON array", True),
+        (_raw(b'{"t":"ack","s":0,"f":{"x":{"v":1}}}'), "untagged object", True),
+    ], ids=["magic", "version", "length", "utf8", "extra", "array", "sender",
+            "missing", "ftype", "fields", "bare-array", "untagged"])
+    def test_pending_bytes_after_error(self, bad, message, cut, good):
+        """A bad header stays buffered; a bad body was already cut off.
+
+        Either way the frames before it ride on the error and the bytes
+        after it stay buffered.
+        """
+        frames = [Frame(FrameType.ACK, pid, {"n": pid}) for pid in range(good)]
+        tail = pack_frame(Frame(FrameType.ACK, 9, {}))
+        decoder = FrameDecoder()
+        raw = b"".join(pack_frame(frame) for frame in frames) + bad + tail
+        with pytest.raises(WireError, match=message) as caught:
+            decoder.feed(raw)
+        assert list(caught.value.frames) == frames
+        assert decoder.pending_bytes == (0 if cut else len(bad)) + len(tail)
