@@ -353,7 +353,7 @@ class ElectionService:
     def _reply(self, session: _Session, frame: Frame, cache: bool = True) -> None:
         """Record (for at-most-once resends) and send one reply frame."""
         rpc = frame.fields.get("rpc")
-        if cache and isinstance(rpc, int) and not isinstance(rpc, bool) and rpc >= 0:
+        if cache and isinstance(rpc, int) and rpc >= 0:
             session.cache_reply(rpc, frame)
         self._send(session, frame)
 

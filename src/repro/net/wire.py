@@ -228,17 +228,16 @@ def check_entries(entries: Any) -> dict[Hashable, tuple[int, Any, str]]:
 #: Markers are ``None``: a body is never cyclic, and ``encode_value``
 #: would recurse first anyway.  ``default`` is ``JSONEncoder``'s own, so
 #: a non-JSON sender raises the same ``TypeError``.
-if c_make_encoder is None:  # pragma: no cover - CPython ships _json
-    _encode_body = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-else:
-    _c_encode = c_make_encoder(
-        markers=None, default=json.JSONEncoder().default,
-        encoder=encode_basestring_ascii, indent=None, key_separator=":",
-        item_separator=",", sort_keys=True, skipkeys=False, allow_nan=True,
-    )
+_c_encode = c_make_encoder(
+    markers=None, default=json.JSONEncoder().default,
+    encoder=encode_basestring_ascii, indent=None, key_separator=":",
+    item_separator=",", sort_keys=True, skipkeys=False, allow_nan=True,
+)
 
-    def _encode_body(body: dict) -> str:
-        return "".join(_c_encode(body, 0))
+
+def _encode_body(body: dict) -> str:
+    return "".join(_c_encode(body, 0))
+
 
 #: Field values that :func:`encode_value` passes through unchanged.
 _PLAIN_TYPES = frozenset((str, int, float, bool, type(None)))
