@@ -28,6 +28,7 @@ from repro.net.client import ServiceClient
 from repro.net.node import NodeRuntime
 from repro.net.service import SERVICE_PID, ElectionService, _Session
 from repro.net.wire import Frame, FrameType, pack_frame
+from repro.obs.jsonl import iter_events
 
 plans = st.builds(
     ChaosPlan,
@@ -204,3 +205,122 @@ class TestDelayedDuplicates:
         snapshot = asyncio.run(body())
         assert transport.writes == [pack_frame(self.FRAME)] * 2
         assert snapshot["counters"]["svc.frames_sent"] == 2
+
+
+#: Every frame on every link drops (a partition that never heals).
+DROP_PLAN = ChaosPlan(seed=0, partitions=(
+    Partition(src=(0, SERVICE_PID), dst=(0, 1, SERVICE_PID)),
+))
+
+
+class _ClosedWriter(_Writer):
+    def is_closing(self):
+        return True
+
+
+class TestSenderFates:
+    """Each sender's share of the one fate rule: a dropped frame writes
+    nothing and runs only that sender's drop action, a clean frame is
+    written once, and a closed sink decides whether a fate is drawn."""
+
+    FRAME = TestDelayedDuplicates.FRAME
+
+    def _node(self, plan, writer, tmp_path):
+        trace = tmp_path / "node.jsonl"
+        link = plan.link(0, 1)
+
+        async def body():
+            node = NodeRuntime(pid=0, n=2, seed=0, driver_port=1, plan=plan,
+                               trace_path=str(trace))
+            await node.send_through_chaos(writer, self.FRAME, link)
+            assert node._background == set()
+            await node._shutdown()
+            return node.stats
+
+        stats = asyncio.run(body())
+        events = [event.etype for event in iter_events(str(trace))]
+        return stats, events, link
+
+    def _client(self, plan, writer, closed=False):
+        async def body():
+            client = ServiceClient(asyncio.StreamReader(), writer, "a", plan=plan)
+            client._closed = closed
+            client._send(self.FRAME)
+            assert client._background == set()
+            client._read_task.cancel()
+            return client._link
+
+        return asyncio.run(body())
+
+    def _service(self, plan, transport, closed=False):
+        async def body():
+            service = ElectionService(plan=plan)
+            session = _Session(service, sid=7)
+            session.transport = transport
+            session.link = plan.link(SERVICE_PID, 0)
+            session.closed = closed
+            service._send(session, self.FRAME)
+            assert service._background == set()
+            return service, session.link
+
+        return asyncio.run(body())
+
+    def test_node_drop(self, tmp_path):
+        writer = _Writer()
+        stats, events, _ = self._node(DROP_PLAN, writer, tmp_path)
+        assert writer.writes == []
+        assert (stats.frames_sent, stats.frames_dropped, stats.frames_delayed,
+                stats.frames_duplicated) == (0, 1, 0, 0)
+        assert stats.frames_by_kind[FrameType.ACK] == 1
+        assert events.count("net.drop") == 1 and "msg.send" not in events
+
+    def test_service_drop(self):
+        transport = _Writer()
+        service, _ = self._service(DROP_PLAN, transport)
+        assert transport.writes == []
+        assert list(service.dlq) == [(7, self.FRAME)]
+        counters = service.metrics.snapshot()["counters"]
+        assert counters["svc.frames_dropped"] == 1
+        assert "svc.frames_sent" not in counters and "svc.frames_delayed" not in counters
+
+    def test_client_drop(self):
+        writer = _Writer()
+        link = self._client(DROP_PLAN, writer)
+        assert writer.writes == [] and link.frames_seen == 1
+
+    def test_node_clean(self, tmp_path):
+        writer = _Writer()
+        stats, events, _ = self._node(CLEAN_PLAN, writer, tmp_path)
+        assert writer.writes == [pack_frame(self.FRAME)]
+        assert (stats.frames_sent, stats.frames_dropped, stats.frames_delayed,
+                stats.frames_duplicated) == (1, 0, 0, 0)
+        assert events.count("msg.send") == 1
+
+    def test_service_clean(self):
+        transport = _Writer()
+        service, _ = self._service(CLEAN_PLAN, transport)
+        assert transport.writes == [pack_frame(self.FRAME)]
+        assert list(service.dlq) == []
+        assert service.metrics.snapshot()["counters"] == {"svc.frames_sent": 1}
+
+    def test_client_clean(self):
+        writer = _Writer()
+        self._client(CLEAN_PLAN, writer)
+        assert writer.writes == [pack_frame(self.FRAME)]
+
+    def test_node_draws_a_fate_for_a_closed_writer(self, tmp_path):
+        writer = _ClosedWriter()
+        stats, _, link = self._node(CLEAN_PLAN, writer, tmp_path)
+        assert writer.writes == [] and stats.frames_sent == 0
+        assert link.frames_seen == 1
+
+    def test_service_draws_no_fate_for_a_closed_session(self):
+        transport = _Writer()
+        service, link = self._service(DROP_PLAN, transport, closed=True)
+        assert transport.writes == [] and list(service.dlq) == []
+        assert link.frames_seen == 0
+
+    def test_client_draws_a_fate_when_closed(self):
+        writer = _Writer()
+        link = self._client(CLEAN_PLAN, writer, closed=True)
+        assert writer.writes == [] and link.frames_seen == 1
