@@ -221,7 +221,6 @@ class NodeRuntime:
         self.process = Process(pid, n, rng, factory)
         self._peers: dict[int, PeerClient] = {}
         self._server: asyncio.base_events.Server | None = None
-        self._call_counter = 0
         self._rpc_counter = 0
         self._closing = False
         self._started_ns = time.monotonic_ns()
@@ -417,10 +416,9 @@ class NodeRuntime:
 
     async def _communicate(self, request: Propagate | Collect) -> list[dict] | None:
         """Resolve one yielded request against a quorum of peers."""
-        self._call_counter += 1
-        call_id = self._call_counter
         process = self.process
-        pending = process.begin_call(call_id, request)
+        pending = process.begin_call(request)
+        call_id = pending.call_id
         if isinstance(request, Propagate):
             payload = dict(process.registers.entries(request.var, request.keys))
             fields = {"call": call_id, "var": request.var, "entries": payload}

@@ -88,7 +88,7 @@ class Event:
 
 def call_key(event: Event) -> tuple[int, int]:
     """The ``(pid, call)`` identity of a ``comm.call`` / ``comm.done`` event
-    (socket nodes number calls per node, so ``call`` alone repeats)."""
+    (each processor numbers its own calls, so ``call`` alone repeats)."""
     return event.pid, event.fields["call"]
 
 

@@ -140,9 +140,12 @@ class Process:
             )
         return request
 
-    def begin_call(self, call_id: int, request: Request) -> PendingCall:
+    def begin_call(self, request: Request) -> PendingCall:
         """Open one ``communicate`` call: count it, emit ``comm.call``, and
         store and return its :class:`PendingCall` as :attr:`pending`.
+
+        The call's id is its ordinal among this processor's calls (the
+        first is 1), so ``(pid, call)`` names one call on both backends.
 
         ``keys`` is the Propagate's key tuple, or ``None`` for a Collect
         or an all-keys Propagate; with the sender's ``reg.put`` history
@@ -153,6 +156,7 @@ class Process:
         ``comm.done`` follows at once.
         """
         self.comm_calls += 1
+        call_id = self.comm_calls
         obs = self.obs
         collect = isinstance(request, Collect)
         if obs is not None:

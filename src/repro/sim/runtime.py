@@ -202,7 +202,6 @@ class Simulation:
         # emission site below reduces to one ``is None`` check.
         self._obs = sink
         self.max_events = max_events if max_events is not None else 100_000 + 1_000 * n * n
-        self._call_counter = 0
         self._needs_step: set[int] = set(participants)
         self._undecided: set[int] = set(participants)
         self._crashed: set[int] = set()
@@ -568,9 +567,8 @@ class Simulation:
         self._issue_communicate(process, request)
 
     def _issue_communicate(self, process: Process, request: Request) -> None:
-        self._call_counter += 1
-        call_id = self._call_counter
-        pending = process.begin_call(call_id, request)
+        pending = process.begin_call(request)
+        call_id = pending.call_id
         self.metrics.record_comm_call(process.pid)
         pid = process.pid
         var = request.var

@@ -189,7 +189,7 @@ class TestTracing:
             return names
 
         def completions(events):
-            # Call ids are per node on the socket backend, so key by pid.
+            # Each node numbers its own calls, so key by pid.
             calls, done = Counter(), Counter()
             for event in events:
                 if event.etype == "comm.call":
@@ -210,8 +210,8 @@ class TestTracing:
             assert done == calls  # exactly one comm.done per comm.call
 
     def test_every_call_gets_one_duration(self, chaos_trace):
-        # Call ids are per node, so they repeat across the pids of a
-        # merged trace: the sinks pair comm.call and comm.done on
+        # Each node numbers its own calls, so ids repeat across the pids
+        # of a merged trace: the sinks pair comm.call and comm.done on
         # (pid, call), and no node's call overwrites another's.
         aggregator, telemetry = TraceAggregator(), MetricsSink()
         feed(iter_events(chaos_trace), aggregator, telemetry)

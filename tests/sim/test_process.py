@@ -50,7 +50,7 @@ class TestProcess:
         process.start()
         request = process.resume(None)
         while request is not None:
-            process.begin_call(process.comm_calls + 1, request)
+            process.begin_call(request)
             request = process.resume(None)
         assert events == [
             ("proc.start", {}),
@@ -67,24 +67,25 @@ class TestProcess:
         events = []
         process = make_process(n=5)
         process.obs = lambda etype, fields: events.append((etype, fields))
-        pending = process.begin_call(7, Collect("X"))
-        assert process.pending is pending
+        process.begin_call(Propagate("X"))
+        pending = process.begin_call(Collect("X"))
+        assert process.pending is pending and pending.call_id == 2
         assert (pending.needed, pending.views) == (2, [{}])  # the caller's own view
-        assert not process.ack(6, {0: "stale"})  # a reply to another call
-        assert not process.ack(7, {1: "a"})
-        assert process.ack(7, {2: "b"})  # completes the quorum
-        assert not process.ack(7, {3: "c"})  # counted and kept, not completed again
+        assert not process.ack(1, {0: "stale"})  # a reply to the earlier call
+        assert not process.ack(2, {1: "a"})
+        assert process.ack(2, {2: "b"})  # completes the quorum
+        assert not process.ack(2, {3: "c"})  # counted and kept, not completed again
         assert pending.acks == 3
         assert pending.result() == [{}, {1: "a"}, {2: "b"}, {3: "c"}]
         assert [event for event in events if event[0] == "comm.done"] == [
-            ("comm.done", {"call": 7, "acks": 2}),
+            ("comm.done", {"call": 2, "acks": 2}),
         ]
 
     def test_a_lone_process_completes_its_call_at_once(self):
         events = []
         process = make_process(n=1)
         process.obs = lambda etype, fields: events.append((etype, fields))
-        pending = process.begin_call(1, Propagate("X"))
+        pending = process.begin_call(Propagate("X"))
         assert pending.satisfied and pending.result() is None
         assert events[-1] == ("comm.done", {"call": 1, "acks": 0})
 

@@ -9,7 +9,7 @@ import pytest
 from repro.adversary import EagerAdversary, RandomAdversary, SequentialAdversary
 from repro.adversary.base import Adversary
 from repro.harness.runners import run_leader_election
-from repro.obs.events import ListSink, MultiSink
+from repro.obs.events import ListSink, MultiSink, call_key
 from repro.obs.metrics import MetricsSink
 from repro.sim import (
     AdversaryProtocolError,
@@ -157,10 +157,15 @@ class TestMetrics:
             16, adversary="eager", seed=0, sink=MultiSink(capture, telemetry)
         )
         events = capture.events
-        calls = Counter(e.fields["call"] for e in events if e.etype == "comm.call")
-        done = Counter(e.fields["call"] for e in events if e.etype == "comm.done")
+        calls = Counter(call_key(e) for e in events if e.etype == "comm.call")
+        done = Counter(call_key(e) for e in events if e.etype == "comm.done")
         assert set(calls.values()) == {1}
         assert done == calls
+        # Each processor numbers its own calls 1, 2, ...
+        by_pid = {}
+        for pid, call in calls:
+            by_pid.setdefault(pid, []).append(call)
+        assert all(ids == list(range(1, len(ids) + 1)) for ids in by_pid.values())
         counters = telemetry.registry.snapshot()["counters"]
         assert counters["comm.done"] == counters["comm.calls"]
         assert counters["comm.calls"] == sum(run.result.metrics.comm_calls_by)
