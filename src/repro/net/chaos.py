@@ -13,6 +13,10 @@ gap by perturbing the data-plane links deterministically from a seed:
 * **partition** — every frame on the named directed links is dropped
   until the partition heals at ``heal_ms`` (``None`` = never heals).
 
+Every sender — a node's peer links, the service's replies, a client's
+requests — applies a drawn fate through :func:`apply_fate`: drop the
+frame, or write it and its duplicates together once any delay passes.
+
 Decisions are drawn per ``(src, dst)`` link from independent RNG streams
 (:func:`~repro.sim.rng.make_stream`), so the *plan* — which frame
 numbers on which links are dropped, delayed, or duplicated — is a pure
@@ -28,6 +32,7 @@ paper's crashed-majority regime.
 
 from __future__ import annotations
 
+import asyncio
 import json
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -213,6 +218,33 @@ class LinkChaos:
         if not dropped and delay_s == 0.0 and duplicates == 0:
             return CLEAN_FATE
         return FrameFate(drop=dropped, delay_s=delay_s, duplicates=duplicates)
+
+
+def apply_fate(fate: FrameFate, tasks: set, write: Callable[..., None], *args: Any) -> bool:
+    """Apply ``fate`` to one frame that ``write(*args)`` writes.
+
+    A dropped frame is not written, and the result is False.  Otherwise
+    the frame is written ``1 + fate.duplicates`` times: now, or, after a
+    delay, by one task kept in ``tasks`` until it finishes, so frames
+    sent meanwhile overtake it.  The sender counts its own drops and
+    delays from the result and ``fate``.
+    """
+    if fate.drop:
+        return False
+    if fate.delay_s > 0.0:
+        task = asyncio.get_running_loop().create_task(_write_later(fate, write, args))
+        tasks.add(task)
+        task.add_done_callback(tasks.discard)
+    else:
+        for _ in range(1 + fate.duplicates):
+            write(*args)
+    return True
+
+
+async def _write_later(fate: FrameFate, write: Callable[..., None], args: tuple) -> None:
+    await asyncio.sleep(fate.delay_s)
+    for _ in range(1 + fate.duplicates):
+        write(*args)
 
 
 def fates_for(
@@ -486,4 +518,5 @@ __all__ = [
     "load_plan",
     "make_phased_plan",
     "fates_for",
+    "apply_fate",
 ]

@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, AsyncIterator, Mapping
 
-from .chaos import CLEAN_PLAN, ChaosPlan, FrameFate, LinkChaos
+from .chaos import CLEAN_PLAN, ChaosPlan, LinkChaos, apply_fate
 from .service import SERVICE_PID, ReplyStatus
 from .wire import Frame, FrameType, pack_frame, read_frame
 
@@ -194,24 +194,7 @@ class ServiceClient:
 
     def _send(self, frame: Frame) -> None:
         """Write one request frame through the client's chaos link."""
-        fate = self._link.next_fate(0.0)
-        if fate.drop:
-            return
-        if fate.delay_s > 0.0:
-            task = asyncio.get_running_loop().create_task(
-                self._delayed_send(frame, fate)
-            )
-            self._background.add(task)
-            task.add_done_callback(self._background.discard)
-            return
-        for _ in range(1 + fate.duplicates):
-            self._write(frame)
-
-    async def _delayed_send(self, frame: Frame, fate: FrameFate) -> None:
-        """Write the frame and its duplicates once its delay has passed."""
-        await asyncio.sleep(fate.delay_s)
-        for _ in range(1 + fate.duplicates):
-            self._write(frame)
+        apply_fate(self._link.next_fate(0.0), self._background, self._write, frame)
 
     def _write(self, frame: Frame) -> None:
         if self._closed or self._writer.is_closing():

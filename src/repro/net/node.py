@@ -41,7 +41,7 @@ from ..obs.metrics import MetricsRegistry
 from ..sim.communicate import Collect, Propagate
 from ..sim.process import AlgorithmFactory, Process
 from ..sim.rng import make_stream
-from .chaos import CLEAN_PLAN, ChaosPlan, FrameFate, LinkChaos
+from .chaos import CLEAN_PLAN, ChaosPlan, LinkChaos, apply_fate
 from .wire import (
     Frame,
     FrameType,
@@ -301,26 +301,19 @@ class NodeRuntime:
     ) -> None:
         """Write one data frame, subject to the link's next chaos fate."""
         fate = link.next_fate(self._elapsed_ms())
-        self.stats.frames_by_kind[frame.ftype] = (
-            self.stats.frames_by_kind.get(frame.ftype, 0) + 1
-        )
-        if fate.drop:
-            self.stats.frames_dropped += 1
+        stats = self.stats
+        stats.frames_by_kind[frame.ftype] = stats.frames_by_kind.get(frame.ftype, 0) + 1
+        if not apply_fate(fate, self._background, self._write_now, writer, frame, link.dst):
+            stats.frames_dropped += 1
             self._emit("net.drop", {"dst": link.dst, "kind": frame.ftype})
             return
-        self.stats.frames_duplicated += fate.duplicates
+        stats.frames_duplicated += fate.duplicates
         if fate.delay_s > 0.0:
-            self.stats.frames_delayed += 1
+            stats.frames_delayed += 1
             self._emit(
                 "net.delay",
                 {"dst": link.dst, "kind": frame.ftype, "ms": fate.delay_s * 1e3},
             )
-            self._track(asyncio.create_task(
-                self._delayed_write(writer, frame, link.dst, fate)
-            ))
-            return
-        for _ in range(1 + fate.duplicates):
-            self._write_now(writer, frame, link.dst)
 
     def _write_now(self, writer: asyncio.StreamWriter, frame: Frame, dst: int) -> None:
         if writer.is_closing():
@@ -334,18 +327,6 @@ class NodeRuntime:
         )
         writer.write(pack_frame(frame))
         self.stats.frames_sent += 1
-
-    async def _delayed_write(
-        self, writer: asyncio.StreamWriter, frame: Frame, dst: int, fate: FrameFate
-    ) -> None:
-        """Write the frame and its duplicates once its delay has passed."""
-        await asyncio.sleep(fate.delay_s)
-        for _ in range(1 + fate.duplicates):
-            self._write_now(writer, frame, dst)
-
-    def _track(self, task: asyncio.Task) -> None:
-        self._background.add(task)
-        task.add_done_callback(self._background.discard)
 
     def note_received(self, frame: Frame) -> None:
         """Account one inbound data frame (called by connection readers)."""
@@ -527,7 +508,7 @@ class NodeRuntime:
             stats_task: asyncio.Task | None = None
             if self._telemetry is not None:
                 stats_task = asyncio.create_task(self._telemetry_loop(writer))
-                self._track(stats_task)
+                self._background.add(stats_task)
             if self.process.is_participant:
                 try:
                     result, start_ns, decide_ns = await self._run_protocol()

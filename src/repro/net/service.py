@@ -31,7 +31,7 @@ from ..obs.live import SnapshotWriter
 from ..obs.metrics import MetricsRegistry
 from ..sim.runtime import SimulationResult
 from ..sim.trace import Metrics
-from .chaos import CLEAN_PLAN, ChaosPlan, FrameFate, LinkChaos
+from .chaos import CLEAN_PLAN, ChaosPlan, LinkChaos, apply_fate
 from .lease import EVENT, FencedRecord, GrantRecord, LeaseState, LeaseTable, ReplyStatus
 from .wire import Frame, FrameDecoder, FrameType, WireError, pack_frame
 
@@ -362,26 +362,11 @@ class ElectionService:
         if session.closed or session.transport.is_closing():
             return
         fate = session.link.next_fate(self._clock_ms())
-        if fate.drop:
+        if not apply_fate(fate, self._background, self._write, session, frame):
             self.metrics.counter("svc.frames_dropped").inc()
             self.dlq.append((session.sid, frame))
-            return
-        if fate.delay_s > 0.0:
+        elif fate.delay_s > 0.0:
             self.metrics.counter("svc.frames_delayed").inc()
-            task = asyncio.get_running_loop().create_task(
-                self._delayed_send(session, frame, fate)
-            )
-            self._background.add(task)
-            task.add_done_callback(self._background.discard)
-            return
-        for _ in range(1 + fate.duplicates):
-            self._write(session, frame)
-
-    async def _delayed_send(self, session: _Session, frame: Frame, fate: FrameFate) -> None:
-        """Write the frame and its duplicates once its delay has passed."""
-        await asyncio.sleep(fate.delay_s)
-        for _ in range(1 + fate.duplicates):
-            self._write(session, frame)
 
     def _write(self, session: _Session, frame: Frame) -> None:
         """Write one frame now, or at the end of the chunk being dispatched."""
