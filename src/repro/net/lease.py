@@ -134,6 +134,8 @@ class _KeyState:
     vacated: tuple[float, bool] | None = None
     #: The current holder's grant record, closed when the lease ends.
     grant: GrantRecord | None = None
+    #: When the key's pending wake-up is due; ``None`` when none is.
+    wake: float | None = None
 
 
 class LeaseTable:
@@ -187,7 +189,7 @@ class LeaseTable:
         else:
             deadline = now + wait_ms / 1000.0
             state.waiters.append(_Waiter(client, session, rpc, now, deadline))
-            self._push(deadline, key)
+            self._push(state, deadline)
         return out
 
     def renew(self, session: Any, rpc: int, key: str, client: str,
@@ -201,7 +203,7 @@ class LeaseTable:
             state.ttl_s = ttl_ms / 1000.0
             state.expires_at = now + state.ttl_s
             state.state = LeaseState.HELD
-            self._push(state.expires_at - state.ttl_s * self.grace_fraction, key)
+            self._push(state, state.expires_at - state.ttl_s * self.grace_fraction)
             out.append((REPLY, session, _granted(rpc, state, ttl_ms)))
         return out
 
@@ -248,10 +250,14 @@ class LeaseTable:
                 self._end_grant(state, "crash", WatchEvent.CRASHED, now, out)
         return out
 
-    def _push(self, when: float, key: str) -> None:
-        """Schedule a lazy wake-up for ``key`` at ``when``."""
+    def _push(self, state: _KeyState, when: float) -> None:
+        """Schedule a wake-up for ``state``'s key at ``when``, unless one is
+        already due no later: the sweep it triggers schedules the next."""
+        if state.wake is not None and state.wake <= when:
+            return
+        state.wake = when
         self._heap_counter += 1
-        heapq.heappush(self._heap, (when, self._heap_counter, key))
+        heapq.heappush(self._heap, (when, self._heap_counter, state.key))
 
     def next_deadline(self) -> float | None:
         """The earliest scheduled wake-up, if any."""
@@ -261,7 +267,8 @@ class LeaseTable:
         """Pop the key of every wake-up at or before ``now``, in time order.
 
         Wake-ups are lazy: :meth:`sweep` re-validates the key's current
-        deadlines, so renewals and releases never unschedule anything.
+        deadlines and schedules its next one, so renewals and releases
+        never unschedule anything.
         """
         heap = self._heap
         while heap and heap[0][0] <= now:
@@ -271,10 +278,10 @@ class LeaseTable:
         """Apply any due transition for ``key``: timeouts, EXPIRING, expiry."""
         out: list = []
         state = self.keys[key]
+        if state.wake is not None and state.wake <= now:
+            state.wake = None
         self._drop_due_waiters(state, now, out)
-        if state.state not in _LIVE:
-            return out
-        if state.expires_at <= now:
+        if state.state in _LIVE and state.expires_at <= now:
             self.metrics.counter("svc.expirations").inc()
             self._end_grant(state, "expire", WatchEvent.EXPIRED, now, out)
             self._handoff(state, now, out)
@@ -284,7 +291,13 @@ class LeaseTable:
         ):
             state.state = LeaseState.EXPIRING
             self._notify(state, WatchEvent.EXPIRING, out)
-            self._push(state.expires_at, key)
+        deadlines = [waiter.deadline for waiter in state.waiters]
+        if state.state == LeaseState.HELD:
+            deadlines.append(state.expires_at - state.ttl_s * self.grace_fraction)
+        elif state.state == LeaseState.EXPIRING:
+            deadlines.append(state.expires_at)
+        if deadlines:
+            self._push(state, min(deadlines))
         return out
 
     def _holding(self, session: Any, rpc: int, key: str, client: str,
@@ -345,7 +358,7 @@ class LeaseTable:
             if by_crash:
                 self.metrics.histogram("svc.crash_failover_ms").observe(failover_ms)
             state.vacated = None
-        self._push(state.expires_at - state.ttl_s * self.grace_fraction, state.key)
+        self._push(state, state.expires_at - state.ttl_s * self.grace_fraction)
         out.append((REPLY, session, _granted(rpc, state, ttl_ms)))
         self._notify(state, WatchEvent.GRANTED, out)
 

@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass
 
 from repro.check.invariants import evaluate_service_run
-from repro.net.lease import EVENT, LeaseTable, ReplyStatus
+from repro.net.lease import EVENT, LeaseState, LeaseTable, ReplyStatus
 from repro.net.service import SERVICE_PID, ServiceRun, _Session
 from repro.net.wire import Frame, FrameType
 from repro.obs.metrics import MetricsRegistry
@@ -51,7 +51,7 @@ GRACE = 0.25
 #: (keys, clients, depth) of each searched scope.
 SCOPES = (
     (("k",), ("a", "b", "c"), 5),
-    (("k", "j"), ("a", "b"), 4),
+    (("k", "j"), ("a", "b"), 5),
 )
 
 
@@ -327,6 +327,42 @@ def test_retried_queued_acquire_of_the_holder_is_answered_once():
             for _, session, fields in handoff] == [
         (b, 3, ReplyStatus.OK), (b, queued, ReplyStatus.GRANTED),
     ]
+
+
+def test_one_pending_wake_up_per_key():
+    # Every grant schedules its EXPIRING point, but a later one waits
+    # behind the wake-up already pending for the key.
+    table = LeaseTable(0, TTL_MS / 1000.0, GRACE, "draw", MetricsRegistry())
+    a = _Session(service=None, sid=1)
+    for cycle in range(1000):
+        now = cycle * TTL_MS / 1000.0 / 2000
+        [(_, _, granted)] = table.acquire(a, 2 * cycle + 1, "k", "a", TTL_MS, 0.0, now)
+        table.release(a, 2 * cycle + 2, "k", "a", granted["epoch"], now)
+    assert len(table._heap) == 1
+
+
+def test_a_deferred_deadline_is_kept():
+    # b's lease is granted while a's old wake-up is pending; the sweep of
+    # that wake-up schedules b's EXPIRING point, then its expiry.
+    ttl = TTL_MS / 1000.0
+    table = LeaseTable(0, ttl, GRACE, "draw", MetricsRegistry())
+    a, b = _Session(service=None, sid=1), _Session(service=None, sid=2)
+    table.acquire(a, 1, "k", "a", TTL_MS, 0.0, 0.0)
+    table.release(a, 2, "k", "a", 1, 0.01)
+    table.acquire(b, 1, "k", "b", TTL_MS, 0.0, 0.02)
+    expiring = 0.02 + ttl * (1 - GRACE)
+    steps = []
+    while table.next_deadline() is not None:
+        now = table.next_deadline()
+        for key in table.due(now):
+            table.sweep(key, now)
+        steps.append((round(now, 9), table.keys["k"].state))
+    assert steps == [
+        (round(ttl * (1 - GRACE), 9), LeaseState.HELD),
+        (round(expiring, 9), LeaseState.EXPIRING),
+        (round(0.02 + ttl, 9), LeaseState.FREE),
+    ]
+    assert table.history[-1].reason == "expire"
 
 
 if __name__ == "__main__":
