@@ -220,7 +220,9 @@ class LinkChaos:
         return FrameFate(drop=dropped, delay_s=delay_s, duplicates=duplicates)
 
 
-def apply_fate(fate: FrameFate, tasks: set, write: Callable[..., None], *args: Any) -> bool:
+def apply_fate(
+    fate: FrameFate, tasks: set[asyncio.Task], write: Callable[..., None], *args: Any
+) -> bool:
     """Apply ``fate`` to one frame that ``write(*args)`` writes.
 
     A dropped frame is not written, and the result is False.  Otherwise
